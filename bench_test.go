@@ -239,7 +239,10 @@ func BenchmarkCluster(b *testing.B) {
 // compiled to a single on-device ISR program (no host round trip
 // between layers) against the per-layer host loop, reporting the
 // per-model and geometric-mean speedups under the conservative
-// round-trip estimate.
+// round-trip estimate. It also holds the study's contract (too slow
+// for the unit tests at the paper configuration): every model's
+// on-device program beats the host loop, every divergence stays inside
+// the bfloat16 LUT envelope, and at least one model is bit-exact.
 func BenchmarkE2E(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
@@ -253,7 +256,34 @@ func BenchmarkE2E(b *testing.B) {
 		}
 		if i == 0 {
 			b.Logf("\n%s", experiments.RenderE2E(rows, mean))
+			checkE2EContract(b, rows)
 		}
+	}
+}
+
+// checkE2EContract fails b unless GNMT, BERT and DLRM each run at an
+// on-device ratio of at least 1.0 with max |diff| at most 4, and at
+// least one of them is exact.
+func checkE2EContract(b *testing.B, rows []experiments.E2ERow) {
+	byName := make(map[string]experiments.E2ERow, len(rows))
+	exact := false
+	for _, r := range rows {
+		byName[r.Name] = r
+		exact = exact || r.MaxAbsDiff == 0
+	}
+	for _, name := range []string{"GNMT", "BERT", "DLRM"} {
+		r, ok := byName[name]
+		switch {
+		case !ok:
+			b.Errorf("e2e study has no %s row", name)
+		case r.Ratio < 1.0:
+			b.Errorf("%s on-device ratio %.3f is below 1.0", name, r.Ratio)
+		case r.MaxAbsDiff > 4:
+			b.Errorf("%s max |diff| %.3g exceeds the LUT envelope of 4", name, r.MaxAbsDiff)
+		}
+	}
+	if !exact {
+		b.Error("no e2e model is bit-exact against the per-layer path")
 	}
 }
 

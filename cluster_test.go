@@ -43,6 +43,28 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
+// TestClusterFleetCapacity pins the fleet's served capacity at the
+// paper configuration: four Table II DLRM-s1 (512x256) replicas with
+// batching off serve at least 10M qps of a 100k-request stream offered
+// at 15M qps.
+func TestClusterFleetCapacity(t *testing.T) {
+	cl, err := DefaultConfig().NewCluster(ClusterConfig{
+		Models:  []ClusterModel{{Name: "DLRM-s1", Rows: 512, Cols: 256, Replicas: 4}},
+		Options: ClusterOptions{MaxBatch: 1},
+		Seed:    42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Replay(PoissonRequests(100_000, 15e6, nil, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qps := res.Total.Throughput(); qps < 10e6 {
+		t.Fatalf("4-replica fleet served %.2fM qps at 15M offered, want >= 10M", qps/1e6)
+	}
+}
+
 // A mixed fleet — a replicated model with a standby plus a row-split
 // model — serves a Poisson stream with every request accounted for, and
 // two independently built clusters agree exactly (parallel calibration

@@ -8,24 +8,19 @@
 //
 // With -json DIR, runners that have a machine-readable form (serving, cluster,
 // fault, coexist) also write BENCH_<name>.json files into DIR, so the
-// perf/reliability trajectory can be tracked across changes.
+// reliability and coexistence results can be tracked across changes.
 //
-// Simulator wall-clock performance has its own mode: -perf FILE measures
-// serial-vs-parallel throughput (ns/op, allocs/op, simulated cycles per
-// wall-second, speedup, bit-identity, conformance verdict) and writes a
-// newton-bench-perf/v1 JSON report; -checkperf FILE validates such a
-// report (CI runs it on the checked-in baseline). -chrometrace FILE runs
-// a conformance-verified fig9 ladder on a small layer and writes it as a
-// Chrome trace-event file for chrome://tracing or Perfetto (see
-// EXPERIMENTS.md for a walkthrough). -serial forces the serial
-// reference path for any figure; -oracle forces the stepping reference
-// engine instead of the event-driven core (results are byte-identical;
-// the knob exists for A/B benchmarking the cores and bisecting);
-// -checkperf with -baseline FILE additionally gates each MVM entry's
-// serial simulator throughput against an earlier report (>10% drop
-// fails); -cpuprofile/-memprofile capture pprof
-// profiles of whatever the invocation runs (see EXPERIMENTS.md for a
-// profiling walkthrough).
+// -chrometrace FILE runs a conformance-verified fig9 ladder on a small
+// layer and writes it as a Chrome trace-event file for chrome://tracing
+// or Perfetto (see EXPERIMENTS.md for a walkthrough). -serial forces the
+// serial reference path for any figure; -oracle forces the stepping
+// reference engine instead of the event-driven core (results are
+// byte-identical; the knob exists for A/B benchmarking the cores and
+// bisecting); -cpuprofile/-memprofile capture pprof profiles of whatever
+// the invocation runs (see EXPERIMENTS.md for a profiling walkthrough).
+// Simulator wall-clock speed is measured by the repository benchmark,
+// `bash perfbench/run.sh` (workloads and bounds in BENCHMARK.json), not
+// by this command.
 package main
 
 import (
@@ -56,9 +51,6 @@ func main() {
 	serial := flag.Bool("serial", false, "force the serial reference path: channels simulate one at a time and sweeps run their design points sequentially (results are byte-identical either way)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	perfOut := flag.String("perf", "", "measure serial-vs-parallel simulator throughput (ns/op, allocs/op, sim-cycles/wall-second, speedup, bit-identity, conformance) and write a "+PerfSchema+" JSON report to this file, then exit")
-	perfCheck := flag.String("checkperf", "", "validate a -perf JSON report against the "+PerfSchema+" schema, then exit")
-	perfBaseline := flag.String("baseline", "", "with -checkperf: also fail if any MVM entry's serial sim-cycles/wall-second dropped more than 10% below this earlier report's")
 	oracle := flag.Bool("oracle", false, "force the stepping reference engine instead of the event-driven core (byte-identical results; for A/B benchmarking and bisecting)")
 	chromeOut := flag.String("chrometrace", "", "run a conformance-verified fig9 ladder on a small layer and write it as a Chrome trace-event file (chrome://tracing, Perfetto) to this file, then exit")
 	flag.Parse()
@@ -100,21 +92,6 @@ func main() {
 	fatalf := func(format string, args ...any) {
 		stopProfiles()
 		log.Fatalf(format, args...)
-	}
-
-	if *perfCheck != "" {
-		if err := checkPerf(*perfCheck, *perfBaseline); err != nil {
-			fatalf("%v", err)
-		}
-		stopProfiles()
-		return
-	}
-	if *perfOut != "" {
-		if err := runPerf(*channels, *banks, 42, *perfOut); err != nil {
-			fatalf("perf: %v", err)
-		}
-		stopProfiles()
-		return
 	}
 
 	// writeJSON persists a runner's typed rows for cross-run tracking.

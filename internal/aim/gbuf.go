@@ -31,16 +31,7 @@ type GlobalBuffer struct {
 	laneBits int
 	data     []bf16.Num // slots * lanes elements
 	valid    []bool     // per-slot valid bits
-	// gen counts content mutations (writes, element-wise ops,
-	// invalidations). The host event core compares it to decide whether
-	// its raw-byte GWRITE cache still describes the buffer, letting a
-	// warm run skip re-decoding identical payloads.
-	gen uint64
 }
-
-// Gen returns the buffer's mutation generation: it changes whenever the
-// buffer's contents or valid bits may have changed.
-func (g *GlobalBuffer) Gen() uint64 { return g.gen }
 
 // NewGlobalBuffer returns a buffer with the given number of column-I/O
 // slots, each colBits wide.
@@ -71,7 +62,6 @@ func (g *GlobalBuffer) WriteSlot(slot int, data []byte) error {
 	lanes := g.Lanes()
 	bf16.DecodeInto(g.data[slot*lanes:(slot+1)*lanes], data)
 	g.valid[slot] = true
-	g.gen++
 	return nil
 }
 
@@ -122,7 +112,6 @@ func (g *GlobalBuffer) EWOp(dst, src int, mul bool) error {
 			a[i] = bf16.Add(a[i], b[i])
 		}
 	}
-	g.gen++
 	return nil
 }
 
@@ -150,5 +139,4 @@ func (g *GlobalBuffer) Invalidate() {
 	for i := range g.valid {
 		g.valid[i] = false
 	}
-	g.gen++
 }

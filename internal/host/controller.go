@@ -49,13 +49,6 @@ type Controller struct {
 	// the first event-mode run and reused across runs so the warm path
 	// allocates nothing (the executor carries the result memo).
 	events []*eventExec
-	// engineGen counts, per channel, the moments at which engine state
-	// may have changed outside the event core: every oracle-path issue
-	// and every hand-out of the engine through the Engine accessor. The
-	// event executor compares it to skip reloading its latch/drain
-	// mirrors on warm runs (the mirrors are authoritative right after
-	// its own write-back).
-	engineGen []uint64
 	// traffic, when AttachTraffic installed a conventional workload,
 	// holds the coexistence state: the workload, its reserved row
 	// region, and per-channel service bookkeeping (traffic.go).
@@ -75,7 +68,6 @@ func NewController(cfg dram.Config, opts Options) (*Controller, error) {
 		nextRefresh: make([]int64, cfg.Geometry.Channels),
 		actScratch:  make([][]dram.Command, cfg.Geometry.Channels),
 		events:      make([]*eventExec, cfg.Geometry.Channels),
-		engineGen:   make([]uint64, cfg.Geometry.Channels),
 	}
 	c.rows = addr.NewRowAllocator(cfg.Geometry.Rows)
 	if opts.Verify {
@@ -114,14 +106,8 @@ func (c *Controller) Config() dram.Config { return c.cfg }
 // Options returns the active optimization set.
 func (c *Controller) Options() Options { return c.opts }
 
-// Engine returns channel i's AiM engine, for tests and tracing. Handing
-// the engine out counts as a potential state change: the caller may
-// mutate latches or bank contents directly, so the channel's event
-// executor reloads its mirrors on its next run.
-func (c *Controller) Engine(i int) *aim.Engine {
-	c.engineGen[i]++
-	return c.engines[i]
-}
+// Engine returns channel i's AiM engine, for tests and tracing.
+func (c *Controller) Engine(i int) *aim.Engine { return c.engines[i] }
 
 // Now returns the global clock: the maximum of the channel clocks.
 func (c *Controller) Now() int64 {
@@ -380,7 +366,6 @@ func (c *Controller) issue(ch int, cmd dram.Command) (aim.Result, error) {
 		return aim.Result{}, err
 	}
 	c.now[ch] = at
-	c.engineGen[ch]++
 	if c.verify != nil {
 		// Fail fast: a verified run stops at the first conformance
 		// violation rather than accumulating them silently.
@@ -653,18 +638,6 @@ func (c *Controller) runChannel(ch int, p *layout.Placement, ri *runInput, v bf1
 	if c.eventMode(ch) {
 		ev = c.eventFor(ch)
 		ev.begin(p, v)
-		// A warm rerun — same input against the same machine state —
-		// needs no walk at all: the whole run is applied as one recorded
-		// state transition (see runRecord). With a conventional workload
-		// attached the run's timing depends on the traffic interleaved at
-		// the boundaries, which the run record's key cannot see, so the
-		// fast path is disabled: nothing records and nothing replays
-		// (begin left the record disarmed).
-		if c.traffic == nil {
-			if finish, ok := ev.tryReplayRun(out); ok {
-				return finish, ev.finishRun(true, out)
-			}
-		}
 		x = ev
 	} else {
 		x = oracleIssuer{c, ch}
@@ -676,7 +649,7 @@ func (c *Controller) runChannel(ch int, p *layout.Placement, ri *runInput, v bf1
 	}
 	finish, err := c.runSchedule(x, ch, p, ri, out)
 	if ev != nil {
-		if ferr := ev.finishRun(err == nil, out); ferr != nil && err == nil {
+		if ferr := ev.finishRun(err == nil); ferr != nil && err == nil {
 			err = ferr
 		}
 	}

@@ -1,7 +1,6 @@
 package host
 
 import (
-	"bytes"
 	"fmt"
 
 	"newton/internal/aim"
@@ -26,7 +25,8 @@ import (
 //     a later run with the same input vector, bank contents and initial
 //     latch state replays recorded frames and skips compute entirely,
 //     leaving only the timing walk (results are value-independent of
-//     the clock, so the memo needs no timing key);
+//     the clock, so the memo needs no timing key). Nothing else is
+//     carried across runs: every run walks its full command stream;
 //   - synchronizes engine state (latches, drain horizons, pending
 //     broadcast/filter registers) at the end of the run, so oracle-mode
 //     machinery that runs next — ISR hooks, scrubbers, a verified rerun
@@ -92,64 +92,14 @@ type eventExec struct {
 
 	resScratch bf16.Vector
 
-	// gwRaw caches, per global-buffer slot, the raw bytes of the last
-	// GWRITE this executor applied; while the buffer's generation is
-	// unchanged (gwGen), re-writing identical bytes is a state-identical
-	// no-op that skips the bf16 decode — the common case on warm runs.
-	gwRaw [][]byte
-	gwGen uint64
-
-	// synced records that the engine's latch/drain state equals the
-	// mirrors (set by finishRun's write-back) as of controller
-	// generation syncGen; begin skips the mirror reload while no
-	// oracle-path command or Engine() hand-out has intervened.
-	synced  bool
-	syncGen uint64
-
 	memo   map[*layout.Placement]*memoRecord
 	place  *layout.Placement
 	rec    *memoRecord // recording (first run); nil when replaying
 	replay *memoRecord // replaying; nil when recording
 	frame  int
-
-	// Whole-run replay: runRec maps a placement to its recorded run
-	// trace; rr is the record being captured by the current walk (nil
-	// when replaying or after the record died mid-run); runStart and
-	// preStats anchor the capture.
-	runRec   map[*layout.Placement]*runRecord
-	rr       *runRecord
-	runStart int64
-	preStats dram.Stats
-	// replayRuns counts whole-run replays, so tests can assert the fast
-	// path actually engaged rather than silently falling back.
-	replayRuns int64
-}
-
-// runRecord is one placement's whole-run trace on this channel: the
-// timing pre-state the walk started from, the post-state and statistics
-// delta it produced (all as offsets from the run-start cycle), the
-// refresh-decision envelope, and the channel's final output rows. A
-// later run whose functional memo hits, whose pre-state matches, whose
-// refresh deadline clears the envelope, and whose global buffer and LUT
-// are untouched must — the walk being a deterministic function of that
-// state — end in the recorded post-state, so the run is applied as one
-// O(banks) state transition with no per-command work at all.
-type runRecord struct {
-	valid     bool
-	pre, post dram.TimingSnapshot
-	preReady  []int64 // adder-tree drain horizons, offsets from start
-	postReady []int64
-	postLatch []uint32 // packed (Num<<1 | has) per bank*latch
-	stats     dram.StatsReplay
-	// maxBoundary is the largest (clock offset + estimate) any
-	// maybeRefresh call saw during the recorded run: a refresh deadline
-	// beyond it makes every refresh decision in a rerun "no".
-	maxBoundary int64
-	gbufGen     uint64
-	lut         *aim.LUT // outVals are post-LUT; the table must match
-	outRows     []int32
-	outVals     []float32
-	finish      int64 // run length in cycles
+	// memoHits counts runs that replay a memo record, so tests can
+	// assert the memo actually engaged rather than silently missing.
+	memoHits int64
 }
 
 // eventMode reports whether channel ch's shard of a run may use the
@@ -186,10 +136,8 @@ func (c *Controller) eventFor(ch int) *eventExec {
 		hasPendWire: make([]bool, g.Banks),
 		widScratch:  make([]float32, g.ColBits/16),
 		widSlot:     -1,
-		gwRaw:       make([][]byte, e.GlobalBuffer().Slots()),
 		resScratch:  make(bf16.Vector, g.Banks),
 		memo:        make(map[*layout.Placement]*memoRecord),
-		runRec:      make(map[*layout.Placement]*runRecord),
 	}
 	for b := range x.latch {
 		x.latch[b] = make([]bf16.Num, x.latches)
@@ -203,17 +151,12 @@ func (c *Controller) eventFor(ch int) *eventExec {
 // drain state into the mirror, reset per-run registers, and decide
 // between replaying the placement's memo and recording a fresh one.
 func (x *eventExec) begin(p *layout.Placement, v bf16.Vector) {
-	if !x.synced || x.c.engineGen[x.ch] != x.syncGen {
-		for b := 0; b < x.banks; b++ {
-			m := x.e.MAC(b)
-			for l := 0; l < x.latches; l++ {
-				x.latch[b][l], x.has[b][l] = m.LatchState(l)
-			}
-			x.ready[b] = m.ReadyAt()
-		}
-	}
-	x.synced = false
 	for b := 0; b < x.banks; b++ {
+		m := x.e.MAC(b)
+		for l := 0; l < x.latches; l++ {
+			x.latch[b][l], x.has[b][l] = m.LatchState(l)
+		}
+		x.ready[b] = m.ReadyAt()
 		x.openView[b] = nil
 		x.hasPendWire[b] = false
 	}
@@ -221,10 +164,9 @@ func (x *eventExec) begin(p *layout.Placement, v bf16.Vector) {
 	x.widSlot = -1
 	x.place = p
 	x.frame = 0
-	x.runStart = x.c.now[x.ch]
-	x.rr = nil
 	if rec := x.memo[p]; rec != nil && x.memoValid(rec, v) {
 		x.rec, x.replay = nil, rec
+		x.memoHits++
 		return
 	}
 	x.replay = nil
@@ -236,79 +178,6 @@ func (x *eventExec) begin(p *layout.Placement, v bf16.Vector) {
 	for b := 0; b < x.banks; b++ {
 		x.rec.bankVer[b] = x.dch.Bank(b).Version()
 	}
-}
-
-// tryReplayRun replays the placement's recorded run in one state
-// transition when every input to the timing walk is provably the one
-// the record was captured under: the functional memo hit (begin chose
-// replay mode: same input bits, bank contents and initial latch state),
-// the channel's timing pre-state matches the record exactly (offsets
-// from the run start), the refresh deadline clears the recorded
-// decision envelope (so no maybeRefresh call would fire), the global
-// buffer and activation LUT are untouched since the record, and the
-// statistics delta is exactly applicable. It returns the channel's
-// finish cycle and true on replay; otherwise it arms recording for the
-// walk that follows and returns false. Self-correcting warm-up: run 1
-// records a cold pre-state, run 2 walks (memo-warm) and re-records the
-// steady-state shape, run 3 onward replays.
-func (x *eventExec) tryReplayRun(out []float32) (int64, bool) {
-	rec := x.runRec[x.place]
-	if x.replay != nil && rec != nil && rec.valid &&
-		rec.gbufGen == x.e.GlobalBuffer().Gen() &&
-		rec.lut == x.e.LUT() &&
-		x.c.nextRefresh[x.ch]-x.runStart > rec.maxBoundary &&
-		x.dch.CanApplyStatsReplay(&rec.stats) &&
-		x.dch.TimingEqual(x.runStart, &rec.pre) &&
-		x.readyEqual(rec.preReady) {
-		x.dch.RestoreTiming(x.runStart, &rec.post)
-		x.dch.ApplyStatsReplay(&rec.stats, x.runStart)
-		for b := range x.ready {
-			x.ready[b] = x.runStart + rec.postReady[b]
-		}
-		i := 0
-		for b := 0; b < x.banks; b++ {
-			for l := 0; l < x.latches; l++ {
-				x.latch[b][l], x.has[b][l] = unpackLatch(rec.postLatch[i])
-				i++
-			}
-		}
-		for j, r := range rec.outRows {
-			out[r] = rec.outVals[j]
-		}
-		finish := x.runStart + rec.finish
-		x.c.now[x.ch] = finish
-		x.replayRuns++
-		return finish, true
-	}
-	// A full walk follows: capture the pre-state it starts from, so a
-	// later identical run can recognize it.
-	if rec == nil {
-		rec = &runRecord{
-			preReady:  make([]int64, x.banks),
-			postReady: make([]int64, x.banks),
-		}
-		x.runRec[x.place] = rec
-	}
-	rec.valid = false
-	x.dch.CaptureTiming(x.runStart, &rec.pre)
-	for b, r := range x.ready {
-		rec.preReady[b] = r - x.runStart
-	}
-	rec.maxBoundary = 0
-	x.preStats = x.dch.Stats()
-	x.rr = rec
-	return 0, false
-}
-
-// readyEqual reports whether the drain-horizon mirror, relative to the
-// run start, matches the recorded offsets.
-func (x *eventExec) readyEqual(offs []int64) bool {
-	for b, r := range x.ready {
-		if r-x.runStart != offs[b] {
-			return false
-		}
-	}
-	return true
 }
 
 // memoValid reports whether a record's key still holds: same input
@@ -349,10 +218,6 @@ func packLatch(n bf16.Num, has bool) uint32 {
 	return p
 }
 
-func unpackLatch(p uint32) (bf16.Num, bool) {
-	return bf16.Num(p >> 1), p&1 == 1
-}
-
 func (x *eventExec) packLatches(dst []uint32) []uint32 {
 	for b := 0; b < x.banks; b++ {
 		for l := 0; l < x.latches; l++ {
@@ -364,11 +229,10 @@ func (x *eventExec) packLatches(dst []uint32) []uint32 {
 
 // finishRun writes the mirror back into the engine so the oracle-mode
 // machinery sees exactly the state a stepped run would have left, and
-// installs the freshly recorded memo and run record on success (out is
-// the run's output slice, from which the record captures this channel's
-// final row values). It runs on error paths too: a failed run leaves
-// the engine at the failure point, like the oracle.
-func (x *eventExec) finishRun(ok bool, out []float32) error {
+// installs the freshly recorded memo on success. It runs on error paths
+// too: a failed run leaves the engine at the failure point, like the
+// oracle.
+func (x *eventExec) finishRun(ok bool) error {
 	for b := 0; b < x.banks; b++ {
 		m := x.e.MAC(b)
 		for l := 0; l < x.latches; l++ {
@@ -391,57 +255,8 @@ func (x *eventExec) finishRun(ok bool, out []float32) error {
 	if ok && x.rec != nil {
 		x.memo[x.place] = x.rec
 	}
-	if ok && x.rr != nil {
-		x.captureRunRecord(out)
-	}
-	x.rr = nil
 	x.rec, x.replay, x.place = nil, nil, nil
-	// The write-back above made the engine equal to the mirrors; while
-	// the controller generation holds, the next begin can skip reloading
-	// them.
-	x.synced = true
-	x.syncGen = x.c.engineGen[x.ch]
 	return nil
-}
-
-// captureRunRecord seals the armed run record with the walk's
-// post-state: timing and drain offsets, the packed latch mirror, the
-// statistics delta, the buffer/LUT identity the outputs depend on, and
-// this channel's final output rows. Runs that end with pending
-// broadcast/filter registers latched (the de-optimized BCAST/COLRD/MAC
-// tail) are not recorded — replaying them would need the engine-side
-// pending state reconstructed, and they are not the schedules whose
-// rerun rate matters.
-func (x *eventExec) captureRunRecord(out []float32) {
-	if x.hasPendIn {
-		return
-	}
-	for _, h := range x.hasPendWire {
-		if h {
-			return
-		}
-	}
-	rr := x.rr
-	x.dch.CaptureTiming(x.runStart, &rr.post)
-	for b, r := range x.ready {
-		rr.postReady[b] = r - x.runStart
-	}
-	rr.postLatch = x.packLatches(rr.postLatch[:0])
-	rr.stats = dram.CaptureStatsReplay(x.preStats, x.dch.Stats(), x.runStart)
-	rr.gbufGen = x.e.GlobalBuffer().Gen()
-	rr.lut = x.e.LUT()
-	rr.finish = x.c.now[x.ch] - x.runStart
-	rr.outRows, rr.outVals = rr.outRows[:0], rr.outVals[:0]
-	for lt := 0; lt < x.place.ChannelTiles(x.ch); lt++ {
-		tile := x.place.GlobalTile(x.ch, lt)
-		for b := 0; b < x.banks; b++ {
-			if row, ok := x.place.MatrixRow(tile, b); ok {
-				rr.outRows = append(rr.outRows, int32(row))
-				rr.outVals = append(rr.outVals, out[row])
-			}
-		}
-	}
-	rr.valid = true
 }
 
 // earliest mirrors aim.Engine.EarliestIssue against the drain mirror:
@@ -554,28 +369,9 @@ func (x *eventExec) issue(cmd dram.Command) (aim.Result, error) {
 		}
 
 	case dram.KindGWRITE:
-		g := x.e.GlobalBuffer()
-		if g.Gen() != x.gwGen {
-			// Someone else wrote the buffer since our last GWRITE: the
-			// raw-byte cache and the widened sub-chunk no longer describe
-			// its contents.
-			for i := range x.gwRaw {
-				x.gwRaw[i] = x.gwRaw[i][:0]
-			}
-			x.widSlot = -1
-			x.gwGen = g.Gen()
-		}
-		if raw := x.gwRaw[cmd.Col]; len(raw) == len(cmd.Data) && bytes.Equal(raw, cmd.Data) {
-			// Identical payload already decoded into this slot: the write
-			// is a state-identical no-op (and the widened cache for the
-			// slot stays valid). Timing and stats were already applied.
-			break
-		}
-		if err := g.WriteSlot(cmd.Col, cmd.Data); err != nil {
+		if err := x.e.GlobalBuffer().WriteSlot(cmd.Col, cmd.Data); err != nil {
 			return aim.Result{}, err
 		}
-		x.gwRaw[cmd.Col] = append(x.gwRaw[cmd.Col][:0], cmd.Data...)
-		x.gwGen = g.Gen()
 		if cmd.Col == x.widSlot {
 			x.widSlot = -1
 		}
@@ -727,21 +523,9 @@ func (x *eventExec) openColumn(b, col int) ([]byte, error) {
 // one O(banks) batch.
 func (x *eventExec) maybeRefresh(est int64) error {
 	c, ch := x.c, x.ch
-	if x.rr != nil {
-		// Record the decision boundary: a rerun whose refresh deadline
-		// exceeds every (clock offset + est) seen here answers "no" at
-		// every one of these calls, and only then is the recorded walk's
-		// command stream reproduced.
-		if b := c.now[ch] - x.runStart + est; b > x.rr.maxBoundary {
-			x.rr.maxBoundary = b
-		}
-	}
 	t := c.cfg.Timing
 	ref := dram.Command{Kind: dram.KindREF}
 	if c.nextRefresh[ch] <= c.now[ch] {
-		// A refresh fires: the run's timing now depends on the refresh
-		// phase, which the run record deliberately excludes.
-		x.rr = nil
 		first := x.dch.EarliestIssue(ref, c.now[ch])
 		step := x.dch.RefreshStep()
 		var k int64 = 1
@@ -780,7 +564,6 @@ func (x *eventExec) maybeRefresh(est int64) error {
 // deadline one interval.
 func (x *eventExec) refreshOnce() error {
 	c, ch := x.c, x.ch
-	x.rr = nil
 	from := c.now[ch]
 	if nr := c.nextRefresh[ch]; nr > from {
 		from = nr

@@ -169,13 +169,13 @@ func TestEventCoreLUTMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestEventCoreRunReplayMatchesOracle targets the whole-run replay: long
+// TestEventCoreRunReplayMatchesOracle targets warm reruns: long
 // stretches of byte-identical runs (the serving steady state) must stay
-// indistinguishable from the oracle while the event core applies them as
-// single recorded state transitions, across host advances that shift the
-// refresh phase and input changes that force re-walks in between. For
-// complex-command schedules it also asserts the replay path actually
-// engaged, so the comparison cannot silently degrade into walk-vs-walk.
+// indistinguishable from the oracle while the event core replays their
+// READRES frames from the memo, across host advances that shift the
+// refresh phase and input changes that force recomputes in between. It
+// also counts the memo hits the script implies, so a silent miss cannot
+// degrade the comparison into compute-vs-compute.
 func TestEventCoreRunReplayMatchesOracle(t *testing.T) {
 	cfg := testCfg()
 	m := layout.RandomMatrix(96, 600, 57)
@@ -201,15 +201,15 @@ func TestEventCoreRunReplayMatchesOracle(t *testing.T) {
 					results = append(results, res)
 				}
 				for i := 0; i < 6; i++ {
-					run(va) // steady state: replays from run 2 on
+					run(va) // steady state: memo hits from run 2 on
 				}
 				c.Advance(741) // shift clocks and refresh phase
 				for i := 0; i < 3; i++ {
-					run(va) // re-stabilize, then replay again
+					run(va) // the memo has no timing key: still hits
 				}
-				run(vb) // memo miss: full walk
+				run(vb) // memo miss: recompute, and vb's record replaces va's
 				for i := 0; i < 3; i++ {
-					run(va) // the original input's record re-arms
+					run(va) // one miss re-records va, then hits again
 				}
 				return results, c.Now(), c.Stats(), c
 			}
@@ -226,16 +226,16 @@ func TestEventCoreRunReplayMatchesOracle(t *testing.T) {
 			if estats != ostats {
 				t.Errorf("cumulative stats differ:\nevent:  %+v\noracle: %+v", estats, ostats)
 			}
-			if tc.opts.ComplexCommands {
-				var replays int64
-				for _, x := range ec.events {
-					if x != nil {
-						replays += x.replayRuns
-					}
+			// Per channel: runs 2-9 and the last two of the 13 hit.
+			var execs, hits int64
+			for _, x := range ec.events {
+				if x != nil {
+					execs++
+					hits += x.memoHits
 				}
-				if replays == 0 {
-					t.Errorf("no whole-run replays engaged across %d identical runs", len(eres))
-				}
+			}
+			if execs == 0 || hits != 10*execs {
+				t.Errorf("%d memo hits over %d channels, want 10 per channel", hits, execs)
 			}
 		})
 	}

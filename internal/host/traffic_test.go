@@ -194,12 +194,10 @@ func TestCoexistSerialParallelIdentity(t *testing.T) {
 	}
 }
 
-// TestCoexistReplayGating is the whole-run-replay regression: the
-// event core's one-transition replay is only sound when the run's
-// timing depends on nothing but the recorded machine state, which
-// conventional traffic breaks. Warm reruns must replay while no
-// workload is attached, and must never replay — while still producing
-// exact outputs and traffic-perturbed timing — once one is.
+// TestCoexistReplayGating pins that a warm rerun never reuses an
+// earlier run's timing once conventional traffic is attached: the
+// rerun's cycles must reflect the interleaved traffic, while its
+// product stays exact and in-run service actually happens.
 func TestCoexistReplayGating(t *testing.T) {
 	cfg := testCfg()
 	opts := Newton()
@@ -221,19 +219,6 @@ func TestCoexistReplayGating(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	replays := func() int64 {
-		var n int64
-		for _, x := range c.events {
-			if x != nil {
-				n += x.replayRuns
-			}
-		}
-		return n
-	}
-	baseline := replays()
-	if baseline == 0 {
-		t.Fatal("warm traffic-free reruns never hit the whole-run replay path")
-	}
 	if err := c.AttachTraffic(newTraffic(t, cfg, heavyTraffic())); err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +231,8 @@ func TestCoexistReplayGating(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := replays(); got != baseline {
-		t.Fatalf("whole-run replay engaged under mixed traffic: %d replays, %d before attach", got, baseline)
-	}
-	// The rerun's timing reflects the interleaved traffic rather than
-	// the stale record; the product itself is unaffected.
+	// The rerun's timing reflects the interleaved traffic; the product
+	// itself is unaffected.
 	if mixed.Cycles <= warm.Cycles {
 		t.Fatalf("mixed-traffic rerun took %d cycles, traffic-free warm run %d: traffic not interleaved",
 			mixed.Cycles, warm.Cycles)
