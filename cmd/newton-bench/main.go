@@ -12,12 +12,12 @@
 //
 // -chrometrace FILE runs a conformance-verified fig9 ladder on a small
 // layer and writes it as a Chrome trace-event file for chrome://tracing
-// or Perfetto (see EXPERIMENTS.md for a walkthrough). -serial forces the
-// serial reference path for any figure; -oracle forces the stepping
-// reference engine instead of the event-driven core (results are
-// byte-identical; the knob exists for A/B benchmarking the cores and
-// bisecting); -cpuprofile/-memprofile capture pprof profiles of whatever
-// the invocation runs (see EXPERIMENTS.md for a profiling walkthrough).
+// or Perfetto (see EXPERIMENTS.md for a walkthrough). -verify and
+// -chrometrace watch the event-driven core's own command stream, the
+// core every figure runs on. -serial forces the serial reference path
+// for any figure; -cpuprofile/-memprofile capture pprof profiles of
+// whatever the invocation runs (see EXPERIMENTS.md for a profiling
+// walkthrough).
 // Simulator wall-clock speed is measured by the repository benchmark,
 // `bash perfbench/run.sh` (workloads and bounds in BENCHMARK.json), not
 // by this command.
@@ -51,7 +51,6 @@ func main() {
 	serial := flag.Bool("serial", false, "force the serial reference path: channels simulate one at a time and sweeps run their design points sequentially (results are byte-identical either way)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	oracle := flag.Bool("oracle", false, "force the stepping reference engine instead of the event-driven core (byte-identical results; for A/B benchmarking and bisecting)")
 	chromeOut := flag.String("chrometrace", "", "run a conformance-verified fig9 ladder on a small layer and write it as a Chrome trace-event file (chrome://tracing, Perfetto) to this file, then exit")
 	flag.Parse()
 	csv := *format == "csv"
@@ -116,7 +115,6 @@ func main() {
 	cfg.Banks = *banks
 	cfg.Functional = *functional
 	cfg.Verify = *verify
-	cfg.Oracle = *oracle
 	cfg.Serial = *serial
 
 	if *chromeOut != "" {

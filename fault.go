@@ -29,9 +29,10 @@ type FaultConfig struct {
 	// (0 = uncapped). 1 keeps every exposure within SEC-DED's
 	// correction guarantee.
 	MaxPerWord int
-	// TransientBER is the per-bit upset probability per COMP column
-	// access, scaled by the compute-power stress factor
-	// (power.CompStress): the supply-noise model for in-DRAM compute.
+	// TransientBER is the per-bit upset probability per compute column
+	// access (COMP, COMP_BK or COLRD), scaled by the compute-power
+	// stress factor (power.CompStress): the supply-noise model for
+	// in-DRAM compute.
 	TransientBER float64
 	// ECC enables the host-side SEC-DED(72,64) store: check bits are
 	// computed when a matrix is loaded and validated by ScrubECC.

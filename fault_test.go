@@ -174,3 +174,30 @@ func TestFaultAPIGuards(t *testing.T) {
 		t.Fatalf("disabled ScrubPeriodically: ran=%v err=%v", ran, err)
 	}
 }
+
+// TestTransientFaultsGangedOnly runs Fig. 9's "+gang" design point —
+// ganged compute without complex commands, so every COLRD and MAC
+// addresses all banks at once — under transient upsets. Each ganged
+// COLRD stresses its column in every bank, as COMP does, so flips land
+// and the products complete.
+func TestTransientFaultsGangedOnly(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Opts = Optimizations{GangedCompute: true}
+	cfg.Fault = FaultConfig{Enabled: true, Seed: 5, TransientBER: 1e-4}
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := sys.Load(RandomMatrix(64, 512, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := sys.MatVec(pm, testVec(512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sys.FaultStats().TransientFlips == 0 {
+		t.Fatal("no transient flips landed on the ganged-only design point")
+	}
+}

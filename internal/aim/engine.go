@@ -68,8 +68,9 @@ func NewEngineWithLatches(ch *dram.Channel, latches int) *Engine {
 		biasScratch:   make(bf16.Vector, geo.Banks),
 		wireScratch:   make([]byte, geo.ColBytes()),
 	}
+	units := newMACUnits(geo.Banks, lanes, latches)
 	for i := range e.macs {
-		e.macs[i] = NewMACUnitWithLatches(lanes, latches)
+		e.macs[i] = &units[i]
 		e.pendingFilter[i] = make(bf16.Vector, lanes)
 		e.filterScratch[i] = make(bf16.Vector, lanes)
 	}
@@ -103,18 +104,14 @@ func (e *Engine) LUT() *LUT { return e.lut }
 func (e *Engine) SetObserver(o dram.Observer) { e.obs = o }
 
 // Observer returns the installed command-stream tap, nil when none. The
-// host checks it before enabling the event core, which issues no
-// per-command callbacks.
+// host event core, which bypasses Issue, reports each command to it.
 func (e *Engine) Observer() dram.Observer { return e.obs }
 
 // chCmd maps an AiM command to the channel-level command whose timing
 // and bank effects it has: a ganged COLRD performs a COMP-style all-bank
 // column access (without touching the global buffer).
 func (e *Engine) chCmd(cmd dram.Command) dram.Command {
-	if cmd.Kind == dram.KindCOLRD && cmd.Bank == AllBanks {
-		cmd.Kind = dram.KindCOMP
-		cmd.Bank = 0
-	}
+	e.ChannelCommand(&cmd)
 	return cmd
 }
 
@@ -144,13 +141,23 @@ func WaitsForDrain(k dram.Kind) bool { return waitsForDrain(k) }
 func (e *Engine) EarliestIssue(cmd dram.Command, from int64) int64 {
 	earliest := e.ch.EarliestIssue(e.chCmd(cmd), from)
 	if waitsForDrain(cmd.Kind) {
-		for _, m := range e.macs {
-			if r := m.ReadyAt(); r > earliest {
-				earliest = r
-			}
+		if h := e.DrainHorizon(); h > earliest {
+			earliest = h
 		}
 	}
 	return earliest
+}
+
+// DrainHorizon reports the latest adder-tree drain horizon over the
+// banks: the cycle from which every latch holds its final sum.
+func (e *Engine) DrainHorizon() int64 {
+	var h int64
+	for _, m := range e.macs {
+		if r := m.ReadyAt(); r > h {
+			h = r
+		}
+	}
+	return h
 }
 
 // waitsForDrain reports whether a kind touches the result latches and
@@ -160,13 +167,23 @@ func waitsForDrain(k dram.Kind) bool {
 	return k == dram.KindREADRES || k == dram.KindRDAF || k == dram.KindWRBIAS
 }
 
-// LatchBroadcast latches global-buffer sub-chunk slot into the pending
-// broadcast register exactly as a BCAST command's functional effect,
-// without timing. It is the host event core's end-of-run
-// synchronization for the de-optimized three-command sequence, so a
-// later oracle-mode command that consumes the pending registers sees
-// the same state it would after a stepped run.
-func (e *Engine) LatchBroadcast(slot int) error {
+// BankSpan returns the banks [lo, hi) a COLRD or MAC addresses: every
+// bank for AllBanks, else the one bank.
+func (e *Engine) BankSpan(bank int) (lo, hi int) {
+	if bank == AllBanks {
+		return 0, len(e.macs)
+	}
+	return bank, bank + 1
+}
+
+// The three methods below are the datapath effects of the de-optimized
+// BCAST / COLRD / MAC sequence, without timing. Issue applies them after
+// the channel's checks, and the host event core after the channel's
+// timed walk, so both cores share one set of pending registers.
+
+// Broadcast latches global-buffer slot into the pending input register
+// (BCAST).
+func (e *Engine) Broadcast(slot int) error {
 	input, err := e.gbuf.SubChunkView(slot)
 	if err != nil {
 		return err
@@ -176,16 +193,45 @@ func (e *Engine) LatchBroadcast(slot int) error {
 	return nil
 }
 
-// LatchFilter latches wire-format filter bytes into one bank's pending
-// filter register exactly as a per-bank COLRD's functional effect,
-// without timing: the other half of the event core's pending-register
-// synchronization.
-func (e *Engine) LatchFilter(bank int, wire []byte) error {
-	if bank < 0 || bank >= len(e.pendingFilter) {
-		return fmt.Errorf("aim: bank %d out of range [0,%d)", bank, len(e.pendingFilter))
+// ReadColumn decodes column col of the addressed banks' open rows into
+// their pending filter registers (COLRD). The registers hold copies, so
+// a change to the row before the MAC (a transient upset) does not reach
+// the MAC's operands.
+func (e *Engine) ReadColumn(bank, col int) error {
+	lo, hi := e.BankSpan(bank)
+	if lo < 0 || hi > len(e.macs) {
+		return fmt.Errorf("aim: bank %d out of range [0,%d)", bank, len(e.macs))
 	}
-	bf16.DecodeInto(e.pendingFilter[bank], wire)
-	e.hasFilter[bank] = true
+	for b := lo; b < hi; b++ {
+		wire, err := e.ch.Bank(b).ColumnView(col)
+		if err != nil {
+			return err
+		}
+		bf16.DecodeInto(e.pendingFilter[b], wire)
+		e.hasFilter[b] = true
+	}
+	return nil
+}
+
+// MultiplyAccumulate accumulates the addressed banks' pending filters
+// times the pending input into the given latch (MAC), issued at cycle.
+func (e *Engine) MultiplyAccumulate(bank, latch int, cycle int64) error {
+	if !e.hasInput {
+		return fmt.Errorf("aim: MAC with no broadcast input latched")
+	}
+	lo, hi := e.BankSpan(bank)
+	if lo < 0 || hi > len(e.macs) {
+		return fmt.Errorf("aim: bank %d out of range [0,%d)", bank, len(e.macs))
+	}
+	tmac := e.ch.Config().Timing.TMAC
+	for b := lo; b < hi; b++ {
+		if !e.hasFilter[b] {
+			return fmt.Errorf("aim: MAC in bank %d with no filter sub-chunk latched", b)
+		}
+		if err := e.macs[b].AccumulateLatch(latch, e.pendingFilter[b], e.pendingInput, cycle, tmac); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -250,41 +296,17 @@ func (e *Engine) Issue(cmd dram.Command, cycle int64) (Result, error) {
 		}
 
 	case dram.KindBCAST:
-		input, err := e.gbuf.SubChunkView(cmd.Col)
-		if err != nil {
+		if err := e.Broadcast(cmd.Col); err != nil {
 			return Result{}, err
 		}
-		copy(e.pendingInput, input)
-		e.hasInput = true
 
 	case dram.KindCOLRD:
-		if cmd.Bank == AllBanks {
-			for b := range e.pendingFilter {
-				bf16.DecodeInto(e.pendingFilter[b], res.BankData[b])
-				e.hasFilter[b] = true
-			}
-		} else {
-			bf16.DecodeInto(e.pendingFilter[cmd.Bank], res.BankData[cmd.Bank])
-			e.hasFilter[cmd.Bank] = true
+		if err := e.ReadColumn(cmd.Bank, cmd.Col); err != nil {
+			return Result{}, err
 		}
 
 	case dram.KindMAC:
-		if !e.hasInput {
-			return Result{}, fmt.Errorf("aim: MAC with no broadcast input latched")
-		}
-		apply := func(b int) error {
-			if !e.hasFilter[b] {
-				return fmt.Errorf("aim: MAC in bank %d with no filter sub-chunk latched", b)
-			}
-			return e.macs[b].AccumulateLatch(cmd.Latch, e.pendingFilter[b], e.pendingInput, cycle, t.TMAC)
-		}
-		if cmd.Bank == AllBanks {
-			for b := range e.macs {
-				if err := apply(b); err != nil {
-					return Result{}, err
-				}
-			}
-		} else if err := apply(cmd.Bank); err != nil {
+		if err := e.MultiplyAccumulate(cmd.Bank, cmd.Latch, cycle); err != nil {
 			return Result{}, err
 		}
 

@@ -1,7 +1,9 @@
 package aim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"newton/internal/bf16"
 )
@@ -24,7 +26,8 @@ type MACUnit struct {
 	hasValue []bool
 
 	// scratch holds the lane products during one Accumulate, reused
-	// across calls so the compute stream allocates nothing. The products
+	// across calls so the compute stream allocates nothing, and shared
+	// by the units of one channel (newMACUnits). The products
 	// are kept as widened float32 values (bf16.Round outputs): each
 	// adder-tree level then rounds in float32 instead of packing to 16
 	// bits and unpacking again, which is bit-identical (bf16.Round ==
@@ -45,15 +48,29 @@ func NewMACUnit(lanes int) *MACUnit { return NewMACUnitWithLatches(lanes, 1) }
 // NewMACUnitWithLatches returns a MAC unit with several result latches,
 // for the §III-C quad-latch design point.
 func NewMACUnitWithLatches(lanes, latches int) *MACUnit {
+	return &newMACUnits(1, lanes, latches)[0]
+}
+
+// newMACUnits returns a channel's n units with their latches, valid bits
+// and product scratch in one allocation each. The scratch is shared: it
+// lives only within one accumulate call, and a channel's units run on
+// one goroutine. A channel simulated in parallel with others then
+// writes a few cache lines of its own: allocated one by one, the units
+// of all channels sit interleaved in memory, and parallel cold MVMs
+// took 3-8% more CPU on a 2-vCPU Xeon.
+func newMACUnits(n, lanes, latches int) []MACUnit {
 	if latches < 1 {
 		latches = 1
 	}
-	return &MACUnit{
-		lanes:    lanes,
-		latches:  make([]bf16.Num, latches),
-		hasValue: make([]bool, latches),
-		scratch:  make([]float32, lanes),
+	units := make([]MACUnit, n)
+	vals := make([]bf16.Num, n*latches)
+	has := make([]bool, n*latches)
+	scratch := make([]float32, lanes)
+	for i := range units {
+		lo, hi := i*latches, (i+1)*latches
+		units[i] = MACUnit{lanes: lanes, latches: vals[lo:hi:hi], hasValue: has[lo:hi:hi], scratch: scratch}
 	}
+	return units
 }
 
 // Lanes returns the number of multipliers.
@@ -148,10 +165,80 @@ func (m *MACUnit) AccumulateLatch(latch int, filter, input bf16.Vector, cycle, t
 		m.latches[latch] = bf16.FromFloat32(sum)
 		m.hasValue[latch] = true
 	}
+	m.Occupy(cycle, tmac)
+	return nil
+}
+
+// AccumulateColumn is AccumulateLatch over a wire-format filter column
+// (little-endian bf16, one lane per 2 bytes): the host event core's
+// fused step. It skips DecodeInto's Num round-trip for the filter and
+// takes the input twice, as Nums and pre-widened by WidenInto, so the
+// fast path multiplies floats while the fallback below hands
+// AccumulateLatch the exact operands.
+//
+// The result is bit-identical to DecodeInto then AccumulateLatch:
+// decoding a wire lane straight to float32 equals decoding then
+// widening, bf16.Round(f*in) is MulFloat of the same operands, the tree
+// reduction is shared and the accumulate tail is AccumulateLatch's. The
+// exception is operand order. When BOTH operands of a float multiply,
+// or of the latch-accumulate add, are NaN, the result's payload is
+// whichever operand the compiled instruction's first source register
+// holds, and Go normalizes commutative operands per call site, so two
+// textually identical expressions in different functions can propagate
+// different payloads. Those steps go through AccumulateLatch's own
+// compiled code.
+func (m *MACUnit) AccumulateColumn(latch int, wire []byte, input bf16.Vector, widened []float32, cycle, tmac int64) error {
+	if latch < 0 || latch >= len(m.latches) {
+		return fmt.Errorf("aim: latch %d out of range [0,%d)", latch, len(m.latches))
+	}
+	if len(wire) != 2*m.lanes || len(widened) != m.lanes {
+		return fmt.Errorf("aim: MAC column is %d bytes and %d lanes, unit has %d lanes",
+			len(wire), len(widened), m.lanes)
+	}
+	bothNaN := false
+	for i, in := range widened {
+		f := math.Float32frombits(uint32(binary.LittleEndian.Uint16(wire[2*i:])) << 16)
+		if f != f && in != in {
+			bothNaN = true
+			break
+		}
+		m.scratch[i] = bf16.Round(f * in)
+	}
+	if !bothNaN {
+		sum := treeReduceFloats(m.scratch)
+		if !m.hasValue[latch] {
+			m.latches[latch], m.hasValue[latch] = bf16.FromFloat32(sum), true
+			m.Occupy(cycle, tmac)
+			return nil
+		}
+		if !(m.latches[latch].IsNaN() && sum != sum) {
+			m.latches[latch] = bf16.FromFloat32(m.latches[latch].Float32() + sum)
+			m.Occupy(cycle, tmac)
+			return nil
+		}
+	}
+	filter := make(bf16.Vector, m.lanes)
+	bf16.DecodeInto(filter, wire)
+	return m.AccumulateLatch(latch, filter, input, cycle, tmac)
+}
+
+// WidenInto widens a bf16 vector into float32 lanes, the exact value
+// MulFloat would see for each element: the widened operand of
+// AccumulateColumn, computed once per input sub-chunk.
+func WidenInto(dst []float32, v bf16.Vector) {
+	for i, n := range v {
+		dst[i] = n.Float32()
+	}
+}
+
+// Occupy advances the drain horizon for a compute step issued at cycle
+// that matures tmac later, without the step's arithmetic. Accumulate
+// calls it; the host event core calls it alone when a memoized run
+// already knows the results.
+func (m *MACUnit) Occupy(cycle, tmac int64) {
 	if done := cycle + tmac; done > m.readyAt {
 		m.readyAt = done
 	}
-	return nil
 }
 
 // PreloadLatch seeds one result latch with a value (the WR_BIAS
@@ -181,31 +268,14 @@ func (m *MACUnit) ResultLatch(latch int) bf16.Num {
 func (m *MACUnit) ReadyAt() int64 { return m.readyAt }
 
 // LatchState returns one latch's raw value and valid bit without the
-// Result accessors' zero-substitution, so an external mirror (the host
-// event core) can capture the exact accumulator state.
+// Result accessors' zero-substitution: the exact accumulator state the
+// host event core keys its memo on.
 func (m *MACUnit) LatchState(latch int) (bf16.Num, bool) {
 	if latch < 0 || latch >= len(m.latches) {
 		return bf16.Zero, false
 	}
 	return m.latches[latch], m.hasValue[latch]
 }
-
-// SetLatchState overwrites one latch's value and valid bit. It is the
-// host event core's end-of-run synchronization path: the core tracks
-// accumulations in its own mirror and writes the final state back so
-// the engine is indistinguishable from one that executed every command.
-func (m *MACUnit) SetLatchState(latch int, v bf16.Num, has bool) {
-	if latch < 0 || latch >= len(m.latches) {
-		return
-	}
-	m.latches[latch] = v
-	m.hasValue[latch] = has
-}
-
-// SetReadyAt forces the drain horizon, the timing half of the event
-// core's end-of-run synchronization. Unlike Accumulate it may move the
-// horizon backward; the caller owns the whole-run timing invariant.
-func (m *MACUnit) SetReadyAt(t int64) { m.readyAt = t }
 
 // Reset clears all latches. Hardware clears a latch as a side effect of
 // READRES; the engine uses ResetLatch then.

@@ -117,3 +117,104 @@ func TestMACFirstAccumulateReplacesZero(t *testing.T) {
 		t.Errorf("latch = %v, want -1", v.Float32())
 	}
 }
+
+// TestAccumulateColumnMatchesAccumulateLatch holds the fused wire-format
+// step bit-identical to DecodeInto then AccumulateLatch — latch value,
+// valid bit and drain horizon — over random accumulation sequences,
+// including the special values (NaNs with and without the quiet bit,
+// infinities, signed zeros, subnormals) whose rounding and
+// payload-propagation behavior the event core's exactness leans on.
+func TestAccumulateColumnMatchesAccumulateLatch(t *testing.T) {
+	const lanes = 16
+	rng := rand.New(rand.NewSource(9))
+	specials := []uint16{
+		0x0000, 0x8000, // +0, -0
+		0x7F80, 0xFF80, // +Inf, -Inf
+		0x7FC0, 0x7F81, 0xFFA5, // quiet NaN, signaling-pattern NaNs
+		0x0001, 0x8001, 0x007F, // subnormals
+		0x3F80, 0xBF80, // +-1
+	}
+	randNum := func() bf16.Num {
+		if rng.Intn(4) == 0 {
+			return bf16.FromBits(specials[rng.Intn(len(specials))])
+		}
+		return bf16.FromBits(uint16(rng.Uint32()))
+	}
+	widened := make([]float32, lanes)
+	for trial := 0; trial < 500; trial++ {
+		ref := NewMACUnitWithLatches(lanes, 2)
+		fused := NewMACUnitWithLatches(lanes, 2)
+		latch := trial % 2
+		if trial%3 == 1 {
+			// Start from a preloaded bias, as WR_BIAS would.
+			bias := randNum()
+			if err := ref.PreloadLatch(latch, bias); err != nil {
+				t.Fatal(err)
+			}
+			if err := fused.PreloadLatch(latch, bias); err != nil {
+				t.Fatal(err)
+			}
+		}
+		steps := 1 + rng.Intn(8)
+		for s := 0; s < steps; s++ {
+			filter := make(bf16.Vector, lanes)
+			input := make(bf16.Vector, lanes)
+			for i := 0; i < lanes; i++ {
+				filter[i] = randNum()
+				input[i] = randNum()
+			}
+			cycle := int64(10 * s)
+			if err := ref.AccumulateLatch(latch, filter, input, cycle, 4); err != nil {
+				t.Fatal(err)
+			}
+			WidenInto(widened, input)
+			if err := fused.AccumulateColumn(latch, filter.Bytes(), input, widened, cycle, 4); err != nil {
+				t.Fatal(err)
+			}
+			want, wantHas := ref.LatchState(latch)
+			got, has := fused.LatchState(latch)
+			if got != want || has != wantHas || fused.ReadyAt() != ref.ReadyAt() {
+				t.Fatalf("trial %d step %d: fused latch %#04x/%v ready %d, AccumulateLatch %#04x/%v ready %d",
+					trial, s, uint16(got), has, fused.ReadyAt(), uint16(want), wantHas, ref.ReadyAt())
+			}
+		}
+	}
+	m := NewMACUnit(lanes)
+	if err := m.AccumulateColumn(1, make([]byte, 2*lanes), make(bf16.Vector, lanes), widened, 0, 4); err == nil {
+		t.Error("latch 1 of a one-latch unit accepted")
+	}
+	if err := m.AccumulateColumn(0, make([]byte, lanes), make(bf16.Vector, lanes), widened, 0, 4); err == nil {
+		t.Error("half-width column accepted")
+	}
+}
+
+// TestOccupyAdvancesDrainOnly holds Occupy to the timing half of a
+// step: the drain horizon moves forward, never back, and the latch is
+// untouched.
+func TestOccupyAdvancesDrainOnly(t *testing.T) {
+	m := NewMACUnit(4)
+	m.Occupy(100, 7)
+	m.Occupy(50, 7)
+	if got := m.ReadyAt(); got != 107 {
+		t.Errorf("ReadyAt = %d, want 107", got)
+	}
+	if _, has := m.LatchState(0); has {
+		t.Error("Occupy set the latch's valid bit")
+	}
+}
+
+// TestWidenIntoExact holds WidenInto to Num.Float32 bit equality.
+func TestWidenIntoExact(t *testing.T) {
+	v := make(bf16.Vector, 256)
+	for i := range v {
+		v[i] = bf16.FromBits(uint16(i * 257)) // covers all byte patterns incl. NaNs
+	}
+	dst := make([]float32, len(v))
+	WidenInto(dst, v)
+	for i, n := range v {
+		if got, want := dst[i], n.Float32(); got != want &&
+			!(got != got && want != want) { // NaN widens to NaN
+			t.Fatalf("lane %d: widened %x to %v, want %v", i, uint16(n), got, want)
+		}
+	}
+}

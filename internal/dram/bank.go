@@ -35,6 +35,10 @@ type Bank struct {
 
 	state   BankState
 	openRow int
+	// open is the open row's storage, looked up on the row's first
+	// column access and dropped at the next activate or precharge, so
+	// the compute stream's per-column reads skip the row map.
+	open []byte
 
 	// Timing horizons: the earliest cycle at which each command class may
 	// be issued to this bank. Maintained by the channel's checker.
@@ -73,6 +77,7 @@ func (b *Bank) OpenRow() int {
 func (b *Bank) activate(row int, cycle int64, t *Timing) {
 	b.state = BankActive
 	b.openRow = row
+	b.open = nil
 	b.nextCol = cycle + t.TRCD
 	b.nextPRE = cycle + t.TRAS
 	b.nextACT = cycle + t.TRC()
@@ -82,6 +87,7 @@ func (b *Bank) activate(row int, cycle int64, t *Timing) {
 func (b *Bank) precharge(cycle int64, t *Timing) {
 	b.state = BankIdle
 	b.openRow = -1
+	b.open = nil
 	if next := cycle + t.TRP; next > b.nextACT {
 		b.nextACT = next
 	}
@@ -117,7 +123,7 @@ func (b *Bank) row(r int) []byte {
 // ReadColumn returns a copy of column I/O col of the open row. It is a
 // functional read; timing is the channel's concern.
 func (b *Bank) ReadColumn(col int) ([]byte, error) {
-	view, err := b.columnView(col)
+	view, err := b.ColumnView(col)
 	if err != nil {
 		return nil, err
 	}
@@ -126,11 +132,12 @@ func (b *Bank) ReadColumn(col int) ([]byte, error) {
 	return out, nil
 }
 
-// columnView returns the open row's column I/O without copying: the
-// zero-allocation path the ganged COMP stream uses. The view is only
-// valid until the row's data next changes, and callers must not write
-// through it.
-func (b *Bank) columnView(col int) ([]byte, error) {
+// ColumnView returns the open row's column I/O without copying: the
+// zero-allocation read path of the compute commands on both simulator
+// cores. The view is only valid until the row's data next changes, and
+// callers must not write through it (a write would bypass the Version
+// counter and poison content-keyed caches).
+func (b *Bank) ColumnView(col int) ([]byte, error) {
 	if b.state != BankActive {
 		return nil, fmt.Errorf("dram: read from bank with no open row")
 	}
@@ -138,7 +145,17 @@ func (b *Bank) columnView(col int) ([]byte, error) {
 		return nil, fmt.Errorf("dram: column %d out of range [0,%d)", col, b.geo.Cols)
 	}
 	cb := b.geo.ColBytes()
-	return b.row(b.openRow)[col*cb : (col+1)*cb], nil
+	return b.openData()[col*cb : (col+1)*cb], nil
+}
+
+// openData returns the open row's storage. Row storage is never
+// reallocated once created, so the cached slice stays valid across
+// writes.
+func (b *Bank) openData() []byte {
+	if b.open == nil {
+		b.open = b.row(b.openRow)
+	}
+	return b.open
 }
 
 // WriteColumn stores data into column I/O col of the open row.
@@ -153,7 +170,7 @@ func (b *Bank) WriteColumn(col int, data []byte) error {
 	if len(data) != cb {
 		return fmt.Errorf("dram: write data is %d bytes, column I/O is %d", len(data), cb)
 	}
-	copy(b.row(b.openRow)[col*cb:], data)
+	copy(b.openData()[col*cb:], data)
 	b.version++
 	return nil
 }
@@ -162,18 +179,6 @@ func (b *Bank) WriteColumn(col int, data []byte) error {
 // on every WriteColumn, LoadRow and MutateRow, and never otherwise, so
 // equal versions guarantee byte-identical stored rows.
 func (b *Bank) Version() uint64 { return b.version }
-
-// RowView returns row r's backing storage without copying, allocating
-// zeroed storage on first touch like every other access. It is the
-// host event core's zero-allocation read path for whole-row compute;
-// callers must treat the slice as read-only (writes would bypass the
-// Version counter and poison content-keyed caches).
-func (b *Bank) RowView(r int) ([]byte, error) {
-	if r < 0 || r >= b.geo.Rows {
-		return nil, fmt.Errorf("dram: row %d out of range [0,%d)", r, b.geo.Rows)
-	}
-	return b.row(r), nil
-}
 
 // LoadRow stores an entire row image directly, bypassing timing. It is
 // the back door used to preload filter matrices (the paper assumes the

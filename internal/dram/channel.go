@@ -92,8 +92,7 @@ func (ch *Channel) ResetStats() { ch.stats = Stats{} }
 // before the engine's channel-level rewrites.
 func (ch *Channel) SetObserver(o Observer) { ch.obs = o }
 
-// Observer returns the installed tap, nil when none. The host's event
-// core refuses to engage while one is attached (IssueTimed bypasses it).
+// Observer returns the installed tap, nil when none.
 func (ch *Channel) Observer() Observer { return ch.obs }
 
 // IssueResult reports the effects of a successfully issued command.
@@ -367,7 +366,7 @@ func (ch *Channel) apply(cmd Command, cycle int64) (IssueResult, error) {
 			}
 		}
 		for i, b := range ch.banks {
-			d, err := b.columnView(cmd.Col)
+			d, err := b.ColumnView(cmd.Col)
 			if err != nil {
 				return fail(err.Error())
 			}
@@ -382,7 +381,7 @@ func (ch *Channel) apply(cmd Command, cycle int64) (IssueResult, error) {
 		if b == nil {
 			return fail("bank out of range")
 		}
-		d, err := b.columnView(cmd.Col)
+		d, err := b.ColumnView(cmd.Col)
 		if err != nil {
 			return fail(err.Error())
 		}
@@ -422,7 +421,7 @@ func (ch *Channel) apply(cmd Command, cycle int64) (IssueResult, error) {
 		if b == nil {
 			return fail("bank out of range")
 		}
-		d, err := b.columnView(cmd.Col)
+		d, err := b.ColumnView(cmd.Col)
 		if err != nil {
 			return fail(err.Error())
 		}

@@ -8,11 +8,11 @@ import "fmt"
 // apply walk (Issue traverses the channel state twice: once to find the
 // boundary, once to transition), and it performs no functional data
 // movement — no row lookups, no column copies — because the event
-// executor computes results through the fused kernel and its memo
-// (internal/aim, internal/host) rather than through per-command reads.
-// Bank-state legality checks are kept: they are one comparison each and
-// they keep an event-core scheduling bug from silently corrupting the
-// machine state the oracle would have rejected.
+// executor reads the columns its compute consumes from the banks
+// itself, and skips them on a memo replay (internal/host). Bank-state
+// legality checks are kept: they are one comparison each and they keep
+// an event-core scheduling bug from silently corrupting the machine
+// state the oracle would have rejected.
 
 // IssueTimed issues cmd at its earliest legal cycle at or after from,
 // applying its timing and statistics effects while skipping functional
@@ -21,11 +21,10 @@ import "fmt"
 // walks the channel state once. It returns the issue cycle and the
 // command's DataReady cycle (zero for commands that return no data).
 // Stats are updated exactly as Issue would update them, so an
-// event-core run's Stats diff is byte-identical to the oracle's. The
-// observer hook is NOT invoked — callers that need a command-stream tap
-// (conformance, tracing) must use Issue. cmd is taken by pointer to
-// keep the Command struct off the per-command copy path; it is never
-// mutated or retained.
+// event-core run's Stats diff is byte-identical to the oracle's, and an
+// attached observer sees the command as Issue would show it. cmd is
+// taken by pointer to keep the Command struct off the per-command copy
+// path; it is never mutated or retained.
 func (ch *Channel) IssueTimed(cmd *Command, from int64) (int64, int64, error) {
 	t := &ch.cfg.Timing
 	bus := ch.busOf(cmd.Kind)
@@ -239,6 +238,9 @@ func (ch *Channel) IssueTimed(cmd *Command, from int64) (int64, int64, error) {
 	if dataReady > ch.stats.LastDataCycle {
 		ch.stats.LastDataCycle = dataReady
 	}
+	if ch.obs != nil {
+		ch.obs.Observe(*cmd, at)
+	}
 	return at, dataReady, nil
 }
 
@@ -261,8 +263,9 @@ func (ch *Channel) RefreshStep() int64 {
 // previous one's cycle plus tRFC). The caller must have computed first
 // with EarliestIssue for a REF and k >= 1; banks must be idle, as for
 // any refresh. Stats record all k commands with the interval bounds the
-// sequential issues would have produced. It returns the last refresh's
-// issue cycle.
+// sequential issues would have produced. The observer is not invoked:
+// a caller with a command-stream tap attached issues refreshes one at a
+// time instead. It returns the last refresh's issue cycle.
 func (ch *Channel) RefreshBatch(first int64, k int) (int64, error) {
 	if k < 1 {
 		return 0, fmt.Errorf("dram: refresh batch of %d", k)

@@ -47,10 +47,8 @@ type Config struct {
 	Verify bool
 	// Oracle forces every Newton controller onto the stepping reference
 	// engine (host.Options.Oracle) instead of the event-driven core. The
-	// two are byte-identical across every figure (the property
-	// TestOracleKnobIdentity pins it), so Oracle exists only for A/B
-	// benchmarking the cores and for bisecting a suspected event-core bug
-	// (newton-bench -oracle).
+	// two are byte-identical across every figure; Oracle is the
+	// reference TestOracleKnobIdentity compares the figures against.
 	Oracle bool
 	// Serial forces every simulation and sweep onto the serial reference
 	// path: controllers simulate channels one at a time

@@ -70,10 +70,10 @@ type Params struct {
 	// FailedBanks are whole-bank failures: every stored row of the bank
 	// reads as all-ones.
 	FailedBanks []BankRef
-	// TransientBER is the per-bit flip probability applied to the
-	// column a COMP command touches, modeling supply-noise upsets
-	// during compute activity windows. Wired through a TransientInjector
-	// on the controller's Trace hook.
+	// TransientBER is the per-bit flip probability applied to each
+	// column a compute command (COMP, COMP_BK, COLRD) reads, modeling
+	// supply-noise upsets during compute activity windows. Wired
+	// through a TransientInjector on the controller's Trace hook.
 	TransientBER float64
 	// TransientStress scales TransientBER by compute-power intensity
 	// (see power.CompStress); 0 means 1.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"newton/internal/aim"
 	"newton/internal/dram"
 	"newton/internal/layout"
 )
@@ -267,6 +268,27 @@ func TestTransientInjectorGatedToComp(t *testing.T) {
 	ti.OnCommand(0, dram.Command{Kind: dram.KindCOMP, Col: 2})
 	if got := ti.Flips - flips; got != int64(cb*8) {
 		t.Fatalf("ganged COMP flipped %d bits, want %d", got, cb*8)
+	}
+	// COLRD reads a column like COMP: one bank's, or with Bank =
+	// aim.AllBanks every open bank's (here banks 3 and 5). MAC reads no
+	// column, whatever its Bank and Col fields hold.
+	if _, err := channels[0].Issue(dram.Command{Kind: dram.KindACT, Bank: 5, Row: p.BaseRow()}, 2000); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cmd  dram.Command
+		want int64
+	}{
+		{dram.Command{Kind: dram.KindCOLRD, Bank: 3, Col: 1}, int64(cb * 8)},
+		{dram.Command{Kind: dram.KindCOLRD, Bank: aim.AllBanks, Col: 1}, int64(2 * cb * 8)},
+		{dram.Command{Kind: dram.KindMAC, Bank: 3, Col: 1}, 0},
+		{dram.Command{Kind: dram.KindMAC, Bank: aim.AllBanks}, 0},
+	} {
+		flips := ti.Flips
+		ti.OnCommand(0, tc.cmd)
+		if got := ti.Flips - flips; got != tc.want {
+			t.Errorf("%v flipped %d bits, want %d", tc.cmd, got, tc.want)
+		}
 	}
 }
 

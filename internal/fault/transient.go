@@ -18,10 +18,11 @@ import (
 //
 // The injector observes the controller's command stream through a
 // Trace-shaped hook (OnCommand) and flips bits only in the columns a
-// compute command actually touches, at rate TransientBER x
-// TransientStress per bit per access. The corruption lands after the
-// in-flight command's MACs have consumed the old value: the upset
-// happens during restore, so the first wrong read is the next one.
+// compute command actually reads — COMP, COMP_BK and COLRD, once per
+// column access — at rate TransientBER x TransientStress per bit per
+// access. MAC reads no column and takes none. The corruption lands
+// after the in-flight command's MACs have consumed the old value: the
+// upset happens during restore, so the first wrong read is the next one.
 //
 // It draws from its own seeded PRNG in command-issue order, which the
 // single-threaded controller makes deterministic.
@@ -63,14 +64,22 @@ func (t *TransientInjector) OnCommand(ch int, cmd dram.Command) {
 		return
 	}
 	chn := t.channels[ch]
-	switch cmd.Kind {
-	case dram.KindCOMP:
-		// Ganged: every bank's open row takes a column access at once.
-		for b := 0; b < chn.Config().Geometry.Banks; b++ {
-			t.stressColumn(chn, b, cmd.Col)
-		}
-	case dram.KindCOMPBank, dram.KindCOLRD, dram.KindMAC:
-		t.stressColumn(chn, cmd.Bank, cmd.Col)
+	banks := chn.Config().Geometry.Banks
+	lo, hi := cmd.Bank, cmd.Bank+1
+	switch {
+	case cmd.Kind == dram.KindCOMP, cmd.Kind == dram.KindCOLRD && cmd.Bank < 0:
+		// Ganged: every bank's open row takes a column access at once (a
+		// ganged COLRD carries Bank = aim.AllBanks).
+		lo, hi = 0, banks
+	case cmd.Kind == dram.KindCOMPBank, cmd.Kind == dram.KindCOLRD:
+	default:
+		return
+	}
+	if lo < 0 || hi > banks {
+		return
+	}
+	for b := lo; b < hi; b++ {
+		t.stressColumn(chn, b, cmd.Col)
 	}
 }
 

@@ -307,9 +307,10 @@ func (c *Controller) RunMVM(p *layout.Placement, v bf16.Vector) (*Result, error)
 // ablation variants); the issuer decides HOW a command is simulated:
 // oracleIssuer steps every command through the full engine (timing +
 // functional datapath + observers), eventExec walks only the analytic
-// timing boundaries and computes results through the fused kernel and
-// its memo. Both produce byte-identical outputs, cycles and stats; the
-// differential tests and FuzzEventCore hold them to it.
+// timing boundaries and drives the same engine state through the fused
+// column step and its memo. Both produce byte-identical outputs, cycles,
+// stats and command streams; the differential tests and FuzzEventCore
+// hold them to it.
 type chanIssuer interface {
 	// issue schedules cmd at its earliest legal cycle at or after the
 	// channel clock and advances the clock to the issue cycle.
@@ -328,8 +329,8 @@ type chanIssuer interface {
 // oracleIssuer is the stepping reference: every command goes through
 // aim.Engine.Issue with its functional datapath, observers and the
 // redundant timing re-check. It is the differential oracle behind
-// Options.Oracle and remains the only path for traced, verified, or
-// externally observed runs.
+// Options.Oracle, and the path the ISR hooks, the scrubbers and the
+// between-run traffic drain take on every controller.
 type oracleIssuer struct {
 	c  *Controller
 	ch int
@@ -343,16 +344,7 @@ func (o oracleIssuer) earliest(cmd dram.Command) int64 {
 
 func (o oracleIssuer) maybeRefresh(est int64) error { return o.c.maybeRefresh(o.ch, est) }
 
-func (o oracleIssuer) drainHorizon() int64 {
-	var h int64
-	e := o.c.engines[o.ch]
-	for b := 0; b < o.c.cfg.Geometry.Banks; b++ {
-		if r := e.MAC(b).ReadyAt(); r > h {
-			h = r
-		}
-	}
-	return h
-}
+func (o oracleIssuer) drainHorizon() int64 { return o.c.engines[o.ch].DrainHorizon() }
 
 // issue schedules cmd at its earliest legal cycle at or after the
 // channel's clock and advances the clock to the issue cycle. The host
@@ -366,17 +358,26 @@ func (c *Controller) issue(ch int, cmd dram.Command) (aim.Result, error) {
 		return aim.Result{}, err
 	}
 	c.now[ch] = at
+	if err := c.tap(ch, cmd, at, r); err != nil {
+		return aim.Result{}, err
+	}
+	return r, nil
+}
+
+// tap finishes an issued command on either core, after the engine
+// observer has seen it: fail fast on a conformance violation — a
+// verified run stops at the first one rather than accumulating them
+// silently — then hand the command to the Trace hook.
+func (c *Controller) tap(ch int, cmd dram.Command, at int64, r aim.Result) error {
 	if c.verify != nil {
-		// Fail fast: a verified run stops at the first conformance
-		// violation rather than accumulating them silently.
 		if verr := c.verify.Channel(ch).Err(); verr != nil {
-			return aim.Result{}, fmt.Errorf("verify: %w", verr)
+			return fmt.Errorf("verify: %w", verr)
 		}
 	}
 	if c.Trace != nil {
 		c.Trace(ch, cmd, at, r)
 	}
-	return r, nil
+	return nil
 }
 
 // maybeRefresh implements the paper's refresh policy (§III-E): a Newton
@@ -389,11 +390,17 @@ func (c *Controller) issue(ch int, cmd dram.Command) (aim.Result, error) {
 // back at the next boundary, as JEDEC refresh postponing allows. Banks
 // must be precharged, which is true at tile boundaries.
 func (c *Controller) maybeRefresh(ch int, est int64) error {
+	return c.maybeRefreshOn(oracleIssuer{c, ch}, ch, est)
+}
+
+// maybeRefreshOn is maybeRefresh's issuer-parameterized body, shared
+// with the event core.
+func (c *Controller) maybeRefreshOn(x chanIssuer, ch int, est int64) error {
 	ref := func() error {
 		if c.nextRefresh[ch] > c.now[ch] {
 			c.now[ch] = c.nextRefresh[ch]
 		}
-		if _, err := c.issue(ch, dram.Command{Kind: dram.KindREF}); err != nil {
+		if _, err := x.issue(dram.Command{Kind: dram.KindREF}); err != nil {
 			return err
 		}
 		c.nextRefresh[ch] += c.cfg.Timing.TREFI
@@ -628,14 +635,13 @@ func (c *Controller) estimateTile(slots int, withBufferLoad bool) int64 {
 //
 // The schedule — which commands, in which order — is decided here once;
 // the issuer decides how each command is simulated. The event core runs
-// whenever nothing needs to watch the per-command stream: Options.Oracle
-// forces the stepping engine, and Trace hooks, conformance verification
-// and command-stream observers all require it (the event core issues no
-// observable per-command callbacks).
+// unless Options.Oracle selects the stepping engine; Trace hooks,
+// conformance verification and command-stream observers see the same
+// stream from either.
 func (c *Controller) runChannel(ch int, p *layout.Placement, ri *runInput, v bf16.Vector, out []float32) (int64, error) {
 	var x chanIssuer
 	var ev *eventExec
-	if c.eventMode(ch) {
+	if !c.opts.Oracle {
 		ev = c.eventFor(ch)
 		ev.begin(p, v)
 		x = ev
@@ -649,9 +655,7 @@ func (c *Controller) runChannel(ch int, p *layout.Placement, ri *runInput, v bf1
 	}
 	finish, err := c.runSchedule(x, ch, p, ri, out)
 	if ev != nil {
-		if ferr := ev.finishRun(err == nil); ferr != nil && err == nil {
-			err = ferr
-		}
+		ev.finishRun(err == nil)
 	}
 	return finish, err
 }

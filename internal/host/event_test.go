@@ -10,20 +10,24 @@ import (
 	"newton/internal/aim"
 	"newton/internal/bf16"
 	"newton/internal/dram"
+	"newton/internal/fault"
 	"newton/internal/layout"
 	"newton/internal/obs"
 )
 
 // eventLadder is the option grid the event-core differential tests walk:
-// every schedule family (interleaved, row-major, quad-latch, non-opt)
-// plus the overlap and in-DRAM-activation toggles that change the
-// command stream's shape.
+// every schedule family (interleaved, row-major, quad-latch, non-opt,
+// and ganged-only, whose COLRD and MAC address all banks at once) plus
+// the overlap and in-DRAM-activation toggles that change the command
+// stream's shape.
 func eventLadder() []struct {
 	name string
 	opts Options
 } {
 	overlapOff := Newton()
 	overlapOff.OverlapBufferLoad = false
+	gang := NonOpt()
+	gang.GangedCompute = true
 	return []struct {
 		name string
 		opts Options
@@ -31,6 +35,7 @@ func eventLadder() []struct {
 		{"newton", Newton()},
 		{"newton-no-overlap", overlapOff},
 		{"non-opt", NonOpt()},
+		{"gang", gang},
 		{"no-reuse", NoReuse()},
 		{"quad-latch", QuadLatch()},
 	}
@@ -336,48 +341,66 @@ func TestEventCoreObsExpositionMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestEventModeGating pins when the event core may engage: plain runs
-// yes; Oracle, Verify, a Trace hook, or an attached engine/channel
-// observer force the stepping oracle.
+// TestEventModeGating pins that only Options.Oracle selects the
+// stepping oracle: under Verify, a Trace hook, or an engine or channel
+// observer, RunMVM still runs on the event core, and the taps see its
+// command stream.
 func TestEventModeGating(t *testing.T) {
-	build := func(opts Options) *Controller {
-		c, err := NewController(testCfg(), opts)
+	cfg := testCfg()
+	m := layout.RandomMatrix(32, 256, 3)
+	v := randomVector(m.Cols, 4)
+	verify := Newton()
+	verify.Verify = true
+	oracle := Newton()
+	oracle.Oracle = true
+	var seen int
+	count := obsFunc(func(dram.Command, int64) { seen++ })
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		attach func(c *Controller)
+		event  bool
+	}{
+		{"plain", Newton(), nil, true},
+		{"verify", verify, nil, true},
+		{"trace", Newton(), func(c *Controller) {
+			c.Trace = func(int, dram.Command, int64, aim.Result) { seen++ }
+		}, true},
+		{"engine-observer", Newton(), func(c *Controller) { c.Engine(1).SetObserver(count) }, true},
+		{"channel-observer", Newton(), func(c *Controller) { c.Engine(0).Channel().SetObserver(count) }, true},
+		{"oracle", oracle, nil, false},
+	} {
+		seen = 0
+		c, err := NewController(cfg, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c
-	}
-	if c := build(Newton()); !c.eventMode(0) {
-		t.Error("plain controller: event mode off, want on")
-	}
-	oracle := Newton()
-	oracle.Oracle = true
-	if c := build(oracle); c.eventMode(0) {
-		t.Error("Oracle option: event mode on, want off")
-	}
-	verify := Newton()
-	verify.Verify = true
-	if c := build(verify); c.eventMode(0) {
-		t.Error("Verify option: event mode on, want off")
-	}
-	c := build(Newton())
-	c.Trace = func(ch int, cmd dram.Command, cycle int64, res aim.Result) {}
-	if c.eventMode(0) {
-		t.Error("Trace hook: event mode on, want off")
-	}
-	// Observers gate per channel: the watched channel steps, the rest
-	// keep the event core (the streams are independent).
-	c = build(Newton())
-	c.Engine(1).SetObserver(obsFunc(func(cmd dram.Command, cycle int64) {}))
-	if c.eventMode(1) {
-		t.Error("engine observer on channel 1: event mode on, want off")
-	}
-	if !c.eventMode(0) {
-		t.Error("engine observer on channel 1: channel 0 event mode off, want on")
+		if tc.attach != nil {
+			tc.attach(c)
+		}
+		p, err := c.Place(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.RunMVM(p, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ch, x := range c.events {
+			if (x != nil) != tc.event {
+				t.Errorf("%s: channel %d ran on the event core: %v, want %v", tc.name, ch, x != nil, tc.event)
+			}
+		}
+		if tc.attach != nil && seen == 0 {
+			t.Errorf("%s: the tap saw no commands", tc.name)
+		}
+		if s := c.Conformance(); s != nil && s.Commands() != res.Stats.TotalCommands() {
+			t.Errorf("%s: checker saw %d commands, the run issued %d", tc.name, s.Commands(), res.Stats.TotalCommands())
+		}
 	}
 }
 
-// obsFunc adapts a function to dram.Observer for the gating test.
+// obsFunc adapts a function to dram.Observer.
 type obsFunc func(cmd dram.Command, cycle int64)
 
 func (f obsFunc) Observe(cmd dram.Command, cycle int64) { f(cmd, cycle) }
@@ -428,6 +451,117 @@ func TestEventCoreRefreshCatchUp(t *testing.T) {
 	}
 }
 
+// TestEventCoreObserverStreamMatchesOracle holds the event core's
+// command stream to the oracle's as its taps see it: an engine observer
+// on every channel must record identical (cmd, cycle) sequences and the
+// Trace hook identical (cmd, cycle, results) sequences, refreshes
+// included. The script covers every ladder rung, memo-hit reruns, and a
+// long Advance whose catch-up refreshes reach the taps one at a time;
+// with a transient-fault hook the hook also rewrites each column right
+// after the compute command that read it, which the event core must
+// absorb exactly as the oracle does (the pending COLRD register holds a
+// copy, and every rewrite invalidates the memo).
+func TestEventCoreObserverStreamMatchesOracle(t *testing.T) {
+	cfg := testCfg()
+	m := layout.RandomMatrix(96, 600, 71)
+	va, vb := randomVector(m.Cols, 72), randomVector(m.Cols, 73)
+	type tapped struct {
+		ch      int
+		cmd     dram.Command
+		cycle   int64
+		results bf16.Vector
+	}
+	drive := func(opts Options, transient bool) (observed, traced []tapped, results []*Result, hits int64) {
+		c, err := NewController(cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		channels := make([]*dram.Channel, c.Channels())
+		for ch := range channels {
+			ch := ch
+			channels[ch] = c.Engine(ch).Channel()
+			c.Engine(ch).SetObserver(obsFunc(func(cmd dram.Command, cycle int64) {
+				cmd.Data = append([]byte(nil), cmd.Data...)
+				observed = append(observed, tapped{ch: ch, cmd: cmd, cycle: cycle})
+			}))
+		}
+		ti := fault.NewTransientInjector(fault.Params{Seed: 3, TransientBER: 1e-3}, channels)
+		c.Trace = func(ch int, cmd dram.Command, cycle int64, res aim.Result) {
+			if transient {
+				ti.OnCommand(ch, cmd)
+			}
+			cmd.Data = append([]byte(nil), cmd.Data...)
+			traced = append(traced, tapped{ch, cmd, cycle, append(bf16.Vector(nil), res.Results...)})
+		}
+		p, err := c.Place(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range []bf16.Vector{va, va, va, vb, va} {
+			if i == 2 {
+				c.Advance(40 * cfg.Timing.TREFI)
+			}
+			res, err := c.RunMVM(p, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res)
+		}
+		if transient && ti.Flips == 0 {
+			t.Fatal("the transient hook flipped nothing")
+		}
+		for _, x := range c.events {
+			if x != nil {
+				hits += x.memoHits
+			}
+		}
+		return observed, traced, results, hits
+	}
+	same := func(t *testing.T, what string, e, o []tapped) {
+		t.Helper()
+		for i := 0; i < len(e) && i < len(o); i++ {
+			if !reflect.DeepEqual(e[i], o[i]) {
+				t.Fatalf("%s record %d: event %+v, oracle %+v", what, i, e[i], o[i])
+			}
+		}
+		if len(e) != len(o) {
+			t.Fatalf("%s: %d records event, %d oracle", what, len(e), len(o))
+		}
+	}
+	for _, tc := range eventLadder() {
+		for _, transient := range []bool{false, true} {
+			name := tc.name
+			if transient {
+				name += "/transient"
+			}
+			t.Run(name, func(t *testing.T) {
+				ev := tc.opts
+				or := ev
+				or.Oracle = true
+				eobs, etr, eres, hits := drive(ev, transient)
+				oobs, otr, ores, _ := drive(or, transient)
+				same(t, "observer", eobs, oobs)
+				same(t, "trace", etr, otr)
+				for i := range ores {
+					assertResultsIdentical(t, ores[i], eres[i], name)
+				}
+				refs := 0
+				for _, r := range eobs {
+					if r.cmd.Kind == dram.KindREF {
+						refs++
+					}
+				}
+				if refs < 40*cfg.Geometry.Channels {
+					t.Errorf("%d REFs observed across the 40-tREFI advance, want at least 40 per channel", refs)
+				}
+				if !transient && hits == 0 {
+					t.Error("no memo hits: the replay path went untapped")
+				}
+			})
+		}
+	}
+}
+
 // benchMVM measures repeated serial RunMVMs of a GNMT-s1-shaped product.
 // With vary set, it alternates two inputs so every run misses the memo
 // (the steady-state cold-compute cost); otherwise runs after the first
@@ -463,7 +597,7 @@ func BenchmarkMVMEventCold(b *testing.B) { benchMVM(b, Newton(), true) }
 
 // BenchmarkMVMEventWarmSmall is the DLRM-s1 shape (512x256) at the
 // paper's 24-channel config: small enough that per-run fixed costs
-// (mirror sync, memo lookup, output assembly) dominate over replay.
+// (memo key check, output assembly) dominate over replay.
 func BenchmarkMVMEventWarmSmall(b *testing.B) {
 	cfg := dram.Config{Geometry: dram.HBM2EGeometry(24), Timing: dram.AiMTiming()}
 	opts := Newton()

@@ -91,7 +91,7 @@ func driveCoexistSession(t *testing.T, s coexistFuzzSession, opts Options) ([]*R
 // FuzzCoexist feeds random mixed PIM/conventional schedules through
 // both simulator cores and asserts (a) the independently derived
 // conformance checker — coexist rules included — accepts every command
-// the scheduler emits, and (b) the event core remains byte-identical
+// either core emits, and (b) the event core remains byte-identical
 // to the stepping oracle under interleaved traffic: outputs, cycles,
 // stats, clocks, and every conventional request's service record.
 func FuzzCoexist(f *testing.F) {
@@ -104,16 +104,12 @@ func FuzzCoexist(f *testing.F) {
 		s := decodeCoexistSession(data)
 		ev := s.opts
 		ev.Parallel = ParallelOff
+		ev.Verify = true
 		or := ev
 		or.Oracle = true
-		or.Verify = true
 		eres, ec := driveCoexistSession(t, s, ev)
 		ores, oc := driveCoexistSession(t, s, or)
-		if suite := oc.Conformance(); suite == nil {
-			t.Fatal("oracle controller has no conformance suite attached")
-		} else if vs := suite.Violations(); len(vs) > 0 {
-			t.Fatalf("conformance violations under mixed traffic: %v (session %+v)", vs[0], s)
-		}
+		assertVerifiedAlike(t, ec, oc)
 		for i := range ores {
 			e, o := eres[i], ores[i]
 			for j := range o.Output {

@@ -159,11 +159,33 @@ func driveFuzzSession(t *testing.T, s fuzzSession, opts Options) ([]*Result, int
 	return results, c.Now(), c.Stats(), c
 }
 
+// assertVerifiedAlike requires both cores' independently checked
+// command streams to be violation-free and equally long.
+func assertVerifiedAlike(t *testing.T, ec, oc *Controller) {
+	t.Helper()
+	for _, side := range []struct {
+		name string
+		c    *Controller
+	}{{"event", ec}, {"oracle", oc}} {
+		suite := side.c.Conformance()
+		if suite == nil {
+			t.Fatalf("%s controller has no conformance suite attached", side.name)
+		}
+		if vs := suite.Violations(); len(vs) > 0 {
+			t.Fatalf("conformance violations in %s run: %v", side.name, vs[0])
+		}
+	}
+	if e, o := ec.Conformance().Commands(), oc.Conformance().Commands(); e != o {
+		t.Fatalf("checker saw %d commands event, %d oracle", e, o)
+	}
+}
+
 // FuzzEventCore feeds random legal multi-run sessions through both
 // simulator cores and asserts the event core is indistinguishable from
 // the stepping oracle: bit-identical outputs, cycle accounting,
-// dram.Stats and final clocks, with zero conformance violations on the
-// oracle side's independently checked command stream.
+// dram.Stats and final clocks, with both cores' command streams
+// independently checked — zero conformance violations on either side
+// and the same number of commands checked.
 func FuzzEventCore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
@@ -177,19 +199,12 @@ func FuzzEventCore(f *testing.F) {
 		s := decodeFuzzSession(data)
 		ev := s.opts
 		ev.Parallel = ParallelOff
+		ev.Verify = true
 		or := ev
 		or.Oracle = true
-		or.Verify = true
 		eres, enow, estats, ec := driveFuzzSession(t, s, ev)
 		ores, onow, ostats, oc := driveFuzzSession(t, s, or)
-		if suite := oc.Conformance(); suite == nil {
-			t.Fatal("oracle controller has no conformance suite attached")
-		} else if vs := suite.Violations(); len(vs) > 0 {
-			t.Fatalf("conformance violations in oracle run: %v", vs[0])
-		}
-		if ec.Conformance() != nil {
-			t.Fatal("event controller unexpectedly verified (event mode was gated off)")
-		}
+		assertVerifiedAlike(t, ec, oc)
 		for i := range ores {
 			e, o := eres[i], ores[i]
 			if len(e.Output) != len(o.Output) {

@@ -65,13 +65,12 @@ type Options struct {
 	// re-derives every constraint from the dram.Config on its own, so it
 	// catches scheduler bugs the channel's own checker would co-sign.
 	Verify bool
-	// Oracle forces the stepping reference engine: every command goes
-	// through the full per-command functional datapath instead of the
+	// Oracle selects the stepping reference engine: every command goes
+	// through aim.Engine.Issue's full per-command datapath instead of the
 	// event-driven core. The two are byte-identical in outputs, cycles,
-	// stats and obs expositions (the event-core differential tests and
-	// FuzzEventCore enforce it); the oracle exists as the differential
-	// baseline and engages automatically whenever a per-command stream
-	// consumer is attached (Trace, Verify, engine observers).
+	// stats, obs expositions and command streams; Oracle is the
+	// reference the differential tests and FuzzEventCore compare the
+	// event core against.
 	Oracle bool
 	// QoS selects how the shared channels are arbitrated between AiM
 	// work and an attached conventional workload (AttachTraffic). The
