@@ -174,19 +174,19 @@ func (m *MACUnit) AccumulateLatch(latch int, filter, input bf16.Vector, cycle, t
 // fused step. It skips DecodeInto's Num round-trip for the filter and
 // takes the input twice, as Nums and pre-widened by WidenInto, so the
 // fast path multiplies floats while the fallback below hands
-// AccumulateLatch the exact operands.
+// AccumulateLatch the exact operands. A 16-lane unit, the paper's, runs
+// the unrolled column16; other widths run the generic loop.
 //
-// The result is bit-identical to DecodeInto then AccumulateLatch:
-// decoding a wire lane straight to float32 equals decoding then
-// widening, bf16.Round(f*in) is MulFloat of the same operands, the tree
-// reduction is shared and the accumulate tail is AccumulateLatch's. The
-// exception is operand order. When BOTH operands of a float multiply,
-// or of the latch-accumulate add, are NaN, the result's payload is
-// whichever operand the compiled instruction's first source register
-// holds, and Go normalizes commutative operands per call site, so two
-// textually identical expressions in different functions can propagate
-// different payloads. Those steps go through AccumulateLatch's own
-// compiled code.
+// The result is bit-identical to DecodeInto then AccumulateLatch: every
+// product and tree add rounds as MulFloat and AddFloats do, with
+// TreeReduce's pairing. Only operand order may differ between the two
+// compiled bodies, and it matters only when both operands of a float
+// operation are NaN: the first source register's payload survives, and
+// Go orders commutative operands per call site. Any NaN in a product or
+// a tree add reaches the column sum, so a NaN sum redoes the step in
+// AccumulateLatch's own code. Otherwise every operation saw non-NaN
+// operands, and the latch add at most one NaN, whose payload is the
+// only one it can propagate.
 func (m *MACUnit) AccumulateColumn(latch int, wire []byte, input bf16.Vector, widened []float32, cycle, tmac int64) error {
 	if latch < 0 || latch >= len(m.latches) {
 		return fmt.Errorf("aim: latch %d out of range [0,%d)", latch, len(m.latches))
@@ -195,31 +195,60 @@ func (m *MACUnit) AccumulateColumn(latch int, wire []byte, input bf16.Vector, wi
 		return fmt.Errorf("aim: MAC column is %d bytes and %d lanes, unit has %d lanes",
 			len(wire), len(widened), m.lanes)
 	}
-	bothNaN := false
-	for i, in := range widened {
-		f := math.Float32frombits(uint32(binary.LittleEndian.Uint16(wire[2*i:])) << 16)
-		if f != f && in != in {
-			bothNaN = true
-			break
+	var sum float32
+	if m.lanes == 16 {
+		sum = column16((*[32]byte)(wire), (*[16]float32)(widened))
+	} else {
+		for i, in := range widened {
+			m.scratch[i] = bf16.Round(wireLane(wire, i) * in)
 		}
-		m.scratch[i] = bf16.Round(f * in)
+		sum = treeReduceFloats(m.scratch)
 	}
-	if !bothNaN {
-		sum := treeReduceFloats(m.scratch)
-		if !m.hasValue[latch] {
-			m.latches[latch], m.hasValue[latch] = bf16.FromFloat32(sum), true
-			m.Occupy(cycle, tmac)
-			return nil
-		}
-		if !(m.latches[latch].IsNaN() && sum != sum) {
-			m.latches[latch] = bf16.FromFloat32(m.latches[latch].Float32() + sum)
-			m.Occupy(cycle, tmac)
-			return nil
-		}
+	if sum != sum {
+		filter := make(bf16.Vector, m.lanes)
+		bf16.DecodeInto(filter, wire)
+		return m.AccumulateLatch(latch, filter, input, cycle, tmac)
 	}
-	filter := make(bf16.Vector, m.lanes)
-	bf16.DecodeInto(filter, wire)
-	return m.AccumulateLatch(latch, filter, input, cycle, tmac)
+	if m.hasValue[latch] {
+		m.latches[latch] = bf16.FromFloat32(m.latches[latch].Float32() + sum)
+	} else {
+		m.latches[latch], m.hasValue[latch] = bf16.FromFloat32(sum), true
+	}
+	m.Occupy(cycle, tmac)
+	return nil
+}
+
+// wireLane decodes lane i of a wire-format column straight to float32.
+func wireLane(wire []byte, i int) float32 {
+	return math.Float32frombits(uint32(binary.LittleEndian.Uint16(wire[2*i:])) << 16)
+}
+
+// roundFinite is bf16.Round without its NaN branch, exact on what
+// column16 rounds: its operands have zero low 16 bits, so every NaN the
+// hardware makes from them is quiet with zero low 16 bits too, and the
+// increment leaves it the NaN Round would return.
+func roundFinite(f float32) float32 {
+	b := math.Float32bits(f)
+	b += 0x7FFF + (b>>16)&1
+	return math.Float32frombits(b &^ 0xFFFF)
+}
+
+// column16 is the 16-lane multiply and adder tree, unrolled: lane
+// products, then TreeReduce's adjacent pairing level by level, rounding
+// to bfloat16 after every multiply and every add.
+func column16(w *[32]byte, in *[16]float32) float32 {
+	p0, p1 := roundFinite(wireLane(w[:], 0)*in[0]), roundFinite(wireLane(w[:], 1)*in[1])
+	p2, p3 := roundFinite(wireLane(w[:], 2)*in[2]), roundFinite(wireLane(w[:], 3)*in[3])
+	p4, p5 := roundFinite(wireLane(w[:], 4)*in[4]), roundFinite(wireLane(w[:], 5)*in[5])
+	p6, p7 := roundFinite(wireLane(w[:], 6)*in[6]), roundFinite(wireLane(w[:], 7)*in[7])
+	p8, p9 := roundFinite(wireLane(w[:], 8)*in[8]), roundFinite(wireLane(w[:], 9)*in[9])
+	p10, p11 := roundFinite(wireLane(w[:], 10)*in[10]), roundFinite(wireLane(w[:], 11)*in[11])
+	p12, p13 := roundFinite(wireLane(w[:], 12)*in[12]), roundFinite(wireLane(w[:], 13)*in[13])
+	p14, p15 := roundFinite(wireLane(w[:], 14)*in[14]), roundFinite(wireLane(w[:], 15)*in[15])
+	s0, s1, s2, s3 := roundFinite(p0+p1), roundFinite(p2+p3), roundFinite(p4+p5), roundFinite(p6+p7)
+	s4, s5, s6, s7 := roundFinite(p8+p9), roundFinite(p10+p11), roundFinite(p12+p13), roundFinite(p14+p15)
+	t0, t1, t2, t3 := roundFinite(s0+s1), roundFinite(s2+s3), roundFinite(s4+s5), roundFinite(s6+s7)
+	return roundFinite(roundFinite(t0+t1) + roundFinite(t2+t3))
 }
 
 // WidenInto widens a bf16 vector into float32 lanes, the exact value

@@ -46,8 +46,9 @@ type Controller struct {
 	// metrics and spans after each RunMVM; nil costs one pointer check.
 	obs *hostObs
 	// events holds each channel's event-core executor, created lazily on
-	// the first event-mode run and reused across runs so the warm path
-	// allocates nothing (the executor carries the result memo).
+	// the first event-mode run or ISR compute row and reused across runs
+	// so the warm path allocates nothing (the executor carries the result
+	// memo).
 	events []*eventExec
 	// traffic, when AttachTraffic installed a conventional workload,
 	// holds the coexistence state: the workload, its reserved row
@@ -302,14 +303,15 @@ func (c *Controller) RunMVM(p *layout.Placement, v bf16.Vector) (*Result, error)
 	return res, nil
 }
 
-// chanIssuer is the per-channel command sink the schedule loops drive.
-// The loops encode WHAT Newton's controller issues (Algorithm 1 and its
-// ablation variants); the issuer decides HOW a command is simulated:
-// oracleIssuer steps every command through the full engine (timing +
-// functional datapath + observers), eventExec walks only the analytic
-// timing boundaries and drives the same engine state through the fused
-// column step and its memo. Both produce byte-identical outputs, cycles,
-// stats and command streams; the differential tests and FuzzEventCore
+// chanIssuer is the per-channel command sink the schedule loops and
+// the ISR frontend's compute rows drive. The loops encode WHAT Newton's
+// controller issues (Algorithm 1 and its ablation variants); the issuer
+// decides HOW a command is simulated: oracleIssuer steps every command
+// through the full engine (timing + functional datapath + observers),
+// eventExec walks only the analytic timing boundaries and drives the
+// same engine state through the fused column step and its memo. Both
+// produce byte-identical outputs, cycles, stats and command streams;
+// the differential tests, TestISREventMatchesOracle and FuzzEventCore
 // hold them to it.
 type chanIssuer interface {
 	// issue schedules cmd at its earliest legal cycle at or after the
@@ -329,8 +331,9 @@ type chanIssuer interface {
 // oracleIssuer is the stepping reference: every command goes through
 // aim.Engine.Issue with its functional datapath, observers and the
 // redundant timing re-check. It is the differential oracle behind
-// Options.Oracle, and the path the ISR hooks, the scrubbers and the
-// between-run traffic drain take on every controller.
+// Options.Oracle, which selects it for RunMVM and ISR compute rows, and
+// the path the other ISR hooks, the scrubbers and the between-run
+// traffic drain take on every controller.
 type oracleIssuer struct {
 	c  *Controller
 	ch int
@@ -546,11 +549,20 @@ func (c *Controller) activateRowOn(x chanIssuer, dramRow int) error {
 	return nil
 }
 
-// computeRow issues the compute commands for one row on the stepping
-// path (the ISR frontend's entry point); computeRowOn is the
-// issuer-parameterized body shared with the event core.
+// computeRow issues the compute commands for one row, the ISR
+// frontend's entry point: on the event core unless Options.Oracle
+// selects the stepping engine, as runChannel does. computeRowOn is the
+// issuer-parameterized body shared with the schedule loops.
 func (c *Controller) computeRow(ch, slots, latch int) error {
-	return c.computeRowOn(oracleIssuer{c, ch}, slots, latch)
+	if c.opts.Oracle {
+		return c.computeRowOn(oracleIssuer{c, ch}, slots, latch)
+	}
+	x := c.eventFor(ch)
+	// The frontend's GWRITE, EWMUL/EWADD and COPY_BKGB rewrite buffer
+	// slots through the oracle path, which never invalidates the event
+	// core's widened input.
+	x.widSlot = -1
+	return c.computeRowOn(x, slots, latch)
 }
 
 // computeRowOn issues the compute commands consuming `slots` sub-chunks

@@ -11,8 +11,9 @@ import (
 )
 
 // This file is the event-driven simulator core. The schedule loops in
-// controller.go hand it the same command stream they hand the stepping
-// oracle; instead of stepping each command through aim.Engine.Issue, it
+// controller.go, and computeRow for the ISR frontend's compute rows,
+// hand it the same command stream they hand the stepping oracle;
+// instead of stepping each command through aim.Engine.Issue, it
 //
 //   - walks the clock analytically: every command issues at its
 //     EarliestIssue boundary via the channel's timed path (IssueTimed),
@@ -23,13 +24,13 @@ import (
 //     MAC units, pending BCAST/COLRD registers, global buffer — with
 //     COMP columns accumulated through the fused MACUnit.AccumulateColumn
 //     straight from the banks' open rows;
-//   - memoizes the per-READRES result frames per (channel, placement):
-//     a later run with the same input vector, bank contents and initial
-//     latch state replays recorded frames and skips the arithmetic,
-//     leaving only the timing walk and the drain horizons (results are
-//     value-independent of the clock, so the memo needs no timing key).
-//     Nothing else is carried across runs: every run walks its full
-//     command stream;
+//   - memoizes, within RunMVM only, the per-READRES result frames per
+//     (channel, placement): a later run with the same input vector,
+//     bank contents and initial latch state replays recorded frames and
+//     skips the arithmetic, leaving only the timing walk and the drain
+//     horizons (results are value-independent of the clock, so the memo
+//     needs no timing key). Nothing else is carried across runs: every
+//     run walks its full command stream;
 //   - reports every command, refreshes included, to the engine observer
 //     (the conformance checker under Verify), the channel observer and
 //     the Trace hook, exactly as the oracle does.

@@ -628,7 +628,7 @@ func BenchmarkMVMOracle(b *testing.B) {
 
 // TestEventCoreSpecialValues runs a vector salted with every bf16
 // special (NaNs with distinct payloads, infinities, signed zeros,
-// subnormals) so the fused kernel's both-NaN fallback is exercised
+// subnormals) so the fused kernel's NaN-sum fallback is exercised
 // end-to-end against the oracle's datapath ordering.
 func TestEventCoreSpecialValues(t *testing.T) {
 	cfg := testCfg()

@@ -10,9 +10,10 @@ import (
 // This file exports the narrow slice of the controller's scheduling
 // machinery that the ISR frontend (internal/isr) drives. The frontend
 // decodes SK hynix-style ISR instructions into the same per-channel
-// command streams the native run paths emit, so everything is routed
-// through issue(): conformance checking, the Trace hook, and the
-// refresh policy all keep working unchanged.
+// command streams the native run paths emit: compute rows go through
+// computeRow's issuer, everything else through issue(), so conformance
+// checking, the Trace hook, and the refresh policy all keep working
+// unchanged.
 
 // Channels returns the number of DRAM channels the controller owns.
 func (c *Controller) Channels() int { return len(c.engines) }
@@ -57,7 +58,8 @@ func (c *Controller) IssueActivate(ch, dramRow int) error {
 
 // IssueCompute issues the compute sequence consuming `slots` sub-chunks
 // of the open row in every bank of channel ch, accumulating into the
-// given result latch, expanded per the gang/complex flags.
+// given result latch, expanded per the gang/complex flags. It runs on
+// the event core unless Options.Oracle is set.
 func (c *Controller) IssueCompute(ch, slots, latch int) error {
 	return c.computeRow(ch, slots, latch)
 }

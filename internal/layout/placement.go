@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"newton/internal/bf16"
@@ -285,8 +286,9 @@ func (p *Placement) Load(channels []*dram.Channel) error {
 				img = make([]byte, rowBytes)
 				images[key] = img
 			}
-			span := p.m.Data[i*p.m.Cols+jLo : i*p.m.Cols+jHi]
-			copy(img, span.Bytes())
+			for k, n := range p.m.Data[i*p.m.Cols+jLo : i*p.m.Cols+jHi] {
+				binary.LittleEndian.PutUint16(img[2*k:], uint16(n))
+			}
 		}
 	}
 	for key, img := range images {

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"newton/internal/aim"
+	"newton/internal/bf16"
+	"newton/internal/dram"
 	"newton/internal/host"
 	"newton/internal/isr"
 )
@@ -270,6 +273,109 @@ func TestISRHelpersPinnedToNN(t *testing.T) {
 			if math.Float32bits(nf(x)) != math.Float32bits(af(x)) {
 				t.Fatalf("AFFunc(%v)(%v) = %v, Activation.Func gives %v", a, x, af(x), nf(x))
 			}
+		}
+	}
+}
+
+// traced is one command as a controller's Trace hook saw it.
+type traced struct {
+	ch      int
+	cmd     dram.Command
+	cycle   int64
+	results bf16.Vector
+}
+
+// TestISREventMatchesOracle holds ISR compute rows on the event core
+// byte-identical to the stepping oracle: for every model and option
+// set, three inferences on one controller must give the same output
+// bits, cycles, per-layer cycles, refreshes, DRAM stats and Trace
+// stream with Options.Oracle off and on. The one-column-I/O model
+// computes every row from buffer slot 0, which the frontend rewrites
+// between layers outside the event core.
+func TestISREventMatchesOracle(t *testing.T) {
+	narrow := Model{
+		Name: "narrow",
+		Layers: []Layer{
+			{Name: "relu", Rows: 16, Cols: 16, Act: ReLU},
+			{Name: "lin", Rows: 8, Cols: 16, Act: None},
+		},
+	}
+	optSets := []struct {
+		name  string
+		tweak func(*host.Options)
+	}{
+		{"newton", func(*host.Options) {}},
+		{"gang-off", func(o *host.Options) { o.GangedCompute = false }},
+		{"complex-off", func(o *host.Options) { o.ComplexCommands = false }},
+		{"both-off", func(o *host.Options) { o.GangedCompute, o.ComplexCommands = false, false }},
+	}
+	type run struct {
+		res   *DeviceRunResult
+		stats dram.Stats
+	}
+	drive := func(t *testing.T, opts host.Options, spec Model) ([]run, []traced) {
+		t.Helper()
+		c, err := host.NewController(executorConfig(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := PlaceModel(c, spec, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stream []traced
+		c.Trace = func(ch int, cmd dram.Command, cycle int64, res aim.Result) {
+			cmd.Data = append([]byte(nil), cmd.Data...)
+			stream = append(stream, traced{ch, cmd, cycle, append(bf16.Vector(nil), res.Results...)})
+		}
+		rng := rand.New(rand.NewSource(17))
+		var runs []run
+		for i := 0; i < 3; i++ {
+			input := make([]float32, spec.InputWidth())
+			for j := range input {
+				input[j] = rng.Float32()*2 - 1
+			}
+			res, err := RunOnDevice(c, pm, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, run{res, c.Stats()})
+		}
+		return runs, stream
+	}
+	for _, set := range optSets {
+		for _, spec := range []Model{exactModel(), smallModel(), narrow} {
+			t.Run(set.name+"/"+spec.Name, func(t *testing.T) {
+				opts := host.Newton()
+				set.tweak(&opts)
+				eruns, estream := drive(t, opts, spec)
+				opts.Oracle = true
+				oruns, ostream := drive(t, opts, spec)
+				for i, e := range eruns {
+					o := oruns[i]
+					for j := range o.res.Output {
+						if math.Float32bits(e.res.Output[j]) != math.Float32bits(o.res.Output[j]) {
+							t.Fatalf("run %d output %d: event %v, oracle %v", i, j, e.res.Output[j], o.res.Output[j])
+						}
+					}
+					if e.res.Cycles != o.res.Cycles || e.res.Refreshes != o.res.Refreshes ||
+						!reflect.DeepEqual(e.res.LayerCycles, o.res.LayerCycles) {
+						t.Errorf("run %d: event %d cycles %v per layer %d refreshes, oracle %d %v %d", i,
+							e.res.Cycles, e.res.LayerCycles, e.res.Refreshes, o.res.Cycles, o.res.LayerCycles, o.res.Refreshes)
+					}
+					if e.stats != o.stats {
+						t.Errorf("run %d stats differ:\nevent:  %+v\noracle: %+v", i, e.stats, o.stats)
+					}
+				}
+				if len(estream) != len(ostream) {
+					t.Errorf("event traced %d commands, oracle %d", len(estream), len(ostream))
+				}
+				for i := 0; i < len(estream) && i < len(ostream); i++ {
+					if !reflect.DeepEqual(estream[i], ostream[i]) {
+						t.Fatalf("traced command %d: event %+v, oracle %+v", i, estream[i], ostream[i])
+					}
+				}
+			})
 		}
 	}
 }
