@@ -32,7 +32,8 @@ type Engine struct {
 	// hasFilter valid bits.
 	pendingFilter []bf16.Vector
 	hasFilter     []bool
-	// filterScratch is per-bank decode space for the COMP fast path.
+	// filterScratch is per-bank decode space for COMP's reference
+	// arithmetic.
 	filterScratch []bf16.Vector
 	// resScratch is the READRES result buffer, reused across commands so
 	// the result read allocates nothing.
@@ -92,8 +93,8 @@ func (e *Engine) MAC(b int) *MACUnit { return e.macs[b] }
 func (e *Engine) SetLUT(l *LUT) { e.lut = l }
 
 // LUT returns the installed activation look-up table, nil when in-DRAM
-// activation is off. The host event core applies it at readout the way
-// Issue's READRES path does.
+// activation is off. The host's issuer applies it to memoized READRES
+// frames the way Apply's READRES does.
 func (e *Engine) LUT() *LUT { return e.lut }
 
 // SetObserver installs a passive command-stream tap (nil removes it).
@@ -104,7 +105,7 @@ func (e *Engine) LUT() *LUT { return e.lut }
 func (e *Engine) SetObserver(o dram.Observer) { e.obs = o }
 
 // Observer returns the installed command-stream tap, nil when none. The
-// host event core, which bypasses Issue, reports each command to it.
+// host's issuer, which bypasses Issue, reports each command to it.
 func (e *Engine) Observer() dram.Observer { return e.obs }
 
 // chCmd maps an AiM command to the channel-level command whose timing
@@ -116,7 +117,7 @@ func (e *Engine) chCmd(cmd dram.Command) dram.Command {
 }
 
 // ChannelCommand exposes the chCmd rewrite so callers that bypass Issue
-// (the host event core drives the channel's timed path directly) apply
+// (the host's issuer drives the channel's timed path directly) apply
 // the same ganged-COLRD mapping and therefore the same timing. It
 // rewrites cmd in place — callers that still need the AiM-level kind
 // and bank must save them first.
@@ -129,7 +130,7 @@ func (e *Engine) ChannelCommand(cmd *dram.Command) {
 
 // WaitsForDrain reports whether a command kind must wait for the
 // adder-tree pipelines to drain before issue (waitsForDrain, exported
-// for the host event core's scheduler).
+// for the host's issuer).
 func WaitsForDrain(k dram.Kind) bool { return waitsForDrain(k) }
 
 // EarliestIssue forwards to the channel's timing checker; AiM compute
@@ -177,9 +178,7 @@ func (e *Engine) BankSpan(bank int) (lo, hi int) {
 }
 
 // The three methods below are the datapath effects of the de-optimized
-// BCAST / COLRD / MAC sequence, without timing. Issue applies them after
-// the channel's checks, and the host event core after the channel's
-// timed walk, so both cores share one set of pending registers.
+// BCAST / COLRD / MAC sequence, without timing, as Apply runs them.
 
 // Broadcast latches global-buffer slot into the pending input register
 // (BCAST).
@@ -248,8 +247,11 @@ type Result struct {
 	Results bf16.Vector
 }
 
-// Issue executes cmd at the given cycle: the channel checks timing and
-// performs bank effects, then the engine applies compute semantics.
+// Issue executes cmd at the given cycle: the channel checks timing,
+// performs bank effects and moves RD/WR data, then Apply applies the
+// compute semantics. It is the stepping path trace replay and the
+// package tests drive; the host's issuer walks the channel's timed path
+// and calls Apply itself.
 func (e *Engine) Issue(cmd dram.Command, cycle int64) (Result, error) {
 	if waitsForDrain(cmd.Kind) {
 		// The host must have inserted the adder-tree drain delay.
@@ -262,37 +264,55 @@ func (e *Engine) Issue(cmd dram.Command, cycle int64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	out := Result{DataReady: res.DataReady, Data: res.Data}
+	out, err := e.Apply(cmd, cycle)
+	if err != nil {
+		return Result{}, err
+	}
+	out.DataReady, out.Data = res.DataReady, res.Data
+	if e.obs != nil {
+		e.obs.Observe(cmd, cycle)
+	}
+	return out, nil
+}
 
-	t := e.ch.Config().Timing
+// Apply applies cmd's datapath effect, issued at cycle, to the engine's
+// state: the global buffer, the MAC units and their latches, and the
+// pending BCAST/COLRD registers. The channel must already have accepted
+// cmd (so its bank and column are in range); Apply reads column
+// operands from the banks' open rows through ColumnView and does no
+// timing. COMP and COMP_BK run the reference arithmetic (DecodeInto,
+// then AccumulateLatch). Kinds without a datapath effect (activations,
+// precharges, refresh, and RD/WR, whose data the channel or the caller
+// moves) do nothing. The returned Result carries only Results, for
+// READRES and RD_AF.
+func (e *Engine) Apply(cmd dram.Command, cycle int64) (Result, error) {
+	var out Result
+	tmac := e.ch.Config().Timing.TMAC
 	switch cmd.Kind {
 	case dram.KindGWRITE:
 		if err := e.gbuf.WriteSlot(cmd.Col, cmd.Data); err != nil {
 			return Result{}, err
 		}
 
-	case dram.KindCOMP:
+	case dram.KindCOMP, dram.KindCOMPBank:
+		lo, hi := 0, len(e.macs)
+		if cmd.Kind == dram.KindCOMPBank {
+			lo, hi = cmd.Bank, cmd.Bank+1
+		}
 		input, err := e.gbuf.SubChunkView(cmd.Col)
 		if err != nil {
 			return Result{}, err
 		}
-		for b, m := range e.macs {
-			filter := e.filterScratch[b]
-			bf16.DecodeInto(filter, res.BankData[b])
-			if err := m.AccumulateLatch(cmd.Latch, filter, input, cycle, t.TMAC); err != nil {
+		for b := lo; b < hi; b++ {
+			wire, err := e.ch.Bank(b).ColumnView(cmd.Col)
+			if err != nil {
 				return Result{}, err
 			}
-		}
-
-	case dram.KindCOMPBank:
-		input, err := e.gbuf.SubChunkView(cmd.Col)
-		if err != nil {
-			return Result{}, err
-		}
-		filter := e.filterScratch[cmd.Bank]
-		bf16.DecodeInto(filter, res.BankData[cmd.Bank])
-		if err := e.macs[cmd.Bank].AccumulateLatch(cmd.Latch, filter, input, cycle, t.TMAC); err != nil {
-			return Result{}, err
+			filter := e.filterScratch[b]
+			bf16.DecodeInto(filter, wire)
+			if err := e.macs[b].AccumulateLatch(cmd.Latch, filter, input, cycle, tmac); err != nil {
+				return Result{}, err
+			}
 		}
 
 	case dram.KindBCAST:
@@ -310,29 +330,24 @@ func (e *Engine) Issue(cmd dram.Command, cycle int64) (Result, error) {
 			return Result{}, err
 		}
 
-	case dram.KindREADRES:
+	case dram.KindREADRES, dram.KindRDAF:
 		// Results points at the engine's reused scratch: it is valid until
-		// this engine's next Issue, and every caller consumes (or copies)
-		// it immediately, so the result read allocates nothing.
+		// this engine's next result read, and every caller consumes (or
+		// copies) it immediately, so the result read allocates nothing.
 		for b, m := range e.macs {
 			e.resScratch[b] = m.ResultLatch(cmd.Latch)
 			m.ResetLatch(cmd.Latch)
 		}
-		if e.lut != nil {
-			e.lut.ApplyInPlace(e.resScratch)
+		// READRES goes through the installed LUT; RD_AF through the
+		// activation-function table its command selects: the per-channel
+		// LUT sits between the latches and the bus, so results leave the
+		// device already activated. AFNone passes through (the channel
+		// has validated the selector).
+		lut := e.lut
+		if cmd.Kind == dram.KindRDAF {
+			lut = StandardLUT(cmd.AF)
 		}
-		out.Results = e.resScratch
-
-	case dram.KindRDAF:
-		// READRES through the activation-function table selected by the
-		// command: the per-channel LUT sits between the latches and the
-		// bus, so results leave the device already activated. AFNone
-		// passes through (the channel has validated the selector).
-		for b, m := range e.macs {
-			e.resScratch[b] = m.ResultLatch(cmd.Latch)
-			m.ResetLatch(cmd.Latch)
-		}
-		if lut := StandardLUT(cmd.AF); lut != nil {
+		if lut != nil {
 			lut.ApplyInPlace(e.resScratch)
 		}
 		out.Results = e.resScratch
@@ -353,11 +368,15 @@ func (e *Engine) Issue(cmd dram.Command, cycle int64) (Result, error) {
 		}
 
 	case dram.KindCOPYBKGB:
-		// res.Data views the bank's open row; land it in the buffer slot.
-		if err := e.gbuf.WriteSlot(cmd.Slot, res.Data); err != nil {
+		// A column read that lands in the buffer slot; nothing crosses
+		// the bus.
+		wire, err := e.ch.Bank(cmd.Bank).ColumnView(cmd.Col)
+		if err != nil {
 			return Result{}, err
 		}
-		out.Data = nil // consumed internally; nothing crosses the bus
+		if err := e.gbuf.WriteSlot(cmd.Slot, wire); err != nil {
+			return Result{}, err
+		}
 
 	case dram.KindCOPYGBBK:
 		// The channel performed the timing/state transition; store the
@@ -368,9 +387,6 @@ func (e *Engine) Issue(cmd dram.Command, cycle int64) (Result, error) {
 		if err := e.ch.Bank(cmd.Bank).WriteColumn(cmd.Col, e.wireScratch); err != nil {
 			return Result{}, err
 		}
-	}
-	if e.obs != nil {
-		e.obs.Observe(cmd, cycle)
 	}
 	return out, nil
 }

@@ -41,11 +41,12 @@ import (
 )
 
 // Backend models one device's virtual-time cost: the service time of a
-// k-way batch of one model. It is the same shape as internal/serve's
-// Backend, so the calibrated table backends measured on the live
-// simulator satisfy it structurally; implementations must be
-// deterministic and read-only during a run (the router may consult one
-// backend for many devices).
+// k-way batch of one model. It is the serving layers' one cost-model
+// interface (internal/serve's Backend is an alias of it), so the
+// calibrated table backends measured on the live simulator price both
+// shards and fleet devices; implementations must be deterministic and
+// read-only during a run (the router may consult one backend for many
+// devices).
 type Backend interface {
 	// Name labels the backend in reports ("newton", "gpu", ...).
 	Name() string

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -138,14 +139,29 @@ func (b *Bank) ReadColumn(col int) ([]byte, error) {
 // callers must not write through it (a write would bypass the Version
 // counter and poison content-keyed caches).
 func (b *Bank) ColumnView(col int) ([]byte, error) {
-	if b.state != BankActive {
-		return nil, fmt.Errorf("dram: read from bank with no open row")
-	}
-	if col < 0 || col >= b.geo.Cols {
-		return nil, fmt.Errorf("dram: column %d out of range [0,%d)", col, b.geo.Cols)
+	// The legality test is inline, so the compute stream's per-column
+	// reads make no second call.
+	if b.state != BankActive || col < 0 || col >= b.geo.Cols {
+		return nil, b.columnErr(col, false)
 	}
 	cb := b.geo.ColBytes()
 	return b.openData()[col*cb : (col+1)*cb], nil
+}
+
+// columnErr reports why column col of the open row cannot be read (or,
+// with write, written), nil when it can: the bank state first, then the
+// column range. The channel's transition checks commands with it.
+func (b *Bank) columnErr(col int, write bool) error {
+	if b.state != BankActive {
+		if write {
+			return errors.New("dram: write to bank with no open row")
+		}
+		return errors.New("dram: read from bank with no open row")
+	}
+	if col < 0 || col >= b.geo.Cols {
+		return fmt.Errorf("dram: column %d out of range [0,%d)", col, b.geo.Cols)
+	}
+	return nil
 }
 
 // openData returns the open row's storage. Row storage is never
@@ -160,11 +176,8 @@ func (b *Bank) openData() []byte {
 
 // WriteColumn stores data into column I/O col of the open row.
 func (b *Bank) WriteColumn(col int, data []byte) error {
-	if b.state != BankActive {
-		return fmt.Errorf("dram: write to bank with no open row")
-	}
-	if col < 0 || col >= b.geo.Cols {
-		return fmt.Errorf("dram: column %d out of range [0,%d)", col, b.geo.Cols)
+	if err := b.columnErr(col, true); err != nil {
+		return err
 	}
 	cb := b.geo.ColBytes()
 	if len(data) != cb {

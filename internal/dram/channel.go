@@ -46,10 +46,6 @@ type Channel struct {
 	// sliding-window check.
 	actWindow []int64
 
-	// compScratch backs IssueResult.BankData for compute commands, so
-	// the COMP fast path allocates nothing per command.
-	compScratch [][]byte
-
 	stats Stats
 }
 
@@ -59,13 +55,12 @@ func NewChannel(cfg Config) (*Channel, error) {
 		return nil, err
 	}
 	ch := &Channel{
-		cfg:         cfg,
-		banks:       make([]*Bank, cfg.Geometry.Banks),
-		lastRowCmd:  -cfg.Timing.CmdSlot,
-		lastColCmd:  -cfg.Timing.CmdSlot,
-		lastActCmd:  -cfg.Timing.TRRD,
-		actWindow:   make([]int64, 0, 4),
-		compScratch: make([][]byte, cfg.Geometry.Banks),
+		cfg:        cfg,
+		banks:      make([]*Bank, cfg.Geometry.Banks),
+		lastRowCmd: -cfg.Timing.CmdSlot,
+		lastColCmd: -cfg.Timing.CmdSlot,
+		lastActCmd: -cfg.Timing.TRRD,
+		actWindow:  make([]int64, 0, 4),
 	}
 	for i := range ch.banks {
 		ch.banks[i] = newBank(cfg.Geometry)
@@ -102,13 +97,10 @@ type IssueResult struct {
 	// been consumed by the multipliers. Zero for commands with no
 	// returned data.
 	DataReady int64
-	// Data is the column I/O returned by RD.
+	// Data is a copy of the column I/O returned by RD. Compute and copy
+	// commands read their columns in the aim package, which owns their
+	// datapath.
 	Data []byte
-	// BankData holds, for COMP, the filter sub-chunk read in every bank
-	// (index = bank), and for COMP_BK/COLRD a single entry at the
-	// addressed bank's index. It views channel-internal storage: it is
-	// valid only until the next Issue call and must not be written.
-	BankData [][]byte
 }
 
 // banksInCluster returns the bank index range [lo, hi) of a G_ACT cluster.
@@ -154,7 +146,15 @@ func (ch *Channel) recordActivations(c int64, k int) {
 // EarliestIssue returns the first cycle >= from at which cmd would be
 // legal on this channel, considering only timing (not row-state errors,
 // which are reported by Issue).
-func (ch *Channel) EarliestIssue(cmd Command, from int64) int64 {
+func (ch *Channel) EarliestIssue(cmd Command, from int64) int64 { return ch.bound(&cmd, from) }
+
+// bound is the channel's one set of timing rules: the first cycle >=
+// from at which cmd meets every bus, bank, tRRD, tFAW and tCCD
+// constraint. It reads the channel state and never changes it; Issue,
+// IssueTimed and EarliestIssue all take their issue cycle from it. cmd
+// is taken by pointer to keep the 80-byte Command off the per-command
+// copy path; it is never mutated or retained.
+func (ch *Channel) bound(cmd *Command, from int64) int64 {
 	t := &ch.cfg.Timing
 	earliest := from
 	if e := *ch.busOf(cmd.Kind) + t.CmdSlot; e > earliest {
@@ -242,20 +242,27 @@ func (ch *Channel) bankOrNil(i int) *Bank {
 // Issue applies cmd at the given cycle. It returns an *Error if the cycle
 // violates a timing constraint or the command is illegal in the current
 // bank state. On success the channel state, functional data, and stats
-// are updated and the command's effects are reported.
+// are updated and the command's effects are reported: RD returns a copy
+// of its column and WR stores its payload. Compute and copy commands
+// move no data here; the aim package reads and writes their columns.
 func (ch *Channel) Issue(cmd Command, cycle int64) (IssueResult, error) {
-	if earliest := ch.EarliestIssue(cmd, cycle); earliest > cycle {
+	if earliest := ch.bound(&cmd, cycle); earliest > cycle {
 		return IssueResult{}, &Error{Cmd: cmd, Cycle: cycle, Earliest: earliest,
 			Reason: "timing constraint violated"}
 	}
-	res, err := ch.apply(cmd, cycle)
+	ready, err := ch.transition(&cmd, cycle)
 	if err != nil {
 		return IssueResult{}, err
 	}
-	*ch.busOf(cmd.Kind) = cycle
-	ch.stats.record(&cmd, cycle, &ch.cfg)
-	if res.DataReady > ch.stats.LastDataCycle {
-		ch.stats.LastDataCycle = res.DataReady
+	res := IssueResult{DataReady: ready}
+	switch cmd.Kind {
+	case KindRD:
+		res.Data, err = ch.banks[cmd.Bank].ReadColumn(cmd.Col)
+	case KindWR:
+		err = ch.banks[cmd.Bank].WriteColumn(cmd.Col, cmd.Data)
+	}
+	if err != nil {
+		return IssueResult{}, err
 	}
 	if ch.obs != nil {
 		ch.obs.Observe(cmd, cycle)
@@ -263,12 +270,37 @@ func (ch *Channel) Issue(cmd Command, cycle int64) (IssueResult, error) {
 	return res, nil
 }
 
-// apply performs the state transition for a timing-legal command.
-func (ch *Channel) apply(cmd Command, cycle int64) (IssueResult, error) {
-	t := &ch.cfg.Timing
-	fail := func(reason string) (IssueResult, error) {
-		return IssueResult{}, &Error{Cmd: cmd, Cycle: cycle, Reason: reason}
+// IssueTimed issues cmd at its earliest legal cycle at or after from —
+// bound, then transition, then the observer — and moves no data: the
+// caller reads and writes the columns its commands touch (the host's
+// issuer reads open-row views and skips them on a memo replay).
+// It returns the issue cycle and the command's DataReady cycle (zero for
+// commands that return no data). cmd is taken by pointer, like bound's.
+func (ch *Channel) IssueTimed(cmd *Command, from int64) (int64, int64, error) {
+	at := ch.bound(cmd, from)
+	ready, err := ch.transition(cmd, at)
+	if err != nil {
+		return 0, 0, err
 	}
+	if ch.obs != nil {
+		ch.obs.Observe(*cmd, at)
+	}
+	return at, ready, nil
+}
+
+// transition applies a timing-legal cmd at cycle at: the channel's one
+// state machine. Each kind checks its legality first — bank range, bank
+// state, row range, cluster range, every bank open for COMP, column
+// range, then the WR and WR_BIAS payload lengths and the RD_AF selector
+// — and only then changes the bank horizons, activation window, bus
+// slot and stats, so a failed command changes nothing. It returns the
+// command's DataReady cycle (zero when it returns no data).
+func (ch *Channel) transition(cmd *Command, at int64) (int64, error) {
+	t := &ch.cfg.Timing
+	fail := func(reason string) (int64, error) {
+		return 0, &Error{Cmd: *cmd, Cycle: at, Reason: reason}
+	}
+	var ready int64
 	switch cmd.Kind {
 	case KindACT:
 		b := ch.bankOrNil(cmd.Bank)
@@ -281,10 +313,9 @@ func (ch *Channel) apply(cmd Command, cycle int64) (IssueResult, error) {
 		if cmd.Row < 0 || cmd.Row >= ch.cfg.Geometry.Rows {
 			return fail("row out of range")
 		}
-		b.activate(cmd.Row, cycle, t)
-		ch.lastActCmd = cycle
-		ch.recordActivations(cycle, 1)
-		return IssueResult{}, nil
+		b.activate(cmd.Row, at, t)
+		ch.lastActCmd = at
+		ch.recordActivations(at, 1)
 
 	case KindGACT:
 		lo, hi, err := ch.banksInCluster(cmd.Cluster)
@@ -300,50 +331,22 @@ func (ch *Channel) apply(cmd Command, cycle int64) (IssueResult, error) {
 			}
 		}
 		for i := lo; i < hi; i++ {
-			ch.banks[i].activate(cmd.Row, cycle, t)
+			ch.banks[i].activate(cmd.Row, at, t)
 		}
-		ch.lastActCmd = cycle
-		ch.recordActivations(cycle, hi-lo)
-		return IssueResult{}, nil
+		ch.lastActCmd = at
+		ch.recordActivations(at, hi-lo)
 
 	case KindPRE:
 		b := ch.bankOrNil(cmd.Bank)
 		if b == nil {
 			return fail("bank out of range")
 		}
-		b.precharge(cycle, t) // precharging an idle bank is a harmless NOP
-		return IssueResult{}, nil
+		b.precharge(at, t) // precharging an idle bank is a harmless NOP
 
 	case KindPREA:
 		for _, b := range ch.banks {
-			b.precharge(cycle, t)
+			b.precharge(at, t)
 		}
-		return IssueResult{}, nil
-
-	case KindRD:
-		b := ch.bankOrNil(cmd.Bank)
-		if b == nil {
-			return fail("bank out of range")
-		}
-		data, err := b.ReadColumn(cmd.Col)
-		if err != nil {
-			return fail(err.Error())
-		}
-		b.columnAccess(cycle, t, false)
-		ch.nextCol = cycle + t.TCCD
-		return IssueResult{DataReady: cycle + t.TAA, Data: data}, nil
-
-	case KindWR:
-		b := ch.bankOrNil(cmd.Bank)
-		if b == nil {
-			return fail("bank out of range")
-		}
-		if err := b.WriteColumn(cmd.Col, cmd.Data); err != nil {
-			return fail(err.Error())
-		}
-		b.columnAccess(cycle, t, true)
-		ch.nextCol = cycle + t.TCCD
-		return IssueResult{}, nil
 
 	case KindREF:
 		for i, b := range ch.banks {
@@ -352,51 +355,52 @@ func (ch *Channel) apply(cmd Command, cycle int64) (IssueResult, error) {
 			}
 		}
 		for _, b := range ch.banks {
-			b.nextACT = cycle + t.TRFC
+			b.nextACT = at + t.TRFC
 		}
-		return IssueResult{}, nil
 
 	case KindCOMP:
 		// Ganged column access in every bank; all banks must have an open
-		// row holding the filter sub-chunks at cmd.Col. BankData views
-		// the banks' storage directly and is valid until the next Issue.
+		// row holding the filter sub-chunks at cmd.Col.
 		for i, b := range ch.banks {
 			if b.state != BankActive {
 				return fail(fmt.Sprintf("COMP with bank %d closed", i))
 			}
 		}
-		for i, b := range ch.banks {
-			d, err := b.ColumnView(cmd.Col)
-			if err != nil {
-				return fail(err.Error())
-			}
-			ch.compScratch[i] = d
-			b.columnAccess(cycle, t, false)
+		if err := ch.banks[0].columnErr(cmd.Col, false); err != nil {
+			return fail(err.Error())
 		}
-		ch.nextCol = cycle + t.TCCD
-		return IssueResult{DataReady: cycle + t.TCCD, BankData: ch.compScratch}, nil
+		for _, b := range ch.banks {
+			b.columnAccess(at, t, false)
+		}
+		ch.nextCol = at + t.TCCD
+		ready = at + t.TCCD
 
-	case KindCOMPBank, KindCOLRD:
+	case KindRD, KindWR, KindCOMPBank, KindCOLRD, KindCOPYBKGB, KindCOPYGBBK:
+		// One bank's column access. COPY_BKGB is a read whose data lands
+		// in the global buffer, COPY_GBBK a write sourced from it.
 		b := ch.bankOrNil(cmd.Bank)
 		if b == nil {
 			return fail("bank out of range")
 		}
-		d, err := b.ColumnView(cmd.Col)
-		if err != nil {
+		write := cmd.Kind == KindWR || cmd.Kind == KindCOPYGBBK
+		if err := b.columnErr(cmd.Col, write); err != nil {
 			return fail(err.Error())
 		}
-		b.columnAccess(cycle, t, false)
-		ch.nextCol = cycle + t.TCCD
-		for i := range ch.compScratch {
-			ch.compScratch[i] = nil
+		if cb := ch.cfg.Geometry.ColBytes(); cmd.Kind == KindWR && len(cmd.Data) != cb {
+			return fail(fmt.Sprintf("dram: write data is %d bytes, column I/O is %d", len(cmd.Data), cb))
 		}
-		ch.compScratch[cmd.Bank] = d
-		return IssueResult{DataReady: cycle + t.TCCD, BankData: ch.compScratch}, nil
+		b.columnAccess(at, t, write)
+		ch.nextCol = at + t.TCCD
+		switch cmd.Kind {
+		case KindRD, KindCOPYBKGB:
+			ready = at + t.TAA
+		case KindCOMPBank, KindCOLRD:
+			ready = at + t.TCCD
+		}
 
 	case KindMAC, KindBCAST, KindGWRITE, KindEWMUL, KindEWADD:
 		// Pure datapath commands: no bank state. The aim package applies
 		// their functional effects; here they only consume a command slot.
-		return IssueResult{}, nil
 
 	case KindWRBIAS:
 		// One bf16 lane per bank, written straight into the result
@@ -405,49 +409,23 @@ func (ch *Channel) apply(cmd Command, cycle int64) (IssueResult, error) {
 			return fail(fmt.Sprintf("WR_BIAS data is %d bytes, want 2 per bank (%d)",
 				len(cmd.Data), 2*len(ch.banks)))
 		}
-		return IssueResult{}, nil
 
 	case KindRDAF:
 		if cmd.AF < 0 || cmd.AF >= AFCount {
 			return fail(fmt.Sprintf("RD_AF selector %d out of range [0,%d)", cmd.AF, AFCount))
 		}
-		return IssueResult{DataReady: cycle + t.TAA}, nil
-
-	case KindCOPYBKGB:
-		// A column read whose data lands in the global buffer instead of
-		// crossing the external bus. Data views the bank's storage and is
-		// valid until the next Issue.
-		b := ch.bankOrNil(cmd.Bank)
-		if b == nil {
-			return fail("bank out of range")
-		}
-		d, err := b.ColumnView(cmd.Col)
-		if err != nil {
-			return fail(err.Error())
-		}
-		b.columnAccess(cycle, t, false)
-		ch.nextCol = cycle + t.TCCD
-		return IssueResult{DataReady: cycle + t.TAA, Data: d}, nil
-
-	case KindCOPYGBBK:
-		// A column write sourced from the global buffer; the aim engine
-		// stores the slot's bytes after the timing transition.
-		b := ch.bankOrNil(cmd.Bank)
-		if b == nil {
-			return fail("bank out of range")
-		}
-		if b.state != BankActive {
-			return fail("dram: write to bank with no open row")
-		}
-		if cmd.Col < 0 || cmd.Col >= ch.cfg.Geometry.Cols {
-			return fail(fmt.Sprintf("dram: column %d out of range [0,%d)", cmd.Col, ch.cfg.Geometry.Cols))
-		}
-		b.columnAccess(cycle, t, true)
-		ch.nextCol = cycle + t.TCCD
-		return IssueResult{}, nil
+		ready = at + t.TAA
 
 	case KindREADRES:
-		return IssueResult{DataReady: cycle + t.TAA}, nil
+		ready = at + t.TAA
+
+	default:
+		return fail("unknown command kind")
 	}
-	return fail("unknown command kind")
+	*ch.busOf(cmd.Kind) = at
+	ch.stats.record(cmd, at, &ch.cfg)
+	if ready > ch.stats.LastDataCycle {
+		ch.stats.LastDataCycle = ready
+	}
+	return ready, nil
 }

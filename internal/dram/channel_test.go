@@ -2,7 +2,9 @@ package dram
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -250,28 +252,21 @@ func TestCOMPRequiresAllBanksOpen(t *testing.T) {
 func TestCOMPReadsAllBanks(t *testing.T) {
 	ch := newTestChannel(t)
 	g := ch.Config().Geometry
-	for b := 0; b < g.Banks; b++ {
-		img := make([]byte, g.RowBytes())
-		img[0] = byte(b + 1)
-		if err := ch.Bank(b).LoadRow(0, img); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for cl := 0; cl < g.Clusters(); cl++ {
 		mustIssue(t, ch, Command{Kind: KindGACT, Cluster: cl, Row: 0}, 0)
 	}
+	before := ch.Stats()
 	at := ch.EarliestIssue(Command{Kind: KindCOMP, Col: 0}, 0)
-	res, err := ch.Issue(Command{Kind: KindCOMP, Col: 0}, at)
-	if err != nil {
+	if _, err := ch.Issue(Command{Kind: KindCOMP, Col: 0}, at); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.BankData) != g.Banks {
-		t.Fatalf("BankData has %d entries, want %d", len(res.BankData), g.Banks)
-	}
-	for b := 0; b < g.Banks; b++ {
-		if res.BankData[b][0] != byte(b+1) {
-			t.Errorf("bank %d data = %d, want %d", b, res.BankData[b][0], b+1)
-		}
+	// The channel owns COMP's timing and accounting: one column read per
+	// bank, none crossing the external bus. The data each bank feeds its
+	// MAC unit is the aim package's (TestCOMPSequenceComputesDot).
+	d := ch.Stats().Diff(before)
+	if d.ColumnReads != int64(g.Banks) || d.InternalBytesRead != int64(g.Banks*g.ColBytes()) || d.BytesRead != 0 {
+		t.Errorf("COMP recorded %d column reads, %d internal and %d external bytes; want %d, %d and 0",
+			d.ColumnReads, d.InternalBytesRead, d.BytesRead, g.Banks, g.Banks*g.ColBytes())
 	}
 }
 
@@ -404,5 +399,87 @@ func TestCommandStrings(t *testing.T) {
 		if got := c.cmd.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
+	}
+}
+
+// TestFailedCommandChangesNothing holds both issue paths to the one
+// state transition: for every reason transition rejects a command,
+// Issue (at the command's EarliestIssue cycle) and IssueTimed fail with
+// the same reason and leave the channel as they found it — its stats,
+// its open rows, and the earliest cycle of one probe command per kind.
+func TestFailedCommandChangesNothing(t *testing.T) {
+	g := testGeometry()
+	cb := g.ColBytes()
+	closed := g.BanksPerCluster // the first bank outside cluster 0
+	// open is how many clusters a row's channel has opened at row 1.
+	all := g.Clusters()
+	rows := []struct {
+		name   string
+		open   int
+		cmd    Command
+		reason string
+	}{
+		{"ACT bank range", 0, Command{Kind: KindACT, Bank: g.Banks}, "bank out of range"},
+		{"ACT open bank", 1, Command{Kind: KindACT, Bank: 2, Row: 3}, "bank 2 already has row 1 open"},
+		{"ACT row range", 0, Command{Kind: KindACT, Row: g.Rows}, "row out of range"},
+		{"G_ACT cluster range", 0, Command{Kind: KindGACT, Cluster: all}, fmt.Sprintf("cluster %d out of range [0,%d)", all, all)},
+		{"G_ACT row range", 0, Command{Kind: KindGACT, Cluster: 1, Row: -1}, "row out of range"},
+		{"G_ACT open bank", 1, Command{Kind: KindGACT, Row: 3}, "bank 0 already has row 1 open"},
+		{"PRE bank range", 1, Command{Kind: KindPRE, Bank: -1}, "bank out of range"},
+		{"REF open bank", 1, Command{Kind: KindREF}, "refresh with bank 0 open"},
+		{"COMP closed bank", 1, Command{Kind: KindCOMP}, fmt.Sprintf("COMP with bank %d closed", closed)},
+		{"COMP column range", all, Command{Kind: KindCOMP, Col: g.Cols}, fmt.Sprintf("dram: column %d out of range [0,%d)", g.Cols, g.Cols)},
+		{"RD closed bank", 1, Command{Kind: KindRD, Bank: closed}, "dram: read from bank with no open row"},
+		{"COPY_GBBK closed bank", 1, Command{Kind: KindCOPYGBBK, Bank: closed}, "dram: write to bank with no open row"},
+		{"COLRD column range", 1, Command{Kind: KindCOLRD, Col: -1}, fmt.Sprintf("dram: column -1 out of range [0,%d)", g.Cols)},
+		{"COPY_BKGB bank range", all, Command{Kind: KindCOPYBKGB, Bank: g.Banks}, "bank out of range"},
+		{"WR payload", 1, Command{Kind: KindWR, Data: make([]byte, cb-1)}, fmt.Sprintf("dram: write data is %d bytes, column I/O is %d", cb-1, cb)},
+		{"WR_BIAS payload", 0, Command{Kind: KindWRBIAS, Data: make([]byte, 3)}, fmt.Sprintf("WR_BIAS data is 3 bytes, want 2 per bank (%d)", 2*g.Banks)},
+		{"RD_AF selector", 0, Command{Kind: KindRDAF, AF: AFCount}, fmt.Sprintf("RD_AF selector %d out of range [0,%d)", AFCount, AFCount)},
+		{"unknown kind", 0, Command{Kind: KindInvalid}, "unknown command kind"},
+	}
+	probes := []Command{
+		{Kind: KindACT, Bank: g.Banks - 1}, {Kind: KindPRE}, {Kind: KindPREA},
+		{Kind: KindRD}, {Kind: KindWR}, {Kind: KindREF}, {Kind: KindGWRITE},
+		{Kind: KindGACT, Cluster: all - 1}, {Kind: KindCOMP}, {Kind: KindCOMPBank},
+		{Kind: KindBCAST}, {Kind: KindCOLRD}, {Kind: KindMAC}, {Kind: KindREADRES},
+		{Kind: KindWRBIAS}, {Kind: KindRDAF}, {Kind: KindEWMUL}, {Kind: KindEWADD},
+		{Kind: KindCOPYBKGB}, {Kind: KindCOPYGBBK},
+	}
+	snapshot := func(ch *Channel) (Stats, []int64) {
+		var state []int64
+		for _, p := range probes {
+			state = append(state, ch.EarliestIssue(p, 0))
+		}
+		for b := 0; b < g.Banks; b++ {
+			state = append(state, int64(ch.Bank(b).OpenRow()))
+		}
+		return ch.Stats(), state
+	}
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, path := range []string{"Issue", "IssueTimed"} {
+				ch := newTestChannel(t)
+				var at int64
+				for cl := 0; cl < tc.open; cl++ {
+					at = mustIssue(t, ch, Command{Kind: KindGACT, Cluster: cl, Row: 1}, at)
+				}
+				stats, state := snapshot(ch)
+				var err error
+				if path == "Issue" {
+					_, err = ch.Issue(tc.cmd, ch.EarliestIssue(tc.cmd, at))
+				} else {
+					cmd := tc.cmd
+					_, _, err = ch.IssueTimed(&cmd, at)
+				}
+				var derr *Error
+				if !errors.As(err, &derr) || derr.Reason != tc.reason {
+					t.Fatalf("%s: error %v, want reason %q", path, err, tc.reason)
+				}
+				if s, st := snapshot(ch); s != stats || !slices.Equal(st, state) {
+					t.Errorf("%s: the failed command changed the channel:\nstats %+v\nwant  %+v\nstate %v\nwant  %v", path, s, stats, st, state)
+				}
+			}
+		})
 	}
 }

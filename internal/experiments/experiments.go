@@ -45,10 +45,11 @@ type Config struct {
 	// checker (internal/conformance): any timing or protocol violation
 	// fails the experiment (newton-bench -verify).
 	Verify bool
-	// Oracle forces every Newton controller onto the stepping reference
-	// engine (host.Options.Oracle) instead of the event-driven core. The
-	// two are byte-identical across every figure; Oracle is the
-	// reference TestOracleKnobIdentity compares the figures against.
+	// Oracle puts every Newton controller in its issuer's reference
+	// mode (host.Options.Oracle: reference arithmetic, no memo, REF-by-
+	// REF refresh). The two modes are byte-identical across every
+	// figure; Oracle is the reference TestOracleKnobIdentity compares
+	// the figures against.
 	Oracle bool
 	// Serial forces every simulation and sweep onto the serial reference
 	// path: controllers simulate channels one at a time

@@ -45,10 +45,10 @@ type Controller struct {
 	// obs, when Observe attached a registry or tracer, publishes per-run
 	// metrics and spans after each RunMVM; nil costs one pointer check.
 	obs *hostObs
-	// events holds each channel's event-core executor, created lazily on
-	// the first event-mode run or ISR compute row and reused across runs
-	// so the warm path allocates nothing (the executor carries the result
-	// memo).
+	// events holds each channel's issuer (event.go), the one path every
+	// command takes, created lazily on the channel's first command and
+	// reused across runs so the warm path allocates nothing (the issuer
+	// carries the result memo).
 	events []*eventExec
 	// traffic, when AttachTraffic installed a conventional workload,
 	// holds the coexistence state: the workload, its reserved row
@@ -303,74 +303,10 @@ func (c *Controller) RunMVM(p *layout.Placement, v bf16.Vector) (*Result, error)
 	return res, nil
 }
 
-// chanIssuer is the per-channel command sink the schedule loops and
-// the ISR frontend's compute rows drive. The loops encode WHAT Newton's
-// controller issues (Algorithm 1 and its ablation variants); the issuer
-// decides HOW a command is simulated: oracleIssuer steps every command
-// through the full engine (timing + functional datapath + observers),
-// eventExec walks only the analytic timing boundaries and drives the
-// same engine state through the fused column step and its memo. Both
-// produce byte-identical outputs, cycles, stats and command streams;
-// the differential tests, TestISREventMatchesOracle and FuzzEventCore
-// hold them to it.
-type chanIssuer interface {
-	// issue schedules cmd at its earliest legal cycle at or after the
-	// channel clock and advances the clock to the issue cycle.
-	issue(cmd dram.Command) (aim.Result, error)
-	// earliest reports the earliest legal issue cycle without issuing.
-	earliest(cmd dram.Command) int64
-	// maybeRefresh applies the refresh policy before an operation
-	// estimated at est cycles.
-	maybeRefresh(est int64) error
-	// drainHorizon reports the latest adder-tree drain horizon over the
-	// channel's banks: the cycle from which a conventional access no
-	// longer overlaps an in-flight AiM macro-op.
-	drainHorizon() int64
-}
-
-// oracleIssuer is the stepping reference: every command goes through
-// aim.Engine.Issue with its functional datapath, observers and the
-// redundant timing re-check. It is the differential oracle behind
-// Options.Oracle, which selects it for RunMVM and ISR compute rows, and
-// the path the other ISR hooks, the scrubbers and the between-run
-// traffic drain take on every controller.
-type oracleIssuer struct {
-	c  *Controller
-	ch int
-}
-
-func (o oracleIssuer) issue(cmd dram.Command) (aim.Result, error) { return o.c.issue(o.ch, cmd) }
-
-func (o oracleIssuer) earliest(cmd dram.Command) int64 {
-	return o.c.engines[o.ch].EarliestIssue(cmd, o.c.now[o.ch])
-}
-
-func (o oracleIssuer) maybeRefresh(est int64) error { return o.c.maybeRefresh(o.ch, est) }
-
-func (o oracleIssuer) drainHorizon() int64 { return o.c.engines[o.ch].DrainHorizon() }
-
-// issue schedules cmd at its earliest legal cycle at or after the
-// channel's clock and advances the clock to the issue cycle. The host
-// issues commands in program order per channel, which is how a real
-// in-order AiM command queue behaves.
-func (c *Controller) issue(ch int, cmd dram.Command) (aim.Result, error) {
-	e := c.engines[ch]
-	at := e.EarliestIssue(cmd, c.now[ch])
-	r, err := e.Issue(cmd, at)
-	if err != nil {
-		return aim.Result{}, err
-	}
-	c.now[ch] = at
-	if err := c.tap(ch, cmd, at, r); err != nil {
-		return aim.Result{}, err
-	}
-	return r, nil
-}
-
-// tap finishes an issued command on either core, after the engine
-// observer has seen it: fail fast on a conformance violation — a
-// verified run stops at the first one rather than accumulating them
-// silently — then hand the command to the Trace hook.
+// tap finishes an issued command after the engine observer has seen
+// it: fail fast on a conformance violation — a verified run stops at
+// the first one rather than accumulating them silently — then hand the
+// command to the Trace hook.
 func (c *Controller) tap(ch int, cmd dram.Command, at int64, r aim.Result) error {
 	if c.verify != nil {
 		if verr := c.verify.Channel(ch).Err(); verr != nil {
@@ -379,43 +315,6 @@ func (c *Controller) tap(ch int, cmd dram.Command, at int64, r aim.Result) error
 	}
 	if c.Trace != nil {
 		c.Trace(ch, cmd, at, r)
-	}
-	return nil
-}
-
-// maybeRefresh implements the paper's refresh policy (§III-E): a Newton
-// operation must not be interrupted mid-row, so before starting one the
-// controller catches up on refreshes already due, and if the next refresh
-// would mature during the operation (estimated at est cycles) it waits
-// for the refresh to mature, refreshes, and only then starts the
-// operation. An operation longer than tREFI (possible for the
-// de-optimized variants) simply accrues postponed refreshes that are paid
-// back at the next boundary, as JEDEC refresh postponing allows. Banks
-// must be precharged, which is true at tile boundaries.
-func (c *Controller) maybeRefresh(ch int, est int64) error {
-	return c.maybeRefreshOn(oracleIssuer{c, ch}, ch, est)
-}
-
-// maybeRefreshOn is maybeRefresh's issuer-parameterized body, shared
-// with the event core.
-func (c *Controller) maybeRefreshOn(x chanIssuer, ch int, est int64) error {
-	ref := func() error {
-		if c.nextRefresh[ch] > c.now[ch] {
-			c.now[ch] = c.nextRefresh[ch]
-		}
-		if _, err := x.issue(dram.Command{Kind: dram.KindREF}); err != nil {
-			return err
-		}
-		c.nextRefresh[ch] += c.cfg.Timing.TREFI
-		return nil
-	}
-	for c.nextRefresh[ch] <= c.now[ch] {
-		if err := ref(); err != nil {
-			return err
-		}
-	}
-	if c.nextRefresh[ch] <= c.now[ch]+est {
-		return ref()
 	}
 	return nil
 }
@@ -429,7 +328,7 @@ func (c *Controller) colIOs(p *layout.Placement, chunk int) int {
 // loadGlobalBuffer GWRITEs the chunk's live slots into the channel's
 // global buffer, serialized before the activations as the paper's
 // controller does.
-func (c *Controller) loadGlobalBuffer(x chanIssuer, ri *runInput, chunk, slots int) error {
+func (c *Controller) loadGlobalBuffer(x *eventExec, ri *runInput, chunk, slots int) error {
 	for s := 0; s < slots; s++ {
 		if _, err := x.issue(dram.Command{Kind: dram.KindGWRITE, Col: s, Data: ri.slotData(chunk, s)}); err != nil {
 			return err
@@ -442,14 +341,14 @@ func (c *Controller) loadGlobalBuffer(x chanIssuer, ri *runInput, chunk, slots i
 // bank. With OverlapBufferLoad it interleaves the column-bus GWRITEs
 // with the row-bus activations, issuing whichever is legal earlier;
 // otherwise it serializes them, as the paper's controller does.
-func (c *Controller) loadBufferAndActivate(x chanIssuer, ch int, ri *runInput, chunk, slots, dramRow int) error {
+func (c *Controller) loadBufferAndActivate(x *eventExec, ri *runInput, chunk, slots, dramRow int) error {
 	if !c.opts.OverlapBufferLoad {
 		if err := c.loadGlobalBuffer(x, ri, chunk, slots); err != nil {
 			return err
 		}
-		return c.activateRowOn(x, dramRow)
+		return c.activateRow(x, dramRow)
 	}
-	return c.overlapLoadActivate(x, ch, ri, chunk, slots, dramRow)
+	return c.overlapLoadActivate(x, ri, chunk, slots, dramRow)
 }
 
 // overlapLoadActivate overlaps the global-buffer load (column-bus
@@ -459,7 +358,8 @@ func (c *Controller) loadBufferAndActivate(x chanIssuer, ch int, ri *runInput, c
 // treats activation overhead as exposed once per tile; the buffer load,
 // which this overlap hides under, is outside that model. Commands issue
 // in earliest-first order, activations winning ties.
-func (c *Controller) overlapLoadActivate(x chanIssuer, ch int, ri *runInput, chunk, slots, dramRow int) error {
+func (c *Controller) overlapLoadActivate(x *eventExec, ri *runInput, chunk, slots, dramRow int) error {
+	ch := x.ch
 	acts := c.actScratch[ch][:0]
 	if c.opts.GangedActivation {
 		for cl := 0; cl < c.cfg.Geometry.Clusters(); cl++ {
@@ -493,10 +393,10 @@ func (c *Controller) overlapLoadActivate(x chanIssuer, ch int, ri *runInput, chu
 		takeGW := len(acts) == 0
 		if !takeGW && slot < slots {
 			if gwAt < 0 {
-				gwAt = x.earliest(dram.Command{Kind: dram.KindGWRITE, Col: slot, Data: ri.slotData(chunk, slot)})
+				gwAt = x.e.EarliestIssue(dram.Command{Kind: dram.KindGWRITE, Col: slot, Data: ri.slotData(chunk, slot)}, c.now[ch])
 			}
 			if actAt < 0 {
-				actAt = x.earliest(acts[0])
+				actAt = x.e.EarliestIssue(acts[0], c.now[ch])
 			}
 			g, a := gwAt, actAt
 			if n := c.now[ch]; n > g {
@@ -524,15 +424,8 @@ func (c *Controller) overlapLoadActivate(x chanIssuer, ch int, ri *runInput, chu
 	return nil
 }
 
-// activateRow opens dramRow in every bank on the stepping path (the ISR
-// frontend's entry point); activateRowOn is the issuer-parameterized
-// body shared with the event core.
-func (c *Controller) activateRow(ch, dramRow int) error {
-	return c.activateRowOn(oracleIssuer{c, ch}, dramRow)
-}
-
-// activateRowOn opens dramRow in every bank, ganged or per bank.
-func (c *Controller) activateRowOn(x chanIssuer, dramRow int) error {
+// activateRow opens dramRow in every bank, ganged or per bank.
+func (c *Controller) activateRow(x *eventExec, dramRow int) error {
 	if c.opts.GangedActivation {
 		for cl := 0; cl < c.cfg.Geometry.Clusters(); cl++ {
 			if _, err := x.issue(dram.Command{Kind: dram.KindGACT, Cluster: cl, Row: dramRow}); err != nil {
@@ -549,26 +442,10 @@ func (c *Controller) activateRowOn(x chanIssuer, dramRow int) error {
 	return nil
 }
 
-// computeRow issues the compute commands for one row, the ISR
-// frontend's entry point: on the event core unless Options.Oracle
-// selects the stepping engine, as runChannel does. computeRowOn is the
-// issuer-parameterized body shared with the schedule loops.
-func (c *Controller) computeRow(ch, slots, latch int) error {
-	if c.opts.Oracle {
-		return c.computeRowOn(oracleIssuer{c, ch}, slots, latch)
-	}
-	x := c.eventFor(ch)
-	// The frontend's GWRITE, EWMUL/EWADD and COPY_BKGB rewrite buffer
-	// slots through the oracle path, which never invalidates the event
-	// core's widened input.
-	x.widSlot = -1
-	return c.computeRowOn(x, slots, latch)
-}
-
-// computeRowOn issues the compute commands consuming `slots` sub-chunks
+// computeRow issues the compute commands consuming `slots` sub-chunks
 // of the open row in every bank, accumulating into the given result
 // latch, expanded according to the gang/complex optimization flags.
-func (c *Controller) computeRowOn(x chanIssuer, slots, latch int) error {
+func (c *Controller) computeRow(x *eventExec, slots, latch int) error {
 	banks := c.cfg.Geometry.Banks
 	// x.issue is called directly with each command literal: a wrapping
 	// closure would add an 80-byte Command copy to every compute command.
@@ -646,48 +523,29 @@ func (c *Controller) estimateTile(slots int, withBufferLoad bool) int64 {
 // other channel writes them, so the channel goroutines never contend.
 //
 // The schedule — which commands, in which order — is decided here once;
-// the issuer decides how each command is simulated. The event core runs
-// unless Options.Oracle selects the stepping engine; Trace hooks,
-// conformance verification and command-stream observers see the same
-// stream from either.
+// the channel's issuer simulates each command.
 func (c *Controller) runChannel(ch int, p *layout.Placement, ri *runInput, v bf16.Vector, out []float32) (int64, error) {
-	var x chanIssuer
-	var ev *eventExec
-	if !c.opts.Oracle {
-		ev = c.eventFor(ch)
-		ev.begin(p, v)
-		x = ev
-	} else {
-		x = oracleIssuer{c, ch}
-	}
-	if c.traffic != nil {
-		// Arbitrate conventional traffic at the schedule's refresh
-		// boundaries, on whichever core runs the schedule.
-		x = mixIssuer{c: c, ch: ch, inner: x}
-	}
-	finish, err := c.runSchedule(x, ch, p, ri, out)
-	if ev != nil {
-		ev.finishRun(err == nil)
-	}
-	return finish, err
-}
-
-// runSchedule dispatches to the layout's schedule loop.
-func (c *Controller) runSchedule(x chanIssuer, ch int, p *layout.Placement, ri *runInput, out []float32) (int64, error) {
+	x := c.eventFor(ch)
+	x.begin(p, v)
+	var finish int64
+	var err error
 	switch {
 	case c.opts.Reuse:
-		return c.runChannelInterleaved(x, ch, p, ri, out)
+		finish, err = c.runChannelInterleaved(x, p, ri, out)
 	case c.opts.Latches() > 1:
-		return c.runChannelQuadLatch(x, ch, p, ri, out)
+		finish, err = c.runChannelQuadLatch(x, p, ri, out)
 	default:
-		return c.runChannelRowMajor(x, ch, p, ri, out)
+		finish, err = c.runChannelRowMajor(x, p, ri, out)
 	}
+	x.finishRun(err == nil)
+	return finish, err
 }
 
 // runChannelInterleaved is Algorithm 1: hold one input chunk in the
 // global buffer and sweep it down all the channel's tiles (column-major
 // tile traversal), reading one partial output element per bank per tile.
-func (c *Controller) runChannelInterleaved(x chanIssuer, ch int, p *layout.Placement, ri *runInput, out []float32) (int64, error) {
+func (c *Controller) runChannelInterleaved(x *eventExec, p *layout.Placement, ri *runInput, out []float32) (int64, error) {
+	ch := x.ch
 	ct := p.ChannelTiles(ch)
 	if ct == 0 {
 		return c.now[ch], nil
@@ -699,7 +557,7 @@ func (c *Controller) runChannelInterleaved(x chanIssuer, ch int, p *layout.Place
 			return 0, err
 		}
 		// The chunk's buffer load overlaps the first tile's activations.
-		if err := c.loadBufferAndActivate(x, ch, ri, chunk, slots, p.RowFor(ch, chunk, 0)); err != nil {
+		if err := c.loadBufferAndActivate(x, ri, chunk, slots, p.RowFor(ch, chunk, 0)); err != nil {
 			return 0, err
 		}
 		for lt := 0; lt < ct; lt++ {
@@ -709,11 +567,11 @@ func (c *Controller) runChannelInterleaved(x chanIssuer, ch int, p *layout.Place
 				if err := x.maybeRefresh(est); err != nil {
 					return 0, err
 				}
-				if err := c.activateRowOn(x, p.RowFor(ch, chunk, lt)); err != nil {
+				if err := c.activateRow(x, p.RowFor(ch, chunk, lt)); err != nil {
 					return 0, err
 				}
 			}
-			if err := c.computeRowOn(x, slots, 0); err != nil {
+			if err := c.computeRow(x, slots, 0); err != nil {
 				return 0, err
 			}
 			// Close the banks; the row-bus precharge overlaps with the
@@ -741,7 +599,8 @@ func (c *Controller) runChannelInterleaved(x chanIssuer, ch int, p *layout.Place
 // result latches per bank, so one global-buffer load is reused among L
 // matrix rows per bank instead of one. The paper found it buys almost
 // nothing over full-reuse Newton and costs latch area.
-func (c *Controller) runChannelQuadLatch(x chanIssuer, ch int, p *layout.Placement, ri *runInput, out []float32) (int64, error) {
+func (c *Controller) runChannelQuadLatch(x *eventExec, p *layout.Placement, ri *runInput, out []float32) (int64, error) {
+	ch := x.ch
 	ct := p.ChannelTiles(ch)
 	if ct == 0 {
 		return c.now[ch], nil
@@ -760,17 +619,17 @@ func (c *Controller) runChannelQuadLatch(x chanIssuer, ch int, p *layout.Placeme
 			}
 			// One input fetch serves `size` matrix rows per bank, with
 			// the first row's activations overlapped under the fetch.
-			if err := c.loadBufferAndActivate(x, ch, ri, chunk, slots, p.RowFor(ch, chunk, g*latches)); err != nil {
+			if err := c.loadBufferAndActivate(x, ri, chunk, slots, p.RowFor(ch, chunk, g*latches)); err != nil {
 				return 0, err
 			}
 			for r := 0; r < size; r++ {
 				lt := g*latches + r
 				if r > 0 {
-					if err := c.activateRowOn(x, p.RowFor(ch, chunk, lt)); err != nil {
+					if err := c.activateRow(x, p.RowFor(ch, chunk, lt)); err != nil {
 						return 0, err
 					}
 				}
-				if err := c.computeRowOn(x, slots, r); err != nil {
+				if err := c.computeRow(x, slots, r); err != nil {
 					return 0, err
 				}
 				if _, err := x.issue(dram.Command{Kind: dram.KindPREA}); err != nil {
@@ -799,7 +658,8 @@ func (c *Controller) runChannelQuadLatch(x chanIssuer, ch int, p *layout.Placeme
 // tile traversal accumulates a full matrix row per bank (one READRES per
 // tile instead of one per DRAM row) but must re-fetch the input chunk
 // into the global buffer for every tile.
-func (c *Controller) runChannelRowMajor(x chanIssuer, ch int, p *layout.Placement, ri *runInput, out []float32) (int64, error) {
+func (c *Controller) runChannelRowMajor(x *eventExec, p *layout.Placement, ri *runInput, out []float32) (int64, error) {
+	ch := x.ch
 	ct := p.ChannelTiles(ch)
 	if ct == 0 {
 		return c.now[ch], nil
@@ -813,10 +673,10 @@ func (c *Controller) runChannelRowMajor(x chanIssuer, ch int, p *layout.Placemen
 			// The input chunk is re-fetched for every tile - the traffic
 			// rise that makes this variant lose - with the activations
 			// overlapped under the re-fetch.
-			if err := c.loadBufferAndActivate(x, ch, ri, chunk, slots, p.RowFor(ch, chunk, lt)); err != nil {
+			if err := c.loadBufferAndActivate(x, ri, chunk, slots, p.RowFor(ch, chunk, lt)); err != nil {
 				return 0, err
 			}
-			if err := c.computeRowOn(x, slots, 0); err != nil {
+			if err := c.computeRow(x, slots, 0); err != nil {
 				return 0, err
 			}
 			if _, err := x.issue(dram.Command{Kind: dram.KindPREA}); err != nil {

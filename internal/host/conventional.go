@@ -51,15 +51,16 @@ func (c *Controller) AllocConventional(n int64) (*ConvRegion, error) {
 // accessBlock opens the block's row, runs fn against the open bank, and
 // precharges, all in program order on the channel's clock.
 func (c *Controller) accessBlock(loc addr.Location, base int,
-	fn func(ch int, cmd dram.Command) error) error {
+	fn func(x *eventExec, cmd dram.Command) error) error {
+	x := c.eventFor(loc.Channel)
 	row := base + loc.Row
-	if _, err := c.issue(loc.Channel, dram.Command{Kind: dram.KindACT, Bank: loc.Bank, Row: row}); err != nil {
+	if _, err := x.issue(dram.Command{Kind: dram.KindACT, Bank: loc.Bank, Row: row}); err != nil {
 		return err
 	}
-	if err := fn(loc.Channel, dram.Command{Bank: loc.Bank, Col: loc.Col}); err != nil {
+	if err := fn(x, dram.Command{Bank: loc.Bank, Col: loc.Col}); err != nil {
 		return err
 	}
-	_, err := c.issue(loc.Channel, dram.Command{Kind: dram.KindPRE, Bank: loc.Bank})
+	_, err := x.issue(dram.Command{Kind: dram.KindPRE, Bank: loc.Bank})
 	return err
 }
 
@@ -82,11 +83,11 @@ func (c *Controller) WriteConventional(r *ConvRegion, off int64, data []byte) er
 			n = len(data)
 		}
 		chunk := data[:n]
-		err = c.accessBlock(loc, r.baseRow, func(ch int, cmd dram.Command) error {
+		err = c.accessBlock(loc, r.baseRow, func(x *eventExec, cmd dram.Command) error {
 			payload := chunk
 			if n != int(blockBytes) {
 				// Partial block: merge with the current contents.
-				cur, err := c.issue(ch, dram.Command{Kind: dram.KindRD, Bank: cmd.Bank, Col: cmd.Col})
+				cur, err := x.issue(dram.Command{Kind: dram.KindRD, Bank: cmd.Bank, Col: cmd.Col})
 				if err != nil {
 					return err
 				}
@@ -95,7 +96,7 @@ func (c *Controller) WriteConventional(r *ConvRegion, off int64, data []byte) er
 				copy(merged[loc.Offset:], chunk)
 				payload = merged
 			}
-			_, err := c.issue(ch, dram.Command{Kind: dram.KindWR, Bank: cmd.Bank, Col: cmd.Col, Data: payload})
+			_, err := x.issue(dram.Command{Kind: dram.KindWR, Bank: cmd.Bank, Col: cmd.Col, Data: payload})
 			return err
 		})
 		if err != nil {
@@ -124,8 +125,8 @@ func (c *Controller) ReadConventional(r *ConvRegion, off int64, n int) ([]byte, 
 		if take > n {
 			take = n
 		}
-		err = c.accessBlock(loc, r.baseRow, func(ch int, cmd dram.Command) error {
-			res, err := c.issue(ch, dram.Command{Kind: dram.KindRD, Bank: cmd.Bank, Col: cmd.Col})
+		err = c.accessBlock(loc, r.baseRow, func(x *eventExec, cmd dram.Command) error {
+			res, err := x.issue(dram.Command{Kind: dram.KindRD, Bank: cmd.Bank, Col: cmd.Col})
 			if err != nil {
 				return err
 			}

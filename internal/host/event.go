@@ -10,20 +10,20 @@ import (
 	"newton/internal/layout"
 )
 
-// This file is the event-driven simulator core. The schedule loops in
-// controller.go, and computeRow for the ISR frontend's compute rows,
-// hand it the same command stream they hand the stepping oracle;
-// instead of stepping each command through aim.Engine.Issue, it
+// This file is the controller's one command issuer. The schedule loops
+// in controller.go, the ISR hooks, both scrubbers, conventional regions
+// and the traffic service decide WHAT Newton's controller issues; every
+// command they send goes through eventExec.issue, which
 //
 //   - walks the clock analytically: every command issues at its
-//     EarliestIssue boundary via the channel's timed path (IssueTimed),
-//     which applies timing transitions and stats without data movement,
-//     and refresh back-logs are caught up in one closed-form batch
-//     instead of a per-interval loop;
+//     earliest legal cycle through the channel's timed path
+//     (dram.Channel.IssueTimed: the channel's one set of timing rules,
+//     then its one state transition), and refresh back-logs are caught
+//     up in one closed-form batch instead of a per-interval loop;
 //   - applies each command's datapath effect to the engine's own state —
-//     MAC units, pending BCAST/COLRD registers, global buffer — with
-//     COMP columns accumulated through the fused MACUnit.AccumulateColumn
-//     straight from the banks' open rows;
+//     MAC units, pending BCAST/COLRD registers, global buffer — through
+//     aim.Engine.Apply, except that COMP columns accumulate through the
+//     fused MACUnit.AccumulateColumn straight from the banks' open rows;
 //   - memoizes, within RunMVM only, the per-READRES result frames per
 //     (channel, placement): a later run with the same input vector,
 //     bank contents and initial latch state replays recorded frames and
@@ -33,11 +33,16 @@ import (
 //     run walks its full command stream;
 //   - reports every command, refreshes included, to the engine observer
 //     (the conformance checker under Verify), the channel observer and
-//     the Trace hook, exactly as the oracle does.
+//     the Trace hook.
 //
-// Byte-identity with the oracle (outputs, cycles, stats, expositions,
-// command streams) is enforced by the differential tests in
-// event_test.go, the experiments differential test, and FuzzEventCore.
+// Options.Oracle selects the issuer's reference mode: the same timing
+// path with the reference arithmetic (Engine.Apply's DecodeInto then
+// AccumulateLatch), no memo, and refreshes issued REF by REF. The
+// differential tests in event_test.go, the experiments differential
+// test and FuzzEventCore hold the two modes byte-identical (outputs,
+// cycles, stats, expositions, command streams), so they isolate exactly
+// the fused kernel, the memo and the refresh batch. Timing itself has
+// one implementation, checked independently by internal/conformance.
 
 // memoRecord is one placement's memoized run: the key (input vector,
 // bank-content versions, initial latch state) and the recorded
@@ -51,17 +56,19 @@ type memoRecord struct {
 	frames  []bf16.Num
 }
 
-// eventExec is one channel's event-core executor. It implements
-// chanIssuer and persists on the Controller across runs, carrying the
-// memo and scratch state so warm runs allocate nothing. The datapath
-// state it drives is the engine's; the embedded oracleIssuer supplies
-// earliest and drainHorizon, which read it the same way on both cores.
+// eventExec is one channel's issuer. It persists on the Controller
+// across runs, carrying the memo and scratch state so warm runs
+// allocate nothing. The datapath state it drives is the engine's.
 type eventExec struct {
-	oracleIssuer
+	c       *Controller
+	ch      int
 	e       *aim.Engine
 	dch     *dram.Channel
 	banks   int
 	latches int
+	// ref is the reference mode (Options.Oracle): reference compute
+	// arithmetic, no memo, refreshes REF by REF.
+	ref bool
 
 	// widScratch holds the widened input sub-chunk for the slot widSlot
 	// (-1 = none), shared by all banks of a COMP and by the per-bank
@@ -72,7 +79,8 @@ type eventExec struct {
 	resScratch bf16.Vector
 	latchKey   []uint32 // memoValid's packed latch state
 
-	memo   map[*layout.Placement]*memoRecord
+	memo map[*layout.Placement]*memoRecord
+	// place is the placement RunMVM is running, nil outside a run.
 	place  *layout.Placement
 	rec    *memoRecord // recording (first run); nil when replaying
 	replay *memoRecord // replaying; nil when recording
@@ -82,7 +90,7 @@ type eventExec struct {
 	memoHits int64
 }
 
-// eventFor returns channel ch's executor, creating it on first use.
+// eventFor returns channel ch's issuer, creating it on first use.
 func (c *Controller) eventFor(ch int) *eventExec {
 	if x := c.events[ch]; x != nil {
 		return x
@@ -90,29 +98,35 @@ func (c *Controller) eventFor(ch int) *eventExec {
 	e := c.engines[ch]
 	g := c.cfg.Geometry
 	x := &eventExec{
-		oracleIssuer: oracleIssuer{c, ch},
-		e:            e,
-		dch:          e.Channel(),
-		banks:        g.Banks,
-		latches:      c.opts.Latches(),
-		widScratch:   make([]float32, g.ColBits/16),
-		widSlot:      -1,
-		resScratch:   make(bf16.Vector, g.Banks),
-		latchKey:     make([]uint32, 0, g.Banks*c.opts.Latches()),
-		memo:         make(map[*layout.Placement]*memoRecord),
+		c:          c,
+		ch:         ch,
+		e:          e,
+		dch:        e.Channel(),
+		banks:      g.Banks,
+		latches:    c.opts.Latches(),
+		ref:        c.opts.Oracle,
+		widScratch: make([]float32, g.ColBits/16),
+		widSlot:    -1,
+		resScratch: make(bf16.Vector, g.Banks),
+		latchKey:   make([]uint32, 0, g.Banks*c.opts.Latches()),
+		memo:       make(map[*layout.Placement]*memoRecord),
 	}
 	c.events[ch] = x
 	return x
 }
 
-// begin prepares the executor for one run: drop the widened-input cache
-// (oracle-path commands may have rewritten the global buffer since the
-// last run) and decide between replaying the placement's memo and
-// recording a fresh one.
+// begin prepares the issuer for one RunMVM: drop the widened-input
+// cache (code holding Controller.Engine may have written the global
+// buffer without going through the issuer) and, outside the reference
+// mode, decide between replaying the placement's memo and recording a
+// fresh one.
 func (x *eventExec) begin(p *layout.Placement, v bf16.Vector) {
 	x.widSlot = -1
 	x.place = p
 	x.frame = 0
+	if x.ref {
+		return
+	}
 	if rec := x.memo[p]; rec != nil && x.memoValid(rec, v) {
 		x.rec, x.replay = nil, rec
 		x.memoHits++
@@ -163,8 +177,9 @@ func (x *eventExec) packLatches(dst []uint32) []uint32 {
 	return dst
 }
 
-// finishRun installs the freshly recorded memo when the run succeeded.
-// A failed run leaves the engine at the failure point, like the oracle.
+// finishRun installs the freshly recorded memo when the run succeeded
+// and leaves the run. A failed run leaves the engine at the failure
+// point.
 func (x *eventExec) finishRun(ok bool) {
 	if ok && x.rec != nil {
 		x.memo[x.place] = x.rec
@@ -172,27 +187,21 @@ func (x *eventExec) finishRun(ok bool) {
 	x.rec, x.replay, x.place = nil, nil, nil
 }
 
-// issue executes one schedule command on the event core: jump the clock
-// to the command's maturity boundary, apply its timing through the
-// channel's timed path, apply its datapath effect to the engine
-// (skipping the arithmetic when a memo is replaying), and report it to
-// the taps. The timing walk passes cmd down by pointer — the
-// per-command copies of the 80-byte Command struct are the dominant
-// cost of a warm (memo-replaying) run otherwise — so the kind and bank
-// the datapath switch keys on are saved before the in-place chCmd
-// rewrite and restored for the taps.
+// issue schedules cmd at its earliest legal cycle at or after the
+// channel clock — in program order per channel, as a real in-order AiM
+// command queue behaves — and advances the clock to the issue cycle. It
+// applies the command's timing through the channel's timed path, then
+// its datapath effect: RD returns the open-row column view (valid until
+// the row's next write; callers that modify or keep it must copy), WR
+// stores, COMP and COMP_BK take the fused step outside the reference
+// mode, a memo replay skips the arithmetic, and every other kind goes
+// through Engine.Apply. Then it reports the command to the taps. The
+// timing walk takes cmd by pointer — the per-command copies of the
+// 80-byte Command struct are the dominant cost of a warm
+// (memo-replaying) run otherwise — so the kind and bank are saved
+// before the in-place chCmd rewrite and restored after it.
 func (x *eventExec) issue(cmd dram.Command) (aim.Result, error) {
 	kind, bank := cmd.Kind, cmd.Bank
-	switch kind {
-	case dram.KindGWRITE, dram.KindCOMP, dram.KindCOMPBank, dram.KindBCAST,
-		dram.KindCOLRD, dram.KindMAC, dram.KindREADRES,
-		dram.KindACT, dram.KindGACT, dram.KindPRE, dram.KindPREA, dram.KindREF,
-		dram.KindRD, dram.KindWR:
-	default:
-		// The MVM schedules never issue other kinds; anything else means
-		// a caller drove the event issuer outside its contract.
-		return aim.Result{}, fmt.Errorf("host: event core does not execute %v", kind)
-	}
 	from := x.c.now[x.ch]
 	if aim.WaitsForDrain(kind) {
 		if h := x.e.DrainHorizon(); h > from {
@@ -205,74 +214,44 @@ func (x *eventExec) issue(cmd dram.Command) (aim.Result, error) {
 		return aim.Result{}, err
 	}
 	x.c.now[x.ch] = at
-	out := aim.Result{DataReady: dataReady}
+	cmd.Kind, cmd.Bank = kind, bank
 
-	switch kind {
-	case dram.KindRD:
-		// Conventional read: the open-row column view, as the oracle's
-		// functional path returns (minus its copy, which the traffic
-		// service does not retain).
+	var out aim.Result
+	switch {
+	case kind == dram.KindRD:
 		out.Data, err = x.dch.Bank(bank).ColumnView(cmd.Col)
 
-	case dram.KindWR:
-		// Conventional write-through to the bank cell storage. The
-		// bank's version bump invalidates functional memos keyed on the
-		// old contents — conservative and correct.
+	case kind == dram.KindWR:
+		// The bank's version bump invalidates memos keyed on the old
+		// contents — conservative and correct.
 		err = x.dch.Bank(bank).WriteColumn(cmd.Col, cmd.Data)
 
-	case dram.KindGWRITE:
-		err = x.e.GlobalBuffer().WriteSlot(cmd.Col, cmd.Data)
-		if cmd.Col == x.widSlot {
-			x.widSlot = -1
-		}
-
-	case dram.KindCOMP:
+	case kind == dram.KindCOMP && !x.ref:
 		err = x.compute(0, x.banks, cmd.Col, cmd.Latch, at)
 
-	case dram.KindCOMPBank:
+	case kind == dram.KindCOMPBank && !x.ref:
 		err = x.compute(bank, bank+1, cmd.Col, cmd.Latch, at)
 
-	case dram.KindBCAST:
-		err = x.e.Broadcast(cmd.Col)
-
-	case dram.KindCOLRD:
-		err = x.e.ReadColumn(bank, cmd.Col)
-
-	case dram.KindMAC:
-		if x.replay == nil {
-			err = x.e.MultiplyAccumulate(bank, cmd.Latch, at)
-			break
-		}
+	case kind == dram.KindMAC && x.replay != nil:
 		lo, hi := x.e.BankSpan(bank)
 		for b := lo; b < hi; b++ {
 			x.e.MAC(b).Occupy(at, x.c.cfg.Timing.TMAC)
 		}
 
-	case dram.KindREADRES:
-		for b := 0; b < x.banks; b++ {
-			m := x.e.MAC(b)
-			x.resScratch[b] = m.ResultLatch(cmd.Latch)
-			m.ResetLatch(cmd.Latch)
+	case kind == dram.KindREADRES && (x.rec != nil || x.replay != nil):
+		out.Results, err = x.readMemo(cmd.Latch)
+
+	default:
+		out, err = x.e.Apply(cmd, at)
+		switch kind {
+		case dram.KindGWRITE, dram.KindEWMUL, dram.KindEWADD, dram.KindCOPYBKGB:
+			x.widSlot = -1 // the command rewrote a buffer slot
 		}
-		if x.replay == nil {
-			x.rec.frames = append(x.rec.frames, x.resScratch...)
-		} else {
-			lo := x.frame * x.banks
-			if lo+x.banks > len(x.replay.frames) {
-				return aim.Result{}, fmt.Errorf("host: event core: memo replay past its %d frames", len(x.replay.frames)/x.banks)
-			}
-			copy(x.resScratch, x.replay.frames[lo:lo+x.banks])
-			x.frame++
-		}
-		if l := x.e.LUT(); l != nil {
-			l.ApplyInPlace(x.resScratch)
-		}
-		out.Results = x.resScratch
 	}
 	if err != nil {
 		return aim.Result{}, err
 	}
-	cmd.Kind, cmd.Bank = kind, bank
+	out.DataReady = dataReady
 	if o := x.e.Observer(); o != nil {
 		o.Observe(cmd, at)
 	}
@@ -280,6 +259,31 @@ func (x *eventExec) issue(cmd dram.Command) (aim.Result, error) {
 		return aim.Result{}, err
 	}
 	return out, nil
+}
+
+// readMemo performs a READRES inside a memoized run: read and reset the
+// latches, then record the frame or, on a replay, substitute the
+// recorded one, and apply the installed LUT as Engine.Apply does.
+func (x *eventExec) readMemo(latch int) (bf16.Vector, error) {
+	for b := 0; b < x.banks; b++ {
+		m := x.e.MAC(b)
+		x.resScratch[b] = m.ResultLatch(latch)
+		m.ResetLatch(latch)
+	}
+	if x.replay == nil {
+		x.rec.frames = append(x.rec.frames, x.resScratch...)
+	} else {
+		lo := x.frame * x.banks
+		if lo+x.banks > len(x.replay.frames) {
+			return nil, fmt.Errorf("host: memo replay past its %d frames", len(x.replay.frames)/x.banks)
+		}
+		copy(x.resScratch, x.replay.frames[lo:lo+x.banks])
+		x.frame++
+	}
+	if l := x.e.LUT(); l != nil {
+		l.ApplyInPlace(x.resScratch)
+	}
+	return x.resScratch, nil
 }
 
 // compute applies one COMP/COMPBank column access to banks [lo, hi):
@@ -313,24 +317,45 @@ func (x *eventExec) compute(lo, hi, col, lt int, at int64) error {
 	return nil
 }
 
-// maybeRefresh is the event core's refresh policy: identical decisions
-// to Controller.maybeRefresh, with the catch-up loop replaced by a
-// closed form. In the oracle's loop the i-th catch-up refresh issues at
-// t_i = t1 + (i-1)*step with step = max(tRFC, CmdSlot) — each REF
-// overwrites every bank's nextACT to its own cycle + tRFC and occupies
-// a row-bus slot, so nothing else constrains the next one — and the
-// loop exits at the smallest k with nr0 + k*tREFI > t_k. Solving that
-// inequality gives k directly; the channel applies all k refreshes in
-// one O(banks) batch. While anything taps the command stream, and on a
-// degenerate preset (tREFI within one refresh's shadow, where the
-// oracle refreshes one per interval forever), the oracle's loop runs
-// instead, each REF through issue.
+// maybeRefresh runs before each operation estimated at est cycles.
+// Inside RunMVM it first serves arrived conventional traffic under the
+// QoS policy (the schedule's refresh boundaries are its precharged
+// points), then it applies the refresh policy.
 func (x *eventExec) maybeRefresh(est int64) error {
+	if x.place != nil {
+		if err := x.c.serviceHost(x, true); err != nil {
+			return err
+		}
+	}
+	return x.refresh(est)
+}
+
+// refresh implements the paper's refresh policy (§III-E): a Newton
+// operation must not be interrupted mid-row, so before starting one the
+// controller catches up on refreshes already due, and if the next
+// refresh would mature during the operation (estimated at est cycles)
+// it waits for the refresh to mature, refreshes, and only then starts
+// the operation. An operation longer than tREFI (possible for the
+// de-optimized variants) simply accrues postponed refreshes that are
+// paid back at the next boundary, as JEDEC refresh postponing allows.
+// Banks must be precharged, which is true at tile boundaries.
+//
+// The catch-up has a closed form. REF by REF, the i-th catch-up refresh
+// issues at t_i = t1 + (i-1)*step with step = max(tRFC, CmdSlot) —
+// each REF overwrites every bank's nextACT to its own cycle + tRFC and
+// occupies a row-bus slot, so nothing else constrains the next one —
+// and the loop exits at the smallest k with nr0 + k*tREFI > t_k.
+// Solving that inequality gives k directly; the channel applies all k
+// refreshes in one O(banks) batch. The reference mode, anything tapping
+// the command stream, and a degenerate preset (tREFI within one
+// refresh's shadow, where the loop refreshes one per interval forever)
+// take the loop instead, each REF through issue.
+func (x *eventExec) refresh(est int64) error {
 	c, ch := x.c, x.ch
 	t := c.cfg.Timing
 	step := x.dch.RefreshStep()
-	tapped := c.Trace != nil || x.e.Observer() != nil || x.dch.Observer() != nil
-	if c.nextRefresh[ch] <= c.now[ch] && !tapped && t.TREFI > step {
+	batch := !x.ref && c.Trace == nil && x.e.Observer() == nil && x.dch.Observer() == nil
+	if c.nextRefresh[ch] <= c.now[ch] && batch && t.TREFI > step {
 		first := x.dch.EarliestIssue(dram.Command{Kind: dram.KindREF}, c.now[ch])
 		var k int64 = 1
 		if a := first - c.nextRefresh[ch] - step; a >= 0 {
@@ -343,5 +368,23 @@ func (x *eventExec) maybeRefresh(est int64) error {
 		c.now[ch] = last
 		c.nextRefresh[ch] += k * t.TREFI
 	}
-	return c.maybeRefreshOn(x, ch, est)
+	ref := func() error {
+		if c.nextRefresh[ch] > c.now[ch] {
+			c.now[ch] = c.nextRefresh[ch]
+		}
+		if _, err := x.issue(dram.Command{Kind: dram.KindREF}); err != nil {
+			return err
+		}
+		c.nextRefresh[ch] += t.TREFI
+		return nil
+	}
+	for c.nextRefresh[ch] <= c.now[ch] {
+		if err := ref(); err != nil {
+			return err
+		}
+	}
+	if c.nextRefresh[ch] <= c.now[ch]+est {
+		return ref()
+	}
+	return nil
 }

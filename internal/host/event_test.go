@@ -342,9 +342,9 @@ func TestEventCoreObsExpositionMatchesOracle(t *testing.T) {
 }
 
 // TestEventModeGating pins that only Options.Oracle selects the
-// stepping oracle: under Verify, a Trace hook, or an engine or channel
-// observer, RunMVM still runs on the event core, and the taps see its
-// command stream.
+// issuer's reference mode: under Verify, a Trace hook, or an engine or
+// channel observer, RunMVM keeps the fused arithmetic, and the taps see
+// its command stream.
 func TestEventModeGating(t *testing.T) {
 	cfg := testCfg()
 	m := layout.RandomMatrix(32, 256, 3)
@@ -387,8 +387,10 @@ func TestEventModeGating(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ch, x := range c.events {
-			if (x != nil) != tc.event {
-				t.Errorf("%s: channel %d ran on the event core: %v, want %v", tc.name, ch, x != nil, tc.event)
+			if x == nil {
+				t.Errorf("%s: channel %d ran without an issuer", tc.name, ch)
+			} else if x.ref == tc.event {
+				t.Errorf("%s: channel %d used the reference arithmetic: %v, want %v", tc.name, ch, x.ref, !tc.event)
 			}
 		}
 		if tc.attach != nil && seen == 0 {
@@ -447,6 +449,138 @@ func TestEventCoreRefreshCatchUp(t *testing.T) {
 		}
 		if estats.Refreshes == 0 {
 			t.Fatalf("behind %d tREFI: no refreshes issued — catch-up not exercised", behind)
+		}
+	}
+}
+
+// TestIssuerSessionMatchesOracle holds the paths outside RunMVM to the
+// reference mode: both scrubbers, a conventional region's partial-block
+// write and read-back, the ISR refresh hook and the between-run traffic
+// drain. The default side runs unverified and untapped, so each path's
+// refresh catch-up after a long Advance takes the closed-form batch;
+// the reference side issues REF by REF under the conformance checker.
+// Clocks and stats after every step, the scrub reports, the read-back
+// bytes and every stored row must match.
+func TestIssuerSessionMatchesOracle(t *testing.T) {
+	cfg := testCfg()
+	trefi := cfg.Timing.TREFI
+	type step struct {
+		name   string
+		clocks []int64
+		stats  dram.Stats
+	}
+	type session struct {
+		steps    []step
+		reports  []ScrubReport
+		readBack []byte
+		rows     map[[3]int][]byte // (channel, bank, row) -> stored image
+	}
+	drive := func(opts Options) session {
+		s := session{rows: make(map[[3]int][]byte)}
+		c, err := NewController(cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mark := func(name string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			clocks := make([]int64, c.Channels())
+			for ch := range clocks {
+				clocks[ch] = c.ChannelNow(ch)
+			}
+			s.steps = append(s.steps, step{name, clocks, c.Stats()})
+		}
+		m := layout.RandomMatrix(64, 512, 81)
+		p, err := c.Place(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		channels := make([]*dram.Channel, c.Channels())
+		for ch := range channels {
+			channels[ch] = c.Engine(ch).Channel()
+		}
+		store, err := fault.NewStore(p, channels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.RunMVM(p, randomVector(m.Cols, 82))
+		c.Advance(5*trefi + 123)
+		mark("run", err)
+
+		mark("scrub", c.Scrub(p))
+
+		err = channels[1].Bank(3).MutateRow(p.RowFor(1, 0, 0), func(d []byte) { d[9] ^= 0x04 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.ScrubECC(p, store)
+		if err == nil && rep.Corrected != 1 {
+			t.Fatalf("ScrubECC corrected %d words, want the 1 flipped", rep.Corrected)
+		}
+		s.reports = append(s.reports, rep)
+		mark("scrub-ecc", err)
+
+		r, err := c.AllocConventional(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteConventional(r, 7, []byte("a partial block, read-modify-written")); err != nil {
+			t.Fatal(err)
+		}
+		s.readBack, err = c.ReadConventional(r, 0, 64)
+		mark("conventional", err)
+
+		c.Advance(7 * trefi)
+		for ch := 0; ch < c.Channels() && err == nil; ch++ {
+			err = c.CatchUpRefresh(ch, 0)
+		}
+		mark("catch-up", err)
+
+		if err := c.AttachTraffic(newTraffic(t, cfg, heavyTraffic())); err != nil {
+			t.Fatal(err)
+		}
+		c.Advance(3 * trefi)
+		mark("traffic", c.ServiceArrivedTraffic())
+
+		for ch, dch := range channels {
+			for b := 0; b < cfg.Geometry.Banks; b++ {
+				for _, row := range dch.Bank(b).StoredRowIDs() {
+					img, err := dch.Bank(b).PeekRow(row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.rows[[3]int{ch, b, row}] = img
+				}
+			}
+		}
+		if v := c.Conformance(); v != nil && len(v.Violations()) > 0 {
+			t.Fatalf("conformance violations: %v", v.Violations()[0])
+		}
+		return s
+	}
+	ev, or := drive(Newton()), drive(oracleOf(Newton()))
+	for i := range or.steps {
+		if !reflect.DeepEqual(ev.steps[i], or.steps[i]) {
+			t.Fatalf("after %s:\nevent:  %+v\noracle: %+v", or.steps[i].name, ev.steps[i], or.steps[i])
+		}
+	}
+	if last := or.steps[len(or.steps)-1]; last.stats.Refreshes < 15*int64(cfg.Geometry.Channels) {
+		t.Errorf("%d refreshes over a 15-tREFI session: the catch-up went unexercised", last.stats.Refreshes)
+	}
+	if !reflect.DeepEqual(ev.reports, or.reports) {
+		t.Errorf("scrub reports: event %+v, oracle %+v", ev.reports, or.reports)
+	}
+	if !bytes.Equal(ev.readBack, or.readBack) {
+		t.Errorf("conventional read-back: event %q, oracle %q", ev.readBack, or.readBack)
+	}
+	if len(ev.rows) != len(or.rows) {
+		t.Fatalf("%d stored rows on the event side, %d on the oracle's", len(ev.rows), len(or.rows))
+	}
+	for k, img := range or.rows {
+		if !bytes.Equal(ev.rows[k], img) {
+			t.Errorf("channel %d bank %d row %d differs", k[0], k[1], k[2])
 		}
 	}
 }

@@ -10,10 +10,11 @@ import (
 // This file exports the narrow slice of the controller's scheduling
 // machinery that the ISR frontend (internal/isr) drives. The frontend
 // decodes SK hynix-style ISR instructions into the same per-channel
-// command streams the native run paths emit: compute rows go through
-// computeRow's issuer, everything else through issue(), so conformance
+// command streams the native run paths emit, and every hook sends them
+// through the channel's one issuer (eventExec.issue), so conformance
 // checking, the Trace hook, and the refresh policy all keep working
-// unchanged.
+// unchanged. The memo is RunMVM's alone: outside a run, READRES reads
+// the latches through Engine.Apply.
 
 // Channels returns the number of DRAM channels the controller owns.
 func (c *Controller) Channels() int { return len(c.engines) }
@@ -31,14 +32,15 @@ func (c *Controller) WaitChannel(ch int, cycle int64) {
 }
 
 // IssueCommand schedules one command on channel ch at its earliest
-// legal cycle, through the same path as the native run loops (timing
-// check, conformance fail-fast, Trace hook). It returns the issue
-// cycle along with the command's result.
+// legal cycle, through the channel's issuer like the native run loops
+// (timing, datapath, conformance fail-fast, Trace hook). It returns the
+// issue cycle along with the command's result; an RD's Data views the
+// open row and must be copied before it is modified or kept.
 func (c *Controller) IssueCommand(ch int, cmd dram.Command) (aim.Result, int64, error) {
 	if ch < 0 || ch >= len(c.engines) {
 		return aim.Result{}, 0, fmt.Errorf("host: channel %d out of range [0,%d)", ch, len(c.engines))
 	}
-	r, err := c.issue(ch, cmd)
+	r, err := c.eventFor(ch).issue(cmd)
 	return r, c.now[ch], err
 }
 
@@ -47,21 +49,21 @@ func (c *Controller) IssueCommand(ch int, cmd dram.Command) (aim.Result, int64, 
 // already due, and refresh early if one would mature mid-operation.
 // Banks must be precharged, as at tile boundaries.
 func (c *Controller) CatchUpRefresh(ch int, est int64) error {
-	return c.maybeRefresh(ch, est)
+	return c.eventFor(ch).maybeRefresh(est)
 }
 
 // IssueActivate opens dramRow in every bank of channel ch, ganged or
 // per bank according to the controller's optimization flags.
 func (c *Controller) IssueActivate(ch, dramRow int) error {
-	return c.activateRow(ch, dramRow)
+	return c.activateRow(c.eventFor(ch), dramRow)
 }
 
 // IssueCompute issues the compute sequence consuming `slots` sub-chunks
 // of the open row in every bank of channel ch, accumulating into the
-// given result latch, expanded per the gang/complex flags. It runs on
-// the event core unless Options.Oracle is set.
+// given result latch, expanded per the gang/complex flags: the fused
+// compute step, or the reference arithmetic under Options.Oracle.
 func (c *Controller) IssueCompute(ch, slots, latch int) error {
-	return c.computeRow(ch, slots, latch)
+	return c.computeRow(c.eventFor(ch), slots, latch)
 }
 
 // TileEstimate upper-bounds a tile's duration for the refresh decision,

@@ -65,15 +65,16 @@ type Options struct {
 	// re-derives every constraint from the dram.Config on its own, so it
 	// catches scheduler bugs the channel's own checker would co-sign.
 	Verify bool
-	// Oracle selects the stepping reference engine for RunMVM and for
-	// the ISR frontend's compute rows: every command goes through
-	// aim.Engine.Issue's full per-command datapath (DecodeInto then
-	// AccumulateLatch) instead of the event-driven core. The two are
-	// byte-identical in outputs, cycles, stats, obs expositions and
-	// command streams; Oracle is the reference the differential tests
-	// and FuzzEventCore compare the event core against. The other ISR
-	// hooks, the scrubbers and DrainTraffic run on the stepping engine
-	// either way.
+	// Oracle selects the reference mode of the controller's one
+	// command issuer, for every command a Controller method sends:
+	// COMP and COMP_BK use the reference arithmetic (DecodeInto then
+	// AccumulateLatch) instead of the fused column step, RunMVM keeps
+	// no READRES memo, and refresh catch-up issues REF by REF instead
+	// of in one closed-form batch. Timing has one implementation either
+	// way. The two modes are byte-identical in outputs, cycles, stats,
+	// obs expositions and command streams; Oracle is the reference the
+	// differential tests and FuzzEventCore compare the default mode
+	// against.
 	Oracle bool
 	// QoS selects how the shared channels are arbitrated between AiM
 	// work and an attached conventional workload (AttachTraffic). The

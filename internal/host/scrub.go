@@ -23,18 +23,19 @@ func (c *Controller) Scrub(p *layout.Placement) error {
 	m := p.Matrix()
 	sub := make(bf16.Vector, lanes)
 	for ch := range c.engines {
+		x := c.eventFor(ch)
 		ct := p.ChannelTiles(ch)
 		for lt := 0; lt < ct; lt++ {
 			tile := p.GlobalTile(ch, lt)
 			for chunk := 0; chunk < p.NumChunks(); chunk++ {
-				if err := c.maybeRefresh(ch, int64(geo.Cols)*c.cfg.Timing.TCCD); err != nil {
+				if err := x.maybeRefresh(int64(geo.Cols) * c.cfg.Timing.TCCD); err != nil {
 					return err
 				}
 				dramRow := p.RowFor(ch, chunk, lt)
 				slots := c.colIOs(p, chunk)
 				for b := 0; b < geo.Banks; b++ {
 					matRow, live := p.MatrixRow(tile, b)
-					if _, err := c.issue(ch, dram.Command{Kind: dram.KindACT, Bank: b, Row: dramRow}); err != nil {
+					if _, err := x.issue(dram.Command{Kind: dram.KindACT, Bank: b, Row: dramRow}); err != nil {
 						return err
 					}
 					for col := 0; col < slots; col++ {
@@ -46,11 +47,11 @@ func (c *Controller) Scrub(p *layout.Placement) error {
 							}
 							sub[lane] = val
 						}
-						if _, err := c.issue(ch, dram.Command{Kind: dram.KindWR, Bank: b, Col: col, Data: sub.Bytes()}); err != nil {
+						if _, err := x.issue(dram.Command{Kind: dram.KindWR, Bank: b, Col: col, Data: sub.Bytes()}); err != nil {
 							return err
 						}
 					}
-					if _, err := c.issue(ch, dram.Command{Kind: dram.KindPRE, Bank: b}); err != nil {
+					if _, err := x.issue(dram.Command{Kind: dram.KindPRE, Bank: b}); err != nil {
 						return err
 					}
 				}

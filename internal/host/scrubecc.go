@@ -62,12 +62,14 @@ func (c *Controller) ScrubECC(p *layout.Placement, store *fault.Store) (ScrubRep
 	t := c.cfg.Timing
 	cb := geo.ColBytes()
 	start := c.Now()
+	data := make([]byte, cb)
 	for ch := range c.engines {
+		x := c.eventFor(ch)
 		ct := p.ChannelTiles(ch)
 		for lt := 0; lt < ct; lt++ {
 			for chunk := 0; chunk < p.NumChunks(); chunk++ {
 				// Worst case: every column read and rewritten.
-				if err := c.maybeRefresh(ch, 2*int64(geo.Cols)*t.TCCD); err != nil {
+				if err := x.maybeRefresh(2 * int64(geo.Cols) * t.TCCD); err != nil {
 					return rep, err
 				}
 				dramRow := p.RowFor(ch, chunk, lt)
@@ -76,15 +78,17 @@ func (c *Controller) ScrubECC(p *layout.Placement, store *fault.Store) (ScrubRep
 					if check == nil {
 						return rep, fmt.Errorf("host: no ECC check bytes for ch%d bank%d row%d", ch, b, dramRow)
 					}
-					if _, err := c.issue(ch, dram.Command{Kind: dram.KindACT, Bank: b, Row: dramRow}); err != nil {
+					if _, err := x.issue(dram.Command{Kind: dram.KindACT, Bank: b, Row: dramRow}); err != nil {
 						return rep, err
 					}
 					for col := 0; col < geo.Cols; col++ {
-						r, err := c.issue(ch, dram.Command{Kind: dram.KindRD, Bank: b, Col: col})
+						r, err := x.issue(dram.Command{Kind: dram.KindRD, Bank: b, Col: col})
 						if err != nil {
 							return rep, err
 						}
-						data := r.Data
+						// RD returns the open row's view; correct a copy, as
+						// writing through the view would bypass Bank.Version.
+						copy(data, r.Data)
 						dirty := false
 						for w := 0; w*8+8 <= len(data); w++ {
 							rep.WordsChecked++
@@ -109,12 +113,12 @@ func (c *Controller) ScrubECC(p *layout.Placement, store *fault.Store) (ScrubRep
 						}
 						if dirty {
 							rep.ColumnsRewritten++
-							if _, err := c.issue(ch, dram.Command{Kind: dram.KindWR, Bank: b, Col: col, Data: data}); err != nil {
+							if _, err := x.issue(dram.Command{Kind: dram.KindWR, Bank: b, Col: col, Data: data}); err != nil {
 								return rep, err
 							}
 						}
 					}
-					if _, err := c.issue(ch, dram.Command{Kind: dram.KindPRE, Bank: b}); err != nil {
+					if _, err := x.issue(dram.Command{Kind: dram.KindPRE, Bank: b}); err != nil {
 						return rep, err
 					}
 				}

@@ -3,7 +3,6 @@ package host
 import (
 	"fmt"
 
-	"newton/internal/aim"
 	"newton/internal/dram"
 	"newton/internal/mem"
 )
@@ -70,7 +69,7 @@ type chanTraffic struct {
 // closeRows precharges every conventional row the burst opened,
 // restoring the all-banks-idle invariant the AiM schedule (and the
 // refresh policy) relies on.
-func (ct *chanTraffic) closeRows(x chanIssuer) error {
+func (ct *chanTraffic) closeRows(x *eventExec) error {
 	for b, row := range ct.openRow {
 		if row < 0 {
 			continue
@@ -81,31 +80,6 @@ func (ct *chanTraffic) closeRows(x chanIssuer) error {
 		ct.openRow[b] = -1
 	}
 	return nil
-}
-
-// mixIssuer decorates a channel's issuer with conventional-traffic
-// arbitration: at every refresh boundary — the schedule's natural
-// precharged points — arrived conventional requests are serviced under
-// the QoS policy before the AiM operation proceeds. Everything else
-// delegates, so the schedule loops are unchanged and the decorated
-// oracle and event issuers stay byte-identical.
-type mixIssuer struct {
-	c     *Controller
-	ch    int
-	inner chanIssuer
-}
-
-func (m mixIssuer) issue(cmd dram.Command) (aim.Result, error) { return m.inner.issue(cmd) }
-
-func (m mixIssuer) earliest(cmd dram.Command) int64 { return m.inner.earliest(cmd) }
-
-func (m mixIssuer) drainHorizon() int64 { return m.inner.drainHorizon() }
-
-func (m mixIssuer) maybeRefresh(est int64) error {
-	if err := m.c.serviceHost(m.inner, m.ch, true); err != nil {
-		return err
-	}
-	return m.inner.maybeRefresh(est)
 }
 
 // AttachTraffic installs a conventional-traffic workload on the
@@ -192,16 +166,15 @@ func (c *Controller) TrafficPending() bool {
 // requests that have arrived by the channel's current clock. Between
 // runs the QoS policy does not apply — there is no PIM work to share
 // with — so every policy drains identically here; the policies differ
-// only in how much service they admit inside a run. The drain uses the
-// stepping oracle path on every controller (event-mode included): it
-// moves real data through the banks, and both cores see the identical
-// command sequence, preserving event/oracle byte identity.
+// only in how much service they admit inside a run. The drain moves
+// real data through the banks on the channel's issuer, like every other
+// command, with the refresh catch-up batched outside the reference mode.
 func (c *Controller) ServiceArrivedTraffic() error {
 	if c.traffic == nil {
 		return fmt.Errorf("host: no traffic workload attached")
 	}
 	for ch := range c.engines {
-		if err := c.serviceHost(oracleIssuer{c, ch}, ch, false); err != nil {
+		if err := c.serviceHost(c.eventFor(ch), false); err != nil {
 			return fmt.Errorf("host: channel %d: %w", ch, err)
 		}
 	}
@@ -237,22 +210,23 @@ func (c *Controller) TrafficReport() TrafficReport {
 	return r
 }
 
-// serviceHost services channel ch's arrived conventional requests
-// through issuer x. duringRun distinguishes in-run arbitration (called
-// from mixIssuer at tile boundaries, subject to the QoS policy) from
-// the between-run drain (policy-free). Only requests that had arrived
+// serviceHost services x's channel's arrived conventional requests.
+// duringRun distinguishes in-run arbitration (called from
+// eventExec.maybeRefresh at tile boundaries, subject to the QoS policy)
+// from the between-run drain (policy-free). Only requests that had arrived
 // by the entry clock are served — service itself advances the clock,
 // and chasing new arrivals would never terminate under a workload
 // faster than the channel.
 //
 // The burst runs in chunks of convChunk requests. Each chunk starts at
-// the precharged state: the refresh policy is consulted (a refresh due
-// mid-chunk fires now instead, as it would before an AiM operation),
+// the precharged state: the refresh policy is consulted directly (a
+// refresh due mid-chunk fires now instead, as it would before an AiM
+// operation; maybeRefresh would recurse into this service),
 // then the clock waits out every bank's adder-tree drain horizon —
 // conventional accesses must not overlap an in-flight AiM macro-op
 // (conformance's coexist-drain rule re-derives this independently).
 // Rows the chunk opened are closed before the next boundary.
-func (c *Controller) serviceHost(x chanIssuer, ch int, duringRun bool) error {
+func (c *Controller) serviceHost(x *eventExec, duringRun bool) error {
 	st := c.traffic
 	if st == nil {
 		return nil
@@ -262,6 +236,7 @@ func (c *Controller) serviceHost(x chanIssuer, ch int, duringRun bool) error {
 		// arrivals wait for the run to finish.
 		return nil
 	}
+	ch := x.ch
 	ct := st.perCh[ch]
 	horizon := c.now[ch]
 	if ct.stream.Peek().Arrival > horizon {
@@ -278,17 +253,17 @@ func (c *Controller) serviceHost(x chanIssuer, ch int, duringRun bool) error {
 			// the backlog waits for a later boundary.
 			break
 		}
-		if err := x.maybeRefresh(chunkEst); err != nil {
+		if err := x.refresh(chunkEst); err != nil {
 			return err
 		}
-		if dh := x.drainHorizon(); dh > c.now[ch] {
+		if dh := x.e.DrainHorizon(); dh > c.now[ch] {
 			c.now[ch] = dh
 		}
 		for n := 0; n < convChunk && ct.stream.Peek().Arrival <= horizon; n++ {
 			if duringRun && ct.budget != nil && !ct.budget.Allow(c.now[ch]) {
 				break
 			}
-			if err := c.serveConv(x, ch, ct, st, duringRun); err != nil {
+			if err := c.serveConv(x, ct, st, duringRun); err != nil {
 				return err
 			}
 		}
@@ -306,7 +281,8 @@ func (c *Controller) serviceHost(x chanIssuer, ch int, duringRun bool) error {
 // (closing the bank's previous conventional row first), then one RD or
 // WR column access. A read completes when its data is valid on the bus
 // (tAA after issue); a write completes at its issue slot.
-func (c *Controller) serveConv(x chanIssuer, ch int, ct *chanTraffic, st *trafficState, duringRun bool) error {
+func (c *Controller) serveConv(x *eventExec, ct *chanTraffic, st *trafficState, duringRun bool) error {
+	ch := x.ch
 	req := ct.stream.Pop()
 	start := c.now[ch]
 	row := st.baseRow + req.Row
@@ -323,8 +299,8 @@ func (c *Controller) serveConv(x chanIssuer, ch int, ct *chanTraffic, st *traffi
 	}
 	rec := mem.Record{Arrival: req.Arrival, Start: start, Write: req.Write}
 	if req.Write {
-		// Deterministic payload: a pure function of the request, so the
-		// oracle and event cores write identical bytes.
+		// Deterministic payload: a pure function of the request, so every
+		// run of the same workload writes identical bytes.
 		for i := range ct.wrData {
 			ct.wrData[i] = byte(req.Arrival + int64(i))
 		}

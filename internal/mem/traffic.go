@@ -288,8 +288,8 @@ func (s *Stream) Records() []Record { return s.records }
 // Traffic is one workload instantiated over a controller's channels:
 // an independent Stream per channel, all drawn from the same
 // configuration. Streams of equal configuration and geometry generate
-// identical requests, so two controllers (e.g. the event core and the
-// stepping oracle under a differential test) each build their own
+// identical requests, so two controllers (e.g. the default and reference
+// issuer modes under a differential test) each build their own
 // Traffic and observe byte-identical arrival sequences.
 type Traffic struct {
 	cfg      TrafficConfig

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"newton/internal/bf16"
+	"newton/internal/cluster"
 	"newton/internal/dram"
 	"newton/internal/gpu"
 	"newton/internal/host"
@@ -18,20 +19,12 @@ type ModelShape struct {
 }
 
 // Backend models one shard's device: the virtual-time cost of serving a
-// k-way batch of one model. Implementations must be deterministic and
-// safe for use from the single worker goroutine that owns the shard.
-//
-// This interface is the layer boundary the fleet stack routes through:
-// internal/cluster declares an identical interface and the concrete
-// backends below satisfy it structurally, so a whole device is a
-// routable target without cluster importing any shard internals.
-type Backend interface {
-	// Name labels the backend in reports ("newton", "gpu", ...).
-	Name() string
-	// ServiceCycles returns the service time, in command-clock cycles
-	// (nanoseconds), of a batch-k launch of the given model index.
-	ServiceCycles(model, batch int) float64
-}
+// k-way batch of one model. It is cluster.Backend, the one cost-model
+// interface of both serving layers: a shard serves through it here, and
+// the fleet router prices whole devices with the same backends.
+// Implementations must be deterministic and safe for use from the
+// single worker goroutine that owns the shard.
+type Backend = cluster.Backend
 
 // TableBackend serves from measured per-batch service-time tables: the
 // cumulative time of batches 1..len(table) per model, linearly

@@ -98,9 +98,11 @@ func (b *IdealBaseline) LoadModel(m Model, seed int64) (*PlacedModel, error) {
 	return &PlacedModel{pm: pm}, nil
 }
 
-// RunModel executes an end-to-end inference on the ideal baseline.
+// RunModel executes an end-to-end inference on the ideal baseline,
+// charging the same resolved normalization exposure as System.RunModel.
 func (b *IdealBaseline) RunModel(pm *PlacedModel, input []float32) (*ModelResult, error) {
-	r, err := nn.Run(b.h, pm.pm, input, b.cfg.NormExposureCycles)
+	exposure := b.cfg.hostOptions().NormExposure(b.dcfg.Geometry.RowBytes() / 2)
+	r, err := nn.Run(b.h, pm.pm, input, exposure)
 	if err != nil {
 		return nil, err
 	}

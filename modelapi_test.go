@@ -123,6 +123,38 @@ func TestRunModelWithRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIdealRunModelResolvesNormExposure pins that the ideal baseline
+// charges the exposure -1 stands for, as System.RunModel does, instead
+// of subtracting a cycle per normalized layer.
+func TestIdealRunModelResolvesNormExposure(t *testing.T) {
+	spec := deviceTestModel()
+	run := func(exposure int64) int64 {
+		cfg := smallConfig()
+		cfg.NormExposureCycles = exposure
+		base, err := NewIdealBaseline(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := base.LoadModel(spec, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := base.RunModel(pm, deviceTestInput(spec.InputWidth()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Cycles
+	}
+	// -1 resolves to one 512-element chunk at 8 elements per cycle.
+	auto, resolved := run(-1), run(64)
+	if auto != resolved {
+		t.Errorf("ideal RunModel: %d cycles at -1, %d at the 64 it resolves to", auto, resolved)
+	}
+	if none := run(0); none >= resolved {
+		t.Errorf("ideal RunModel charged no exposure: %d cycles at 0, %d at 64", none, resolved)
+	}
+}
+
 // TestCompileModelText checks the compiled program round-trips through
 // the textual ISR format newton-replay -isr consumes.
 func TestCompileModelText(t *testing.T) {

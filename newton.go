@@ -80,7 +80,8 @@ type Config struct {
 	// NormExposureCycles is the exposed per-layer batch-normalization
 	// latency in model runs (§III-C); DefaultConfig uses 100 cycles, and
 	// -1 derives it from the geometry (one global-buffer chunk of host
-	// normalization work: the next layer cannot start sooner).
+	// normalization work: the next layer cannot start sooner). Values
+	// below -1 are rejected.
 	NormExposureCycles int64
 	// LatchesPerBank is the number of result latches per bank (0 or 1 =
 	// the shipped single-latch design). Four latches with Reuse off is
@@ -122,6 +123,10 @@ func (c Config) dramConfig() (dram.Config, error) {
 	}
 	if c.Banks < 1 {
 		return dram.Config{}, fmt.Errorf("newton: Banks must be >= 1, got %d", c.Banks)
+	}
+	if c.NormExposureCycles < host.AutoNormExposure {
+		return dram.Config{}, fmt.Errorf("newton: NormExposureCycles must be >= %d, got %d",
+			host.AutoNormExposure, c.NormExposureCycles)
 	}
 	geo := dram.HBM2EGeometry(c.Channels)
 	geo.Banks = c.Banks

@@ -173,6 +173,8 @@ func TestConfigValidation(t *testing.T) {
 		{Channels: 0, Banks: 16},
 		{Channels: 2, Banks: 0},
 		{Channels: 2, Banks: 6}, // not a multiple of the cluster size
+		{Channels: 2, Banks: 16, NormExposureCycles: -2},
+		{Channels: 2, Banks: 16, NormExposureCycles: -1000},
 	}
 	for _, cfg := range bad {
 		if _, err := NewSystem(cfg); err == nil {
