@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"newton/internal/nn"
+	"newton/internal/workloads"
 )
 
 // TestSerialKnobIdentity pins the Serial knob's contract: the default
@@ -45,6 +48,26 @@ func TestSerialKnobIdentity(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sRows, pRows) || !reflect.DeepEqual(sMeans, pMeans) {
 			t.Fatalf("fig9 differs:\nserial:   %+v %+v\nparallel: %+v %+v", sRows, sMeans, pRows, pMeans)
+		}
+	})
+
+	// Whole-model ISR inference: masked instructions fan their channels
+	// out on the controller's worker pool, and the checker watches every
+	// channel's command stream.
+	t.Run("e2e", func(t *testing.T) {
+		sc, pc := serial, parallel
+		sc.Verify, pc.Verify = true, true
+		models := []nn.Model{workloads.DLRM()}
+		sRows, sMean, err := sc.E2E(models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pRows, pMean, err := pc.E2E(models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sRows, pRows) || sMean != pMean {
+			t.Fatalf("e2e differs:\nserial:   %+v %v\nparallel: %+v %v", sRows, sMean, pRows, pMean)
 		}
 	})
 

@@ -230,10 +230,11 @@ func (ri *runInput) slotData(chunk, slot int) []byte {
 	return ri.enc[chunk][2*slot*ri.lanes : 2*(slot+1)*ri.lanes]
 }
 
-// workers resolves the worker-pool size for one run. A Trace hook
-// forces the serial path: the hook is a single callback shared by all
-// channels, and its callers (fault transient injection, newton-trace)
-// depend on one deterministic global command order.
+// workers resolves the worker-pool size for one run or one masked ISR
+// instruction (ForEachChannel). A Trace hook forces the serial path:
+// the hook is a single callback shared by all channels, and its callers
+// (fault transient injection, newton-trace) depend on one deterministic
+// global command order.
 func (c *Controller) workers() int {
 	if c.Trace != nil {
 		return 1

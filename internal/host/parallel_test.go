@@ -1,8 +1,10 @@
 package host
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"newton/internal/dram"
@@ -187,6 +189,72 @@ func TestParallelOutputRowsDisjoint(t *testing.T) {
 		for row, ch := range owner {
 			if ch == -1 {
 				t.Fatalf("%v: matrix row %d not covered by any channel", kind, row)
+			}
+		}
+	}
+}
+
+// TestForEachChannel pins the masked-instruction fan-out's contract at
+// every pool size: each set channel runs exactly once, the lowest
+// failing channel's error wins, and a mask naming a missing channel is
+// refused before any channel runs.
+func TestForEachChannel(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		runtime.GOMAXPROCS(4) // force real fan-out even on small CI boxes
+	}
+	for _, mode := range []int{ParallelOff, 0} {
+		opts := Newton()
+		opts.Parallel = mode
+		c, err := NewController(parallelCfg(6), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := make([]int, c.Channels())
+		if err := c.ForEachChannel(0b101101, func(ch int) error { ran[ch]++; return nil }); err != nil {
+			t.Fatalf("Parallel=%d: %v", mode, err)
+		}
+		if want := []int{1, 0, 1, 1, 0, 1}; !slices.Equal(ran, want) {
+			t.Errorf("Parallel=%d: channels ran %v times, want %v", mode, ran, want)
+		}
+
+		err = c.ForEachChannel(0b111000, func(ch int) error {
+			if ch == 3 || ch == 5 {
+				return fmt.Errorf("channel %d failed", ch)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "channel 3 failed" {
+			t.Errorf("Parallel=%d: got %v, want the lowest channel's error", mode, err)
+		}
+
+		called := false
+		err = c.ForEachChannel(1|1<<9|1<<7, func(int) error { called = true; return nil })
+		if err == nil || err.Error() != "host: channel 7 out of range [0,6)" {
+			t.Errorf("Parallel=%d: got %v, want the channel 7 range error", mode, err)
+		}
+		if called {
+			t.Errorf("Parallel=%d: a channel ran under a mask naming a missing one", mode)
+		}
+	}
+}
+
+// TestISRHooksRejectMissingChannel checks the per-channel ISR hooks
+// return the named range error instead of indexing past the engines.
+func TestISRHooksRejectMissingChannel(t *testing.T) {
+	c, err := NewController(parallelCfg(2), Newton())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range []int{-1, 2, 5} {
+		for name, err := range map[string]error{
+			"IssueActivate":  c.IssueActivate(ch, 0),
+			"IssueCompute":   c.IssueCompute(ch, 1, 0),
+			"CatchUpRefresh": c.CatchUpRefresh(ch, 0),
+		} {
+			want := fmt.Sprintf("host: channel %d out of range [0,2)", ch)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s(%d): got %v, want %q", name, ch, err, want)
 			}
 		}
 	}

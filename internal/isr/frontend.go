@@ -18,6 +18,17 @@ import (
 // stream still executes with full channel-level parallelism, exactly
 // like the native schedule's per-channel goroutines.
 //
+// The simulator exploits the same independence: WR_GB, WR_ABK,
+// WR_BIAS, ACT, PRE, MAC, EWMUL/EWADD and COPY_BKGB/COPY_GBBK run their
+// channels on RunMVM's worker pool (host.Controller.ForEachChannel,
+// sized by Options.Parallel; a Trace hook forces the serial loop).
+// Within one instruction each channel writes only its own engine,
+// clock, refresh deadline and issuer, and only reads the GPRs, gprReady
+// and the wire payloads encoded before the fan-out, so every output,
+// cycle, stat and trace is the serial loop's. RD_MAC and RD_AF stay on
+// the caller: they are the only instructions that write GPRs and
+// gprReady, and their masks are one-hot anyway.
+//
 // The GPR file holds float32 lanes: RD_MAC's cross-chunk accumulation
 // happens in the widened domain, matching the host-side float32
 // reduction bit for bit; values are rounded to bfloat16 only when they
@@ -35,7 +46,10 @@ type Frontend struct {
 	gprReady []int64
 	cfr      [NumCFRs]int
 
-	enc     []byte    // wire-encode scratch, one column I/O
+	// enc is the wire-encode scratch: one WR_GB, WR_ABK or WR_BIAS
+	// payload, encoded before the channel fan-out and only read by the
+	// channel goroutines.
+	enc     []byte
 	gather  []float32 // RESHAPE/NORM element gather scratch
 	gather2 []float32
 
@@ -77,7 +91,6 @@ func NewFrontend(c *host.Controller) (*Frontend, error) {
 		lanes:    lanes,
 		gprs:     make([][]float32, NumGPRs),
 		gprReady: make([]int64, NumGPRs),
-		enc:      make([]byte, 2*lanes),
 		// Tile length is not knowable at an ACT boundary (the MAC comes
 		// later in the stream), so the refresh decision uses the
 		// conservative whole-row estimate.
@@ -109,18 +122,6 @@ func (f *Frontend) Run(p *Program) (*Report, error) {
 	return rep, nil
 }
 
-// chanBits iterates the set bits of mask.
-func chanBits(mask uint32, fn func(ch int) error) error {
-	for mask != 0 {
-		ch := bits.TrailingZeros32(mask)
-		mask &^= 1 << uint(ch)
-		if err := fn(ch); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // oneHot resolves a mask the ISA requires to be one-hot.
 func oneHot(mask uint32) (int, error) {
 	if mask == 0 || mask&(mask-1) != 0 {
@@ -136,18 +137,18 @@ func (f *Frontend) gpr(g int) ([]float32, error) {
 	return f.gprs[g], nil
 }
 
-// encodeGPR rounds a GPR's lanes to bfloat16 wire format in f.enc.
-func (f *Frontend) encodeGPR(g int) error {
-	v, err := f.gpr(g)
-	if err != nil {
-		return err
+// encode rounds the lanes of v, in order, to bfloat16 wire format in
+// f.enc's storage and returns the encoding; it stays valid until the
+// next encode.
+func (f *Frontend) encode(v ...[]float32) []byte {
+	f.enc = f.enc[:0]
+	for _, lanes := range v {
+		for _, x := range lanes {
+			b := bf16.FromFloat32(x).Bits()
+			f.enc = append(f.enc, byte(b), byte(b>>8))
+		}
 	}
-	for i, x := range v {
-		b := bf16.FromFloat32(x).Bits()
-		f.enc[2*i] = byte(b)
-		f.enc[2*i+1] = byte(b >> 8)
-	}
-	return nil
+	return f.enc
 }
 
 // gatherElems copies n elements starting at GPR g into dst (grown as
@@ -222,16 +223,13 @@ func (f *Frontend) exec(in *Instr) error {
 		if in.Count < 1 || in.Gpr < 0 || in.Gpr+in.Count > NumGPRs {
 			return fmt.Errorf("GPR span [%d,%d) invalid", in.Gpr, in.Gpr+in.Count)
 		}
-		return chanBits(in.Mask, func(ch int) error {
+		enc, w := f.encode(f.gprs[in.Gpr:in.Gpr+in.Count]...), 2*f.lanes
+		return f.c.ForEachChannel(in.Mask, func(ch int) error {
 			for s := 0; s < in.Count; s++ {
-				g := in.Gpr + s
 				// RAW interlock: the slot's data may still be in flight
 				// from a latch read on another channel.
-				f.c.WaitChannel(ch, f.gprReady[g])
-				if err := f.encodeGPR(g); err != nil {
-					return err
-				}
-				if _, _, err := f.c.IssueCommand(ch, dram.Command{Kind: dram.KindGWRITE, Col: s, Data: f.enc}); err != nil {
+				f.c.WaitChannel(ch, f.gprReady[in.Gpr+s])
+				if _, _, err := f.c.IssueCommand(ch, dram.Command{Kind: dram.KindGWRITE, Col: s, Data: enc[s*w : (s+1)*w]}); err != nil {
 					return err
 				}
 			}
@@ -239,12 +237,14 @@ func (f *Frontend) exec(in *Instr) error {
 		})
 
 	case OpWRABK:
-		return chanBits(in.Mask, func(ch int) error {
+		reg, err := f.gpr(in.Gpr)
+		if err != nil {
+			return err
+		}
+		enc := f.encode(reg)
+		return f.c.ForEachChannel(in.Mask, func(ch int) error {
 			f.c.WaitChannel(ch, f.gprReady[in.Gpr])
-			if err := f.encodeGPR(in.Gpr); err != nil {
-				return err
-			}
-			_, _, err := f.c.IssueCommand(ch, dram.Command{Kind: dram.KindWR, Bank: in.Bank, Col: in.Col, Data: f.enc})
+			_, _, err := f.c.IssueCommand(ch, dram.Command{Kind: dram.KindWR, Bank: in.Bank, Col: in.Col, Data: enc})
 			return err
 		})
 
@@ -253,18 +253,14 @@ func (f *Frontend) exec(in *Instr) error {
 		if len(in.Imm) != banks {
 			return fmt.Errorf("bias immediate has %d lanes, device has %d banks", len(in.Imm), banks)
 		}
-		for i, x := range in.Imm {
-			b := bf16.FromFloat32(x).Bits()
-			f.enc[2*i] = byte(b)
-			f.enc[2*i+1] = byte(b >> 8)
-		}
-		return chanBits(in.Mask, func(ch int) error {
-			_, _, err := f.c.IssueCommand(ch, dram.Command{Kind: dram.KindWRBIAS, Latch: in.Latch, Data: f.enc[:2*banks]})
+		enc := f.encode(in.Imm)
+		return f.c.ForEachChannel(in.Mask, func(ch int) error {
+			_, _, err := f.c.IssueCommand(ch, dram.Command{Kind: dram.KindWRBIAS, Latch: in.Latch, Data: enc})
 			return err
 		})
 
 	case OpACT:
-		return chanBits(in.Mask, func(ch int) error {
+		return f.c.ForEachChannel(in.Mask, func(ch int) error {
 			// Refresh catch-up happens at row-open boundaries, where
 			// banks are precharged, as the native schedule's policy does.
 			if err := f.c.CatchUpRefresh(ch, f.tileEst); err != nil {
@@ -274,13 +270,13 @@ func (f *Frontend) exec(in *Instr) error {
 		})
 
 	case OpPRE:
-		return chanBits(in.Mask, func(ch int) error {
+		return f.c.ForEachChannel(in.Mask, func(ch int) error {
 			_, _, err := f.c.IssueCommand(ch, dram.Command{Kind: dram.KindPREA})
 			return err
 		})
 
 	case OpMAC:
-		return chanBits(in.Mask, func(ch int) error {
+		return f.c.ForEachChannel(in.Mask, func(ch int) error {
 			return f.c.IssueCompute(ch, in.Count, in.Latch)
 		})
 
@@ -320,7 +316,7 @@ func (f *Frontend) exec(in *Instr) error {
 		if in.Op == OpEWMUL {
 			kind = dram.KindEWMUL
 		}
-		return chanBits(in.Mask, func(ch int) error {
+		return f.c.ForEachChannel(in.Mask, func(ch int) error {
 			_, _, err := f.c.IssueCommand(ch, dram.Command{Kind: kind, Col: in.Col, Slot: in.Slot})
 			return err
 		})
@@ -330,7 +326,7 @@ func (f *Frontend) exec(in *Instr) error {
 		if in.Op == OpCOPYBKGB {
 			kind = dram.KindCOPYBKGB
 		}
-		return chanBits(in.Mask, func(ch int) error {
+		return f.c.ForEachChannel(in.Mask, func(ch int) error {
 			_, _, err := f.c.IssueCommand(ch, dram.Command{Kind: kind, Bank: in.Bank, Col: in.Col, Slot: in.Slot})
 			return err
 		})

@@ -11,7 +11,7 @@ import (
 	"newton/internal/isr"
 )
 
-// FuzzISR drives byte-directed program generation against three
+// FuzzISR drives byte-directed program generation against four
 // properties at once:
 //
 //  1. the text codec is the identity: Encode then Parse reproduces the
@@ -19,7 +19,10 @@ import (
 //  2. generated programs — which maintain the documented hazard rules
 //     by construction — pass the static checker;
 //  3. checker-clean programs replay clean: Frontend.Run completes with
-//     zero conformance violations on a Verify-enabled controller.
+//     zero conformance violations on a Verify-enabled controller;
+//  4. the replay does not depend on the channel fan-out: the same
+//     program on a ParallelOff controller reports the same Report and
+//     dram.Stats as on the default worker pool.
 //
 // Property 3 is the load-bearing one: it pins CheckProgram's shadow
 // model (bank open/close, buffer-slot validity, GPR liveness) to what
@@ -339,21 +342,32 @@ func FuzzISR(f *testing.F) {
 			t.Fatalf("generated program fails static check: %v\n%s", err, text)
 		}
 
-		// Checker-clean programs replay clean under full conformance.
-		c, err := host.NewController(cfg, opts)
-		if err != nil {
-			t.Fatal(err)
+		// Checker-clean programs replay clean under full conformance,
+		// with masked instructions fanned out or run serially alike.
+		replay := func(o host.Options) (*isr.Report, dram.Stats) {
+			c, err := host.NewController(cfg, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fe, err := isr.NewFrontend(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := fe.Run(prog)
+			if err != nil {
+				t.Fatalf("checker-clean program failed to replay (Parallel=%d): %v\n%s", o.Parallel, err, text)
+			}
+			return rep, c.Stats()
 		}
-		fe, err := isr.NewFrontend(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := fe.Run(prog)
-		if err != nil {
-			t.Fatalf("checker-clean program failed to replay: %v\n%s", err, text)
-		}
+		rep, st := replay(opts)
 		for _, x := range rep.Readback {
 			_ = math.Float32bits(x) // readback is always well-formed float32 storage
+		}
+		serial := opts
+		serial.Parallel = host.ParallelOff
+		sRep, sSt := replay(serial)
+		if !reflect.DeepEqual(rep, sRep) || st != sSt {
+			t.Fatalf("serial replay differs:\nparallel: %+v %+v\nserial:   %+v %+v\n%s", rep, st, sRep, sSt, text)
 		}
 	})
 }

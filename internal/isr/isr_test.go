@@ -1,8 +1,10 @@
 package isr_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -247,31 +249,114 @@ func TestFrontendRDAF(t *testing.T) {
 	}
 }
 
-// TestFrontendDeterministic runs the same program on two fresh
-// controllers; reports must match exactly.
+// TestFrontendDeterministic runs the same program on a controller at
+// ParallelOff and on one at the default worker pool, with real fan-out
+// forced: masked instructions run their channels concurrently on the
+// second, so reports, stats and every channel clock must match the
+// serial loop's exactly. Run under -race by make check, it is also the
+// race detector's view of the fan-out, including the payloads WR_GB and
+// WR_ABK encode once and every channel reads.
 func TestFrontendDeterministic(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		runtime.GOMAXPROCS(4) // force real fan-out even on small CI boxes
+	}
 	prog := &isr.Program{Instrs: []isr.Instr{
 		{Op: isr.OpWRGPR, Gpr: 0, Imm: lanesImm(func(i int) float32 { return float32(i) })},
-		{Op: isr.OpWRGB, Mask: 3, Gpr: 0, Count: 1},
+		{Op: isr.OpWRGPR, Gpr: 1, Imm: lanesImm(func(i int) float32 { return 2 - float32(i%3) })},
+		{Op: isr.OpWRGB, Mask: 3, Gpr: 0, Count: 2},
+		{Op: isr.OpEWMUL, Mask: 3, Col: 0, Slot: 1},
 		{Op: isr.OpACT, Mask: 1, Row: 5},
 		{Op: isr.OpACT, Mask: 2, Row: 9},
-		{Op: isr.OpMAC, Mask: 3, Count: 1, Latch: 0},
+		{Op: isr.OpWRABK, Mask: 3, Bank: 2, Col: 1, Gpr: 1},
+		{Op: isr.OpCOPYBKGB, Mask: 3, Bank: 2, Col: 1, Slot: 1},
+		{Op: isr.OpWRBIAS, Mask: 3, Latch: 0, Imm: lanesImm(func(i int) float32 { return float32(i) / 4 })},
+		{Op: isr.OpMAC, Mask: 3, Count: 2, Latch: 0},
 		{Op: isr.OpPRE, Mask: 3},
-		{Op: isr.OpRDMAC, Mask: 1, Gpr: 1, Latch: 0},
-		{Op: isr.OpRDMAC, Mask: 2, Gpr: 2, Latch: 0},
-		{Op: isr.OpRDGPR, Gpr: 1, Count: 32},
+		{Op: isr.OpRDMAC, Mask: 1, Gpr: 2, Latch: 0},
+		{Op: isr.OpRDMAC, Mask: 2, Gpr: 3, Latch: 0},
+		{Op: isr.OpRDGPR, Gpr: 2, Count: 32},
 	}}
-	_, f1 := newFrontend(t, 2)
-	_, f2 := newFrontend(t, 2)
-	r1, err := f1.Run(prog)
-	if err != nil {
-		t.Fatal(err)
+	if err := isr.CheckProgram(prog, testConfig(2).Geometry, 1); err != nil {
+		t.Fatalf("static check: %v", err)
 	}
-	r2, err := f2.Run(prog)
-	if err != nil {
-		t.Fatal(err)
+	run := func(parallel int) (*isr.Report, dram.Stats, []int64) {
+		opts := host.Newton()
+		opts.Verify = true
+		opts.Parallel = parallel
+		c, err := host.NewController(testConfig(2), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := isr.NewFrontend(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := f.Run(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := make([]int64, c.Channels())
+		for ch := range now {
+			now[ch] = c.ChannelNow(ch)
+		}
+		return rep, c.Stats(), now
 	}
+	r1, s1, n1 := run(host.ParallelOff)
+	r2, s2, n2 := run(0)
 	if !reflect.DeepEqual(r1, r2) {
 		t.Errorf("reports differ:\n%+v\n%+v", r1, r2)
+	}
+	if s1 != s2 {
+		t.Errorf("stats differ:\n%+v\n%+v", s1, s2)
+	}
+	if !reflect.DeepEqual(n1, n2) {
+		t.Errorf("channel clocks differ: %v vs %v", n1, n2)
+	}
+	// Bank 2 holds the WR_ABK filter on both channels; every other
+	// bank's row is zero, so it reads back only its bias.
+	if r1.Readback[2] == 0.5 || r1.Readback[16+2] == 0.5 {
+		t.Errorf("bank 2 read back only its bias: %v", r1.Readback)
+	}
+}
+
+// TestFrontendNamedErrors runs every masked op with a mask naming
+// channel 5 on a 2-channel controller, plus a WR_ABK from a GPR past the
+// register file: each must fail with its named error, and none may
+// panic. Run does not check programs, so these are the frontend's own
+// guards against unchecked ones.
+func TestFrontendNamedErrors(t *testing.T) {
+	const mask, chErr = 1 << 5, "channel 5 out of range [0,2)"
+	bias := make([]float32, testConfig(2).Geometry.Banks)
+	for _, tc := range []struct {
+		in   isr.Instr
+		want string
+	}{
+		{isr.Instr{Op: isr.OpWRGB, Mask: mask, Gpr: 0, Count: 1}, chErr},
+		{isr.Instr{Op: isr.OpWRABK, Mask: mask, Bank: 0, Col: 0, Gpr: 0}, chErr},
+		{isr.Instr{Op: isr.OpWRBIAS, Mask: mask, Latch: 0, Imm: bias}, chErr},
+		{isr.Instr{Op: isr.OpACT, Mask: mask, Row: 1}, chErr},
+		{isr.Instr{Op: isr.OpPRE, Mask: mask}, chErr},
+		{isr.Instr{Op: isr.OpMAC, Mask: mask, Count: 1, Latch: 0}, chErr},
+		{isr.Instr{Op: isr.OpRDMAC, Mask: mask, Gpr: 0, Latch: 0}, chErr},
+		{isr.Instr{Op: isr.OpRDAF, Mask: mask, Gpr: 0, Latch: 0}, chErr},
+		{isr.Instr{Op: isr.OpEWMUL, Mask: mask, Col: 0, Slot: 1}, chErr},
+		{isr.Instr{Op: isr.OpEWADD, Mask: mask, Col: 0, Slot: 1}, chErr},
+		{isr.Instr{Op: isr.OpCOPYBKGB, Mask: mask, Bank: 0, Col: 0, Slot: 0}, chErr},
+		{isr.Instr{Op: isr.OpCOPYGBBK, Mask: mask, Bank: 0, Col: 0, Slot: 0}, chErr},
+		{isr.Instr{Op: isr.OpWRABK, Mask: 1, Bank: 0, Col: 0, Gpr: isr.NumGPRs}, "GPR 1024 out of range"},
+	} {
+		t.Run(fmt.Sprintf("%s_mask%#x", tc.in.Op, tc.in.Mask), func(t *testing.T) {
+			_, f := newFrontend(t, 2)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			_, err := f.Run(&isr.Program{Instrs: []isr.Instr{tc.in}})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got error %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
