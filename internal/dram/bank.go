@@ -193,9 +193,9 @@ func (b *Bank) WriteColumn(col int, data []byte) error {
 // equal versions guarantee byte-identical stored rows.
 func (b *Bank) Version() uint64 { return b.version }
 
-// LoadRow stores an entire row image directly, bypassing timing. It is
-// the back door used to preload filter matrices (the paper assumes the
-// matrix is resident before inference begins) and by tests.
+// LoadRow stores an entire row image directly, bypassing timing, for
+// tests that plant known rows. Filter matrices are preloaded in place
+// through MutateRow (layout.Placement.LoadChannel).
 func (b *Bank) LoadRow(row int, data []byte) error {
 	if row < 0 || row >= b.geo.Rows {
 		return fmt.Errorf("dram: row %d out of range [0,%d)", row, b.geo.Rows)

@@ -142,6 +142,12 @@ func (c *Controller) Stats() dram.Stats {
 // Place maps a matrix onto the channels with the layout implied by the
 // options, reserving the next super-page-aligned per-bank row span, and
 // preloads it into the banks.
+//
+// The preload runs one Placement.LoadChannel per channel on RunMVM's
+// worker pool, under the same rules (Options.Parallel, and a Trace hook
+// forces the serial path): each channel's load writes only its own
+// banks and reads the matrix, so the stored rows and bank versions are
+// identical at any worker count (TestPlaceParallelMatchesSerial).
 func (c *Controller) Place(m *layout.Matrix) (*layout.Placement, error) {
 	// Size the footprint with a trial placement, then reserve and place.
 	trial, err := layout.NewPlacementAt(c.cfg.Geometry, c.opts.LayoutKind(), m, 0)
@@ -156,11 +162,10 @@ func (c *Controller) Place(m *layout.Matrix) (*layout.Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	channels := make([]*dram.Channel, len(c.engines))
-	for i, e := range c.engines {
-		channels[i] = e.Channel()
-	}
-	if err := p.Load(channels); err != nil {
+	err = par.ForEachErr(c.workers(), len(c.engines), func(ch int) error {
+		return p.LoadChannel(ch, c.engines[ch].Channel())
+	})
+	if err != nil {
 		return nil, err
 	}
 	return p, nil

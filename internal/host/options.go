@@ -82,14 +82,15 @@ type Options struct {
 	// finish, so a controller without traffic — or with the default
 	// policy — schedules exactly as before. Validated at AttachTraffic.
 	QoS mem.QoS
-	// Parallel controls how many channels RunMVM, and each masked ISR
-	// instruction (ForEachChannel), simulate concurrently. It is purely
-	// a simulator-speed knob: channels share no simulator state (paper
-	// §III — per-channel engines, clocks, refresh deadlines and
-	// observers), each channel of a run writes a disjoint set of output
-	// rows, and a masked instruction's channels only read the frontend's
-	// registers, so results, stats and conformance verdicts are
-	// byte-identical at any setting. Zero (the default) sizes the worker
+	// Parallel controls how many channels RunMVM, each masked ISR
+	// instruction (ForEachChannel) and Place's preload simulate
+	// concurrently. It is purely a simulator-speed knob: channels share
+	// no simulator state (paper §III — per-channel engines, clocks,
+	// refresh deadlines and observers), each channel of a run writes a
+	// disjoint set of output rows, a masked instruction's channels only
+	// read the frontend's registers, and a channel's preload writes only
+	// its own banks, so results, stats, stored rows and conformance
+	// verdicts are byte-identical at any setting. Zero (the default) sizes the worker
 	// pool to GOMAXPROCS; a positive value caps it; ParallelOff forces
 	// the serial reference path. With a Trace hook installed, runs and
 	// instructions always execute serially so the hook observes one

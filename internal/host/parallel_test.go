@@ -129,6 +129,80 @@ func TestParallelMatchesSerialBackToBack(t *testing.T) {
 	assertResultsIdentical(t, s2, p2, "second product")
 }
 
+// TestPlaceParallelMatchesSerial extends the identity to the preload:
+// Place's per-channel loads on the worker pool leave every bank with the
+// same stored rows, bytes and Version as the serial reference, in both
+// layouts and on a shape with a ragged last tile and chunk, and the
+// product that follows is bit-identical.
+func TestPlaceParallelMatchesSerial(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		runtime.GOMAXPROCS(4) // force real fan-out even on small CI boxes
+	}
+	cfg := parallelCfg(6)
+	m := layout.RandomMatrix(16*6*2+5, 1100, 13)
+	v := randomVector(m.Cols, 14)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"interleaved", Newton()},
+		{"row-major", NoReuse()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			place := func(mode int) (*Controller, *layout.Placement) {
+				opts := tc.opts
+				opts.Parallel = mode
+				c, err := NewController(cfg, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := c.Place(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c, p
+			}
+			sc, sp := place(ParallelOff)
+			pc, pp := place(0)
+			for ch := 0; ch < cfg.Geometry.Channels; ch++ {
+				for b := 0; b < cfg.Geometry.Banks; b++ {
+					sb, pb := sc.Engine(ch).Channel().Bank(b), pc.Engine(ch).Channel().Bank(b)
+					ids := sb.StoredRowIDs()
+					if pids := pb.StoredRowIDs(); !slices.Equal(ids, pids) {
+						t.Fatalf("channel %d bank %d: rows %v serial, %v parallel", ch, b, ids, pids)
+					}
+					if sb.Version() != pb.Version() {
+						t.Fatalf("channel %d bank %d: Version %d serial, %d parallel", ch, b, sb.Version(), pb.Version())
+					}
+					for _, row := range ids {
+						simg, err := sb.PeekRow(row)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pimg, err := pb.PeekRow(row)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(simg, pimg) {
+							t.Fatalf("channel %d bank %d row %d: images differ", ch, b, row)
+						}
+					}
+				}
+			}
+			serial, err := sc.RunMVM(sp, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := pc.RunMVM(pp, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultsIdentical(t, serial, parallel, tc.name)
+		})
+	}
+}
+
 // TestIdealParallelMatchesSerial extends the identity to the ideal
 // non-PIM baseline, including its functional fold.
 func TestIdealParallelMatchesSerial(t *testing.T) {

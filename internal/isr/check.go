@@ -8,8 +8,9 @@ import (
 )
 
 // CheckProgram statically validates a program against a geometry and a
-// result-latch count: operand ranges, channel masks (non-empty, within
-// the geometry, one-hot where an instruction funnels per-channel
+// result-latch count: a geometry the masks can address (at most
+// MaxChannels channels), operand ranges, channel masks (non-empty,
+// within the geometry, one-hot where an instruction funnels per-channel
 // results into a single GPR), GPR define-before-use, and a per-channel
 // shadow of bank open/close state and global-buffer slot validity.
 //
@@ -18,6 +19,9 @@ import (
 // schedules at earliest-legal cycles, so the only runtime failures are
 // the state/protocol hazards the shadow tracks.
 func CheckProgram(p *Program, geo dram.Geometry, latches int) error {
+	if geo.Channels > MaxChannels {
+		return fmt.Errorf("isr: geometry has %d channels but channel masks are %d-bit", geo.Channels, MaxChannels)
+	}
 	lanes := geo.ColBits / 16
 	if geo.Banks > lanes {
 		return fmt.Errorf("isr: geometry has %d banks but GPRs have %d lanes: RD_MAC cannot land a channel's results in one GPR", geo.Banks, lanes)
@@ -83,7 +87,7 @@ func (c *checker) maskChans(in *Instr, oneHot bool) ([]int, error) {
 	if in.Mask == 0 {
 		return nil, fmt.Errorf("empty channel mask")
 	}
-	if in.Mask >= 1<<uint(len(c.chans)) {
+	if in.Mask>>uint(len(c.chans)) != 0 {
 		return nil, fmt.Errorf("mask %#x names channels beyond the %d the device has", in.Mask, len(c.chans))
 	}
 	if oneHot && bits.OnesCount32(in.Mask) != 1 {

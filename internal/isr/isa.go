@@ -123,6 +123,10 @@ const (
 // layer at NumGPRs/2 * lanes elements (8192 at 16 lanes).
 const NumGPRs = 1024
 
+// MaxChannels is the most channels an ISR program can address: the
+// width of Instr.Mask. CheckProgram rejects a wider geometry.
+const MaxChannels = 32
+
 // Instr is one decoded ISR instruction. Which fields an op uses is
 // defined by the codec's per-op field table (opTable); unused fields
 // are zero in canonical programs, which is what makes the text codec's

@@ -162,6 +162,24 @@ func TestCheckProgramCatches(t *testing.T) {
 	}
 }
 
+// TestCheckProgramMaskWidth pins CheckProgram at the edge of the 32-bit
+// channel mask: at MaxChannels channels a mask of every channel (bit 31
+// set) is legal, and a geometry with more channels than a mask can
+// address is refused by name.
+func TestCheckProgramMaskWidth(t *testing.T) {
+	p := &isr.Program{Instrs: []isr.Instr{
+		{Op: isr.OpACT, Mask: 1<<isr.MaxChannels - 1, Row: 1},
+		{Op: isr.OpPRE, Mask: 1 << (isr.MaxChannels - 1)},
+	}}
+	if err := isr.CheckProgram(p, testConfig(isr.MaxChannels).Geometry, 1); err != nil {
+		t.Errorf("%d channels: %v", isr.MaxChannels, err)
+	}
+	err := isr.CheckProgram(p, testConfig(isr.MaxChannels+1).Geometry, 1)
+	if err == nil || !strings.Contains(err.Error(), "32-bit") {
+		t.Errorf("%d channels: got %v, want the 32-bit mask width error", isr.MaxChannels+1, err)
+	}
+}
+
 // TestFrontendFunctional drives every DRAM-visible instruction through
 // a real controller and checks the arithmetic end to end. Values are
 // small integers, exact in bfloat16, so expected results are exact.

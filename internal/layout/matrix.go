@@ -46,13 +46,80 @@ func MatrixFromFloat32(rows, cols int, data []float32) (*Matrix, error) {
 // RandomMatrix returns a matrix with deterministic pseudo-random entries
 // in [-1, 1), already representable in bfloat16 (they are rounded, so
 // reloading them is lossless).
+//
+// Element i is bf16.FromFloat32(r.Float32()*2 - 1) for the i-th call on
+// r := rand.New(rand.NewSource(seed)), bit for bit, but the draws come
+// from draws, which continues that source's stream inline rather than
+// through rand.Rand's Float32 → Float64 → Int63 call chain. Float32
+// resamples when float32(Float64()) rounds to 1 and Float64 resamples
+// when its own quotient is 1; a quotient of 1 also rounds to 1 in
+// float32, so the one test below consumes exactly the draws both rules
+// do.
 func RandomMatrix(rows, cols int, seed int64) *Matrix {
-	rng := rand.New(rand.NewSource(seed))
 	m := NewMatrix(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = bf16.FromFloat32(rng.Float32()*2 - 1)
+	d := newDraws(seed)
+	buf, k := d.first(), 0
+	data := m.Data
+	for i := range data {
+		var f float32
+		for {
+			if k == len(buf) {
+				buf, k = d.refill(), 0
+			}
+			x := int64(buf[k] &^ (1 << 63)) // Int63
+			k++
+			if f = float32(float64(x) / (1 << 63)); f != 1 {
+				break
+			}
+		}
+		data[i] = bf16.FromFloat32(f*2 - 1)
 	}
 	return m
+}
+
+// Go's rand.NewSource is an additive lagged-Fibonacci generator:
+// x[n] = x[n-lagLong] + x[n-lagShort] mod 2^64, and Int63 returns x[n]
+// with the top bit cleared.
+const (
+	lagLong  = 607
+	lagShort = 273
+	// drawBlock is how many draws one refill computes.
+	drawBlock = 4096
+)
+
+// draws is rand.NewSource(seed)'s output stream, produced a block at a
+// time. It primes the lag window with the source's first lagLong
+// Uint64 values, which are also the stream's first lagLong draws, and
+// continues the recurrence from there. The sequence is fixed by Go's
+// compatibility promise for math/rand; TestRandomMatrixMatchesMathRand
+// re-proves it against rand.Rand on every test run.
+type draws struct {
+	// x holds the lag window followed by the newest block; its last
+	// lagLong values are always the newest draws, so a refill slides
+	// them to the front and extends them.
+	x [lagLong + drawBlock]uint64
+}
+
+func newDraws(seed int64) *draws {
+	d := &draws{}
+	src := rand.NewSource(seed).(rand.Source64)
+	for i := drawBlock; i < len(d.x); i++ {
+		d.x[i] = src.Uint64()
+	}
+	return d
+}
+
+// first returns the stream's first lagLong draws.
+func (d *draws) first() []uint64 { return d.x[drawBlock:] }
+
+// refill computes and returns the next drawBlock draws. The slice is
+// valid until the next refill.
+func (d *draws) refill() []uint64 {
+	copy(d.x[:lagLong], d.x[drawBlock:])
+	for n := lagLong; n < len(d.x); n++ {
+		d.x[n] = d.x[n-lagLong] + d.x[n-lagShort]
+	}
+	return d.x[lagLong:]
 }
 
 // At returns element (i, j).

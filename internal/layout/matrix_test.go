@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"math/rand"
 	"testing"
 
 	"newton/internal/bf16"
@@ -103,5 +104,66 @@ func TestMulVec(t *testing.T) {
 	}
 	if _, err := m.MulVec(v[:2]); err == nil {
 		t.Error("length mismatch accepted")
+	}
+}
+
+// countingSource counts the Int63 draws rand.Rand takes from the
+// wrapped source, so a test can tell a resample happened.
+type countingSource struct {
+	rand.Source64
+	n int
+}
+
+func (c *countingSource) Int63() int64 { c.n++; return c.Source64.Int63() }
+
+// TestRandomMatrixMatchesMathRand pins RandomMatrix's inline stream to
+// the documented definition, element for element:
+// bf16.FromFloat32(r.Float32()*2 - 1) on r := rand.New(rand.NewSource(seed)).
+// The shapes straddle the lag window (606, 607) and several refill
+// blocks. Seeds 51, 56 and 47 each resample once within their shape
+// (at draws 51,693, 326,949 and 886,423), which the draw count proves,
+// so dropping the resample rule fails here.
+func TestRandomMatrixMatchesMathRand(t *testing.T) {
+	cases := []struct {
+		rows, cols int
+		seed       int64
+		resample   bool
+	}{
+		{1, 1, 0, false},
+		{1, 1, -7, false},
+		{1, 606, 1, false},
+		{1, 607, 2, false},
+		{1, 608, -1 << 40, false},
+		{7, 3*drawBlock + 11, 3, false},
+		{33, 900, 1 << 62, false},
+		{256, 256, 51, true},
+		{640, 512, 56, true},
+		{1024, 1024, 47, true},
+	}
+	for _, tc := range cases {
+		m := RandomMatrix(tc.rows, tc.cols, tc.seed)
+		src := &countingSource{Source64: rand.NewSource(tc.seed).(rand.Source64)}
+		r := rand.New(src)
+		for i, got := range m.Data {
+			if want := bf16.FromFloat32(r.Float32()*2 - 1); got != want {
+				t.Fatalf("%dx%d seed %d: element %d = %#04x, math/rand gives %#04x",
+					tc.rows, tc.cols, tc.seed, i, uint16(got), uint16(want))
+			}
+		}
+		if resampled := src.n > len(m.Data); resampled != tc.resample {
+			t.Errorf("%dx%d seed %d: %d draws for %d elements, resample expected %v",
+				tc.rows, tc.cols, tc.seed, src.n, len(m.Data), tc.resample)
+		}
+	}
+}
+
+var sinkMatrix *Matrix
+
+// BenchmarkRandomMatrix synthesizes GNMT-s1's 4096x1024 weights, the
+// median Fig. 9 design point's synthesis cost.
+func BenchmarkRandomMatrix(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkMatrix = RandomMatrix(4096, 1024, int64(i))
 	}
 }

@@ -260,40 +260,59 @@ func (p *Placement) InvCoord(c Coord) (i, j int, ok bool) {
 	return i, j, true
 }
 
-// Load preloads the matrix into the channels' banks. channels must have
-// length geo.Channels. Rows holding ragged-edge padding are zero-filled,
-// so computing on them is harmless (0 contributes nothing and the host
-// discards invalid bank results).
+// Load preloads the matrix into the channels' banks, one channel after
+// another through LoadChannel. channels must have length geo.Channels.
 func (p *Placement) Load(channels []*dram.Channel) error {
 	if len(channels) != p.geo.Channels {
 		return fmt.Errorf("layout: placement spans %d channels, got %d", p.geo.Channels, len(channels))
 	}
-	rowBytes := p.geo.RowBytes()
-	// Assemble per-(channel,bank,dramRow) images, then load them whole.
-	type rowKey struct{ ch, bank, row int }
-	images := make(map[rowKey][]byte)
-	for i := 0; i < p.m.Rows; i++ {
-		for chunk := 0; chunk < p.numChunks; chunk++ {
-			jLo := chunk * p.chunkElems
-			jHi := jLo + p.chunkElems
-			if jHi > p.m.Cols {
-				jHi = p.m.Cols
-			}
-			c := p.Coord(i, jLo)
-			key := rowKey{c.Channel, c.Bank, c.Row}
-			img, ok := images[key]
-			if !ok {
-				img = make([]byte, rowBytes)
-				images[key] = img
-			}
-			for k, n := range p.m.Data[i*p.m.Cols+jLo : i*p.m.Cols+jHi] {
-				binary.LittleEndian.PutUint16(img[2*k:], uint16(n))
-			}
+	for ch, c := range channels {
+		if err := p.LoadChannel(ch, c); err != nil {
+			return err
 		}
 	}
-	for key, img := range images {
-		if err := channels[key.ch].Bank(key.bank).LoadRow(key.row, img); err != nil {
-			return err
+	return nil
+}
+
+// LoadChannel preloads channel ch's share of the matrix into c's banks.
+// Every (matrix row, chunk) owns its own DRAM row, so each chunk is
+// encoded little-endian straight into that row's storage and the rest
+// of the row is cleared: a row that held data before ends exactly as a
+// whole-row write of the zero-padded chunk would leave it, and padding
+// computes as 0 (the host discards invalid bank results). Each row
+// written bumps its bank's Version once.
+//
+// LoadChannel touches only c and reads the matrix, so channels can load
+// concurrently.
+func (p *Placement) LoadChannel(ch int, c *dram.Channel) error {
+	if ch < 0 || ch >= p.geo.Channels {
+		return fmt.Errorf("layout: channel %d out of range [0,%d)", ch, p.geo.Channels)
+	}
+	if g := c.Config().Geometry; g != p.geo {
+		return fmt.Errorf("layout: channel %d has geometry %+v, placement is for %+v", ch, g, p.geo)
+	}
+	for local := 0; local < p.ChannelTiles(ch); local++ {
+		tile := p.GlobalTile(ch, local)
+		for b := 0; b < p.geo.Banks; b++ {
+			i, ok := p.MatrixRow(tile, b)
+			if !ok {
+				break
+			}
+			bank := c.Bank(b)
+			row := p.m.Row(i)
+			for chunk := 0; chunk < p.numChunks; chunk++ {
+				lo := chunk * p.chunkElems
+				src := row[lo:min(lo+p.chunkElems, len(row))]
+				err := bank.MutateRow(p.RowFor(ch, chunk, local), func(data []byte) {
+					for k, n := range src {
+						binary.LittleEndian.PutUint16(data[2*k:], uint16(n))
+					}
+					clear(data[2*len(src):])
+				})
+				if err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil

@@ -1,7 +1,12 @@
 package layout
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -146,45 +151,126 @@ func TestInvCoordRejectsPadding(t *testing.T) {
 	}
 }
 
-func TestLoadMatchesCoord(t *testing.T) {
-	for _, kind := range []Kind{Interleaved, RowMajor} {
-		g := smallGeometry(2)
-		m := RandomMatrix(35, 900, 5)
-		p, err := NewPlacementAt(g, kind, m, 3)
+func newChannels(t *testing.T, g dram.Geometry) []*dram.Channel {
+	t.Helper()
+	chans := make([]*dram.Channel, g.Channels)
+	for i := range chans {
+		ch, err := dram.NewChannel(dram.Config{Geometry: g, Timing: dram.AiMTiming()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		chans := make([]*dram.Channel, g.Channels)
-		for i := range chans {
-			ch, err := dram.NewChannel(dram.Config{Geometry: g, Timing: dram.AiMTiming()})
+		chans[i] = ch
+	}
+	return chans
+}
+
+// TestLoadMatchesCoord pins everything Load leaves in the banks, in both
+// layouts, on a shape with a ragged last tile and a ragged last chunk:
+// each bank stores exactly the rows Coord names, every lane of a stored
+// row holds the element InvCoord maps it to or zero padding, every
+// element is stored once, and each bank's Version rises by exactly the
+// rows it received. The second pass loads over rows pre-filled with
+// 0xff, whose padding must come out zero.
+func TestLoadMatchesCoord(t *testing.T) {
+	for _, kind := range []Kind{Interleaved, RowMajor} {
+		for _, prefill := range []bool{false, true} {
+			g := smallGeometry(3)
+			m := RandomMatrix(16*3*2+7, 1100, 5)
+			p, err := NewPlacementAt(g, kind, m, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			chans[i] = ch
-		}
-		if err := p.Load(chans); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(9))
-		for n := 0; n < 300; n++ {
-			i, j := rng.Intn(m.Rows), rng.Intn(m.Cols)
-			c := p.Coord(i, j)
-			img, err := chans[c.Channel].Bank(c.Bank).PeekRow(c.Row)
-			if err != nil {
+			chans := newChannels(t, g)
+			want := make([][]map[int]bool, g.Channels) // [channel][bank] row set
+			for ch := range want {
+				want[ch] = make([]map[int]bool, g.Banks)
+				for b := range want[ch] {
+					want[ch][b] = map[int]bool{}
+				}
+			}
+			for i := 0; i < m.Rows; i++ {
+				for j := 0; j < m.Cols; j += p.ChunkElems() {
+					c := p.Coord(i, j)
+					want[c.Channel][c.Bank][c.Row] = true
+				}
+			}
+			if prefill {
+				for ch := range want {
+					for b, rows := range want[ch] {
+						for row := range rows {
+							err := chans[ch].Bank(b).MutateRow(row, func(data []byte) {
+								for k := range data {
+									data[k] = 0xff
+								}
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+			}
+			before := make([][]uint64, g.Channels)
+			for ch := range before {
+				before[ch] = make([]uint64, g.Banks)
+				for b := range before[ch] {
+					before[ch][b] = chans[ch].Bank(b).Version()
+				}
+			}
+			if err := p.Load(chans); err != nil {
 				t.Fatal(err)
 			}
-			got, err := bf16.VectorFromBytes(img)
-			if err != nil {
-				t.Fatal(err)
-			}
+
+			label := fmt.Sprintf("%v prefill=%v", kind, prefill)
 			lanes := g.ColBits / 16
-			if got[c.Col*lanes+c.Lane] != m.At(i, j) {
-				t.Fatalf("%v: element (%d,%d) mismatch at %+v", kind, i, j, c)
+			elems := 0
+			for ch := range want {
+				for b, rows := range want[ch] {
+					bank := chans[ch].Bank(b)
+					wantIDs := make([]int, 0, len(rows))
+					for row := range rows {
+						wantIDs = append(wantIDs, row)
+					}
+					sort.Ints(wantIDs)
+					ids := bank.StoredRowIDs()
+					if !slices.Equal(ids, wantIDs) {
+						t.Fatalf("%s: channel %d bank %d stores rows %v, Coord names %v", label, ch, b, ids, wantIDs)
+					}
+					if got := bank.Version() - before[ch][b]; got != uint64(len(rows)) {
+						t.Errorf("%s: channel %d bank %d Version rose by %d for %d rows", label, ch, b, got, len(rows))
+					}
+					for _, row := range ids {
+						img, err := bank.PeekRow(row)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for col := 0; col < g.Cols; col++ {
+							for lane := 0; lane < lanes; lane++ {
+								got := bf16.FromBits(binary.LittleEndian.Uint16(img[2*(col*lanes+lane):]))
+								var w bf16.Num
+								if i, j, ok := p.InvCoord(Coord{Channel: ch, Bank: b, Row: row, Col: col, Lane: lane}); ok {
+									w = m.At(i, j)
+									elems++
+								}
+								if got != w {
+									t.Fatalf("%s: channel %d bank %d row %d col %d lane %d = %#04x, want %#04x",
+										label, ch, b, row, col, lane, uint16(got), uint16(w))
+								}
+							}
+						}
+					}
+				}
+			}
+			if elems != m.Rows*m.Cols {
+				t.Errorf("%s: stored rows hold %d elements, matrix has %d", label, elems, m.Rows*m.Cols)
 			}
 		}
 	}
 }
 
+// TestLoadWrongChannelCount checks a channel slice of the wrong length,
+// a LoadChannel index outside the geometry and a channel of another
+// geometry are named errors rather than index panics.
 func TestLoadWrongChannelCount(t *testing.T) {
 	g := smallGeometry(2)
 	p, err := NewPlacement(g, Interleaved, NewMatrix(4, 4))
@@ -193,6 +279,17 @@ func TestLoadWrongChannelCount(t *testing.T) {
 	}
 	if err := p.Load(nil); err == nil {
 		t.Error("wrong channel slice length accepted")
+	}
+	ch := newChannels(t, g)[0]
+	for _, bad := range []int{-1, 2, 7} {
+		err := p.LoadChannel(bad, ch)
+		if want := fmt.Sprintf("layout: channel %d out of range [0,2)", bad); err == nil || err.Error() != want {
+			t.Errorf("LoadChannel(%d): got %v, want %q", bad, err, want)
+		}
+	}
+	g.Banks /= 2
+	if err := p.LoadChannel(0, newChannels(t, g)[0]); err == nil || !strings.Contains(err.Error(), "geometry") {
+		t.Errorf("LoadChannel into a %d-bank channel: got %v, want the geometry error", g.Banks, err)
 	}
 }
 

@@ -53,6 +53,9 @@ func CompileISR(pm *PlacedModel, geo dram.Geometry, normExposure int64, input []
 		return nil, fmt.Errorf("nn: input width %d, model %s expects %d",
 			len(input), pm.Spec.Name, pm.Spec.InputWidth())
 	}
+	if geo.Channels > isr.MaxChannels {
+		return nil, fmt.Errorf("nn: ISR path addresses channels with %d-bit masks, device has %d channels", isr.MaxChannels, geo.Channels)
+	}
 	lanes := geo.ColBits / 16
 	if geo.Banks != lanes {
 		return nil, fmt.Errorf("nn: ISR path needs banks (%d) == GPR lanes (%d) so one RD_MAC fills one GPR", geo.Banks, lanes)

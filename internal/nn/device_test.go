@@ -208,6 +208,27 @@ func TestDeviceProgramSelfContained(t *testing.T) {
 	}
 }
 
+// TestCompileISRRejectsUnmaskableDevice checks the compiler refuses a
+// device with more channels than a 32-bit ISR mask addresses, rather
+// than building masks that silently drop channels 32 and up.
+func TestCompileISRRejectsUnmaskableDevice(t *testing.T) {
+	cfg := executorConfig()
+	cfg.Geometry.Channels = isr.MaxChannels + 1
+	c, err := host.NewController(cfg, host.Newton())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := smallModel()
+	pm, err := PlaceModel(c, spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = CompileISR(pm, cfg.Geometry, 0, testInput(spec.InputWidth()))
+	if err == nil || !strings.HasPrefix(err.Error(), "nn: ") || !strings.Contains(err.Error(), "32-bit") {
+		t.Errorf("got %v, want the compiler's 32-bit mask width error", err)
+	}
+}
+
 // TestISRHelpersPinnedToNN pins internal/isr's duplicated arithmetic
 // (it cannot import nn) to the nn originals: Normalize to BatchNorm,
 // ReshapeInto to Reshape, AFFunc to Activation.Func.

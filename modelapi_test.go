@@ -187,3 +187,58 @@ func TestCompileModelText(t *testing.T) {
 		t.Fatalf("re-parsed %d instructions, compiled %d", len(prog.Instrs), cm.Instructions())
 	}
 }
+
+// TestRunModelOnDeviceChannelMaskWidth pins the ISR channel-mask width
+// at both edges. On a 32-channel device the device run must match the
+// per-layer loop bit for bit, for deviceTestModel and for a model whose
+// 512-row layer gives every channel a tile, so its masks set bit 31. A
+// 33-channel device, which a 32-bit mask cannot address, is refused
+// with an error naming the mask width instead of running with channels
+// dropped.
+func TestRunModelOnDeviceChannelMaskWidth(t *testing.T) {
+	wide := Model{Name: "wide", Layers: []Layer{
+		{Name: "h", Rows: 16 * isr.MaxChannels, Cols: 256, Act: ActReLU},
+		{Name: "o", Rows: 64, Cols: 16 * isr.MaxChannels, Act: ActReLU},
+	}}
+	load := func(spec Model, channels int) (*System, *PlacedModel) {
+		cfg := DefaultConfig()
+		cfg.Channels = channels
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := sys.LoadModel(spec, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, pm
+	}
+	for _, spec := range []Model{deviceTestModel(), wide} {
+		input := deviceTestInput(spec.InputWidth())
+		sys, pm := load(spec, isr.MaxChannels)
+		dev, err := sys.RunModelOnDevice(pm, input)
+		if err != nil {
+			t.Fatalf("%s on %d channels: %v", spec.Name, isr.MaxChannels, err)
+		}
+		sys2, pm2 := load(spec, isr.MaxChannels)
+		perLayer, err := sys2.RunModel(pm2, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dev.Output) != len(perLayer.Output) {
+			t.Fatalf("%s: output length %d, per-layer %d", spec.Name, len(dev.Output), len(perLayer.Output))
+		}
+		for i := range dev.Output {
+			if math.Float32bits(dev.Output[i]) != math.Float32bits(perLayer.Output[i]) {
+				t.Fatalf("%s: device output[%d] = %g, per-layer %g", spec.Name, i, dev.Output[i], perLayer.Output[i])
+			}
+		}
+	}
+
+	spec := deviceTestModel()
+	sys, pm := load(spec, isr.MaxChannels+1)
+	_, err := sys.RunModelOnDevice(pm, deviceTestInput(spec.InputWidth()))
+	if err == nil || !strings.Contains(err.Error(), "32-bit") {
+		t.Fatalf("%d channels: got %v, want the 32-bit mask width error", isr.MaxChannels+1, err)
+	}
+}
