@@ -10,12 +10,11 @@ import (
 	"newton/internal/serve"
 )
 
-// The fleet-serving types are the internal/cluster package's,
+// The fleet-serving types are the serving engine's (internal/cluster),
 // re-exported so library users can drive a multi-device fleet without
 // reaching into internal packages. Where a Server shards the channels
 // of one simulated device, a Cluster routes whole requests across N
-// independent devices through a virtual-time front-end router — see
-// internal/cluster for the model.
+// independent devices; both run on the same virtual-time router.
 type (
 	// ClusterOptions tunes the router (Policy, ReduceNs, Autoscale) and
 	// every device's queue and batcher (MaxBatch, MaxWait, QueueDepth,
@@ -26,15 +25,13 @@ type (
 	// ClusterRoutePolicy picks among live replicas (RouteLeastLoaded or
 	// RouteHash).
 	ClusterRoutePolicy = cluster.RoutePolicy
-	// ClusterShedPolicy picks the victim when a device queue is full.
-	ClusterShedPolicy = cluster.ShedPolicy
+	// ShedPolicy picks the victim when a device queue is full.
+	ShedPolicy = cluster.ShedPolicy
 	// ClusterDevice is one routable fleet member.
 	ClusterDevice = cluster.Device
 	// ClusterResult is a fleet run's outcome: per-device metrics,
 	// request-level fleet totals, and router counters.
 	ClusterResult = cluster.Result
-	// ClusterMetrics aggregates one stream's serving behaviour.
-	ClusterMetrics = cluster.Metrics
 	// ClusterDeviceResult is one device's outcome.
 	ClusterDeviceResult = cluster.DeviceResult
 	// ClusterRouterStats counts the router's own decisions.
@@ -54,15 +51,16 @@ const (
 
 // Device-queue shed policy values.
 const (
-	ClusterShedNewest = cluster.ShedNewest
-	ClusterShedOldest = cluster.ShedOldest
+	ShedNewest = cluster.ShedNewest
+	ShedOldest = cluster.ShedOldest
 )
 
 // Device health values.
 const (
-	DeviceHealthy = cluster.Healthy
-	DeviceCold    = cluster.Cold
-	DeviceFailed  = cluster.Failed
+	DeviceHealthy  = cluster.Healthy
+	DeviceCold     = cluster.Cold
+	DeviceFailed   = cluster.Failed
+	DeviceDegraded = cluster.Degraded
 )
 
 // OutageSchedule draws a deterministic device-failure campaign over a
@@ -112,8 +110,7 @@ type ClusterConfig struct {
 	// Seed generates the deterministic weights and calibration inputs.
 	Seed int64
 	// CalibrateBatches is the measured batch-table depth for Newton and
-	// Ideal backends; 0 picks min(MaxBatch, 8) with linear extrapolation
-	// beyond it, exactly as ServeConfig does.
+	// Ideal backends; 0 picks min(MaxBatch, 8) (see calibrationDepth).
 	CalibrateBatches int
 	// Outages is the device-failure campaign: each entry kills one
 	// device (by fleet index) at a virtual time; its queue drains to
@@ -125,8 +122,8 @@ type ClusterConfig struct {
 // Cluster is a simulated multi-device serving fleet behind a
 // virtual-time router.
 type Cluster struct {
-	cfg   ClusterConfig
-	fleet *cluster.Fleet
+	fleet   *cluster.Fleet
+	weights []float64 // per-model share of generated traffic
 }
 
 // NewCluster builds the fleet: one full simulated device (with c's
@@ -156,10 +153,12 @@ func (c Config) NewCluster(cc ClusterConfig) (*Cluster, error) {
 		tasks      []calTask
 		placements []cluster.Placement
 	)
+	weights := make([]float64, len(cc.Models))
 	for mi, m := range cc.Models {
 		if m.Rows < 1 || m.Cols < 1 {
 			return nil, fmt.Errorf("newton: cluster model %q has shape %dx%d", m.Name, m.Rows, m.Cols)
 		}
+		weights[mi] = trafficWeight(m.Weight)
 		if m.SplitAcross == 1 || m.SplitAcross < 0 {
 			return nil, fmt.Errorf("newton: cluster model %q splits across %d devices; need >= 2", m.Name, m.SplitAcross)
 		}
@@ -219,16 +218,7 @@ func (c Config) NewCluster(cc ClusterConfig) (*Cluster, error) {
 
 	// Calibrate one backend per task, in parallel; replicas share the
 	// resulting table, slices each get their own.
-	calibrate := cc.CalibrateBatches
-	if calibrate < 1 {
-		calibrate = cc.Options.MaxBatch
-		if calibrate < 1 {
-			calibrate = 1
-		}
-		if calibrate > 8 {
-			calibrate = 8
-		}
-	}
+	calibrate := calibrationDepth(cc.CalibrateBatches, cc.Options.MaxBatch)
 	backends := make([]cluster.Backend, len(tasks))
 	switch cc.Backend {
 	case ServeGPU:
@@ -294,7 +284,7 @@ func (c Config) NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{cfg: cc, fleet: fleet}, nil
+	return &Cluster{fleet: fleet, weights: weights}, nil
 }
 
 // Devices returns the fleet's device list in routing order.
@@ -309,11 +299,7 @@ func (cl *Cluster) Observe(reg *ObsRegistry, tracer *ObsTracer) {
 
 // Replay routes a request stream through the fleet.
 func (cl *Cluster) Replay(reqs []ServeRequest) (*ClusterResult, error) {
-	conv := make([]cluster.Request, len(reqs))
-	for i, q := range reqs {
-		conv[i] = cluster.Request{T: q.T, Model: q.Model}
-	}
-	return cl.fleet.Replay(conv)
+	return cl.fleet.Replay(reqs)
 }
 
 // ServePoisson replays n open-loop Poisson arrivals at the offered load
@@ -321,12 +307,5 @@ func (cl *Cluster) Replay(reqs []ServeRequest) (*ClusterResult, error) {
 // seed fully determines the trace, so fleet results are exactly
 // reproducible.
 func (cl *Cluster) ServePoisson(n int, qps float64, seed int64) (*ClusterResult, error) {
-	w := make([]float64, len(cl.cfg.Models))
-	for i, m := range cl.cfg.Models {
-		w[i] = m.Weight
-		if w[i] <= 0 {
-			w[i] = 1
-		}
-	}
-	return cl.Replay(PoissonRequests(n, qps, w, seed))
+	return cl.Replay(PoissonRequests(n, qps, cl.weights, seed))
 }

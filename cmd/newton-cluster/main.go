@@ -119,11 +119,11 @@ func main() {
 	default:
 		log.Fatalf("unknown -policy %q (want least or hash)", *policyFlag)
 	}
-	shed := newton.ClusterShedNewest
+	shed := newton.ShedNewest
 	switch *shedFlag {
 	case "newest":
 	case "oldest":
-		shed = newton.ClusterShedOldest
+		shed = newton.ShedOldest
 	default:
 		log.Fatalf("unknown -shed %q (want newest or oldest)", *shedFlag)
 	}

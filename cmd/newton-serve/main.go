@@ -104,7 +104,7 @@ func main() {
 				MaxBatch:   *maxBatch,
 				MaxWait:    *maxWait,
 				QueueDepth: *queue,
-				Policy:     shed,
+				Shed:       shed,
 			},
 		}
 		if kind == newton.ServeGPU {
@@ -282,12 +282,12 @@ func single(srv *newton.Server, streams []stream, hist bool) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s: %s\n", s.label, res.Total.Summary())
+		fmt.Printf("%s: %s\n", s.label, summary(&res.Total))
 		if showShards(res) {
-			for _, sh := range res.Shards {
+			for _, sh := range res.Devices {
 				fmt.Printf("  %-20s %s  shed %d  retried %d",
-					sh.Name, sh.Metrics.Summary(), sh.Metrics.Shed, sh.Metrics.Retried)
-				if sh.Health != newton.ShardHealthy {
+					sh.Name, summary(&sh.Metrics), sh.Metrics.Shed, sh.Metrics.Retried)
+				if sh.Health != newton.DeviceHealthy {
 					fmt.Printf("  [%s]", sh.Health)
 				}
 				fmt.Println()
@@ -303,15 +303,28 @@ func single(srv *newton.Server, streams []stream, hist bool) {
 // multiple shards, or a single shard with something to report (shed or
 // retried work, or a non-healthy state).
 func showShards(res *newton.ServeResult) bool {
-	if len(res.Shards) > 1 {
+	if len(res.Devices) > 1 {
 		return true
 	}
-	for _, sh := range res.Shards {
-		if sh.Metrics.Shed > 0 || sh.Metrics.Retried > 0 || sh.Health != newton.ShardHealthy {
+	for _, sh := range res.Devices {
+		if sh.Metrics.Shed > 0 || sh.Metrics.Retried > 0 || sh.Health != newton.DeviceHealthy {
 			return true
 		}
 	}
 	return false
+}
+
+// summary renders one stream's report line: counts, tail latency, the
+// achieved mean batch and throughput, and retries when there were any.
+func summary(m *newton.ServeMetrics) string {
+	s := fmt.Sprintf("served %d/%d (shed %.1f%%)  p50/p95/p99 %s / %s / %s  mean batch %.2f  %.0f qps",
+		m.Served, m.Arrived, 100*m.ShedFraction(),
+		fmtNs(m.Latency.P50()), fmtNs(m.Latency.P95()), fmtNs(m.Latency.P99()),
+		m.MeanBatch(), m.Throughput())
+	if m.Retried > 0 {
+		s += fmt.Sprintf("  retried %d", m.Retried)
+	}
+	return s
 }
 
 // printHist renders the latency distribution as log-spaced bars.

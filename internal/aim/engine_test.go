@@ -32,7 +32,8 @@ func loadRows(t *testing.T, e *Engine) {
 		for c := 0; c < g.Cols; c++ {
 			row[c*16] = bf16.FromFloat32(float32(b + 1))
 		}
-		if err := e.Channel().Bank(b).LoadRow(0, row.Bytes()); err != nil {
+		img := row.Bytes()
+		if err := e.Channel().Bank(b).MutateRow(0, func(data []byte) { copy(data, img) }); err != nil {
 			t.Fatal(err)
 		}
 	}

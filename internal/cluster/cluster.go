@@ -1,12 +1,14 @@
-// Package cluster is the fleet-scale serving layer over the Newton
-// simulator: it places replicas and model-parallel slices of served
-// models across N independent simulated devices and routes an open-loop
-// request stream to them through a virtual-time front-end router.
+// Package cluster is the serving engine over the Newton simulator: it
+// places replicas and model-parallel slices of served models across
+// independent simulated devices and routes an open-loop request stream
+// to them through a virtual-time front-end router. It is the system
+// face of the paper's motivation (§I, latency-critical ML inference)
+// and of its Fig. 11/12 batching crossovers.
 //
-// Where internal/serve shards the channels of *one* device, this
-// package treats each whole device as a routable target — the topology
-// production ML traffic actually sees: a router in front of a fleet of
-// accelerators. The pieces:
+// A device is whatever one Backend prices: a whole simulated device in
+// a fleet, or one channel partition of a device (Config.Split in the
+// root package) serving its own models, which the root Server builds as
+// a static fleet with one replica placement per model. The pieces:
 //
 //   - placement: a model is either replicated (full copies on k
 //     devices, the router picks one per request) or row-split (each of
@@ -15,22 +17,26 @@
 //     paper's Config.Split multi-tenancy semantics lifted from channels
 //     within one device to devices within a fleet,
 //   - routing: consistent-hash or least-loaded replica selection, with
-//     continuous batching — requests arriving while a batch is in
-//     flight coalesce into the device's next launch,
-//   - reliability: device health states and failover chains (the
-//     serve-layer FailoverTo machinery lifted to the device level); a
-//     device that dies mid-run drains its admitted queue to siblings,
+//     per-device admission control (bounded queue, shed-newest or
+//     shed-oldest) and continuous batching — requests arriving while a
+//     batch is in flight coalesce into the device's next launch, up to
+//     a max-batch / max-wait deadline,
+//   - reliability: READRES result validation with bounded retry and
+//     degradation (RetryPlan), device health states and failover
+//     chains; a device that dies mid-run drains its admitted queue to
+//     siblings, and later arrivals walk the chain,
 //   - autoscaling: SLO-aware activation of cold standby replicas,
 //     driven by the windowed p99 and fleet queue depth the router
-//     observes, with a configurable warm-up delay.
+//     observes, with a configurable warm-up delay,
+//   - tail-latency metrics: exact p50/p95/p99 over queue-wait, service
+//     and sojourn histograms, plus throughput, shed and retry counters.
 //
 // Everything runs in deterministic virtual time from a single router
 // goroutine: the same (fleet, stream) pair always produces byte-
 // identical metrics, expositions and traces. Device cost models are
 // plain Backend values (batch-k service-time tables measured on the
-// live cycle-level simulator by the callers in the root package), so
-// this package depends only on internal/obs — it routes to devices
-// without importing any shard internals.
+// live cycle-level simulator by internal/serve), so this package
+// depends only on internal/obs.
 package cluster
 
 import (
@@ -41,12 +47,9 @@ import (
 )
 
 // Backend models one device's virtual-time cost: the service time of a
-// k-way batch of one model. It is the serving layers' one cost-model
-// interface (internal/serve's Backend is an alias of it), so the
-// calibrated table backends measured on the live simulator price both
-// shards and fleet devices; implementations must be deterministic and
-// read-only during a run (the router may consult one backend for many
-// devices).
+// k-way batch of one model. internal/serve's calibrated backends
+// implement it; implementations must be deterministic and read-only
+// during a run (the router may consult one backend for many devices).
 type Backend interface {
 	// Name labels the backend in reports ("newton", "gpu", ...).
 	Name() string
@@ -55,9 +58,10 @@ type Backend interface {
 	ServiceCycles(model, batch int) float64
 }
 
-// Device is one routable member of the fleet: a whole simulated device
-// (its Backend prices batches on the device's own channels), the global
-// model indices it can serve, and its reliability/scaling role.
+// Device is one routable member of the fleet: a simulated device or
+// channel partition (its Backend prices batches on its own channels),
+// the global model indices it can serve, and its reliability/scaling
+// role.
 type Device struct {
 	// Name labels the device in reports, metric labels and span tracks;
 	// New defaults it to "newton-<i>".
@@ -76,10 +80,14 @@ type Device struct {
 	// failover chain (or, failing that, to live replicas by routing
 	// policy), and later arrivals are never routed here.
 	FailAt float64
-	// FailoverTo names the first device of this device's drain chain.
-	// Chains are walked with a cycle guard, skipping dead, cold and
-	// incapable devices, exactly like the serve layer's shard chains.
+	// FailoverTo names the first device of this device's failover
+	// chain: its queue drains there when it dies, and so do later
+	// arrivals for a model with no live replica. Chains are walked with
+	// a cycle guard, skipping dead, cold and incapable devices.
 	FailoverTo string
+	// Retry injects READRES validation failures into the device's
+	// launches; the zero value never fails validation.
+	Retry RetryPlan
 }
 
 // Placement pins one model onto the fleet. Exactly one of Replicas and
@@ -212,9 +220,9 @@ func (o Options) maxWait() float64 {
 	return o.MaxWait
 }
 
-// Request is one inference query in virtual time. It is structurally
-// identical to internal/serve's Request, so streams convert between the
-// two layers element-wise.
+// Request is one inference query in virtual time: the one request type
+// of the serving stack (internal/serve's arrival generators and trace
+// parser produce it).
 type Request struct {
 	// T is the arrival time in simulated nanoseconds.
 	T float64
@@ -234,6 +242,9 @@ const (
 	// Failed means the device died mid-run (Device.FailAt) and its
 	// queue drained to siblings.
 	Failed
+	// Degraded means detected validation failures crossed the device's
+	// RetryPlan.DegradeAfter threshold; it kept serving, slower.
+	Degraded
 )
 
 // String names the health state.
@@ -245,6 +256,8 @@ func (h Health) String() string {
 		return "cold"
 	case Failed:
 		return "failed"
+	case Degraded:
+		return "degraded"
 	}
 	return fmt.Sprintf("Health(%d)", int(h))
 }
@@ -389,8 +402,10 @@ type RouterStats struct {
 	// Fanout is the number of slice sub-requests created for row-split
 	// models.
 	Fanout int64
-	// Rerouted counts requests whose preferred consistent-hash owner was
-	// unavailable, moving them along the ring.
+	// Rerouted counts requests routed off their preferred target: a
+	// consistent-hash owner that was unavailable (moving them along the
+	// ring), or a model with no live replica (moving them along the
+	// failover chain).
 	Rerouted int64
 	// Drained counts queued units a dying device handed to a sibling;
 	// DrainShed the units that found no live sibling and were dropped.

@@ -29,11 +29,15 @@ type Metrics struct {
 	Batch Histogram
 
 	// Arrived counts offered units; Served completed ones; Shed the
-	// units dropped by admission control, failed fan-out, or device
-	// death with no live sibling.
+	// units dropped by admission control, failed fan-out, retry
+	// exhaustion, or device death with no live sibling.
 	Arrived, Served, Shed int64
-	// Launches counts batch launches (device level only).
+	// Launches counts batch launches; Served/Launches is the achieved
+	// mean batch size. The fleet Total sums the devices'.
 	Launches int64
+	// Retried counts launch re-runs after a detected READRES validation
+	// failure (RetryPlan). The fleet Total sums the devices'.
+	Retried int64
 	// DrainedIn / DrainedOut count units this device received from (or
 	// handed to) failover siblings when a device died. Per device,
 	// Arrived + DrainedIn = Served + Shed + DrainedOut once the stream
@@ -88,6 +92,7 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.Served += o.Served
 	m.Shed += o.Shed
 	m.Launches += o.Launches
+	m.Retried += o.Retried
 	m.DrainedIn += o.DrainedIn
 	m.DrainedOut += o.DrainedOut
 	if o.PeakQueue > m.PeakQueue {
@@ -112,6 +117,9 @@ func (m *Metrics) Summary() string {
 		m.Throughput())
 	if m.DrainedIn > 0 || m.DrainedOut > 0 {
 		fmt.Fprintf(&sb, "  drained %d in / %d out", m.DrainedIn, m.DrainedOut)
+	}
+	if m.Retried > 0 {
+		fmt.Fprintf(&sb, "  retried %d", m.Retried)
 	}
 	return sb.String()
 }

@@ -2,9 +2,9 @@ package cluster
 
 import "newton/internal/obs"
 
-// Observability buckets, matching the serve layer's so fleet and shard
-// series are directly comparable: log-spaced latency bounds from 1 us to
-// ~1 s of virtual time, one batch bucket per size up to 32.
+// Observability buckets: log-spaced latency bounds from 1 us to ~1 s of
+// virtual time, and one batch bucket per size up to 32 (the largest
+// MaxBatch the experiments sweep), larger batches falling into +Inf.
 var (
 	latencyBuckets = obs.ExpBuckets(1000, 2, 20)
 	batchBuckets   = obs.LinearBuckets(1, 1, 32)
@@ -33,6 +33,8 @@ func publishRun(reg *obs.Registry, f *Fleet, res *Result) {
 			"units dropped at this device by admission control or death", dev).Add(m.Shed)
 		reg.Counter("newton_cluster_device_launches_total",
 			"batch launches", dev).Add(m.Launches)
+		reg.Counter("newton_cluster_device_retries_total",
+			"launch re-runs after a detected READRES validation failure", dev).Add(m.Retried)
 		reg.Counter("newton_cluster_device_drained_in_total",
 			"units received from a dying sibling's queue", dev).Add(m.DrainedIn)
 		reg.Counter("newton_cluster_device_drained_out_total",
@@ -40,7 +42,7 @@ func publishRun(reg *obs.Registry, f *Fleet, res *Result) {
 		reg.Gauge("newton_cluster_device_queue_depth_peak",
 			"deepest the device queue got during the last run", dev).SetInt(m.PeakQueue)
 		reg.Gauge("newton_cluster_device_health",
-			"device health after the last run: 0 healthy, 1 cold, 2 failed", dev).SetInt(int64(dr.Health))
+			"device health after the last run: 0 healthy, 1 cold, 2 failed, 3 degraded", dev).SetInt(int64(dr.Health))
 
 		lat := reg.Histogram("newton_cluster_device_latency_ns",
 			"unit sojourn time in virtual ns: arrival to batch completion", latencyBuckets, dev)

@@ -1,0 +1,53 @@
+package cluster
+
+import "math/rand"
+
+// RetryPlan models host-side READRES result validation on one device.
+// Newton's READRES stream bypasses controller ECC (paper §III-E), so a
+// production fleet checksums the result latches and re-executes launches
+// that fail validation. The zero value never detects a failure.
+type RetryPlan struct {
+	// Seed drives the device's validation draws: the device at fleet
+	// index i draws from its own source seeded Seed+i, one draw per
+	// launch attempt in launch order, so a (fleet, stream) pair replays
+	// identically.
+	Seed int64
+	// DetectedPerLaunch is the probability that a launch attempt's
+	// validation detects a corrupted result, forcing a re-run.
+	DetectedPerLaunch float64
+	// MaxRetries bounds re-runs per launch. A launch still failing after
+	// MaxRetries re-runs sheds its whole batch; the device is busy for
+	// every attempt either way.
+	MaxRetries int
+	// DegradeAfter moves the device to Degraded health after this many
+	// detected failures (0 = never degrade): the operational signal that
+	// it needs scrubbing or replacement.
+	DegradeAfter int64
+	// DegradedPenalty multiplies service times while Degraded (recovery
+	// scrubs interleave with serving). Values <= 1 mean no penalty.
+	DegradedPenalty float64
+}
+
+// degraded reports whether detected failures crossed the threshold.
+func (p *RetryPlan) degraded(detected int64) bool {
+	return p.DegradeAfter > 0 && detected >= p.DegradeAfter
+}
+
+// attempts runs one launch's validation loop on the device's draw
+// source: each detected failure costs a re-run, up to MaxRetries. It
+// returns the attempt count and whether the last attempt validated, and
+// adds every detection to *detected.
+func (p *RetryPlan) attempts(rng *rand.Rand, detected *int64) (n int, ok bool) {
+	n = 1
+	if rng == nil {
+		return n, true
+	}
+	for rng.Float64() < p.DetectedPerLaunch {
+		*detected++
+		if n > p.MaxRetries {
+			return n, false
+		}
+		n++
+	}
+	return n, true
+}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strconv"
 
@@ -48,14 +49,21 @@ type devRun struct {
 	dead     bool
 	activeAt float64 // earliest allowed launch after an activation
 	m        Metrics
+	// rng draws the device's READRES validation outcomes (nil when its
+	// RetryPlan never detects); detected counts detections so far.
+	rng      *rand.Rand
+	detected int64
 }
 
 // run is one Replay's full state. The router is a single goroutine —
 // routing decisions (least-loaded, autoscaling) read cross-device state,
 // so the determinism contract is sequencing, not sharding.
 type run struct {
-	f      *Fleet
-	opt    Options
+	f   *Fleet
+	opt Options
+	// now is the virtual time of the event being processed; no launch
+	// happens before it.
+	now    float64
 	devs   []devRun
 	joins  map[int]*join
 	spans  []obs.SpanID // per-request root span (tracer runs only)
@@ -67,20 +75,22 @@ type run struct {
 }
 
 // Replay routes the request stream through the fleet and returns the
-// per-device and fleet-level metrics. The stream is sorted stably by
-// arrival time first, so hand-built traces need not be pre-sorted;
-// everything downstream is deterministic in virtual time.
+// per-device and fleet-level metrics. Every arrival time must be finite
+// and non-negative, and every model placed; an error names the first
+// request that is not. The stream is sorted stably by arrival time
+// first, so hand-built traces need not be pre-sorted; everything
+// downstream is deterministic in virtual time.
 func (f *Fleet) Replay(reqs []Request) (*Result, error) {
-	ordered := append([]Request(nil), reqs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].T < ordered[j].T })
-	for _, q := range ordered {
-		if q.T < 0 || math.IsNaN(q.T) {
-			return nil, fmt.Errorf("cluster: bad arrival time %g", q.T)
+	for i, q := range reqs {
+		if !(q.T >= 0) || math.IsInf(q.T, 1) {
+			return nil, fmt.Errorf("cluster: request %d has arrival time %g; need a finite time >= 0", i, q.T)
 		}
 		if _, ok := f.place[q.Model]; !ok {
-			return nil, fmt.Errorf("cluster: request for model %d, which no placement covers", q.Model)
+			return nil, fmt.Errorf("cluster: request %d is for model %d, which no placement covers", i, q.Model)
 		}
 	}
+	ordered := append([]Request(nil), reqs...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].T < ordered[j].T })
 
 	r := &run{
 		f:     f,
@@ -93,6 +103,9 @@ func (f *Fleet) Replay(reqs []Request) (*Result, error) {
 	for i := range r.devs {
 		r.devs[i].cold = f.devices[i].Standby
 		r.devs[i].m.FirstArrival = math.Inf(1)
+		if plan := &f.devices[i].Retry; plan.DetectedPerLaunch > 0 {
+			r.devs[i].rng = rand.New(rand.NewSource(plan.Seed + int64(i)))
+		}
 	}
 	if r.tr != nil {
 		r.spans = make([]obs.SpanID, len(ordered))
@@ -102,7 +115,7 @@ func (f *Fleet) Replay(reqs []Request) (*Result, error) {
 	// device failure, the earliest device launch, and the next arrival.
 	// Ties resolve failure -> launch -> arrival: a launch at a device's
 	// FailAt never happens, and an arrival at FailAt is routed around
-	// the dead device — the same boundary semantics as the serve layer.
+	// the dead device.
 	i := 0
 	for {
 		lt, ld := r.nextLaunch()
@@ -118,10 +131,13 @@ func (f *Fleet) Replay(reqs []Request) (*Result, error) {
 		}
 		switch {
 		case fd >= 0 && ft <= lt && ft <= at:
+			r.now = ft
 			r.failDevice(fd)
 		case ld >= 0 && lt <= at:
+			r.now = lt
 			r.launch(ld, lt)
 		default:
+			r.now = at
 			r.route(ordered[i], i)
 			i++
 		}
@@ -143,9 +159,12 @@ func (f *Fleet) Replay(reqs []Request) (*Result, error) {
 			health = Failed
 		case dr.cold:
 			health = Cold
+		case d.Retry.degraded(dr.detected):
+			health = Degraded
 		}
 		res.Devices[i] = DeviceResult{Name: d.Name, Backend: d.Backend.Name(), Health: health, Metrics: dr.m}
 		res.Total.Launches += dr.m.Launches
+		res.Total.Retried += dr.m.Retried
 		if dr.m.PeakQueue > res.Total.PeakQueue {
 			res.Total.PeakQueue = dr.m.PeakQueue
 		}
@@ -170,6 +189,12 @@ func (r *run) nextLaunch() (float64, int) {
 // soon as it is free once the head model's batch is full, otherwise
 // when the head's MaxWait coalescing deadline or the device-free time
 // passes — and never before a warming device's activeAt.
+//
+// A full batch launches no earlier than the current event time, not at
+// the instant it filled: a shed-oldest eviction can make a batch that
+// filled earlier the head after the fact, and launching it at its fill
+// time would start it before the eviction that exposed it. (A short
+// batch's deadline is never in the past: its head would have launched.)
 func (r *run) launchTime(di int) float64 {
 	dr := &r.devs[di]
 	if dr.dead || dr.cold || len(dr.queue) == 0 {
@@ -177,19 +202,17 @@ func (r *run) launchTime(di int) float64 {
 	}
 	head := dr.queue[0]
 	maxBatch := r.opt.maxBatch()
-	n, fullAt := 0, 0.0
+	n := 0
 	for _, p := range dr.queue {
 		if p.model == head.model {
-			n++
-			if n == maxBatch {
-				fullAt = p.rt
+			if n++; n == maxBatch {
 				break
 			}
 		}
 	}
 	var at float64
 	if n >= maxBatch {
-		at = math.Max(dr.free, fullAt)
+		at = math.Max(dr.free, r.now)
 	} else {
 		at = math.Max(dr.free, head.rt+r.opt.maxWait())
 	}
@@ -258,6 +281,11 @@ func (r *run) route(q Request, idx int) {
 		}
 	} else {
 		di, preferred := r.pickReplica(pl, int64(idx))
+		if di < 0 {
+			// No live replica: walk the first replica's failover chain,
+			// as a dead slice does.
+			di, preferred = r.drainTarget(pl.Replicas[0], q.Model, int64(idx)), false
+		}
 		if di < 0 {
 			r.total.Shed++
 			if r.tr != nil {
@@ -374,7 +402,7 @@ func (r *run) launch(di int, at float64) {
 	maxBatch := r.opt.maxBatch()
 
 	// Fast path: the batch is a queue prefix (always true for a device
-	// serving one model). Otherwise compact-scan like the serve layer.
+	// serving one model). Otherwise compact-scan the queue.
 	k := 0
 	for k < len(dr.queue) && k < maxBatch && dr.queue[k].model == head.model {
 		k++
@@ -397,31 +425,48 @@ func (r *run) launch(di int, at float64) {
 	}
 	r.queued -= int64(len(members))
 
-	service := r.f.devices[di].Backend.ServiceCycles(head.model, len(members))
-	done := at + service
+	d := &r.f.devices[di]
+	service := d.Backend.ServiceCycles(head.model, len(members))
+	if d.Retry.degraded(dr.detected) && d.Retry.DegradedPenalty > 1 {
+		service *= d.Retry.DegradedPenalty
+	}
+	// READRES validation: every attempt occupies the device; a batch
+	// still failing after MaxRetries re-runs is shed.
+	attempts, ok := d.Retry.attempts(dr.rng, &dr.detected)
+	done := at + float64(attempts)*service
 	dr.free = done
 	dr.m.Launches++
+	dr.m.Retried += int64(attempts - 1)
 	dr.m.Batch.Record(float64(len(members)))
 	if done > dr.m.LastCompletion {
 		dr.m.LastCompletion = done
 	}
 
-	name := r.f.devices[di].Name
 	if r.tr != nil {
-		r.tr.Span(name, "batch", at, done, 0,
-			obs.Arg{Key: "model", Value: strconv.Itoa(head.model)},
-			obs.Arg{Key: "batch", Value: strconv.Itoa(len(members))})
+		args := []obs.Arg{
+			{Key: "model", Value: strconv.Itoa(head.model)},
+			{Key: "batch", Value: strconv.Itoa(len(members))},
+		}
+		if attempts > 1 {
+			args = append(args, obs.Arg{Key: "attempts", Value: strconv.Itoa(attempts)})
+		}
+		r.tr.Span(d.Name, "batch", at, done, 0, args...)
 	}
 	for _, p := range members {
+		if r.tr != nil {
+			parent := r.spans[p.req]
+			r.tr.Span(d.Name, "queue", p.t, at, parent)
+			r.tr.Span(d.Name, "service", at, done, parent)
+		}
+		if !ok {
+			dr.m.Shed++
+			r.fleetShed(p, done)
+			continue
+		}
 		dr.m.Served++
 		dr.m.QueueWait.Record(at - p.t)
 		dr.m.Service.Record(done - at)
 		dr.m.Latency.Record(done - p.t)
-		if r.tr != nil {
-			parent := r.spans[p.req]
-			r.tr.Span(name, "queue", p.t, at, parent)
-			r.tr.Span(name, "service", at, done, parent)
-		}
 		r.completeUnit(p, done)
 	}
 }
@@ -524,8 +569,8 @@ func (r *run) failDevice(di int) {
 
 // drainTarget resolves where a dead device's work for a model goes:
 // first along the device's failover chain (cycle-guarded, skipping
-// dead, cold and incapable devices — the serve layer's chain walk
-// lifted to devices), then to a live replica by routing policy.
+// dead, cold and incapable devices), then to a live replica by routing
+// policy.
 func (r *run) drainTarget(from, model int, key int64) int {
 	for j, hops := r.f.failover[from], 0; j >= 0 && hops < len(r.devs); j, hops = r.f.failover[j], hops+1 {
 		if j == from {

@@ -50,7 +50,7 @@ type Bank struct {
 	rows map[int][]byte
 
 	// version counts stored-data mutations. Every path that can change a
-	// row's bytes (WriteColumn, LoadRow, MutateRow) bumps it, so caches
+	// row's bytes (WriteColumn, MutateRow) bumps it, so caches
 	// keyed on bank contents (the host's event-core result memo) can
 	// detect staleness with one integer compare instead of hashing the
 	// stored rows.
@@ -189,33 +189,19 @@ func (b *Bank) WriteColumn(col int, data []byte) error {
 }
 
 // Version returns the bank's stored-data mutation counter: it advances
-// on every WriteColumn, LoadRow and MutateRow, and never otherwise, so
-// equal versions guarantee byte-identical stored rows.
+// on every WriteColumn and MutateRow, and never otherwise, so equal
+// versions guarantee byte-identical stored rows.
 func (b *Bank) Version() uint64 { return b.version }
 
-// LoadRow stores an entire row image directly, bypassing timing, for
-// tests that plant known rows. Filter matrices are preloaded in place
-// through MutateRow (layout.Placement.LoadChannel).
-func (b *Bank) LoadRow(row int, data []byte) error {
-	if row < 0 || row >= b.geo.Rows {
-		return fmt.Errorf("dram: row %d out of range [0,%d)", row, b.geo.Rows)
-	}
-	if len(data) != b.geo.RowBytes() {
-		return fmt.Errorf("dram: row image is %d bytes, row is %d", len(data), b.geo.RowBytes())
-	}
-	copy(b.row(row), data)
-	b.version++
-	return nil
-}
-
 // PeekRow returns a copy of a row's stored image without timing effects,
-// for debugging and tests.
+// for debugging and tests. A row never written reads as zeros and stays
+// unallocated, so a peek leaves StoredRows and StoredRowIDs unchanged.
 func (b *Bank) PeekRow(row int) ([]byte, error) {
 	if row < 0 || row >= b.geo.Rows {
 		return nil, fmt.Errorf("dram: row %d out of range [0,%d)", row, b.geo.Rows)
 	}
 	out := make([]byte, b.geo.RowBytes())
-	copy(out, b.row(row))
+	copy(out, b.rows[row])
 	return out, nil
 }
 

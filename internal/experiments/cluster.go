@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"newton/internal/cluster"
+	"newton/internal/obs"
 	"newton/internal/serve"
 	"newton/internal/workloads"
 )
@@ -109,11 +110,7 @@ func (c Config) Cluster() ([]ClusterPoint, ClusterSummary, error) {
 
 	var points []ClusterPoint
 	for _, qps := range ClusterLoads {
-		arr := serve.PoissonArrivals(sum.Requests, qps, nil, ClusterSeed)
-		stream := make([]cluster.Request, len(arr))
-		for i, q := range arr {
-			stream[i] = cluster.Request{T: q.T, Model: q.Model}
-		}
+		stream := serve.PoissonArrivals(sum.Requests, qps, nil, ClusterSeed)
 		nres, err := nf.Replay(stream)
 		if err != nil {
 			return nil, sum, fmt.Errorf("cluster newton @%g qps: %w", qps, err)
@@ -149,8 +146,8 @@ func RenderCluster(points []ClusterPoint, sum ClusterSummary) string {
 	for _, p := range points {
 		body = append(body, []string{
 			fmt.Sprintf("%.0f", p.QPS),
-			fmt.Sprintf("%s / %s / %s", serve.FormatNs(p.NewtonP50), serve.FormatNs(p.NewtonP95), serve.FormatNs(p.NewtonP99)),
-			fmt.Sprintf("%s / %s / %s", serve.FormatNs(p.GPUP50), serve.FormatNs(p.GPUP95), serve.FormatNs(p.GPUP99)),
+			fmt.Sprintf("%s / %s / %s", obs.FormatNs(p.NewtonP50), obs.FormatNs(p.NewtonP95), obs.FormatNs(p.NewtonP99)),
+			fmt.Sprintf("%s / %s / %s", obs.FormatNs(p.GPUP50), obs.FormatNs(p.GPUP95), obs.FormatNs(p.GPUP99)),
 			fmt.Sprintf("%.2fM", p.NewtonTput/1e6),
 			fmt.Sprintf("%.2fM", p.GPUTput/1e6),
 			p.Winner(),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"newton/internal/cluster"
 	"newton/internal/dram"
 	"newton/internal/fault"
 	"newton/internal/host"
@@ -49,7 +50,7 @@ type FaultPoint struct {
 	RelL2  float64
 	MaxULP uint64
 	// Availability is the served fraction of a Poisson stream under
-	// the serve layer's detect-and-retry model at this point's
+	// the serving engine's detect-and-retry model at this point's
 	// measured detection rate (1 = every request answered).
 	Availability float64
 }
@@ -278,9 +279,9 @@ func (c Config) faultPoint(spec nn.Model, ber float64, protected bool) (FaultPoi
 	return pt, ff, nil
 }
 
-// faultAvailability models the serve-layer consequence of this cell's
+// faultAvailability models the serving consequence of this cell's
 // measured detection rate: between scrubs, a detected-uncorrectable
-// word forces a launch retry (reliability.go), so the per-launch
+// word forces a launch retry (cluster.RetryPlan), so the per-launch
 // detection probability is 1-(1-perWord)^words over the inference's
 // word footprint. The modeled stream is Poisson at half the device's
 // service rate — a busy but unsaturated shard. Unprotected cells never
@@ -300,9 +301,12 @@ func (c Config) faultAvailability(pt FaultPoint, words int64, serviceNs float64)
 	qps := 0.5e9 / serviceNs
 	reqs := serve.PoissonArrivals(n, qps, nil, ServingSeed)
 	tb := &serve.TableBackend{Label: "newton", Times: map[int][]float64{0: {serviceNs}}}
-	plan := &serve.FaultPlan{Seed: c.Seed + FaultSeed, DetectedPerLaunch: perLaunch, MaxRetries: 3}
-	res, err := serve.Run([]serve.Shard{{Name: "fault", Backend: tb, Models: []int{0}, Fault: plan}},
-		reqs, serve.Options{})
+	plan := cluster.RetryPlan{Seed: c.Seed + FaultSeed, DetectedPerLaunch: perLaunch, MaxRetries: 3}
+	f, err := oneDevice(tb, plan, cluster.Options{})
+	if err != nil {
+		return 0
+	}
+	res, err := f.Replay(reqs)
 	if err != nil || res.Total.Arrived == 0 {
 		return 0
 	}

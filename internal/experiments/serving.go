@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"newton/internal/cluster"
+	"newton/internal/obs"
 	"newton/internal/serve"
 	"newton/internal/workloads"
 )
@@ -70,8 +72,8 @@ func (c Config) servingRequests() int {
 // seeded Poisson stream is replayed against (a) a Newton device serving
 // queries one at a time at its measured service time and (b) the
 // batching GPU model draining its queue as single kernels. Both run
-// through the same queue/batcher simulation in internal/serve, so the
-// comparison isolates the device, not the serving policy.
+// on the same serving engine (internal/cluster), so the comparison
+// isolates the device, not the serving policy.
 func (c Config) Serving() ([]ServingPoint, ServingSummary, error) {
 	bench, _ := workloads.ByName("DLRM-s1")
 	models := map[int]serve.ModelShape{0: {Name: bench.Name, Rows: bench.Rows, Cols: bench.Cols}}
@@ -89,18 +91,23 @@ func (c Config) Serving() ([]ServingPoint, ServingSummary, error) {
 		GPUBatch1:     gpu.ServiceCycles(0, 1),
 	}
 
-	run := func(b serve.Backend, opt serve.Options, qps float64) (*serve.Result, error) {
-		reqs := serve.PoissonArrivals(sum.Requests, qps, nil, ServingSeed)
-		return serve.Run([]serve.Shard{{Name: b.Name(), Backend: b, Models: []int{0}}}, reqs, opt)
+	nf, err := oneDevice(newton, cluster.RetryPlan{}, cluster.Options{MaxBatch: 1})
+	if err != nil {
+		return nil, sum, err
+	}
+	gf, err := oneDevice(gpu, cluster.RetryPlan{}, cluster.Options{MaxBatch: 1024})
+	if err != nil {
+		return nil, sum, err
 	}
 
 	var points []ServingPoint
 	for _, qps := range ServingLoads {
-		nres, err := run(newton, serve.Options{MaxBatch: 1}, qps)
+		reqs := serve.PoissonArrivals(sum.Requests, qps, nil, ServingSeed)
+		nres, err := nf.Replay(reqs)
 		if err != nil {
 			return nil, sum, fmt.Errorf("serving newton @%g qps: %w", qps, err)
 		}
-		gres, err := run(gpu, serve.Options{MaxBatch: 1024}, qps)
+		gres, err := gf.Replay(reqs)
 		if err != nil {
 			return nil, sum, fmt.Errorf("serving gpu @%g qps: %w", qps, err)
 		}
@@ -123,6 +130,13 @@ func (c Config) Serving() ([]ServingPoint, ServingSummary, error) {
 	return points, sum, nil
 }
 
+// oneDevice builds the single shard the serving and fault studies
+// replay: one device serving model 0.
+func oneDevice(b cluster.Backend, retry cluster.RetryPlan, opt cluster.Options) (*cluster.Fleet, error) {
+	return cluster.New([]cluster.Device{{Name: b.Name(), Backend: b, Models: []int{0}, Retry: retry}},
+		[]cluster.Placement{{Model: 0, Replicas: []int{0}}}, opt)
+}
+
 // RenderServing formats the serving study.
 func RenderServing(points []ServingPoint, sum ServingSummary) string {
 	hdr := []string{"load(qps)", "newton p50/p99", "gpu p50/p99", "gpu batch", "winner"}
@@ -130,8 +144,8 @@ func RenderServing(points []ServingPoint, sum ServingSummary) string {
 	for _, p := range points {
 		body = append(body, []string{
 			fmt.Sprintf("%.0f", p.QPS),
-			fmt.Sprintf("%s / %s", serve.FormatNs(p.NewtonP50), serve.FormatNs(p.NewtonP99)),
-			fmt.Sprintf("%s / %s", serve.FormatNs(p.GPUP50), serve.FormatNs(p.GPUP99)),
+			fmt.Sprintf("%s / %s", obs.FormatNs(p.NewtonP50), obs.FormatNs(p.NewtonP99)),
+			fmt.Sprintf("%s / %s", obs.FormatNs(p.GPUP50), obs.FormatNs(p.GPUP99)),
 			fmt.Sprintf("%.1f", p.GPUBatch),
 			p.Winner(),
 		})

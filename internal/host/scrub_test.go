@@ -32,7 +32,7 @@ func TestScrubRestoresCorruptedMatrix(t *testing.T) {
 	}
 	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
 		for b := 0; b < cfg.Geometry.Banks; b++ {
-			if err := c.Engine(ch).Channel().Bank(b).LoadRow(p.BaseRow(), garbage); err != nil {
+			if err := c.Engine(ch).Channel().Bank(b).MutateRow(p.BaseRow(), func(data []byte) { copy(data, garbage) }); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -4,18 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
-)
 
-// Request is one inference query in virtual time.
-type Request struct {
-	// T is the arrival time in simulated nanoseconds.
-	T float64
-	// Model indexes the served model set (see Run's models argument).
-	Model int
-}
+	"newton/internal/cluster"
+)
 
 // PoissonArrivals generates n open-loop arrivals at the given offered
 // load (queries per second of virtual time), with exponential
@@ -23,7 +18,7 @@ type Request struct {
 // seed) triple names one exact trace. Models are drawn from the weights
 // slice (nil or empty = all requests for model 0); weights need not be
 // normalized.
-func PoissonArrivals(n int, qps float64, weights []float64, seed int64) []Request {
+func PoissonArrivals(n int, qps float64, weights []float64, seed int64) []cluster.Request {
 	if n <= 0 || qps <= 0 {
 		return nil
 	}
@@ -33,7 +28,7 @@ func PoissonArrivals(n int, qps float64, weights []float64, seed int64) []Reques
 	for _, w := range weights {
 		totalW += w
 	}
-	reqs := make([]Request, n)
+	reqs := make([]cluster.Request, n)
 	t := 0.0
 	for i := range reqs {
 		t += rng.ExpFloat64() * interarrival
@@ -48,7 +43,7 @@ func PoissonArrivals(n int, qps float64, weights []float64, seed int64) []Reques
 				}
 			}
 		}
-		reqs[i] = Request{T: t, Model: model}
+		reqs[i] = cluster.Request{T: t, Model: model}
 	}
 	return reqs
 }
@@ -57,8 +52,8 @@ func PoissonArrivals(n int, qps float64, weights []float64, seed int64) []Reques
 // "<arrival_ns> <model_index>", with blank lines and #-comments
 // ignored. Arrivals are sorted by time (stably) so hand-written traces
 // need not be pre-sorted.
-func ParseTrace(r io.Reader) ([]Request, error) {
-	var reqs []Request
+func ParseTrace(r io.Reader) ([]cluster.Request, error) {
+	var reqs []cluster.Request
 	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
@@ -67,9 +62,12 @@ func ParseTrace(r io.Reader) ([]Request, error) {
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		var req Request
+		var req cluster.Request
 		if _, err := fmt.Sscanf(text, "%g %d", &req.T, &req.Model); err != nil {
 			return nil, fmt.Errorf("serve: trace line %d %q: %w", line, text, err)
+		}
+		if math.IsNaN(req.T) || math.IsInf(req.T, 0) {
+			return nil, fmt.Errorf("serve: trace line %d %q: arrival time is not finite", line, text)
 		}
 		if req.T < 0 || req.Model < 0 {
 			return nil, fmt.Errorf("serve: trace line %d %q: negative field", line, text)
@@ -84,7 +82,7 @@ func ParseTrace(r io.Reader) ([]Request, error) {
 }
 
 // FormatTrace writes requests in the ParseTrace format.
-func FormatTrace(w io.Writer, reqs []Request) error {
+func FormatTrace(w io.Writer, reqs []cluster.Request) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# newton-serve arrival trace: <arrival_ns> <model_index>")
 	for _, r := range reqs {

@@ -1,3 +1,18 @@
+// Package serve supplies what the serving engine (internal/cluster)
+// serves: calibrated device backends and request streams.
+//
+//   - Backends price a k-way batch of one model in virtual time. The
+//     Newton and Ideal Non-PIM backends measure their batch tables on
+//     the live cycle-level simulator (NewNewtonBackend,
+//     NewNewtonE2EBackend for whole multi-layer models, NewIdealBackend);
+//     the GPU backend evaluates the calibrated analytic model.
+//     TableBackend also gives tests a hand-computable device.
+//   - Request streams are seeded open-loop Poisson arrivals
+//     (PoissonArrivals) or replayed trace files (ParseTrace,
+//     FormatTrace), in the engine's cluster.Request type.
+//
+// Everything is deterministic: a (config, models, seed) triple always
+// yields the same tables, and an (n, qps, seed) triple the same stream.
 package serve
 
 import (
@@ -5,7 +20,6 @@ import (
 	"sort"
 
 	"newton/internal/bf16"
-	"newton/internal/cluster"
 	"newton/internal/dram"
 	"newton/internal/gpu"
 	"newton/internal/host"
@@ -17,14 +31,6 @@ type ModelShape struct {
 	Name       string
 	Rows, Cols int
 }
-
-// Backend models one shard's device: the virtual-time cost of serving a
-// k-way batch of one model. It is cluster.Backend, the one cost-model
-// interface of both serving layers: a shard serves through it here, and
-// the fleet router prices whole devices with the same backends.
-// Implementations must be deterministic and safe for use from the
-// single worker goroutine that owns the shard.
-type Backend = cluster.Backend
 
 // TableBackend serves from measured per-batch service-time tables: the
 // cumulative time of batches 1..len(table) per model, linearly
@@ -39,10 +45,10 @@ type TableBackend struct {
 	Times map[int][]float64
 }
 
-// Name implements Backend.
+// Name implements cluster.Backend.
 func (t *TableBackend) Name() string { return t.Label }
 
-// ServiceCycles implements Backend by table lookup with linear
+// ServiceCycles implements cluster.Backend by table lookup with linear
 // extrapolation beyond the measured range.
 func (t *TableBackend) ServiceCycles(model, batch int) float64 {
 	tab := t.Times[model]
@@ -62,8 +68,8 @@ func (t *TableBackend) ServiceCycles(model, batch int) float64 {
 
 // NewNewtonBackend measures a Newton device's batch-1..calibrate
 // service times for every model and returns the resulting table
-// backend. Calibration is a real simulation: one controller per shard
-// holds all of the shard's matrices resident at once (the §III-D
+// backend. Calibration is a real simulation: one controller holds all
+// of the device's matrices resident at once (the §III-D
 // coexistence model), and each model's batch times are the measured
 // cumulative cycles of back-to-back products under the live refresh
 // schedule — the Fig. 11 linear-in-k behaviour, measured rather than
@@ -163,10 +169,10 @@ func NewGPUBackend(m gpu.Model, models map[int]ModelShape) *GPUBackend {
 	return &GPUBackend{Model: m, Shapes: shapes}
 }
 
-// Name implements Backend.
+// Name implements cluster.Backend.
 func (g *GPUBackend) Name() string { return g.Model.Name }
 
-// ServiceCycles implements Backend.
+// ServiceCycles implements cluster.Backend.
 func (g *GPUBackend) ServiceCycles(model, batch int) float64 {
 	s, ok := g.Shapes[model]
 	if !ok {

@@ -87,7 +87,7 @@ func publishModelE2E(reg *obs.Registry, model string, res *nn.DeviceRunResult) {
 	reg.Gauge("newton_serve_e2e_program_instrs",
 		"compiled ISR program length for one inference", lbl).SetInt(int64(res.Instrs))
 	lat := reg.Histogram("newton_serve_e2e_layer_ns",
-		"per-layer on-device latency in virtual ns", latencyBuckets, lbl)
+		"per-layer on-device latency in virtual ns", obs.ExpBuckets(1000, 2, 20), lbl)
 	for _, c := range res.LayerCycles {
 		lat.Observe(float64(c))
 	}

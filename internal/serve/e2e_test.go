@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"newton/internal/cluster"
 	"newton/internal/host"
 	"newton/internal/nn"
 	"newton/internal/obs"
@@ -54,9 +55,9 @@ func TestNewtonE2EBackend(t *testing.T) {
 	}
 
 	// The table drives a serving run like any single-matrix backend.
-	shards := []Shard{{Name: "e2e-0", Backend: eb, Models: []int{0, 1}}}
-	reqs := []Request{{T: 0, Model: 0}, {T: 10, Model: 1}, {T: 20, Model: 0}}
-	res, err := Run(shards, reqs, Options{MaxBatch: 2, MaxWait: 100})
+	shards := []cluster.Device{{Name: "e2e-0", Backend: eb, Models: []int{0, 1}}}
+	reqs := []cluster.Request{{T: 0, Model: 0}, {T: 10, Model: 1}, {T: 20, Model: 0}}
+	res, err := run(shards, reqs, cluster.Options{MaxBatch: 2, MaxWait: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestNewtonE2EBackendPublishesMetrics(t *testing.T) {
 	if g.Value() <= 0 {
 		t.Error("e2e latency gauge not positive")
 	}
-	h := reg.Histogram("newton_serve_e2e_layer_ns", "", latencyBuckets, obs.L("model", "mlp-a"))
+	h := reg.Histogram("newton_serve_e2e_layer_ns", "", obs.ExpBuckets(1000, 2, 20), obs.L("model", "mlp-a"))
 	if h.Count() != 2 {
 		t.Errorf("layer histogram has %d samples, want 2 (one per layer)", h.Count())
 	}

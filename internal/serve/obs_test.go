@@ -6,44 +6,47 @@ import (
 	"strings"
 	"testing"
 
+	"newton/internal/cluster"
 	"newton/internal/obs"
 )
 
 // obsFleet is a two-shard fleet with failover and enough load to shed.
-func obsFleet() ([]Shard, []Request, Options) {
-	shards := []Shard{
+func obsFleet() ([]cluster.Device, []cluster.Request, cluster.Options) {
+	shards := []cluster.Device{
 		{Name: "newton-0", Backend: tb(100, 150, 180), Models: []int{0},
-			Fault: &FaultPlan{FailAt: 500}, FailoverTo: "newton-1"},
+			FailAt: 500, FailoverTo: "newton-1"},
 		{Name: "newton-1", Backend: &TableBackend{Label: "table", Times: map[int][]float64{
-			0: {100, 150, 180}, 1: {120, 170, 200}}}, Models: []int{1}},
+			0: {100, 150, 180}, 1: {120, 170, 200}}}, Models: []int{1, 0}},
 	}
-	var reqs []Request
+	var reqs []cluster.Request
 	for i := 0; i < 40; i++ {
-		reqs = append(reqs, Request{T: float64(i * 40), Model: i % 2})
+		reqs = append(reqs, cluster.Request{T: float64(i * 40), Model: i % 2})
 	}
-	return shards, reqs, Options{MaxBatch: 2, MaxWait: 30, QueueDepth: 2}
+	return shards, reqs, cluster.Options{MaxBatch: 2, MaxWait: 30, QueueDepth: 2}
 }
 
 func TestRunPublishesMetricsAndSpans(t *testing.T) {
 	shards, reqs, opt := obsFleet()
+	latencyBuckets := obs.ExpBuckets(1000, 2, 20)
+	batchBuckets := obs.LinearBuckets(1, 1, 32)
 
 	// Reference run with observability off.
-	plain, err := Run(shards, reqs, opt)
+	plain, err := run(shards, reqs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	run := func() (*Result, *obs.Registry, *obs.Tracer) {
+	replay := func() (*cluster.Result, *obs.Registry, *obs.Tracer) {
 		reg, tr := obs.New(), &obs.Tracer{}
 		o := opt
 		o.Obs, o.Tracer = reg, tr
-		res, err := Run(shards, reqs, o)
+		res, err := run(shards, reqs, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, reg, tr
 	}
-	res, reg, tr := run()
+	res, reg, tr := replay()
 
 	// Observability must not perturb the simulation.
 	if !reflect.DeepEqual(res.Total, plain.Total) {
@@ -56,59 +59,58 @@ func TestRunPublishesMetricsAndSpans(t *testing.T) {
 	}
 	out := buf.String()
 
-	// Counters mirror the Metrics struct per shard.
-	for i := range res.Shards {
-		m := &res.Shards[i].Metrics
-		name := res.Shards[i].Name
-		c := reg.Counter("newton_serve_requests_total", "", obs.L("shard", name))
+	// Counters mirror the Metrics struct per device.
+	for i := range res.Devices {
+		m := &res.Devices[i].Metrics
+		dev := obs.L("device", res.Devices[i].Name)
+		c := reg.Counter("newton_cluster_device_requests_total", "", dev)
 		if c.Value() != m.Arrived {
-			t.Errorf("shard %s: requests_total = %d, want %d", name, c.Value(), m.Arrived)
+			t.Errorf("%v: requests_total = %d, want %d", dev, c.Value(), m.Arrived)
 		}
-		s := reg.Counter("newton_serve_shed_total", "", obs.L("shard", name))
+		s := reg.Counter("newton_cluster_device_shed_total", "", dev)
 		if s.Value() != m.Shed {
-			t.Errorf("shard %s: shed_total = %d, want %d", name, s.Value(), m.Shed)
+			t.Errorf("%v: shed_total = %d, want %d", dev, s.Value(), m.Shed)
 		}
-		h := reg.Histogram("newton_serve_latency_ns", "", latencyBuckets, obs.L("shard", name))
+		h := reg.Histogram("newton_cluster_device_latency_ns", "", latencyBuckets, dev)
 		if h.Count() != int64(m.Latency.Count()) {
-			t.Errorf("shard %s: latency samples = %d, want %d", name, h.Count(), m.Latency.Count())
+			t.Errorf("%v: latency samples = %d, want %d", dev, h.Count(), m.Latency.Count())
 		}
-		b := reg.Histogram("newton_serve_batch_size", "", batchBuckets, obs.L("shard", name))
+		b := reg.Histogram("newton_cluster_device_batch_size", "", batchBuckets, dev)
 		if b.Count() != m.Launches {
-			t.Errorf("shard %s: batch samples = %d, want launches %d", name, b.Count(), m.Launches)
+			t.Errorf("%v: batch samples = %d, want launches %d", dev, b.Count(), m.Launches)
 		}
 	}
 
-	// The failed shard's rerouted traffic shows up as failover.
-	fo := reg.Counter("newton_serve_failover_total", "", obs.L("shard", "newton-0"))
-	if fo.Value() == 0 {
-		t.Error("failover counter is zero despite a dead shard with a failover target")
+	// Arrivals for the dead shard's model walk its failover chain.
+	if reg.Counter("newton_cluster_router_rerouted_total", "").Value() == 0 {
+		t.Error("rerouted counter is zero despite a dead shard with a failover target")
 	}
-	if !strings.Contains(out, `newton_serve_health{shard="newton-0"} 2`) {
+	if !strings.Contains(out, `newton_cluster_device_health{device="newton-0"} 2`) {
 		t.Errorf("failed shard not reported in health gauge:\n%s", out)
 	}
 
-	// Spans: every served request has a request span under a batch span.
+	// Spans: every request the router admitted has a root request span
+	// on the router track, parenting its queue and service spans.
 	spans := tr.Spans()
-	counts := map[string]int{}
-	roots := obs.Roots(spans)
 	byID := map[obs.SpanID]obs.Span{}
+	counts := map[string]int{}
+	routerSheds := 0
 	for _, s := range spans {
-		counts[s.Name]++
 		byID[s.ID] = s
+		counts[s.Name]++
+		if s.Name == "shed" && s.Track == "router" {
+			routerSheds++
+		}
 	}
-	wantReq := int(res.Total.Served + res.Total.Shed - shedAtAdmission(spans))
-	if counts["request"] < int(res.Total.Served) || counts["request"] > wantReq {
-		t.Errorf("request spans = %d, served = %d", counts["request"], res.Total.Served)
+	if int64(counts["request"]+routerSheds) != res.Total.Arrived {
+		t.Errorf("request spans %d + router sheds %d != arrived %d", counts["request"], routerSheds, res.Total.Arrived)
 	}
 	if int64(counts["batch"]) != res.Total.Launches {
 		t.Errorf("batch spans = %d, launches = %d", counts["batch"], res.Total.Launches)
 	}
 	for _, s := range spans {
-		if s.Name == "request" {
-			root := byID[roots[s.ID]]
-			if root.Name != "batch" {
-				t.Fatalf("request span's root is %q, want batch", root.Name)
-			}
+		if s.Name == "request" && s.Parent != 0 {
+			t.Fatalf("request span has parent %q, want a root", byID[s.Parent].Name)
 		}
 		if s.Name == "queue" || s.Name == "service" {
 			if byID[s.Parent].Name != "request" {
@@ -117,10 +119,9 @@ func TestRunPublishesMetricsAndSpans(t *testing.T) {
 		}
 	}
 
-	// Determinism: a second identical run doubles every counter but the
-	// exposition structure stays identical; a fresh registry reproduces
-	// the bytes exactly.
-	_, reg2, tr2 := run()
+	// Determinism: a fresh registry and tracer reproduce the exposition
+	// and the trace exactly.
+	_, reg2, tr2 := replay()
 	var buf2 bytes.Buffer
 	if err := reg2.WritePrometheus(&buf2); err != nil {
 		t.Fatal(err)
@@ -130,31 +131,5 @@ func TestRunPublishesMetricsAndSpans(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tr.Spans(), tr2.Spans()) {
 		t.Error("span traces differ across identical runs")
-	}
-}
-
-// shedAtAdmission counts shed markers (admission-time sheds have no
-// request span; retry-exhaustion sheds do).
-func shedAtAdmission(spans []obs.Span) int64 {
-	var n int64
-	for _, s := range spans {
-		if s.Name == "shed" {
-			n++
-		}
-	}
-	return n
-}
-
-func TestPerShardOptionsInheritObservability(t *testing.T) {
-	reg := obs.New()
-	shards := []Shard{{Name: "s0", Backend: tb(100, 150), Models: []int{0},
-		Opt: &Options{MaxBatch: 2}}}
-	_, err := Run(shards, []Request{{T: 0}, {T: 10}}, Options{Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := reg.Counter("newton_serve_requests_total", "", obs.L("shard", "s0"))
-	if c.Value() != 2 {
-		t.Fatalf("per-shard Opt override lost the registry: requests_total = %d, want 2", c.Value())
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"newton/internal/cluster"
 )
 
 // mtb builds a table backend serving several models, each with the
@@ -16,13 +18,13 @@ func mtb(times map[int][]float64) *TableBackend {
 // retry arithmetic: 3 attempts, 2 retries, batch shed, device busy for
 // all three attempts.
 func TestRetryExhaustionShedsBatch(t *testing.T) {
-	plan := &FaultPlan{Seed: 1, DetectedPerLaunch: 1, MaxRetries: 2}
-	shards := []Shard{{Name: "s0", Backend: tb(100), Models: []int{0}, Fault: plan}}
-	res, err := Run(shards, []Request{{T: 0}}, Options{})
+	plan := cluster.RetryPlan{Seed: 1, DetectedPerLaunch: 1, MaxRetries: 2}
+	shards := []cluster.Device{{Name: "s0", Backend: tb(100), Models: []int{0}, Retry: plan}}
+	res, err := run(shards, []cluster.Request{{T: 0}}, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &res.Total
+	m := &res.Devices[0].Metrics
 	if m.Arrived != 1 || m.Served != 0 || m.Shed != 1 {
 		t.Fatalf("counters: arrived %d served %d shed %d", m.Arrived, m.Served, m.Shed)
 	}
@@ -36,23 +38,26 @@ func TestRetryExhaustionShedsBatch(t *testing.T) {
 	if m.LastCompletion != 300 {
 		t.Fatalf("LastCompletion = %v, want 300", m.LastCompletion)
 	}
+	if tot := &res.Total; tot.Arrived != 1 || tot.Served != 0 || tot.Shed != 1 || tot.Retried != 2 {
+		t.Fatalf("fleet total: arrived %d served %d shed %d retried %d", tot.Arrived, tot.Served, tot.Shed, tot.Retried)
+	}
 }
 
 func TestRetriesAreDeterministicAndAccounted(t *testing.T) {
-	reqs := make([]Request, 200)
+	reqs := make([]cluster.Request, 200)
 	for i := range reqs {
-		reqs[i] = Request{T: float64(i) * 50}
+		reqs[i] = cluster.Request{T: float64(i) * 50}
 	}
-	plan := &FaultPlan{Seed: 7, DetectedPerLaunch: 0.3, MaxRetries: 3}
-	run := func() *Result {
-		shards := []Shard{{Name: "s0", Backend: tb(100), Models: []int{0}, Fault: plan}}
-		res, err := Run(shards, reqs, Options{})
+	plan := cluster.RetryPlan{Seed: 7, DetectedPerLaunch: 0.3, MaxRetries: 3}
+	replay := func() *cluster.Result {
+		shards := []cluster.Device{{Name: "s0", Backend: tb(100), Models: []int{0}, Retry: plan}}
+		res, err := run(shards, reqs, cluster.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(), run()
+	a, b := replay(), replay()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same plan+stream produced different results")
 	}
@@ -72,32 +77,32 @@ func TestRetriesAreDeterministicAndAccounted(t *testing.T) {
 }
 
 func TestDegradationSlowsService(t *testing.T) {
-	reqs := make([]Request, 50)
+	reqs := make([]cluster.Request, 50)
 	for i := range reqs {
-		reqs[i] = Request{T: float64(i) * 1000}
+		reqs[i] = cluster.Request{T: float64(i) * 1000}
 	}
-	run := func(penalty float64) (*Result, Health) {
-		plan := &FaultPlan{Seed: 3, DetectedPerLaunch: 0.4, MaxRetries: 5,
+	replay := func(penalty float64) (*cluster.Metrics, cluster.Health) {
+		plan := cluster.RetryPlan{Seed: 3, DetectedPerLaunch: 0.4, MaxRetries: 5,
 			DegradeAfter: 1, DegradedPenalty: penalty}
-		shards := []Shard{{Name: "s0", Backend: tb(100), Models: []int{0}, Fault: plan}}
-		res, err := Run(shards, reqs, Options{})
+		shards := []cluster.Device{{Name: "s0", Backend: tb(100), Models: []int{0}, Retry: plan}}
+		res, err := run(shards, reqs, cluster.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, res.Shards[0].Health
+		return &res.Devices[0].Metrics, res.Devices[0].Health
 	}
-	slow, health := run(10)
-	fast, _ := run(1)
-	if health != Degraded {
+	slow, health := replay(10)
+	fast, _ := replay(1)
+	if health != cluster.Degraded {
 		t.Fatalf("health = %v, want degraded", health)
 	}
-	if slow.Total.Service.Max() <= fast.Total.Service.Max() {
+	if slow.Service.Max() <= fast.Service.Max() {
 		t.Fatalf("degraded max service %v not slower than healthy %v",
-			slow.Total.Service.Max(), fast.Total.Service.Max())
+			slow.Service.Max(), fast.Service.Max())
 	}
 	// Same seed, same draws: only the penalty differs, so counters match.
-	if slow.Total.Retried != fast.Total.Retried {
-		t.Fatalf("penalty changed the retry draws: %d vs %d", slow.Total.Retried, fast.Total.Retried)
+	if slow.Retried != fast.Retried {
+		t.Fatalf("penalty changed the retry draws: %d vs %d", slow.Retried, fast.Retried)
 	}
 }
 
@@ -105,26 +110,25 @@ func TestShardFailureFailsOverToReplica(t *testing.T) {
 	// Shard A serves model 0 and dies at t=1000; replica B takes over
 	// requests arriving from then on. B also serves its own model 1.
 	times := map[int][]float64{0: {100}, 1: {100}}
-	shards := []Shard{
-		{Name: "A", Backend: mtb(times), Models: []int{0},
-			Fault: &FaultPlan{FailAt: 1000}, FailoverTo: "B"},
-		{Name: "B", Backend: mtb(times), Models: []int{1}},
+	shards := []cluster.Device{
+		{Name: "A", Backend: mtb(times), Models: []int{0}, FailAt: 1000, FailoverTo: "B"},
+		{Name: "B", Backend: mtb(times), Models: []int{1, 0}},
 	}
-	reqs := []Request{
+	reqs := []cluster.Request{
 		{T: 0, Model: 0},    // served by A
 		{T: 500, Model: 0},  // served by A
 		{T: 1500, Model: 0}, // A is dead: rerouted to B
 		{T: 1600, Model: 1}, // B's own traffic
 		{T: 2000, Model: 0}, // rerouted to B
 	}
-	res, err := Run(shards, reqs, Options{})
+	res, err := run(shards, reqs, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := res.Shards[0], res.Shards[1]
-	if a.Health != Healthy {
-		// A drained its pre-failure stream and never hit a post-FailAt
-		// launch, so it reports healthy; the reroute happened upstream.
+	a, b := res.Devices[0], res.Devices[1]
+	if a.Health != cluster.Failed {
+		// A died at 1000 with nothing queued; it reports failed even
+		// though it never reached a launch past FailAt.
 		t.Fatalf("A health = %v", a.Health)
 	}
 	if a.Metrics.Served != 2 || a.Metrics.Shed != 0 {
@@ -139,52 +143,23 @@ func TestShardFailureFailsOverToReplica(t *testing.T) {
 }
 
 func TestShardFailureWithoutFailoverSheds(t *testing.T) {
-	shards := []Shard{{Name: "A", Backend: tb(100), Models: []int{0},
-		Fault: &FaultPlan{FailAt: 1000}}}
-	reqs := []Request{
+	shards := []cluster.Device{{Name: "A", Backend: tb(100), Models: []int{0}, FailAt: 1000}}
+	reqs := []cluster.Request{
 		{T: 0},    // served
 		{T: 950},  // queued behind nothing, launches at 950 < 1000: served
 		{T: 1500}, // arrives dead: shed
 		{T: 1600}, // shed
 	}
-	res, err := Run(shards, reqs, Options{})
+	res, err := run(shards, reqs, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Shards[0].Health != Failed {
-		t.Fatalf("health = %v, want failed", res.Shards[0].Health)
+	if res.Devices[0].Health != cluster.Failed {
+		t.Fatalf("health = %v, want failed", res.Devices[0].Health)
 	}
 	m := &res.Total
 	if m.Served != 2 || m.Shed != 2 || m.Arrived != 4 {
 		t.Fatalf("served %d shed %d arrived %d, want 2/2/4", m.Served, m.Shed, m.Arrived)
-	}
-}
-
-func TestFailoverValidation(t *testing.T) {
-	mk := func(failover string, plan *FaultPlan) []Shard {
-		return []Shard{
-			{Name: "A", Backend: tb(100), Models: []int{0}, Fault: plan, FailoverTo: failover},
-			{Name: "B", Backend: tb(100), Models: []int{1}},
-		}
-	}
-	if _, err := Run(mk("nope", &FaultPlan{FailAt: 1}), []Request{{T: 0}}, Options{}); err == nil {
-		t.Fatal("unknown failover target accepted")
-	}
-	if _, err := Run(mk("A", &FaultPlan{FailAt: 1}), []Request{{T: 0}}, Options{}); err == nil {
-		t.Fatal("self-failover accepted")
-	}
-	if _, err := Run(mk("B", nil), []Request{{T: 0}}, Options{}); err == nil {
-		t.Fatal("failover without a FailAt accepted")
-	}
-}
-
-func TestHealthString(t *testing.T) {
-	for h, want := range map[Health]string{
-		Healthy: "healthy", Degraded: "degraded", Failed: "failed", Health(7): "Health(7)",
-	} {
-		if got := h.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(h), got, want)
-		}
 	}
 }
 
@@ -194,19 +169,19 @@ func TestShedOldestDropsOldestPreservesOrder(t *testing.T) {
 	// Device busy until 1000 serving r0; queue depth 2. r1, r2 fill the
 	// queue; r3 arrives and evicts r1 (the oldest waiter); r4 evicts r2.
 	// The batch at 1000 serves r3 then r4 — in admission order.
-	reqs := []Request{
+	reqs := []cluster.Request{
 		{T: 0},  // r0: launches immediately, busy to 1000
 		{T: 10}, // r1: queued, evicted by r3
 		{T: 20}, // r2: queued, evicted by r4
 		{T: 30}, // r3: admitted via eviction
 		{T: 40}, // r4: admitted via eviction
 	}
-	opt := Options{MaxBatch: 1, QueueDepth: 2, Policy: ShedOldest}
-	res, err := Run(oneShard(tb(1000)), reqs, opt)
+	opt := cluster.Options{MaxBatch: 1, QueueDepth: 2, Shed: cluster.ShedOldest}
+	res, err := run(oneShard(tb(1000)), reqs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &res.Total
+	m := &res.Devices[0].Metrics
 	if m.Served != 3 || m.Shed != 2 {
 		t.Fatalf("served %d shed %d, want 3/2", m.Served, m.Shed)
 	}

@@ -6,10 +6,16 @@ import (
 	"strings"
 	"testing"
 
+	"newton/internal/cluster"
 	"newton/internal/dram"
 	"newton/internal/gpu"
 	"newton/internal/host"
 )
+
+// The tests below drive table backends through the serving engine with
+// hand-computable schedules. They build the topology root NewServer
+// builds: a static fleet in which each model is placed on the first
+// device that lists it, as its one replica.
 
 // tb builds a single-model table backend with the given cumulative
 // batch times.
@@ -17,11 +23,30 @@ func tb(times ...float64) *TableBackend {
 	return &TableBackend{Label: "table", Times: map[int][]float64{0: times}}
 }
 
-func oneShard(b Backend, models ...int) []Shard {
+func oneShard(b cluster.Backend, models ...int) []cluster.Device {
 	if len(models) == 0 {
 		models = []int{0}
 	}
-	return []Shard{{Name: "s0", Backend: b, Models: models}}
+	return []cluster.Device{{Name: "s0", Backend: b, Models: models}}
+}
+
+// run replays reqs on the devices as a static fleet.
+func run(devices []cluster.Device, reqs []cluster.Request, opt cluster.Options) (*cluster.Result, error) {
+	var pl []cluster.Placement
+	placed := make(map[int]bool)
+	for i, d := range devices {
+		for _, m := range d.Models {
+			if !placed[m] {
+				placed[m] = true
+				pl = append(pl, cluster.Placement{Model: m, Replicas: []int{i}})
+			}
+		}
+	}
+	f, err := cluster.New(devices, pl, opt)
+	if err != nil {
+		return nil, err
+	}
+	return f.Replay(reqs)
 }
 
 // TestHandTraceExact walks a hand-computable trace through the queue
@@ -35,13 +60,13 @@ func oneShard(b Backend, models ...int) []Shard {
 //
 // Latencies are therefore {100, 240, 230, 100}.
 func TestHandTraceExact(t *testing.T) {
-	reqs := []Request{{T: 0}, {T: 10}, {T: 20}, {T: 500}}
-	opt := Options{MaxBatch: 2, MaxWait: 0}
-	res, err := Run(oneShard(tb(100, 150)), reqs, opt)
+	reqs := []cluster.Request{{T: 0}, {T: 10}, {T: 20}, {T: 500}}
+	opt := cluster.Options{MaxBatch: 2, MaxWait: 0}
+	res, err := run(oneShard(tb(100, 150)), reqs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &res.Total
+	m := &res.Devices[0].Metrics
 	if m.Served != 4 || m.Arrived != 4 || m.Shed != 0 || m.Launches != 3 {
 		t.Fatalf("counters: %+v", m)
 	}
@@ -71,8 +96,8 @@ func TestHandTraceExact(t *testing.T) {
 // device holds the batch head until the deadline, collecting
 // co-batchable arrivals, then launches even though the batch is short.
 func TestMaxWaitDeadline(t *testing.T) {
-	reqs := []Request{{T: 0}, {T: 30}, {T: 100}}
-	res, err := Run(oneShard(tb(100, 150, 180)), reqs, Options{MaxBatch: 3, MaxWait: 50})
+	reqs := []cluster.Request{{T: 0}, {T: 30}, {T: 100}}
+	res, err := run(oneShard(tb(100, 150, 180)), reqs, cluster.Options{MaxBatch: 3, MaxWait: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +120,8 @@ func TestMaxWaitDeadline(t *testing.T) {
 // TestFullBatchLaunchesEarly checks that a full batch does not wait out
 // the deadline.
 func TestFullBatchLaunchesEarly(t *testing.T) {
-	reqs := []Request{{T: 0}, {T: 10}}
-	res, err := Run(oneShard(tb(100, 150)), reqs, Options{MaxBatch: 2, MaxWait: 1000})
+	reqs := []cluster.Request{{T: 0}, {T: 10}}
+	res, err := run(oneShard(tb(100, 150)), reqs, cluster.Options{MaxBatch: 2, MaxWait: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +134,12 @@ func TestFullBatchLaunchesEarly(t *testing.T) {
 // TestAdmissionControl exercises the bounded queue under both shed
 // policies.
 func TestAdmissionControl(t *testing.T) {
-	reqs := []Request{{T: 0}, {T: 1}, {T: 2}, {T: 3}}
-	base := Options{MaxBatch: 1, QueueDepth: 1}
+	reqs := []cluster.Request{{T: 0}, {T: 1}, {T: 2}, {T: 3}}
+	base := cluster.Options{MaxBatch: 1, QueueDepth: 1}
 
 	newest := base
-	newest.Policy = ShedNewest
-	res, err := Run(oneShard(tb(100)), reqs, newest)
+	newest.Shed = cluster.ShedNewest
+	res, err := run(oneShard(tb(100)), reqs, newest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +152,8 @@ func TestAdmissionControl(t *testing.T) {
 	}
 
 	oldest := base
-	oldest.Policy = ShedOldest
-	res, err = Run(oneShard(tb(100)), reqs, oldest)
+	oldest.Shed = cluster.ShedOldest
+	res, err = run(oneShard(tb(100)), reqs, oldest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +175,8 @@ func TestBatcherLeavesOtherModelsQueued(t *testing.T) {
 		0: {100, 120},
 		1: {100, 120},
 	}}
-	reqs := []Request{{T: 0, Model: 0}, {T: 1, Model: 1}, {T: 2, Model: 0}}
-	res, err := Run(oneShard(b, 0, 1), reqs, Options{MaxBatch: 4})
+	reqs := []cluster.Request{{T: 0, Model: 0}, {T: 1, Model: 1}, {T: 2, Model: 0}}
+	res, err := run(oneShard(b, 0, 1), reqs, cluster.Options{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,34 +190,10 @@ func TestBatcherLeavesOtherModelsQueued(t *testing.T) {
 	}
 }
 
-// TestRunValidation covers the routing error paths.
-func TestRunValidation(t *testing.T) {
-	if _, err := Run(nil, nil, Options{}); err == nil {
-		t.Error("no shards should error")
-	}
-	if _, err := Run(oneShard(tb(1)), []Request{{T: 0, Model: 7}}, Options{}); err == nil {
-		t.Error("unrouted model should error")
-	}
-	dup := []Shard{
-		{Name: "a", Backend: tb(1), Models: []int{0}},
-		{Name: "b", Backend: tb(1), Models: []int{0}},
-	}
-	if _, err := Run(dup, nil, Options{}); err == nil {
-		t.Error("duplicate model routing should error")
-	}
-	if _, err := Run(oneShard(tb(1)), []Request{{T: -5}}, Options{}); err == nil {
-		t.Error("negative arrival should error")
-	}
-	if _, err := Run([]Shard{{Name: "n"}}, nil, Options{}); err == nil {
-		t.Error("nil backend should error")
-	}
-}
-
-// TestShardedRunDeterministic is the subsystem's core guarantee: a
-// four-shard fleet with worker goroutines, fed a fixed seeded Poisson
-// stream, produces bit-identical results on every run — exact equality
-// of every percentile, counter and throughput, not approximate
-// agreement.
+// TestShardedRunDeterministic is the engine's core guarantee: a
+// four-shard static fleet fed a fixed seeded Poisson stream produces
+// bit-identical results on every run — exact equality of every
+// percentile, counter and throughput, not approximate agreement.
 func TestShardedRunDeterministic(t *testing.T) {
 	weights := []float64{4, 2, 2, 1}
 	reqs := PoissonArrivals(20000, 2e6, weights, 7)
@@ -201,32 +202,30 @@ func TestShardedRunDeterministic(t *testing.T) {
 			model: {300 + 10*float64(model), 450 + 10*float64(model)},
 		}}
 	}
-	shards := []Shard{
+	shards := []cluster.Device{
 		{Name: "s0", Backend: backend(0), Models: []int{0}},
 		{Name: "s1", Backend: backend(1), Models: []int{1}},
 		{Name: "s2", Backend: backend(2), Models: []int{2}},
 		{Name: "s3", Backend: backend(3), Models: []int{3}},
 	}
-	opt := Options{MaxBatch: 2, MaxWait: 500, QueueDepth: 64}
+	opt := cluster.Options{MaxBatch: 2, MaxWait: 500, QueueDepth: 64}
 
-	run := func() *Result {
-		res, err := Run(shards, reqs, opt)
+	replay := func() *cluster.Result {
+		res, err := run(shards, reqs, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Force identical lazy-sort state before comparing (any
 		// percentile query sorts the sample multiset in place).
 		res.Total.Latency.Percentile(0)
-		res.Total.QueueWait.Percentile(0)
-		res.Total.Service.Percentile(0)
-		for i := range res.Shards {
-			res.Shards[i].Metrics.Latency.Percentile(0)
-			res.Shards[i].Metrics.QueueWait.Percentile(0)
-			res.Shards[i].Metrics.Service.Percentile(0)
+		for i := range res.Devices {
+			res.Devices[i].Metrics.Latency.Percentile(0)
+			res.Devices[i].Metrics.QueueWait.Percentile(0)
+			res.Devices[i].Metrics.Service.Percentile(0)
 		}
 		return res
 	}
-	a, b := run(), run()
+	a, b := replay(), replay()
 	if a.Total.Latency.P99() != b.Total.Latency.P99() {
 		t.Errorf("p99 differs across runs: %v vs %v", a.Total.Latency.P99(), b.Total.Latency.P99())
 	}
@@ -239,7 +238,7 @@ func TestShardedRunDeterministic(t *testing.T) {
 	if a.Total.Served+a.Total.Shed != 20000 {
 		t.Errorf("served %d + shed %d != 20000", a.Total.Served, a.Total.Shed)
 	}
-	for _, sr := range a.Shards {
+	for _, sr := range a.Devices {
 		if sr.Metrics.Arrived == 0 {
 			t.Errorf("shard %s saw no traffic", sr.Name)
 		}
@@ -328,16 +327,16 @@ func TestNewtonVsGPUServing(t *testing.T) {
 	}
 	gb := NewGPUBackend(gpu.TitanV(), models)
 
-	p99 := func(b Backend, opt Options, qps float64) float64 {
+	p99 := func(b cluster.Backend, opt cluster.Options, qps float64) float64 {
 		reqs := PoissonArrivals(4000, qps, nil, 7)
-		res, err := Run(oneShard(b), reqs, opt)
+		res, err := run(oneShard(b), reqs, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Total.Latency.P99()
 	}
-	newtonOpt := Options{MaxBatch: 1}
-	gpuOpt := Options{MaxBatch: 1024}
+	newtonOpt := cluster.Options{MaxBatch: 1}
+	gpuOpt := cluster.Options{MaxBatch: 1024}
 	lowQPS, highQPS := 1e5, 5e6
 	if n, g := p99(nb, newtonOpt, lowQPS), p99(gb, gpuOpt, lowQPS); n >= g {
 		t.Errorf("at %.0f qps Newton p99 %v should beat GPU %v", lowQPS, n, g)
@@ -349,7 +348,7 @@ func TestNewtonVsGPUServing(t *testing.T) {
 
 // TestTraceRoundTrip checks the trace file format.
 func TestTraceRoundTrip(t *testing.T) {
-	reqs := []Request{{T: 0, Model: 0}, {T: 1500.5, Model: 2}, {T: 3e6, Model: 1}}
+	reqs := []cluster.Request{{T: 0, Model: 0}, {T: 1500.5, Model: 2}, {T: 3e6, Model: 1}}
 	var sb strings.Builder
 	if err := FormatTrace(&sb, reqs); err != nil {
 		t.Fatal(err)
@@ -371,6 +370,22 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseTrace(strings.NewReader("-5 0\n")); err == nil {
 		t.Error("negative time should error")
+	}
+}
+
+// TestParseTraceRejectsNonFinite: a NaN or infinite arrival time is an
+// error naming its line, not a request that later vanishes from the
+// replay or turns every percentile into NaN.
+func TestParseTraceRejectsNonFinite(t *testing.T) {
+	for _, bad := range []string{"NaN", "+Inf", "Inf", "-Inf"} {
+		_, err := ParseTrace(strings.NewReader("# trace\n10 0\n" + bad + " 0\n"))
+		if err == nil {
+			t.Errorf("arrival %s accepted", bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("arrival %s: error %q does not name line 3", bad, err)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // serving fleet without importing internal packages.
 //
 // One registry and one tracer can be shared across all of them — every
-// series is labeled by its source (device, shard) and every metric is
+// series is labeled by its source device and every metric is
 // keyed on virtual time, so a shared registry stays byte-identical
 // across identical runs. Passing nil everywhere keeps the simulator's
 // hot path at its benchmarked allocation budget: observability off
@@ -65,10 +65,10 @@ func (b *IdealBaseline) Observe(reg *ObsRegistry, tracer *ObsTracer) {
 }
 
 // Observe attaches observability to the serving fleet: subsequent
-// Replay / ServePoisson runs publish per-shard queue, batch, latency
-// and failover series, and record per-request spans when a tracer is
-// given. Passing nil for both detaches.
+// Replay / ServePoisson runs publish the engine's per-device series
+// (device="<shard name>") plus fleet and router series, and record one
+// router-parented span tree per request when a tracer is given.
+// Passing nil for both detaches.
 func (s *Server) Observe(reg *ObsRegistry, tracer *ObsTracer) {
-	s.cfg.Options.Obs = reg
-	s.cfg.Options.Tracer = tracer
+	s.fleet.Observe(reg, tracer)
 }

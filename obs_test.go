@@ -87,7 +87,8 @@ func TestObserveSystemEndToEnd(t *testing.T) {
 }
 
 // TestObserveServer attaches a registry to a serving fleet through the
-// root façade and checks a replay publishes per-shard series.
+// root façade and checks a replay publishes the engine's per-device
+// series under the shard's name, and router-parented request spans.
 func TestObserveServer(t *testing.T) {
 	cfg := smallConfig()
 	srv, err := cfg.NewServer(ServeConfig{
@@ -97,14 +98,23 @@ func TestObserveServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewObsRegistry()
-	srv.Observe(reg, nil)
+	reg, tr := NewObsRegistry(), &ObsTracer{}
+	srv.Observe(reg, tr)
 	if _, err := srv.Replay([]ServeRequest{{T: 0}, {T: 50}}); err != nil {
 		t.Fatal(err)
 	}
 	shard := fmt.Sprintf("m0/%dch", cfg.Channels)
-	if got := reg.Counter("newton_serve_requests_total", "", obs.L("shard", shard)).Value(); got != 2 {
+	if got := reg.Counter("newton_cluster_device_requests_total", "", obs.L("device", shard)).Value(); got != 2 {
 		t.Errorf("requests_total = %d, want 2", got)
+	}
+	roots := 0
+	for _, s := range tr.Spans() {
+		if s.Track == "router" && s.Name == "request" && s.Parent == 0 {
+			roots++
+		}
+	}
+	if roots != 2 {
+		t.Errorf("router request spans = %d, want 2", roots)
 	}
 }
 

@@ -4,50 +4,62 @@ import (
 	"fmt"
 	"io"
 
+	"newton/internal/cluster"
 	"newton/internal/gpu"
 	"newton/internal/par"
 	"newton/internal/serve"
 )
 
-// The serving types are the internal/serve package's, re-exported so
-// library users can drive a serving fleet without reaching into
-// internal packages. See internal/serve for the model: deterministic
-// virtual time, per-shard worker goroutines, exact tail percentiles.
+// A Server is a static fleet on the serving engine (internal/cluster):
+// one device per Newton channel shard, or one device-wide GPU or Ideal
+// device, with each model placed on its shard as its one replica. The
+// serving types are the engine's, re-exported so library users can
+// drive a fleet without reaching into internal packages: deterministic
+// virtual time, one router thread, exact tail percentiles.
 type (
 	// ServeRequest is one inference query: an arrival time in virtual
 	// nanoseconds and a served-model index.
-	ServeRequest = serve.Request
-	// ServeOptions tunes the admission queue (QueueDepth, shed Policy)
-	// and the dynamic batcher (MaxBatch, MaxWait).
-	ServeOptions = serve.Options
+	ServeRequest = cluster.Request
+	// ServeOptions tunes every shard's admission queue (QueueDepth, shed
+	// policy Shed) and dynamic batcher (MaxBatch, MaxWait); it is
+	// ClusterOptions.
+	ServeOptions = cluster.Options
 	// ServeMetrics carries a stream's counters, latency histograms and
-	// throughput.
-	ServeMetrics = serve.Metrics
+	// throughput, per shard and fleet-wide.
+	ServeMetrics = cluster.Metrics
 	// ServeHistogram records latency samples with exact percentiles.
-	ServeHistogram = serve.Histogram
-	// ServeResult is a run's outcome: per-shard metrics plus the merge.
-	ServeResult = serve.Result
-	// ShedPolicy picks the victim when the bounded queue is full.
-	ShedPolicy = serve.ShedPolicy
-	// ServeFaultPlan injects result-validation failures, degradation,
-	// and shard death into a shard (see internal/serve reliability).
-	ServeFaultPlan = serve.FaultPlan
-	// ServeHealth is a shard's post-run state.
-	ServeHealth = serve.Health
+	ServeHistogram = cluster.Histogram
+	// ServeResult is a run's outcome: per-shard device metrics (Devices)
+	// plus the request-level totals; it is ClusterResult.
+	ServeResult = cluster.Result
 )
 
-// Shed policy values.
-const (
-	ShedNewest = serve.ShedNewest
-	ShedOldest = serve.ShedOldest
-)
-
-// Shard health values.
-const (
-	ShardHealthy  = serve.Healthy
-	ShardDegraded = serve.Degraded
-	ShardFailed   = serve.Failed
-)
+// ServeFaultPlan injects faults into one model's Newton shard: READRES
+// validation failures with bounded retry and degradation, and
+// whole-shard death. NewServer lowers it onto the shard's device.
+type ServeFaultPlan struct {
+	// Seed drives the shard's validation draws: one draw per launch
+	// attempt, in launch order, from a source seeded Seed + the shard's
+	// index, so a (plan, stream) pair replays identically.
+	Seed int64
+	// DetectedPerLaunch is the probability that a launch attempt's
+	// validation detects a corrupted result, forcing a re-run.
+	DetectedPerLaunch float64
+	// MaxRetries bounds re-runs per launch; a launch still failing
+	// after them sheds its whole batch.
+	MaxRetries int
+	// DegradeAfter moves the shard to DeviceDegraded health after this
+	// many detected failures (0 = never).
+	DegradeAfter int64
+	// DegradedPenalty multiplies service times while degraded; values
+	// <= 1 mean no penalty.
+	DegradedPenalty float64
+	// FailAt kills the shard at this virtual time (0 = never). Launches
+	// at or after it do not happen; its queue drains along FailoverTo,
+	// later arrivals for its model walk the same chain, and work with
+	// no live target is shed.
+	FailAt float64
+}
 
 // ServedModel is one entry of a serving fleet's model set.
 type ServedModel struct {
@@ -62,14 +74,14 @@ type ServedModel struct {
 	// Weight is the model's share of generated Poisson traffic
 	// (default 1; ignored for replayed traces).
 	Weight float64
-	// Fault injects result-validation failures into this model's Newton
-	// channel shard (nil = reliable). GPU and Ideal fleets serve all
-	// models from one shard and ignore per-model plans.
+	// Fault injects result-validation failures and death into this
+	// model's Newton channel shard (nil = reliable). GPU and Ideal fleets
+	// serve all models from one shard and ignore per-model plans.
 	Fault *ServeFaultPlan
 	// FailoverTo names another served model whose shard takes over this
-	// model's traffic after Fault.FailAt (Newton fleets only). The
-	// target shard's backend must also be able to serve this model, so
-	// NewServer calibrates it for both.
+	// model's traffic after Fault.FailAt (Newton fleets only; it needs a
+	// FailAt). The target shard's backend must also be able to serve
+	// this model, so NewServer calibrates it for both.
 	FailoverTo string
 }
 
@@ -107,23 +119,22 @@ type ServeConfig struct {
 	Models []ServedModel
 	// Backend selects the simulated device (default ServeNewton).
 	Backend ServeBackendKind
-	// Options tunes every shard's queue and batcher.
+	// Options tunes every shard's queue and batcher; with one shard per
+	// model, its routing fields have nothing to choose between.
 	Options ServeOptions
 	// Seed generates the deterministic weights and calibration inputs.
 	Seed int64
 	// CalibrateBatches is the measured batch-table depth for Newton and
-	// Ideal backends; 0 picks min(MaxBatch, 8) and the table
-	// extrapolates linearly beyond it (Newton's batch time is linear in
-	// k, so the extrapolation is the measured trend, §V-D).
+	// Ideal backends; 0 picks min(MaxBatch, 8) (see calibrationDepth).
 	CalibrateBatches int
 }
 
 // Server is a simulated inference-serving fleet bound to one device
 // configuration: Newton channel shards, a batching GPU, or the ideal
-// baseline, behind a request queue and dynamic batcher.
+// baseline, behind per-shard request queues and dynamic batchers.
 type Server struct {
-	cfg    ServeConfig
-	shards []serve.Shard
+	fleet   *cluster.Fleet
+	weights []float64 // per-model share of generated traffic
 }
 
 // NewServer builds the fleet. For Newton backends each model gets its
@@ -136,34 +147,22 @@ func (c Config) NewServer(sc ServeConfig) (*Server, error) {
 	}
 	shapes := make(map[int]serve.ModelShape, len(sc.Models))
 	all := make([]int, len(sc.Models))
+	weights := make([]float64, len(sc.Models))
 	for i, m := range sc.Models {
 		if m.Rows < 1 || m.Cols < 1 {
 			return nil, fmt.Errorf("newton: served model %q has shape %dx%d", m.Name, m.Rows, m.Cols)
 		}
 		shapes[i] = serve.ModelShape{Name: m.Name, Rows: m.Rows, Cols: m.Cols}
 		all[i] = i
-	}
-	calibrate := sc.CalibrateBatches
-	if calibrate < 1 {
-		calibrate = sc.Options.MaxBatch
-		if calibrate < 1 {
-			calibrate = 1
-		}
-		if calibrate > 8 {
-			calibrate = 8
-		}
+		weights[i] = trafficWeight(m.Weight)
 	}
 
-	srv := &Server{cfg: sc}
+	var devices []cluster.Device
 	switch sc.Backend {
 	case ServeGPU:
 		g := gpu.TitanV()
 		g.MemChannels = c.Channels
-		srv.shards = []serve.Shard{{
-			Name:    "gpu",
-			Backend: serve.NewGPUBackend(g, shapes),
-			Models:  all,
-		}}
+		devices = []cluster.Device{{Name: "gpu", Backend: serve.NewGPUBackend(g, shapes), Models: all}}
 	case ServeIdeal:
 		dcfg, err := c.dramConfig()
 		if err != nil {
@@ -173,65 +172,111 @@ func (c Config) NewServer(sc ServeConfig) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		srv.shards = []serve.Shard{{Name: "ideal", Backend: b, Models: all}}
+		devices = []cluster.Device{{Name: "ideal", Backend: b, Models: all}}
 	default:
-		parts, err := c.splitForModels(sc.Models)
-		if err != nil {
+		var err error
+		if devices, err = c.newtonShards(sc, shapes); err != nil {
 			return nil, err
 		}
-		subs, err := c.Split(parts...)
-		if err != nil {
-			return nil, err
-		}
-		serves, failTo, err := failoverClosure(sc.Models)
-		if err != nil {
-			return nil, err
-		}
-		// Calibrating a backend simulates real batch runs on the shard's
-		// private channel partition, and shards share nothing (each gets
-		// its own sub-device config, matrices and calibration inputs from
-		// the seed), so the fleet calibrates on a worker pool. Indexed
-		// writes keep the shard order — and thus every downstream serving
-		// result — identical to the serial build.
-		shards := make([]serve.Shard, len(subs))
-		err = par.ForEachErr(0, len(subs), func(i int) error {
-			sub := subs[i]
-			dcfg, err := sub.dramConfig()
-			if err != nil {
-				return err
-			}
-			own := map[int]serve.ModelShape{i: shapes[i]}
-			for _, j := range serves[i] {
-				own[j] = shapes[j]
-			}
-			b, err := serve.NewNewtonBackend(dcfg, sub.hostOptions(), own, calibrate, sc.Seed)
-			if err != nil {
-				return err
-			}
-			sh := serve.Shard{
-				Name:    fmt.Sprintf("%s/%dch", sc.Models[i].Name, sub.Channels),
-				Backend: b,
-				Models:  []int{i},
-				Fault:   sc.Models[i].Fault,
-			}
-			if j := failTo[i]; j >= 0 {
-				sh.FailoverTo = fmt.Sprintf("%s/%dch", sc.Models[j].Name, subs[j].Channels)
-			}
-			shards[i] = sh
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		srv.shards = shards
 	}
-	return srv, nil
+
+	placements := make([]cluster.Placement, len(sc.Models))
+	for i := range placements {
+		shard := 0
+		if len(devices) > 1 {
+			shard = i
+		}
+		placements[i] = cluster.Placement{Model: i, Replicas: []int{shard}}
+	}
+	fleet, err := cluster.New(devices, placements, sc.Options)
+	if err != nil {
+		return nil, err
+	}
+	return &Server{fleet: fleet, weights: weights}, nil
+}
+
+// newtonShards builds one device per model on its own channel
+// partition, named "<model>/<N>ch", with the model's fault plan and
+// failover target lowered onto it.
+func (c Config) newtonShards(sc ServeConfig, shapes map[int]serve.ModelShape) ([]cluster.Device, error) {
+	parts, err := c.splitForModels(sc.Models)
+	if err != nil {
+		return nil, err
+	}
+	subs, err := c.Split(parts...)
+	if err != nil {
+		return nil, err
+	}
+	serves, failTo, err := failoverClosure(sc.Models)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(subs))
+	byName := make(map[string]int, len(subs))
+	for i, sub := range subs {
+		names[i] = fmt.Sprintf("%s/%dch", sc.Models[i].Name, sub.Channels)
+		if j, dup := byName[names[i]]; dup {
+			return nil, fmt.Errorf("newton: served models %d and %d would both be shard %q; give them distinct names",
+				j, i, names[i])
+		}
+		byName[names[i]] = i
+	}
+	calibrate := calibrationDepth(sc.CalibrateBatches, sc.Options.MaxBatch)
+
+	// Calibrating a backend simulates real batch runs on the shard's
+	// private channel partition, and shards share nothing (each gets its
+	// own sub-device config, matrices and calibration inputs from the
+	// seed), so the fleet calibrates on a worker pool. Indexed writes
+	// keep the shard order — and thus every serving result — identical
+	// to the serial build.
+	devices := make([]cluster.Device, len(subs))
+	err = par.ForEachErr(0, len(subs), func(i int) error {
+		sub := subs[i]
+		dcfg, err := sub.dramConfig()
+		if err != nil {
+			return err
+		}
+		own := map[int]serve.ModelShape{i: shapes[i]}
+		models := []int{i}
+		for _, j := range serves[i] {
+			own[j] = shapes[j]
+			models = append(models, j)
+		}
+		b, err := serve.NewNewtonBackend(dcfg, sub.hostOptions(), own, calibrate, sc.Seed)
+		if err != nil {
+			return err
+		}
+		d := cluster.Device{Name: names[i], Backend: b, Models: models}
+		if f := sc.Models[i].Fault; f != nil {
+			d.FailAt = f.FailAt
+			d.Retry = cluster.RetryPlan{Seed: f.Seed, DetectedPerLaunch: f.DetectedPerLaunch,
+				MaxRetries: f.MaxRetries, DegradeAfter: f.DegradeAfter, DegradedPenalty: f.DegradedPenalty}
+		}
+		if j := failTo[i]; j >= 0 {
+			d.FailoverTo = names[j]
+		}
+		devices[i] = d
+		return nil
+	})
+	return devices, err
+}
+
+// calibrationDepth is the measured batch-table depth of a Newton or
+// Ideal backend: the explicit setting, else min(MaxBatch, 8), at least
+// 1. Past it the table extrapolates linearly, which is the measured
+// trend: Newton's batch time is linear in k (§V-D).
+func calibrationDepth(explicit, maxBatch int) int {
+	if explicit >= 1 {
+		return explicit
+	}
+	return min(max(maxBatch, 1), 8)
 }
 
 // failoverClosure resolves each model's FailoverTo name to a model
 // index and computes, per model, which other models can reach its
 // shard through failover chains (A -> B -> C means C's backend must be
-// calibrated for A's and B's matrices).
+// calibrated for A's and B's matrices). A model fails over only after
+// its shard dies, so FailoverTo needs a Fault.FailAt.
 func failoverClosure(models []ServedModel) (serves [][]int, failTo []int, err error) {
 	byName := make(map[string]int, len(models))
 	for i, m := range models {
@@ -246,6 +291,9 @@ func failoverClosure(models []ServedModel) (serves [][]int, failTo []int, err er
 		j, ok := byName[m.FailoverTo]
 		if !ok {
 			return nil, nil, fmt.Errorf("newton: model %q fails over to unknown model %q", m.Name, m.FailoverTo)
+		}
+		if m.Fault == nil || m.Fault.FailAt <= 0 {
+			return nil, nil, fmt.Errorf("newton: model %q has FailoverTo but no Fault.FailAt", m.Name)
 		}
 		failTo[i] = j
 	}
@@ -291,7 +339,7 @@ func (c Config) splitForModels(models []ServedModel) ([]int, error) {
 
 // Replay runs a request stream through the fleet.
 func (s *Server) Replay(reqs []ServeRequest) (*ServeResult, error) {
-	return serve.Run(s.shards, reqs, s.cfg.Options)
+	return s.fleet.Replay(reqs)
 }
 
 // ServePoisson replays n open-loop Poisson arrivals at the offered
@@ -299,17 +347,14 @@ func (s *Server) Replay(reqs []ServeRequest) (*ServeResult, error) {
 // Weight. The seed fully determines the trace, so results are exactly
 // reproducible.
 func (s *Server) ServePoisson(n int, qps float64, seed int64) (*ServeResult, error) {
-	return s.Replay(PoissonRequests(n, qps, s.trafficWeights(), seed))
+	return s.Replay(PoissonRequests(n, qps, s.weights, seed))
 }
 
-// trafficWeights lowers the model set's Weight fields (default 1).
-func (s *Server) trafficWeights() []float64 {
-	w := make([]float64, len(s.cfg.Models))
-	for i, m := range s.cfg.Models {
-		w[i] = m.Weight
-		if w[i] <= 0 {
-			w[i] = 1
-		}
+// trafficWeight is a model's share of generated Poisson traffic: its
+// Weight, or 1 when unset.
+func trafficWeight(w float64) float64 {
+	if w <= 0 {
+		return 1
 	}
 	return w
 }

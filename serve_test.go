@@ -132,6 +132,25 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := cfg.NewServer(short); err == nil {
 		t.Error("partition not covering the device accepted")
 	}
+	twins := ServeConfig{Models: []ServedModel{
+		{Name: "a", Rows: 64, Cols: 32},
+		{Name: "a", Rows: 128, Cols: 32},
+	}}
+	if _, err := cfg.NewServer(twins); err == nil || !strings.Contains(err.Error(), `shard "a/2ch"`) {
+		t.Errorf("two models sharing a shard name: err = %v", err)
+	}
+	noFail := ServeConfig{Models: []ServedModel{
+		{Name: "a", Rows: 64, Cols: 32, FailoverTo: "b"},
+		{Name: "b", Rows: 64, Cols: 32},
+	}}
+	if _, err := cfg.NewServer(noFail); err == nil {
+		t.Error("FailoverTo without Fault.FailAt accepted")
+	}
+	noFail.Models[0].Fault = &ServeFaultPlan{FailAt: 100}
+	noFail.Models[0].FailoverTo = "a"
+	if _, err := cfg.NewServer(noFail); err == nil {
+		t.Error("a shard failing over to itself accepted")
+	}
 }
 
 // TestServerShardingDeterministic drives the public API end to end:
@@ -155,10 +174,10 @@ func TestServerShardingDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Shards) != 2 {
-		t.Fatalf("want 2 shards, got %d", len(res.Shards))
+	if len(res.Devices) != 2 {
+		t.Fatalf("want 2 shards, got %d", len(res.Devices))
 	}
-	for _, sh := range res.Shards {
+	for _, sh := range res.Devices {
 		if sh.Backend != "newton" || sh.Metrics.Served == 0 {
 			t.Errorf("shard %s backend %s served %d", sh.Name, sh.Backend, sh.Metrics.Served)
 		}
@@ -199,8 +218,8 @@ func TestServerGPUAndIdealBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gres.Shards[0].Backend != "titan-v" || gres.Total.Served != 500 {
-		t.Errorf("gpu fleet: backend %s served %d", gres.Shards[0].Backend, gres.Total.Served)
+	if gres.Devices[0].Backend != "titan-v" || gres.Total.Served != 500 {
+		t.Errorf("gpu fleet: backend %s served %d", gres.Devices[0].Backend, gres.Total.Served)
 	}
 	if gres.Total.MeanBatch() <= 1 {
 		t.Errorf("saturating load should batch on the GPU, mean batch %v", gres.Total.MeanBatch())
@@ -214,8 +233,8 @@ func TestServerGPUAndIdealBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ires.Shards[0].Backend != "ideal" || ires.Total.Served != 500 {
-		t.Errorf("ideal fleet: backend %s served %d", ires.Shards[0].Backend, ires.Total.Served)
+	if ires.Devices[0].Backend != "ideal" || ires.Total.Served != 500 {
+		t.Errorf("ideal fleet: backend %s served %d", ires.Devices[0].Backend, ires.Total.Served)
 	}
 	if ServeGPU.String() != "gpu" || ServeIdeal.String() != "ideal" || ServeNewton.String() != "newton" {
 		t.Error("backend kind names wrong")
@@ -260,7 +279,7 @@ func TestServerFaultFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := res.Shards[0], res.Shards[1]
+	a, b := res.Devices[0], res.Devices[1]
 	if a.Name != "a/2ch" || b.Name != "b/2ch" {
 		t.Fatalf("shard names %q, %q", a.Name, b.Name)
 	}
@@ -347,13 +366,13 @@ func TestServeMetamorphicRename(t *testing.T) {
 		return res
 	}
 	a, b := run(base), run(renamed)
-	if len(a.Shards) != len(b.Shards) {
-		t.Fatalf("shard counts differ: %d vs %d", len(a.Shards), len(b.Shards))
+	if len(a.Devices) != len(b.Devices) {
+		t.Fatalf("shard counts differ: %d vs %d", len(a.Devices), len(b.Devices))
 	}
-	for i := range a.Shards {
-		if !reflect.DeepEqual(a.Shards[i].Metrics, b.Shards[i].Metrics) {
+	for i := range a.Devices {
+		if !reflect.DeepEqual(a.Devices[i].Metrics, b.Devices[i].Metrics) {
 			t.Errorf("shard %d metrics changed under renaming:\n%+v\nvs\n%+v",
-				i, a.Shards[i].Metrics, b.Shards[i].Metrics)
+				i, a.Devices[i].Metrics, b.Devices[i].Metrics)
 		}
 	}
 	if !reflect.DeepEqual(a.Total, b.Total) {
@@ -412,13 +431,13 @@ func TestServeMetamorphicPartitionOrder(t *testing.T) {
 
 	// Per-model metrics match across the permutation (shard i in fwd is
 	// shard inv[i] in rev, carrying the same name prefix).
-	for i := range a.Shards {
+	for i := range a.Devices {
 		j := inv[i]
-		if a.Shards[i].Name != b.Shards[j].Name {
-			t.Fatalf("shard identity lost: %q vs %q", a.Shards[i].Name, b.Shards[j].Name)
+		if a.Devices[i].Name != b.Devices[j].Name {
+			t.Fatalf("shard identity lost: %q vs %q", a.Devices[i].Name, b.Devices[j].Name)
 		}
-		if !reflect.DeepEqual(a.Shards[i].Metrics, b.Shards[j].Metrics) {
-			t.Errorf("model %s metrics changed under partition reordering", a.Shards[i].Name)
+		if !reflect.DeepEqual(a.Devices[i].Metrics, b.Devices[j].Metrics) {
+			t.Errorf("model %s metrics changed under partition reordering", a.Devices[i].Name)
 		}
 	}
 	// Merged totals: every counter and every percentile agrees.
