@@ -61,6 +61,7 @@ func (r *run) activateStandby(at float64, reason string) {
 		if a != nil && a.WarmupNs > 0 {
 			d.activeAt = at + a.WarmupNs
 		}
+		r.refreshLaunch(i)
 		r.rs.ScaleUps++
 		if r.tr != nil {
 			r.tr.Instant(routerTrack, "scale-up", at, 0,
@@ -85,6 +86,7 @@ func (r *run) idleStandby(at float64) {
 		}
 		d.cold = true
 		d.activeAt = math.Inf(1)
+		r.refreshLaunch(i)
 		r.rs.ScaleDowns++
 		if r.tr != nil {
 			r.tr.Instant(routerTrack, "scale-down", at, 0,

@@ -42,6 +42,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"newton/internal/obs"
 )
@@ -75,10 +76,11 @@ type Device struct {
 	// Standby marks a cold spare: it receives no traffic until the
 	// autoscaler activates it (Options.Autoscale).
 	Standby bool
-	// FailAt kills the device at this virtual time (0 = never): launches
-	// at or after FailAt do not happen, the admitted queue drains to the
-	// failover chain (or, failing that, to live replicas by routing
-	// policy), and later arrivals are never routed here.
+	// FailAt kills the device at this virtual time (0 or +Inf = never;
+	// NaN and negative times are rejected): launches at or after FailAt
+	// do not happen, the admitted queue drains to the failover chain
+	// (or, failing that, to live replicas by routing policy), and later
+	// arrivals are never routed here.
 	FailAt float64
 	// FailoverTo names the first device of this device's failover
 	// chain: its queue drains there when it dies, and so do later
@@ -180,7 +182,7 @@ type Options struct {
 	MaxBatch int
 	// MaxWait is how long (virtual ns) a batch head may wait for
 	// co-batchable arrivals while its device is idle; 0 launches as soon
-	// as the device frees up.
+	// as the device frees up. It must be finite and >= 0.
 	MaxWait float64
 	// QueueDepth bounds each device's admitted-but-waiting queue; 0 is
 	// unbounded. Arrivals past the bound are shed per Shed.
@@ -190,7 +192,8 @@ type Options struct {
 	// Shed picks the victim when a device queue is full.
 	Shed ShedPolicy
 	// ReduceNs is the router-side partial-result reduction cost added to
-	// every row-split request after its slowest slice completes.
+	// every row-split request after its slowest slice completes. It must
+	// be finite and >= 0.
 	ReduceNs float64
 	// Autoscale enables SLO-aware standby scaling (nil = off).
 	Autoscale *Autoscale
@@ -211,13 +214,6 @@ func (o Options) maxBatch() int {
 		return 1
 	}
 	return o.MaxBatch
-}
-
-func (o Options) maxWait() float64 {
-	if o.MaxWait < 0 || math.IsNaN(o.MaxWait) {
-		return 0
-	}
-	return o.MaxWait
 }
 
 // Request is one inference query in virtual time: the one request type
@@ -271,18 +267,28 @@ type Fleet struct {
 	opt      Options
 	failover []int         // device -> FailoverTo device index, -1 = none
 	rings    map[int]*ring // per replicated model, for ConsistentHash
+	// failOrder lists the devices that ever fail (finite FailAt > 0) by
+	// (FailAt, index): the order Replay kills them in.
+	failOrder []int
 }
 
 // New validates and builds a fleet. Rules enforced here: at least one
-// device, every device has a backend and a unique (defaulted) name;
-// every placement names a distinct model, uses exactly one of Replicas
-// or Slices (Slices needs >= 2 devices), references only in-range
-// devices that list the model, and never puts a Standby device in a
-// slice (a cold slice could never complete a fan-out); failover chains
-// resolve to other existing devices.
+// device, every device has a backend, a unique (defaulted) name and a
+// FailAt that is 0 (never) or a time > 0; every placement names a
+// distinct model, uses exactly one of Replicas or Slices (Slices needs
+// >= 2 devices), references only in-range devices that list the model,
+// and never puts a Standby device in a slice (a cold slice could never
+// complete a fan-out); failover chains resolve to other existing
+// devices; Options.MaxWait and Options.ReduceNs are finite times >= 0.
 func New(devices []Device, placements []Placement, opt Options) (*Fleet, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("cluster: no devices")
+	}
+	if !(opt.MaxWait >= 0) || math.IsInf(opt.MaxWait, 1) {
+		return nil, fmt.Errorf("cluster: Options.MaxWait is %g; need a finite time >= 0", opt.MaxWait)
+	}
+	if !(opt.ReduceNs >= 0) || math.IsInf(opt.ReduceNs, 1) {
+		return nil, fmt.Errorf("cluster: Options.ReduceNs is %g; need a finite time >= 0", opt.ReduceNs)
 	}
 	devs := append([]Device(nil), devices...)
 	byName := make(map[string]int, len(devs))
@@ -292,6 +298,9 @@ func New(devices []Device, placements []Placement, opt Options) (*Fleet, error) 
 		}
 		if devs[i].Name == "" {
 			devs[i].Name = fmt.Sprintf("newton-%d", i)
+		}
+		if !(devs[i].FailAt >= 0) {
+			return nil, fmt.Errorf("cluster: device %d (%s) has FailAt %g; need 0 (never) or a time > 0", i, devs[i].Name, devs[i].FailAt)
 		}
 		if prev, dup := byName[devs[i].Name]; dup {
 			return nil, fmt.Errorf("cluster: devices %d and %d share the name %q", prev, i, devs[i].Name)
@@ -360,8 +369,18 @@ func New(devices []Device, placements []Placement, opt Options) (*Fleet, error) 
 		failover[i] = ti
 	}
 
+	var failOrder []int
+	for i := range devs {
+		if t := devs[i].FailAt; t > 0 && !math.IsInf(t, 1) {
+			failOrder = append(failOrder, i)
+		}
+	}
+	sort.SliceStable(failOrder, func(a, b int) bool {
+		return devs[failOrder[a]].FailAt < devs[failOrder[b]].FailAt
+	})
+
 	f := &Fleet{devices: devs, place: place, opt: opt, failover: failover,
-		rings: make(map[int]*ring)}
+		rings: make(map[int]*ring), failOrder: failOrder}
 	if opt.Policy == ConsistentHash {
 		for m, p := range place {
 			if len(p.Replicas) > 0 {

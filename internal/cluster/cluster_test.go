@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -83,6 +84,41 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(tc.devices, tc.placements, Options{}); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
+	}
+
+	// Times the router would otherwise turn into silently wrong numbers
+	// (a negative or NaN latency, a vanished request, a device that
+	// never dies): the error names the field, and the device.
+	pl := []Placement{{Model: 0, Replicas: []int{0}}}
+	for _, tc := range []struct {
+		name   string
+		opt    Options
+		failAt float64
+		want   string
+	}{
+		{"negative ReduceNs", Options{ReduceNs: -500}, 0, "Options.ReduceNs"},
+		{"NaN ReduceNs", Options{ReduceNs: math.NaN()}, 0, "Options.ReduceNs"},
+		{"infinite ReduceNs", Options{ReduceNs: math.Inf(1)}, 0, "Options.ReduceNs"},
+		{"NaN MaxWait", Options{MaxWait: math.NaN()}, 0, "Options.MaxWait"},
+		{"negative MaxWait", Options{MaxWait: -1}, 0, "Options.MaxWait"},
+		{"infinite MaxWait", Options{MaxWait: math.Inf(1)}, 0, "Options.MaxWait"},
+		{"NaN FailAt", Options{}, math.NaN(), "device 0 (d) has FailAt"},
+		{"negative FailAt", Options{}, -5, "device 0 (d) has FailAt"},
+	} {
+		d := []Device{{Name: "d", Backend: b, Models: []int{0}, FailAt: tc.failAt}}
+		_, err := New(d, pl, tc.opt)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	// +Inf FailAt still means "never".
+	f := mustFleet(t, []Device{{Name: "d", Backend: b, Models: []int{0}, FailAt: math.Inf(1)}}, pl, Options{})
+	res, err := f.Replay(reqs(0, 0, 1e6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Total.Served != 2 || res.Devices[0].Health != Healthy {
+		t.Errorf("FailAt +Inf: served %d, health %v; want 2, healthy", res.Total.Served, res.Devices[0].Health)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -43,7 +44,11 @@ type join struct {
 
 // devRun is one device's per-run state.
 type devRun struct {
+	// queue is the device's FIFO, a window onto buf's backing array:
+	// launches pop its front by re-slicing, and push reuses the popped
+	// front before growing the array.
 	queue    []pending
+	buf      []pending
 	free     float64
 	cold     bool
 	dead     bool
@@ -55,32 +60,64 @@ type devRun struct {
 	detected int64
 }
 
+// push appends p to the device queue. When the queue's window reaches
+// the end of its backing array and at least as many slots lie popped
+// before it as it holds, the window moves down to the array's start
+// instead of growing the array: amortized O(1) per unit, and no
+// allocation once the array fits the deepest queue.
+func (dr *devRun) push(p pending) {
+	if n := len(dr.queue); n == cap(dr.queue) {
+		if front := cap(dr.buf) - cap(dr.queue); front > 0 && front >= n {
+			dr.queue = dr.buf[:copy(dr.buf[:n], dr.queue)]
+		} else {
+			dr.queue = slices.Grow(dr.queue, 1)
+			dr.buf = dr.queue[:0]
+		}
+	}
+	dr.queue = append(dr.queue, p)
+}
+
 // run is one Replay's full state. The router is a single goroutine —
 // routing decisions (least-loaded, autoscaling) read cross-device state,
 // so the determinism contract is sequencing, not sharding.
 type run struct {
-	f   *Fleet
-	opt Options
+	f        *Fleet
+	opt      Options
+	maxBatch int
 	// now is the virtual time of the event being processed; no launch
 	// happens before it.
-	now    float64
-	devs   []devRun
-	joins  map[int]*join
-	spans  []obs.SpanID // per-request root span (tracer runs only)
-	total  Metrics
-	rs     RouterStats
-	window []float64
-	queued int64
-	tr     *obs.Tracer
+	now  float64
+	devs []devRun
+	// launchAt and launchFull cache each device's next launch (see
+	// refreshLaunch): device i launches at launchAt[i], or at
+	// max(launchAt[i], now) when launchFull[i] says its head batch is
+	// already full.
+	launchAt   []float64
+	launchFull []bool
+	// nextFail indexes the first unprocessed entry of f.failOrder.
+	nextFail int
+	joins    map[int]*join
+	spare    []*join      // finished joins, recycled by route
+	batch    []pending    // compact-scan batch members, reused per launch
+	targets  []int        // route's fan-out targets, reused per request
+	spans    []obs.SpanID // per-request root span (tracer runs only)
+	total    Metrics
+	rs       RouterStats
+	window   []float64
+	queued   int64
+	tr       *obs.Tracer
 }
 
 // Replay routes the request stream through the fleet and returns the
 // per-device and fleet-level metrics. Every arrival time must be finite
 // and non-negative, and every model placed; an error names the first
-// request that is not. The stream is sorted stably by arrival time
-// first, so hand-built traces need not be pre-sorted; everything
-// downstream is deterministic in virtual time.
+// request that is not. Requests are served in stable arrival-time
+// order, so hand-built traces need not be pre-sorted: a stream already
+// sorted by T is read in place, any other is copied and sorted, and the
+// caller's slice is never written. Everything downstream is
+// deterministic in virtual time.
 func (f *Fleet) Replay(reqs []Request) (*Result, error) {
+	sorted := true
 	for i, q := range reqs {
 		if !(q.T >= 0) || math.IsInf(q.T, 1) {
 			return nil, fmt.Errorf("cluster: request %d has arrival time %g; need a finite time >= 0", i, q.T)
@@ -88,24 +125,35 @@ func (f *Fleet) Replay(reqs []Request) (*Result, error) {
 		if _, ok := f.place[q.Model]; !ok {
 			return nil, fmt.Errorf("cluster: request %d is for model %d, which no placement covers", i, q.Model)
 		}
+		if i > 0 && q.T < reqs[i-1].T {
+			sorted = false
+		}
 	}
-	ordered := append([]Request(nil), reqs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].T < ordered[j].T })
+	ordered := reqs
+	if !sorted {
+		ordered = append([]Request(nil), reqs...)
+		sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].T < ordered[j].T })
+	}
 
 	r := &run{
-		f:     f,
-		opt:   f.opt,
-		devs:  make([]devRun, len(f.devices)),
-		joins: make(map[int]*join),
-		tr:    f.opt.Tracer,
+		f:          f,
+		opt:        f.opt,
+		maxBatch:   f.opt.maxBatch(),
+		devs:       make([]devRun, len(f.devices)),
+		launchAt:   make([]float64, len(f.devices)),
+		launchFull: make([]bool, len(f.devices)),
+		joins:      make(map[int]*join),
+		tr:         f.opt.Tracer,
 	}
 	r.total.FirstArrival = math.Inf(1)
+	r.total.Latency.Grow(len(ordered))
 	for i := range r.devs {
 		r.devs[i].cold = f.devices[i].Standby
 		r.devs[i].m.FirstArrival = math.Inf(1)
 		if plan := &f.devices[i].Retry; plan.DetectedPerLaunch > 0 {
 			r.devs[i].rng = rand.New(rand.NewSource(plan.Seed + int64(i)))
 		}
+		r.launchAt[i] = math.Inf(1)
 	}
 	if r.tr != nil {
 		r.spans = make([]obs.SpanID, len(ordered))
@@ -177,64 +225,70 @@ func (f *Fleet) Replay(reqs []Request) (*Result, error) {
 // the lowest device index), or (+Inf, -1) when no device can launch.
 func (r *run) nextLaunch() (float64, int) {
 	best, bi := math.Inf(1), -1
-	for i := range r.devs {
-		if t := r.launchTime(i); t < best {
+	for i, t := range r.launchAt {
+		if r.launchFull[i] {
+			t = math.Max(t, r.now)
+		}
+		if t < best {
 			best, bi = t, i
 		}
 	}
 	return best, bi
 }
 
-// launchTime computes when device di would launch its next batch: as
-// soon as it is free once the head model's batch is full, otherwise
-// when the head's MaxWait coalescing deadline or the device-free time
-// passes — and never before a warming device's activeAt.
+// refreshLaunch recomputes device di's cached launch time from its
+// state; every change to the device's queue, free, dead, cold or
+// activeAt calls it, so picking the next launch never rescans a queue.
+// The device launches as soon as it is free once the head model's batch
+// is full, otherwise when the head's MaxWait coalescing deadline or the
+// device-free time passes — and never before a warming device's
+// activeAt.
 //
 // A full batch launches no earlier than the current event time, not at
 // the instant it filled: a shed-oldest eviction can make a batch that
 // filled earlier the head after the fact, and launching it at its fill
 // time would start it before the eviction that exposed it. (A short
 // batch's deadline is never in the past: its head would have launched.)
-func (r *run) launchTime(di int) float64 {
+// So a full batch caches its base time and flag, and nextLaunch applies
+// the event time.
+func (r *run) refreshLaunch(di int) {
 	dr := &r.devs[di]
 	if dr.dead || dr.cold || len(dr.queue) == 0 {
-		return math.Inf(1)
+		r.launchAt[di], r.launchFull[di] = math.Inf(1), false
+		return
 	}
 	head := dr.queue[0]
-	maxBatch := r.opt.maxBatch()
 	n := 0
 	for _, p := range dr.queue {
 		if p.model == head.model {
-			if n++; n == maxBatch {
+			if n++; n == r.maxBatch {
 				break
 			}
 		}
 	}
-	var at float64
-	if n >= maxBatch {
-		at = math.Max(dr.free, r.now)
-	} else {
-		at = math.Max(dr.free, head.rt+r.opt.maxWait())
+	full := n >= r.maxBatch
+	at := dr.free
+	if !full {
+		at = math.Max(dr.free, head.rt+r.opt.MaxWait)
 	}
 	if dr.activeAt > at {
 		at = dr.activeAt
 	}
-	return at
+	r.launchAt[di], r.launchFull[di] = at, full
 }
 
-// nextFailure returns the earliest unprocessed device failure, or
-// (+Inf, -1).
+// nextFailure returns the earliest unprocessed device failure (ties
+// break to the lowest device index), or (+Inf, -1).
 func (r *run) nextFailure() (float64, int) {
-	best, bi := math.Inf(1), -1
-	for i := range r.devs {
-		if r.devs[i].dead {
-			continue
-		}
-		if t := r.f.devices[i].FailAt; t > 0 && t < best {
-			best, bi = t, i
-		}
+	order := r.f.failOrder
+	for r.nextFail < len(order) && r.devs[order[r.nextFail]].dead {
+		r.nextFail++
 	}
-	return best, bi
+	if r.nextFail == len(order) {
+		return math.Inf(1), -1
+	}
+	di := order[r.nextFail]
+	return r.f.devices[di].FailAt, di
 }
 
 // route admits one arrival: fan a row-split request out to every slice
@@ -251,18 +305,18 @@ func (r *run) route(q Request, idx int) {
 		// Resolve every slice target before admitting anything: a slice
 		// with no live server sheds the whole request rather than
 		// burning sibling devices on a fan-out that can never reduce.
-		targets := make([]int, len(pl.Slices))
-		for si, di := range pl.Slices {
+		targets := r.targets[:0]
+		for _, di := range pl.Slices {
 			if r.devs[di].dead {
 				di = r.drainTarget(di, q.Model, int64(idx))
 			}
 			if di < 0 || r.devs[di].dead || r.devs[di].cold {
-				targets = nil
 				break
 			}
-			targets[si] = di
+			targets = append(targets, di)
 		}
-		if targets == nil {
+		r.targets = targets
+		if len(targets) < len(pl.Slices) {
 			r.total.Shed++
 			if r.tr != nil {
 				r.tr.Instant(routerTrack, "shed", q.T, 0,
@@ -274,7 +328,14 @@ func (r *run) route(q Request, idx int) {
 		if r.tr != nil {
 			r.spans[idx] = r.tr.Begin(routerTrack, "request", q.T, 0)
 		}
-		r.joins[idx] = &join{t: q.T, remaining: len(targets), done: q.T}
+		var j *join
+		if n := len(r.spare); n > 0 {
+			j, r.spare = r.spare[n-1], r.spare[:n-1]
+		} else {
+			j = new(join)
+		}
+		*j = join{t: q.T, remaining: len(targets), done: q.T}
+		r.joins[idx] = j
 		r.rs.Fanout += int64(len(targets))
 		for si, di := range targets {
 			r.admit(di, pending{t: q.T, rt: q.T, model: q.Model, req: idx, slice: si})
@@ -348,7 +409,9 @@ func (r *run) admit(di int, p pending) {
 		var victim pending
 		if r.opt.Shed == ShedOldest {
 			victim = dr.queue[0]
-			dr.queue = append(dr.queue[1:], p)
+			dr.queue = dr.queue[1:]
+			dr.push(p)
+			r.refreshLaunch(di)
 		} else {
 			victim = p
 		}
@@ -360,7 +423,8 @@ func (r *run) admit(di int, p pending) {
 		r.fleetShed(victim, p.rt)
 		return
 	}
-	dr.queue = append(dr.queue, p)
+	dr.push(p)
+	r.refreshLaunch(di)
 	r.queued++
 	if n := int64(len(dr.queue)); n > dr.m.PeakQueue {
 		dr.m.PeakQueue = n
@@ -399,29 +463,32 @@ func (r *run) fleetShed(p pending, at float64) {
 func (r *run) launch(di int, at float64) {
 	dr := &r.devs[di]
 	head := dr.queue[0]
-	maxBatch := r.opt.maxBatch()
 
 	// Fast path: the batch is a queue prefix (always true for a device
-	// serving one model). Otherwise compact-scan the queue.
+	// serving one model), popped by re-slicing; nothing pushes to this
+	// queue before the members are consumed below. Otherwise copy the
+	// members out to the run's scratch buffer and compact the rest in
+	// place.
 	k := 0
-	for k < len(dr.queue) && k < maxBatch && dr.queue[k].model == head.model {
+	for k < len(dr.queue) && k < r.maxBatch && dr.queue[k].model == head.model {
 		k++
 	}
 	var members []pending
-	if k == maxBatch || k == len(dr.queue) {
+	if k == r.maxBatch || k == len(dr.queue) {
 		members = dr.queue[:k:k]
 		dr.queue = dr.queue[k:]
 	} else {
-		members = append(members, dr.queue[:k]...)
-		rest := make([]pending, 0, len(dr.queue)-k)
+		members = append(r.batch[:0], dr.queue[:k]...)
+		rest := dr.queue[:0]
 		for _, p := range dr.queue[k:] {
-			if p.model == head.model && len(members) < maxBatch {
+			if p.model == head.model && len(members) < r.maxBatch {
 				members = append(members, p)
 			} else {
 				rest = append(rest, p)
 			}
 		}
 		dr.queue = rest
+		r.batch = members
 	}
 	r.queued -= int64(len(members))
 
@@ -435,6 +502,7 @@ func (r *run) launch(di int, at float64) {
 	attempts, ok := d.Retry.attempts(dr.rng, &dr.detected)
 	done := at + float64(attempts)*service
 	dr.free = done
+	r.refreshLaunch(di)
 	dr.m.Launches++
 	dr.m.Retried += int64(attempts - 1)
 	dr.m.Batch.Record(float64(len(members)))
@@ -504,6 +572,7 @@ func (r *run) completeUnit(p pending, done float64) {
 // request-level latency, or counts the request shed exactly once.
 func (r *run) finishJoin(idx int, j *join) {
 	delete(r.joins, idx)
+	r.spare = append(r.spare, j)
 	span := obs.SpanID(0)
 	if r.tr != nil {
 		span = r.spans[idx]
@@ -542,6 +611,7 @@ func (r *run) failDevice(di int) {
 	at := r.f.devices[di].FailAt
 	q := dr.queue
 	dr.queue = nil
+	r.refreshLaunch(di)
 	if r.tr != nil {
 		r.tr.Instant(r.f.devices[di].Name, "fail", at, 0,
 			obs.Arg{Key: "drained", Value: strconv.Itoa(len(q))})
@@ -559,7 +629,8 @@ func (r *run) failDevice(di int) {
 		dr.m.DrainedOut++
 		t := &r.devs[tgt]
 		t.m.DrainedIn++
-		t.queue = append(t.queue, p)
+		t.push(p)
+		r.refreshLaunch(tgt)
 		if n := int64(len(t.queue)); n > t.m.PeakQueue {
 			t.m.PeakQueue = n
 		}

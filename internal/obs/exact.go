@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -13,18 +14,30 @@ import (
 //
 // This is the exact-quantile sibling of the fixed-bucket Histogram:
 // serving reports lead with exact tail quantiles, exposition serves the
-// fixed-bucket form. ExactHistogram is not safe for concurrent use;
-// each shard worker owns one and the collector merges them in shard
-// order. (It moved here from internal/serve, which re-exports it.)
+// fixed-bucket form. ExactHistogram is not safe for concurrent use; the
+// cluster router records into its per-device and fleet histograms from
+// its one goroutine.
 type ExactHistogram struct {
 	samples []float64
 	sorted  bool
 }
 
-// Record adds one sample.
+// Record adds one sample. Once the histogram holds more than 256
+// samples, a full sample slice doubles its capacity rather than growing
+// by append's 1.25x, which would allocate about five times the final
+// size over a long run.
 func (h *ExactHistogram) Record(v float64) {
+	if n := len(h.samples); n == cap(h.samples) && n > 256 {
+		h.Grow(n)
+	}
 	h.samples = append(h.samples, v)
 	h.sorted = false
+}
+
+// Grow makes room for at least n more samples, so a caller that knows
+// how many it will record can allocate once.
+func (h *ExactHistogram) Grow(n int) {
+	h.samples = slices.Grow(h.samples, n)
 }
 
 // Count returns the number of recorded samples.

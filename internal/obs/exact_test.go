@@ -66,6 +66,42 @@ func TestExactHistogramMergeEach(t *testing.T) {
 	}
 }
 
+// Past 256 samples a full histogram at least doubles its capacity, and
+// Grow reserves room so that many Records allocate nothing, keeping the
+// samples already recorded in order.
+func TestExactHistogramGrowth(t *testing.T) {
+	var h ExactHistogram
+	for i := 0; i < 1<<14; i++ {
+		before := cap(h.samples)
+		h.Record(float64(i))
+		if c := cap(h.samples); c != before && before > 256 && c < 2*before {
+			t.Fatalf("capacity grew %d -> %d at %d samples; want at least double", before, c, i)
+		}
+	}
+
+	var g ExactHistogram
+	g.Record(3)
+	g.Record(1)
+	g.Grow(1000)
+	allocs := testing.AllocsPerRun(4, func() {
+		for i := 0; i < 199; i++ {
+			g.Record(2)
+		}
+	})
+	if allocs != 0 || g.Count() != 997 {
+		t.Errorf("after Grow(1000): %v allocations per 199 Records, count %d", allocs, g.Count())
+	}
+	var first []float64
+	g.Each(func(v float64) {
+		if len(first) < 3 {
+			first = append(first, v)
+		}
+	})
+	if !reflect.DeepEqual(first, []float64{3, 1, 2}) {
+		t.Errorf("Grow reordered samples: %v", first)
+	}
+}
+
 func TestExactHistogramBuckets(t *testing.T) {
 	var h ExactHistogram
 	for _, v := range []float64{0.5, 3, 10} {

@@ -445,9 +445,14 @@ func TestServeMetamorphicPartitionOrder(t *testing.T) {
 		a.Total.Launches != b.Total.Launches || a.Total.Retried != b.Total.Retried {
 		t.Errorf("total counters changed under partition reordering: %+v vs %+v", a.Total, b.Total)
 	}
-	for _, q := range []float64{50, 90, 99, 99.9} {
+	// Percentile takes a fraction; p50 below the maximum keeps the four
+	// quantiles from collapsing onto one sample.
+	if p50, top := a.Total.Latency.P50(), a.Total.Latency.Max(); !(p50 < top) {
+		t.Fatalf("total p50 %v is not below the maximum %v: the quantiles below compare one sample", p50, top)
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		if pa, pb := a.Total.Latency.Percentile(q), b.Total.Latency.Percentile(q); pa != pb {
-			t.Errorf("total p%g changed under partition reordering: %v vs %v", q, pa, pb)
+			t.Errorf("total p%g changed under partition reordering: %v vs %v", 100*q, pa, pb)
 		}
 	}
 	if a.Total.Throughput() != b.Total.Throughput() {
