@@ -25,4 +25,4 @@ bench:
 	go test -run=NONE -bench=. -benchtime=1x -benchmem ./...
 
 figures:
-	go run ./cmd/newton-bench -fig all
+	go run ./cmd/newton bench -fig all

@@ -1,0 +1,340 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/pprof"
+	"slices"
+	"strconv"
+	"strings"
+	"time"
+
+	"newton/internal/experiments"
+)
+
+// report is one study's output: the text table, and the CSV and JSON
+// forms of the studies that have them.
+type report struct {
+	table string
+	csv   string
+	json  any
+}
+
+// figures lists bench's studies in -fig all order.
+var figures = []struct {
+	name string
+	run  func(c experiments.Config) (report, error)
+}{
+	{"8", func(c experiments.Config) (report, error) {
+		rows, sum, err := c.Fig8Layers()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderFig8Layers(rows, sum), csv: experiments.CSVFig8Layers(rows)}, nil
+	}},
+	{"8e2e", func(c experiments.Config) (report, error) {
+		rows, mean, err := c.Fig8EndToEnd()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderFig8EndToEnd(rows, mean)}, nil
+	}},
+	{"e2e", func(c experiments.Config) (report, error) {
+		rows, mean, err := c.E2E(nil)
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderE2E(rows, mean), json: struct {
+			Rows       []experiments.E2ERow
+			MeanRatio  float64
+			RoundTrips []int64
+		}{rows, mean, experiments.E2ERoundTrips}}, nil
+	}},
+	{"9", func(c experiments.Config) (report, error) {
+		rows, means, err := c.Fig9()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderFig9(rows, means), csv: experiments.CSVFig9(rows)}, nil
+	}},
+	{"10", func(c experiments.Config) (report, error) {
+		rows, means, predicted, err := c.Fig10()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderFig10(rows, means, predicted), csv: experiments.CSVFig10(rows)}, nil
+	}},
+	{"11", func(c experiments.Config) (report, error) {
+		rows, err := c.Fig11()
+		if err != nil {
+			return report{}, err
+		}
+		return report{
+			table: experiments.RenderBatchRows("Fig. 11: batch-size sensitivity vs Ideal Non-PIM", "IdealNonPIM", rows),
+			csv:   experiments.CSVBatchRows("ideal", rows),
+		}, nil
+	}},
+	{"12", func(c experiments.Config) (report, error) {
+		rows, err := c.Fig12()
+		if err != nil {
+			return report{}, err
+		}
+		return report{
+			table: experiments.RenderBatchRows("Fig. 12: batch-size sensitivity vs GPU", "GPU", rows),
+			csv:   experiments.CSVBatchRows("gpu", rows),
+		}, nil
+	}},
+	{"13", func(c experiments.Config) (report, error) {
+		rows, mean, err := c.Fig13()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderFig13(rows, mean), csv: experiments.CSVFig13(rows)}, nil
+	}},
+	{"model", func(c experiments.Config) (report, error) {
+		rows, err := c.ModelValidation()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderModelValidation(rows)}, nil
+	}},
+	{"channels", func(c experiments.Config) (report, error) {
+		rows, err := c.ChannelScaling()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderChannelScaling(rows)}, nil
+	}},
+	{"multitenant", func(c experiments.Config) (report, error) {
+		r, err := c.MultiTenant()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderMultiTenant(r)}, nil
+	}},
+	{"serving", func(c experiments.Config) (report, error) {
+		points, sum, err := c.Serving()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderServing(points, sum), csv: experiments.CSVServing(points), json: struct {
+			Points  []experiments.ServingPoint
+			Summary experiments.ServingSummary
+		}{points, sum}}, nil
+	}},
+	{"cluster", func(c experiments.Config) (report, error) {
+		points, sum, err := c.Cluster()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderCluster(points, sum), csv: experiments.CSVCluster(points), json: struct {
+			Points  []experiments.ClusterPoint
+			Summary experiments.ClusterSummary
+		}{points, sum}}, nil
+	}},
+	{"fault", func(c experiments.Config) (report, error) {
+		points, sum, err := c.FaultCampaign()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderFault(points, sum), csv: experiments.CSVFault(points), json: struct {
+			Points  []experiments.FaultPoint
+			Summary experiments.FaultSummary
+		}{points, sum}}, nil
+	}},
+	{"coexist", func(c experiments.Config) (report, error) {
+		points, err := c.Coexistence()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderCoexistence(points), json: struct {
+			Points      []experiments.CoexistPoint
+			Intensities []float64
+		}{points, experiments.CoexistIntensities}}, nil
+	}},
+	{"families", func(c experiments.Config) (report, error) {
+		rows, err := c.Families()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderFamilies(rows)}, nil
+	}},
+	{"noreuse", func(c experiments.Config) (report, error) {
+		rows, err := c.NoReuse()
+		if err != nil {
+			return report{}, err
+		}
+		return report{table: experiments.RenderNoReuse(rows)}, nil
+	}},
+}
+
+// figureNames lists -fig's values, "all" aside.
+func figureNames() []string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return names
+}
+
+// runBench regenerates the paper's evaluation figures (Figs. 8-13) and
+// the model-validation, layout, serving, fleet, fault and coexistence
+// studies, printing each as a text table, or as CSV where a study has a
+// CSV form.
+//
+// With -json DIR, the studies that have a machine-readable form (e2e,
+// serving, cluster, fault, coexist) also write BENCH_<name>.json files
+// into DIR, so the reliability and coexistence results can be tracked
+// across changes.
+//
+// -fig fault is the reliability campaign: seeded bit-flip injection
+// into the stored weight rows of a simulated Newton device, with and
+// without the host-side SEC-DED(72,64) scrub, reporting
+// corrected/detected/silent-corruption counters, inference accuracy
+// loss (rel-L2 / max-ULP against the golden run), and serve-layer
+// availability under detect-and-retry. -bers, -max-per-word, -seed and
+// -n tune it. The headline contract is visible in the default sweep:
+// with ECC+scrub, single-bit-per-word campaigns are fully corrected
+// (zero SDC, output error 0); with protection disabled, the same seeded
+// flips survive as silent corruption and accuracy loss.
+//
+// -chrometrace FILE runs a conformance-verified fig9 ladder on a small
+// layer and writes it as a Chrome trace-event file for chrome://tracing
+// or Perfetto (see EXPERIMENTS.md for a walkthrough). -verify and
+// -chrometrace watch the event-driven core's own command stream, the
+// core every figure runs on. -serial forces the serial reference path
+// for any figure; -cpuprofile/-memprofile capture pprof profiles of
+// whatever the invocation runs (see EXPERIMENTS.md for a profiling
+// walkthrough). Simulator wall-clock speed is measured by the
+// repository benchmark, `bash perfbench/run.sh` (workloads and bounds in
+// BENCHMARK.json), not by this command.
+func runBench(args []string, stdout io.Writer) error {
+	fs := newFlagSet("bench", "[-fig NAME] [flags]")
+	names := strings.Join(figureNames(), ", ") + ", or all"
+	fig := fs.String("fig", "all", "figure to regenerate: "+names)
+	var geo geometry
+	geo.register(fs, 24)
+	functional := fs.Bool("functional", false, "validate data paths inside the ideal baseline (slower)")
+	verify := fs.Bool("verify", false, "run every simulation under the independent conformance checker; any timing or protocol violation aborts")
+	format := fs.String("format", "table", "output format: table or csv (csv available for figs 8, 9, 10, 11, 12, 13, serving, cluster and fault)")
+	jsonDir := fs.String("json", "", "also write BENCH_<name>.json files into this directory (e2e, serving, cluster, fault, coexist)")
+	serial := fs.Bool("serial", false, "force the serial reference path: channels simulate one at a time and sweeps run their design points sequentially (results are byte-identical either way)")
+	seed := fs.Int64("seed", experiments.Default().Seed, "weight, input and fault-injection seed")
+	n := fs.Int("n", 0, "serving and fault arrivals per stream, and coexistence products per point (0 = each study's default)")
+	bers := fs.String("bers", "", "fault campaign BER sweep, comma-separated (default: the campaign sweep)")
+	maxPerWord := fs.Int("max-per-word", 0, "fault campaign: cap injected flips per 64-bit word (0 = uncapped)")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
+	chromeOut := fs.String("chrometrace", "", "run a conformance-verified fig9 ladder on a small layer and write it as a Chrome trace-event file (chrome://tracing, Perfetto) to this file, then exit")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+
+	if *fig != "all" && !slices.Contains(figureNames(), *fig) {
+		return badFlag("fig", "%q is not a figure (want %s)", *fig, names)
+	}
+	if *format != "table" && *format != "csv" {
+		return badFlag("format", "%q is not table or csv", *format)
+	}
+	if *n < 0 {
+		return badFlag("n", "must be 0 (each study's default) or more, got %d", *n)
+	}
+	cfg := experiments.Default()
+	cfg.Channels, cfg.Banks = geo.channels, geo.banks
+	cfg.Functional, cfg.Verify, cfg.Serial = *functional, *verify, *serial
+	cfg.Seed, cfg.ServingN, cfg.FaultMaxPerWord = *seed, *n, *maxPerWord
+	if *bers != "" {
+		for _, part := range strings.Split(*bers, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+			if err != nil || !(v >= 0) {
+				return badFlag("bers", "bad entry %q (want a bit-error rate >= 0)", part)
+			}
+			cfg.FaultBERs = append(cfg.FaultBERs, v)
+		}
+	}
+
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
+
+	if *chromeOut != "" {
+		if err := createFile(*chromeOut, cfg.ChromeTrace); err != nil {
+			return fmt.Errorf("chrometrace: %w", err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *chromeOut)
+		return nil
+	}
+	for _, f := range figures {
+		if *fig != "all" && *fig != f.name {
+			continue
+		}
+		start := time.Now()
+		r, err := f.run(cfg)
+		if err == nil && r.json != nil && *jsonDir != "" {
+			err = writeJSON(filepath.Join(*jsonDir, "BENCH_"+f.name+".json"), r.json)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", f.name, err)
+		}
+		if *format == "csv" && r.csv != "" {
+			fmt.Fprint(stdout, r.csv)
+		} else {
+			fmt.Fprintln(stdout, r.table)
+		}
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", f.name, time.Since(start).Round(time.Millisecond))
+	}
+	if *verify {
+		verifySummary()
+	}
+	return nil
+}
+
+// writeJSON persists a study's typed rows for cross-run tracking.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	return nil
+}
+
+// startProfiles starts the -cpuprofile CPU profile and returns a stop
+// func that ends it and writes the -memprofile heap profile. Every exit
+// path runs stop, so a failed run still leaves its partial profiles.
+func startProfiles(cpuPath, memPath string) (func(), error) {
+	stopCPU := func() {}
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+		stopCPU = func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}
+	}
+	return func() {
+		stopCPU()
+		if memPath == "" {
+			return
+		}
+		runtime.GC()
+		if err := createFile(memPath, pprof.WriteHeapProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "newton bench: -memprofile: %v\n", err)
+		}
+	}, nil
+}

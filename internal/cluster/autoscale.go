@@ -11,21 +11,18 @@ import (
 // above the SLO it activates one cold standby (first possible launch
 // WarmupNs later); below half the SLO it re-idles one drained standby.
 // Evaluating on completion keeps decisions a pure function of virtual
-// time, so scaling is replayable.
+// time, so scaling is replayable. Without an SLO no window is kept.
 func (r *run) onComplete(latency, at float64) {
 	a := r.opt.Autoscale
-	if a == nil {
+	if a == nil || a.SLOP99Ns <= 0 {
 		return
 	}
-	r.window = append(r.window, latency)
-	if len(r.window) < a.window() {
+	r.window.Record(latency)
+	if r.window.Count() < a.window() {
 		return
 	}
-	p99 := obs.Percentile(r.window, 0.99)
-	r.window = r.window[:0]
-	if a.SLOP99Ns <= 0 {
-		return
-	}
+	p99 := r.window.P99()
+	r.window.Reset()
 	switch {
 	case p99 > a.SLOP99Ns:
 		r.activateStandby(at, "p99-above-slo")

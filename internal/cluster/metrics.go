@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"newton/internal/obs"
@@ -78,37 +77,7 @@ func (m *Metrics) Throughput() float64 {
 	return float64(m.Served) / (span / 1e9)
 }
 
-// Merge folds another stream's metrics into m (associative; histograms
-// are multisets so the merged percentiles are order-independent).
-func (m *Metrics) Merge(o *Metrics) {
-	if o == nil {
-		return
-	}
-	m.Latency.Merge(&o.Latency)
-	m.QueueWait.Merge(&o.QueueWait)
-	m.Service.Merge(&o.Service)
-	m.Batch.Merge(&o.Batch)
-	m.Arrived += o.Arrived
-	m.Served += o.Served
-	m.Shed += o.Shed
-	m.Launches += o.Launches
-	m.Retried += o.Retried
-	m.DrainedIn += o.DrainedIn
-	m.DrainedOut += o.DrainedOut
-	if o.PeakQueue > m.PeakQueue {
-		m.PeakQueue = o.PeakQueue
-	}
-	if m.FirstArrival == 0 && m.LastCompletion == 0 {
-		m.FirstArrival, m.LastCompletion = o.FirstArrival, o.LastCompletion
-		return
-	}
-	if o.Served > 0 || o.Arrived > 0 {
-		m.FirstArrival = math.Min(m.FirstArrival, o.FirstArrival)
-		m.LastCompletion = math.Max(m.LastCompletion, o.LastCompletion)
-	}
-}
-
-// Summary renders the one-line report newton-cluster prints per stream.
+// Summary renders the one-line report newton cluster prints per stream.
 func (m *Metrics) Summary() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "served %d/%d (shed %.1f%%)  p50/p95/p99 %s / %s / %s  %.0f qps",

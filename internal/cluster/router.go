@@ -103,7 +103,7 @@ type run struct {
 	spans    []obs.SpanID // per-request root span (tracer runs only)
 	total    Metrics
 	rs       RouterStats
-	window   []float64
+	window   obs.ExactHistogram // the autoscaler's completion window
 	queued   int64
 	tr       *obs.Tracer
 }

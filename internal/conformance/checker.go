@@ -138,7 +138,7 @@ func (o Options) slack() int64 {
 }
 
 // totalObserved counts every command observed by any checker in the
-// process, for end-of-run reporting (newton-bench -verify).
+// process, for end-of-run reporting (newton bench -verify).
 var totalObserved atomic.Int64
 
 // TotalCommandsChecked returns the process-wide number of commands that

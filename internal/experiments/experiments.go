@@ -1,6 +1,6 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§V). Each figure has a runner returning typed rows plus a
-// text rendering; cmd/newton-bench and the repository's bench_test.go
+// text rendering; newton bench and the repository's bench_test.go
 // both drive these runners, so the published numbers regenerate from one
 // code path.
 package experiments
@@ -43,7 +43,7 @@ type Config struct {
 	FaultMaxPerWord int
 	// Verify runs every simulation under the independent conformance
 	// checker (internal/conformance): any timing or protocol violation
-	// fails the experiment (newton-bench -verify).
+	// fails the experiment (newton bench -verify).
 	Verify bool
 	// Oracle puts every Newton controller in its issuer's reference
 	// mode (host.Options.Oracle: reference arithmetic, no memo, REF-by-
@@ -59,7 +59,7 @@ type Config struct {
 	// either way (the property TestSerialKnobIdentity and the host
 	// package's parallel tests pin), so Serial exists only for A/B
 	// benchmarking and for bisecting a suspected parallelism bug
-	// (newton-bench -serial).
+	// (newton bench -serial).
 	Serial bool
 }
 

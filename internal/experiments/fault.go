@@ -55,7 +55,7 @@ type FaultPoint struct {
 	Availability float64
 }
 
-// MarshalJSON encodes the point for newton-bench's -json output.
+// MarshalJSON encodes the point for newton bench's -json output.
 // RelL2 can be +Inf or NaN (an uncorrected flip in an exponent bit),
 // which JSON numbers cannot represent, so non-finite values become
 // strings.

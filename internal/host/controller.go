@@ -21,7 +21,7 @@ type Controller struct {
 	opts Options
 
 	// Trace, when non-nil, observes every issued command with its cycle
-	// and result: the hook behind newton-trace's Fig. 7-style dumps.
+	// and result: the hook behind newton trace's Fig. 7-style dumps.
 	Trace func(ch int, cmd dram.Command, cycle int64, res aim.Result)
 
 	engines []*aim.Engine
@@ -238,7 +238,7 @@ func (ri *runInput) slotData(chunk, slot int) []byte {
 // workers resolves the worker-pool size for one run or one masked ISR
 // instruction (ForEachChannel). A Trace hook forces the serial path:
 // the hook is a single callback shared by all channels, and its callers
-// (fault transient injection, newton-trace) depend on one deterministic
+// (fault transient injection, newton trace) depend on one deterministic
 // global command order.
 func (c *Controller) workers() int {
 	if c.Trace != nil {

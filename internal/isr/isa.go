@@ -20,7 +20,7 @@
 // Programs are fully self-contained: ACT instructions carry concrete
 // resolved DRAM rows and WR_GPR instructions embed the input vector,
 // so a dumped program replays without the model or placement that
-// produced it (newton-replay -isr).
+// produced it (newton replay -isr).
 package isr
 
 import (

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -221,8 +222,8 @@ func TestPolicyRoundTrip(t *testing.T) {
 			t.Errorf("round trip of %v: %v, %v", p, got, err)
 		}
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("bogus policy parsed")
+	if _, err := ParsePolicy("round-robin"); err == nil || !strings.Contains(err.Error(), "round-robin") {
+		t.Errorf("ParsePolicy(round-robin) err = %v, want an error naming it", err)
 	}
 	for _, l := range []Locality{LocalityHit, LocalityStride, LocalityUniform} {
 		got, err := ParseLocality(l.String())
@@ -230,8 +231,8 @@ func TestPolicyRoundTrip(t *testing.T) {
 			t.Errorf("round trip of %v: %v, %v", l, got, err)
 		}
 	}
-	if _, err := ParseLocality("bogus"); err == nil {
-		t.Error("bogus locality parsed")
+	if _, err := ParseLocality("zipf"); err == nil || !strings.Contains(err.Error(), "zipf") {
+		t.Errorf("ParseLocality(zipf) err = %v, want an error naming it", err)
 	}
 }
 

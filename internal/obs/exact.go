@@ -40,6 +40,12 @@ func (h *ExactHistogram) Grow(n int) {
 	h.samples = slices.Grow(h.samples, n)
 }
 
+// Reset empties h in place, keeping its capacity.
+func (h *ExactHistogram) Reset() {
+	h.samples = h.samples[:0]
+	h.sorted = true
+}
+
 // Count returns the number of recorded samples.
 func (h *ExactHistogram) Count() int { return len(h.samples) }
 
@@ -153,14 +159,6 @@ func (h *ExactHistogram) Buckets(cell float64) []Bucket {
 		out = out[:len(out)-1]
 	}
 	return out
-}
-
-// Percentile is the shared nearest-rank helper over a raw sample slice
-// (the function the serving example used to keep privately). The input
-// is not modified.
-func Percentile(v []float64, p float64) float64 {
-	h := ExactHistogram{samples: append([]float64(nil), v...)}
-	return h.Percentile(p)
 }
 
 // FormatNs renders a nanosecond quantity with an adaptive unit.

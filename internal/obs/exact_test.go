@@ -100,6 +100,19 @@ func TestExactHistogramGrowth(t *testing.T) {
 	if !reflect.DeepEqual(first, []float64{3, 1, 2}) {
 		t.Errorf("Grow reordered samples: %v", first)
 	}
+
+	// Reset empties in place: refilling allocates nothing, and the
+	// quantiles see only the new samples.
+	g.Reset()
+	allocs = testing.AllocsPerRun(4, func() {
+		g.Reset()
+		for i := 9; i >= 0; i-- {
+			g.Record(float64(i))
+		}
+	})
+	if allocs != 0 || g.Count() != 10 || g.P99() != 8 || g.Max() != 9 {
+		t.Errorf("after Reset: %v allocations per refill, count %d, p99 %v, max %v", allocs, g.Count(), g.P99(), g.Max())
+	}
 }
 
 func TestExactHistogramBuckets(t *testing.T) {
@@ -120,16 +133,6 @@ func TestExactHistogramBuckets(t *testing.T) {
 	}
 	if h.Buckets(0) != nil {
 		t.Error("non-positive cell must yield no buckets")
-	}
-}
-
-func TestPercentileHelperDoesNotMutate(t *testing.T) {
-	v := []float64{3, 1, 2}
-	if got := Percentile(v, 1); got != 3 {
-		t.Errorf("Percentile = %v", got)
-	}
-	if !reflect.DeepEqual(v, []float64{3, 1, 2}) {
-		t.Errorf("input mutated: %v", v)
 	}
 }
 

@@ -9,8 +9,8 @@ import "net/http"
 //
 // Both arguments may be nil; a nil registry serves empty pages, which
 // keeps -listen usable even before anything has published. Callers
-// mount pprof themselves (cmd/newton-serve does) so that a process can
-// expose metrics without also exposing profiling.
+// mount pprof themselves (the newton command's -listen does) so that a
+// process can expose metrics without also exposing profiling.
 func Handler(r *Registry, t *Tracer) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {

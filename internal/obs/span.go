@@ -32,10 +32,10 @@ type Span struct {
 //
 // Determinism contract: spans are stamped in virtual time only, and
 // their order in the trace is append order. Concurrent appenders are
-// safe but would interleave nondeterministically, so the stack gives
-// each shard worker its own Tracer and merges them in shard order
-// (Merge reassigns IDs), and the host records a run's spans after its
-// parallel section has joined.
+// safe but would interleave nondeterministically, so every stack layer
+// appends from one goroutine: the cluster router records from its one
+// event loop, and the host records a run's spans after its parallel
+// section has joined.
 type Tracer struct {
 	mu    sync.Mutex
 	spans []Span
@@ -124,30 +124,6 @@ func (t *Tracer) Spans() []Span {
 	out := make([]Span, len(t.spans))
 	copy(out, t.spans)
 	return out
-}
-
-// Merge appends o's spans to t, reassigning IDs (and parent links) past
-// t's current range. Merging per-worker tracers in a fixed order is how
-// the stack keeps multi-goroutine traces byte-identical across runs.
-func (t *Tracer) Merge(o *Tracer) {
-	if t == nil || o == nil || t == o {
-		return
-	}
-	o.mu.Lock()
-	src := make([]Span, len(o.spans))
-	copy(src, o.spans)
-	o.mu.Unlock()
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	offset := SpanID(len(t.spans))
-	for _, s := range src {
-		s.ID += offset
-		if s.Parent != 0 {
-			s.Parent += offset
-		}
-		t.spans = append(t.spans, s)
-	}
 }
 
 // Roots maps every span ID to the ID of its root ancestor. Exporters

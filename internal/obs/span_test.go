@@ -13,7 +13,6 @@ func TestNilTracerNoOps(t *testing.T) {
 	if tr.Len() != 0 || tr.Spans() != nil {
 		t.Fatal("nil tracer must stay empty")
 	}
-	tr.Merge(&Tracer{})
 }
 
 func TestSpanTree(t *testing.T) {
@@ -46,33 +45,6 @@ func TestSpanTree(t *testing.T) {
 	for _, s := range spans {
 		if roots[s.ID] != req {
 			t.Fatalf("root of %d = %d, want %d", s.ID, roots[s.ID], req)
-		}
-	}
-}
-
-func TestMergeReassignsIDs(t *testing.T) {
-	a, b := &Tracer{}, &Tracer{}
-	ra := a.Begin("a", "ra", 0, 0)
-	a.End(ra, 10)
-	rb := b.Begin("b", "rb", 5, 0)
-	b.Span("b", "child", 6, 8, rb)
-
-	a.Merge(b)
-	spans := a.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("merged span count = %d, want 3", len(spans))
-	}
-	// b's root must be renumbered past a's range, its child re-parented.
-	if spans[1].ID != 2 || spans[1].Name != "rb" {
-		t.Fatalf("merged root wrong: %+v", spans[1])
-	}
-	if spans[2].Parent != spans[1].ID {
-		t.Fatalf("merged child parent = %d, want %d", spans[2].Parent, spans[1].ID)
-	}
-	// IDs must stay unique and sequential.
-	for i, s := range spans {
-		if s.ID != SpanID(i+1) {
-			t.Fatalf("span %d has ID %d", i, s.ID)
 		}
 	}
 }

@@ -84,7 +84,7 @@ func ParseTrace(r io.Reader) ([]cluster.Request, error) {
 // FormatTrace writes requests in the ParseTrace format.
 func FormatTrace(w io.Writer, reqs []cluster.Request) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# newton-serve arrival trace: <arrival_ns> <model_index>")
+	fmt.Fprintln(bw, "# newton serve arrival trace: <arrival_ns> <model_index>")
 	for _, r := range reqs {
 		fmt.Fprintf(bw, "%g %d\n", r.T, r.Model)
 	}

@@ -4,8 +4,8 @@
 //   - Backends price a k-way batch of one model in virtual time. The
 //     Newton and Ideal Non-PIM backends measure their batch tables on
 //     the live cycle-level simulator (NewNewtonBackend,
-//     NewNewtonE2EBackend for whole multi-layer models, NewIdealBackend);
-//     the GPU backend evaluates the calibrated analytic model.
+//     NewIdealBackend); the GPU backend evaluates the calibrated
+//     analytic model.
 //     TableBackend also gives tests a hand-computable device.
 //   - Request streams are seeded open-loop Poisson arrivals
 //     (PoissonArrivals) or replayed trace files (ParseTrace,
