@@ -14,6 +14,7 @@ import (
 
 	"newton"
 	"newton/internal/conformance"
+	"newton/internal/serve"
 	"newton/internal/workloads"
 )
 
@@ -210,22 +211,36 @@ type stream struct {
 // file, or one seeded Poisson stream of n arrivals per offered load,
 // spread evenly over the models. It also returns the longest stream's
 // horizon in virtual ns, which seeded outage campaigns span.
+//
+// A trace file replays one stream per serve.TraceHeader, as -record
+// writes one per load, labelled <file>#1, <file>#2, ... A file with at
+// most one header is one stream labelled with the file's name.
 func arrivalStreams(traceFile, loads string, n int, seed int64, models int) ([]stream, float64, error) {
 	horizon := 1.0
 	if traceFile != "" {
-		f, err := os.Open(traceFile)
+		data, err := os.ReadFile(traceFile)
 		if err != nil {
 			return nil, 0, err
 		}
-		defer f.Close()
-		reqs, err := newton.ParseServeTrace(f)
-		if err != nil {
-			return nil, 0, err
+		parts := splitTraces(string(data))
+		streams := make([]stream, len(parts))
+		for i, part := range parts {
+			s := &streams[i]
+			s.label = traceFile
+			if len(parts) > 1 {
+				s.label = fmt.Sprintf("%s#%d", traceFile, i+1)
+			}
+			if s.reqs, err = newton.ParseServeTrace(strings.NewReader(part)); err != nil {
+				if len(parts) > 1 {
+					err = fmt.Errorf("%s: %w", s.label, err)
+				}
+				return nil, 0, err
+			}
+			for _, q := range s.reqs {
+				horizon = max(horizon, q.T)
+			}
 		}
-		for _, q := range reqs {
-			horizon = max(horizon, q.T)
-		}
-		return []stream{{label: traceFile, reqs: reqs}}, horizon, nil
+		return streams, horizon, nil
 	}
 	if err := atLeast1("n", n); err != nil {
 		return nil, 0, err
@@ -247,6 +262,29 @@ func arrivalStreams(traceFile, loads string, n int, seed int64, models int) ([]s
 		})
 	}
 	return streams, horizon, nil
+}
+
+// splitTraces splits a trace file's text before each serve.TraceHeader
+// line after the first; text before the first header stays with the
+// first part.
+func splitTraces(text string) []string {
+	var parts []string
+	start, headers := 0, 0
+	for off := 0; off < len(text); {
+		n := strings.IndexByte(text[off:], '\n') + 1
+		if n == 0 {
+			n = len(text) - off
+		}
+		if strings.TrimSpace(text[off:off+n]) == serve.TraceHeader {
+			if headers > 0 {
+				parts = append(parts, text[start:off])
+				start = off
+			}
+			headers++
+		}
+		off += n
+	}
+	return append(parts, text[start:])
 }
 
 // serveObs starts the -listen endpoint: the registry's Prometheus and

@@ -21,8 +21,10 @@ import (
 // crossover: the load below which Newton's p99 wins and past which the
 // GPU's amortized batches win, both measured by the same command.
 // -split gives each model its own channel partition of the Newton
-// device; -record writes the generated arrivals as a trace that -trace
-// replays; -hist prints a latency histogram per run.
+// device; -record writes each load's generated arrivals to one trace
+// file, a serve.TraceHeader before each, and -trace replays every
+// recorded stream on its own, so each row comes back under the label
+// <file>#i; -hist prints a latency histogram per run.
 func runServe(args []string, stdout io.Writer) error {
 	fs := newFlagSet("serve", "[flags]")
 	var fl fleetFlags

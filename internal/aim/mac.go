@@ -175,7 +175,9 @@ func (m *MACUnit) AccumulateLatch(latch int, filter, input bf16.Vector, cycle, t
 // takes the input twice, as Nums and pre-widened by WidenInto, so the
 // fast path multiplies floats while the fallback below hands
 // AccumulateLatch the exact operands. A 16-lane unit, the paper's, runs
-// the unrolled column16; other widths run the generic loop.
+// column16AVX2 where the CPU has AVX2 (useAVX2) and the unrolled
+// column16 elsewhere; the two return the same bits on every column
+// whose sum is not NaN. Other widths run the generic loop.
 //
 // The result is bit-identical to DecodeInto then AccumulateLatch: every
 // product and tree add rounds as MulFloat and AddFloats do, with
@@ -197,7 +199,11 @@ func (m *MACUnit) AccumulateColumn(latch int, wire []byte, input bf16.Vector, wi
 	}
 	var sum float32
 	if m.lanes == 16 {
-		sum = column16((*[32]byte)(wire), (*[16]float32)(widened))
+		if useAVX2 {
+			sum = column16AVX2((*[32]byte)(wire), (*[16]float32)(widened))
+		} else {
+			sum = column16((*[32]byte)(wire), (*[16]float32)(widened))
+		}
 	} else {
 		for i, in := range widened {
 			m.scratch[i] = bf16.Round(wireLane(wire, i) * in)
@@ -235,7 +241,9 @@ func roundFinite(f float32) float32 {
 
 // column16 is the 16-lane multiply and adder tree, unrolled: lane
 // products, then TreeReduce's adjacent pairing level by level, rounding
-// to bfloat16 after every multiply and every add.
+// to bfloat16 after every multiply and every add. It is the fallback
+// where useAVX2 is false and the reference column16AVX2 is tested
+// against.
 func column16(w *[32]byte, in *[16]float32) float32 {
 	p0, p1 := roundFinite(wireLane(w[:], 0)*in[0]), roundFinite(wireLane(w[:], 1)*in[1])
 	p2, p3 := roundFinite(wireLane(w[:], 2)*in[2]), roundFinite(wireLane(w[:], 3)*in[3])

@@ -170,8 +170,28 @@ func columnFallsBack(filter, input bf16.Vector) bool {
 // raw bit patterns with the special values whose rounding and
 // payload-propagation behavior the event core's exactness leans on.
 // Both the fast path and the NaN-sum fallback must run at every lane
-// count.
+// count. The whole run repeats with each 16-lane column step the CPU
+// can run: the AVX2 kernel and column16.
 func TestAccumulateColumnMatchesAccumulateLatch(t *testing.T) {
+	for _, k := range columnKernels(t) {
+		t.Run(k.name, func(t *testing.T) {
+			useAVX2 = k.avx2
+			accumulateColumnMatchesAccumulateLatch(t)
+		})
+	}
+	widened := make([]float32, 16)
+	m := NewMACUnit(16)
+	if err := m.AccumulateColumn(1, make([]byte, 32), make(bf16.Vector, 16), widened, 0, 4); err == nil {
+		t.Error("latch 1 of a one-latch unit accepted")
+	}
+	if err := m.AccumulateColumn(0, make([]byte, 16), make(bf16.Vector, 16), widened, 0, 4); err == nil {
+		t.Error("half-width column accepted")
+	}
+}
+
+// accumulateColumnMatchesAccumulateLatch is one run of the test above
+// with the 16-lane kernel useAVX2 selects.
+func accumulateColumnMatchesAccumulateLatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	randNum := func(finite bool) bf16.Num {
 		switch {
@@ -221,14 +241,6 @@ func TestAccumulateColumnMatchesAccumulateLatch(t *testing.T) {
 		if fast == 0 || fallback == 0 {
 			t.Errorf("lanes %d: %d fast-path and %d fallback steps, want both above 0", lanes, fast, fallback)
 		}
-	}
-	widened := make([]float32, 16)
-	m := NewMACUnit(16)
-	if err := m.AccumulateColumn(1, make([]byte, 32), make(bf16.Vector, 16), widened, 0, 4); err == nil {
-		t.Error("latch 1 of a one-latch unit accepted")
-	}
-	if err := m.AccumulateColumn(0, make([]byte, 16), make(bf16.Vector, 16), widened, 0, 4); err == nil {
-		t.Error("half-width column accepted")
 	}
 }
 
@@ -281,38 +293,50 @@ func FuzzAccumulateColumn(f *testing.F) {
 	f.Add(seed(2, 1, &nan, column(one, nil)))
 	f.Add(seed(0, 0, &nan, []uint16{one, 0x7FC0, one, one, one, 0xFFA5, one, one}))
 	f.Add(seed(1, 1, nil, column(one, nil)[:16]))
+	// A subnormal product, 2^-126 * 0.5, that must not flush to zero,
+	// and a subnormal sum, 2^-126 - (1+2^-7)*2^-126.
+	f.Add(seed(2, 0, nil, column(0, map[int]uint16{0: 0x0080, 16: 0x3F00})))
+	f.Add(seed(2, 0, nil, column(0, map[int]uint16{0: 0x0080, 16: 0x3F80, 1: 0x8081, 17: 0x3F80})))
+	// A product that overflows to +Inf, and a tree add whose
+	// ties-to-even rounding carries the largest finite value to +Inf.
+	f.Add(seed(2, 0, nil, column(0, map[int]uint16{0: 0x7F7F, 16: 0x4000})))
+	f.Add(seed(2, 0, nil, column(0, map[int]uint16{0: 0x7F7F, 16: 0x3F80, 1: 0x7B00, 17: 0x3F80})))
+	kernels := columnKernels(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		head := data[0]
-		data = data[1:]
 		lanes := []int{4, 8, 16}[head%3]
 		latch := int(head/3) % 2
-		ref := NewMACUnitWithLatches(lanes, 2)
-		fused := NewMACUnitWithLatches(lanes, 2)
-		if head/6%2 == 1 {
-			if len(data) < 2 {
-				return
+		for _, k := range kernels {
+			useAVX2 = k.avx2
+			data := data[1:]
+			ref := NewMACUnitWithLatches(lanes, 2)
+			fused := NewMACUnitWithLatches(lanes, 2)
+			if head/6%2 == 1 {
+				if len(data) < 2 {
+					return
+				}
+				bias := bf16.FromBits(binary.LittleEndian.Uint16(data))
+				data = data[2:]
+				if err := ref.PreloadLatch(latch, bias); err != nil {
+					t.Fatal(err)
+				}
+				if err := fused.PreloadLatch(latch, bias); err != nil {
+					t.Fatal(err)
+				}
 			}
-			bias := bf16.FromBits(binary.LittleEndian.Uint16(data))
-			data = data[2:]
-			if err := ref.PreloadLatch(latch, bias); err != nil {
-				t.Fatal(err)
-			}
-			if err := fused.PreloadLatch(latch, bias); err != nil {
-				t.Fatal(err)
-			}
-		}
-		widened := make([]float32, lanes)
-		for s := 0; len(data) >= 4*lanes; s++ {
-			filter := make(bf16.Vector, lanes)
-			input := make(bf16.Vector, lanes)
-			bf16.DecodeInto(filter, data)
-			bf16.DecodeInto(input, data[2*lanes:])
-			data = data[4*lanes:]
-			if err := columnStep(fused, ref, latch, filter, input, widened, int64(10*s)); err != nil {
-				t.Fatalf("lanes %d latch %d step %d: %v", lanes, latch, s, err)
+			widened := make([]float32, lanes)
+			for s := 0; len(data) >= 4*lanes; s++ {
+				filter := make(bf16.Vector, lanes)
+				input := make(bf16.Vector, lanes)
+				bf16.DecodeInto(filter, data)
+				bf16.DecodeInto(input, data[2*lanes:])
+				data = data[4*lanes:]
+				if err := columnStep(fused, ref, latch, filter, input, widened, int64(10*s)); err != nil {
+					t.Fatalf("%s lanes %d latch %d step %d: %v", k.name, lanes, latch, s, err)
+				}
 			}
 		}
 	})
@@ -321,7 +345,7 @@ func FuzzAccumulateColumn(f *testing.F) {
 // BenchmarkAccumulateColumn times one column access across a channel's
 // 16 banks, as eventExec.compute runs a COMP: one widened input
 // sub-chunk shared by every bank's fused step over its own column of
-// finite values.
+// finite values, once per 16-lane column step the CPU can run.
 func BenchmarkAccumulateColumn(b *testing.B) {
 	const banks, lanes = 16, 16
 	rng := rand.New(rand.NewSource(3))
@@ -340,14 +364,18 @@ func BenchmarkAccumulateColumn(b *testing.B) {
 	input := finite()
 	widened := make([]float32, lanes)
 	WidenInto(widened, input)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for bank := range units {
-			if err := units[bank].AccumulateColumn(0, cols[bank], input, widened, int64(i), 4); err != nil {
-				b.Fatal(err)
+	for _, k := range columnKernels(b) {
+		b.Run(k.name, func(b *testing.B) {
+			useAVX2 = k.avx2
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for bank := range units {
+					if err := units[bank].AccumulateColumn(0, cols[bank], input, widened, int64(i), 4); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

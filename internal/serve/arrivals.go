@@ -81,10 +81,14 @@ func ParseTrace(r io.Reader) ([]cluster.Request, error) {
 	return reqs, nil
 }
 
+// TraceHeader is the comment line FormatTrace opens a trace with, so a
+// file holding several formatted traces has one per trace.
+const TraceHeader = "# newton serve arrival trace: <arrival_ns> <model_index>"
+
 // FormatTrace writes requests in the ParseTrace format.
 func FormatTrace(w io.Writer, reqs []cluster.Request) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# newton serve arrival trace: <arrival_ns> <model_index>")
+	fmt.Fprintln(bw, TraceHeader)
 	for _, r := range reqs {
 		fmt.Fprintf(bw, "%g %d\n", r.T, r.Model)
 	}
