@@ -154,6 +154,8 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{"trace -cols 0", "-cols", nil},
 		{"serve -n 0", "-n", nil},
 		{"cluster -n -5", "-n", nil},
+		{"replay -latches 0", "-latches", nil},
+		{"replay -latches -1", "-latches", nil},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(c.args), &stdout, &stderr)

@@ -40,9 +40,11 @@ func runReplay(args []string, stdout io.Writer) error {
 	geo.register(fs, 1)
 	latches := fs.Int("latches", 1, "result latches per bank")
 	conventional := fs.Bool("conventional-tfaw", false, "use the conventional (non-AiM) tFAW")
-	audit := fs.Bool("audit", true, "also re-verify the trace with the independent rule auditor")
 	verify := fs.Bool("verify", true, "also run the trace through the protocol-conformance checker")
 	if err := parse(fs, args); err != nil {
+		return err
+	}
+	if err := atLeast1("latches", *latches); err != nil {
 		return err
 	}
 
@@ -82,29 +84,19 @@ func runReplay(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *audit && shifted == 0 {
-		if err := traceio.Audit(cfg, trace); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "audit:         clean (independent rule check)")
-	}
 	if *verify && shifted == 0 {
 		// Refresh cadence is disabled: offline traces carry no refresh
 		// policy of their own (strict replay already re-times any REFs
 		// they do contain).
-		ctrace := make([]conformance.TimedCommand, len(trace))
-		for i, tc := range trace {
-			ctrace[i] = conformance.TimedCommand{Cycle: tc.Cycle, Cmd: tc.Cmd}
-		}
 		opt := conformance.Options{Latches: *latches, RefreshSlack: -1}
-		vs, err := conformance.CheckTrace(cfg, opt, ctrace)
+		vs, err := conformance.CheckTrace(cfg, opt, trace)
 		if err != nil {
 			return err
 		}
 		if len(vs) > 0 {
 			return fmt.Errorf("conformance: %d violations, first: %v", len(vs), vs[0])
 		}
-		fmt.Fprintf(stdout, "conformance:   %d commands checked, 0 violations\n", len(ctrace))
+		fmt.Fprintf(stdout, "conformance:   %d commands checked, 0 violations\n", len(trace))
 	}
 	fmt.Fprintf(stdout, "replayed:      %d commands\n", rep.Commands)
 	fmt.Fprintf(stdout, "finish cycle:  %d\n", rep.LastCycle)

@@ -331,6 +331,11 @@ func (e *Engine) Apply(cmd dram.Command, cycle int64) (Result, error) {
 		}
 
 	case dram.KindREADRES, dram.KindRDAF:
+		// A latch the banks do not have is an error, as it is for the
+		// commands that write one (AccumulateLatch, PreloadLatch).
+		if n := e.macs[0].Latches(); cmd.Latch < 0 || cmd.Latch >= n {
+			return Result{}, fmt.Errorf("aim: latch %d out of range [0,%d)", cmd.Latch, n)
+		}
 		// Results points at the engine's reused scratch: it is valid until
 		// this engine's next result read, and every caller consumes (or
 		// copies) it immediately, so the result read allocates nothing.

@@ -217,6 +217,38 @@ func TestEngineBiasAndRDAFErrors(t *testing.T) {
 	}
 }
 
+// TestResultReadRejectsMissingLatch holds READRES and RD_AF to the
+// latch range the MAC, COMP and WR_BIAS commands already enforce: a
+// latch the banks do not have is a named error, not a read of zeros.
+func TestResultReadRejectsMissingLatch(t *testing.T) {
+	for _, c := range []struct {
+		latches int
+		cmd     dram.Command
+		want    string
+	}{
+		{1, dram.Command{Kind: dram.KindREADRES, Latch: 5}, "aim: latch 5 out of range [0,1)"},
+		{1, dram.Command{Kind: dram.KindREADRES, Latch: -1}, "aim: latch -1 out of range [0,1)"},
+		{1, dram.Command{Kind: dram.KindRDAF, Latch: 5, AF: dram.AFNone}, "aim: latch 5 out of range [0,1)"},
+		{4, dram.Command{Kind: dram.KindRDAF, Latch: 4, AF: dram.AFReLU}, "aim: latch 4 out of range [0,4)"},
+		{4, dram.Command{Kind: dram.KindREADRES, Latch: 3}, ""},
+	} {
+		ch, err := dram.NewChannel(engineConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngineWithLatches(ch, c.latches)
+		res, err := e.Issue(c.cmd, 0)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%d latches, %v: %v", c.latches, c.cmd, err)
+		case c.want == "" && len(res.Results) != engineConfig().Geometry.Banks:
+			t.Errorf("%d latches, %v: %d results, want one per bank", c.latches, c.cmd, len(res.Results))
+		case c.want != "" && (err == nil || err.Error() != c.want):
+			t.Errorf("%d latches, %v: error %v, want %q", c.latches, c.cmd, err, c.want)
+		}
+	}
+}
+
 // TestEngineCopyAndEWRoundTrip moves a column from a bank into the
 // global buffer, combines it element-wise with a host-written slot, and
 // lands the result back in the bank: the COPY_BKGB → EWMUL/EWADD →

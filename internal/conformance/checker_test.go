@@ -242,7 +242,7 @@ func TestBrokenSchedulerCaught(t *testing.T) {
 		})
 	}
 
-	vs, err := conformance.CheckTrace(cfg, conformance.Options{}, toConf(trace))
+	vs, err := conformance.CheckTrace(cfg, conformance.Options{}, trace)
 	if err != nil {
 		t.Fatalf("CheckTrace: %v", err)
 	}

@@ -315,17 +315,6 @@ func generate(cfg dram.Config, latches int, e *aim.Engine, c *conformance.Checke
 	return trace
 }
 
-// toConf converts a traceio trace to the checker's own trace type
-// (identical field for field; conformance does not import traceio to
-// keep host-side test builds cycle-free).
-func toConf(trace []traceio.TimedCommand) []conformance.TimedCommand {
-	out := make([]conformance.TimedCommand, len(trace))
-	for i, tc := range trace {
-		out[i] = conformance.TimedCommand{Cycle: tc.Cycle, Cmd: tc.Cmd}
-	}
-	return out
-}
-
 // fuzzOptions disables the refresh-cadence rule: the generator issues
 // REF on protocol legality, not on a host policy's schedule.
 func fuzzOptions(latches int) conformance.Options {
@@ -371,7 +360,7 @@ func runConformance(data []byte, report func(format string, args ...any)) {
 	}
 	sort.SliceStable(mutated, func(i, j int) bool { return mutated[i].Cycle < mutated[j].Cycle })
 
-	vs, err := conformance.CheckTrace(cfg, fuzzOptions(latches), toConf(mutated))
+	vs, err := conformance.CheckTrace(cfg, fuzzOptions(latches), mutated)
 	if err != nil {
 		report("CheckTrace: %v", err)
 		return
@@ -472,7 +461,7 @@ func checkTextTrace(data []byte, report func(format string, args ...any)) {
 	}
 	cfg := dram.Config{Geometry: dram.HBM2EGeometry(1), Timing: dram.AiMTiming()}
 	const latches = 4 // accept quad-latch traces too
-	vs, err := conformance.CheckTrace(cfg, fuzzOptions(latches), toConf(trace))
+	vs, err := conformance.CheckTrace(cfg, fuzzOptions(latches), trace)
 	if err != nil {
 		report("CheckTrace: %v", err)
 		return

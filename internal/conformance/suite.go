@@ -71,19 +71,19 @@ func (s *Suite) Err() error {
 	return nil
 }
 
-// TimedCommand pairs a command with its issue cycle. It mirrors
-// traceio.TimedCommand field for field but is declared here so that
-// this package stays import-light: internal/traceio's tests exercise
-// the host controller, which embeds this package, so importing traceio
-// from here would close an import cycle in test builds.
+// TimedCommand pairs a command with its issue cycle: one entry of a
+// recorded command trace. internal/traceio parses and writes traces of
+// this type under an alias, so traceio imports this package, and this
+// package imports only aim and dram.
 type TimedCommand struct {
 	Cycle int64
 	Cmd   dram.Command
 }
 
-// CheckTrace runs a single-channel command trace (as captured by
-// internal/traceio) through a fresh checker and returns the violations.
-// The trace must be in issue order.
+// CheckTrace runs a single-channel command trace (as recorded or parsed
+// by internal/traceio) through a fresh checker and returns the
+// violations in trace order. It is the trace-level entry point of the
+// one independent timing referee. The trace must be in issue order.
 func CheckTrace(cfg dram.Config, opt Options, trace []TimedCommand) ([]Violation, error) {
 	c, err := New(cfg, opt)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"newton/internal/aim"
 	"newton/internal/bf16"
+	"newton/internal/conformance"
 	"newton/internal/dram"
 	"newton/internal/host"
 	"newton/internal/layout"
@@ -15,8 +16,8 @@ import (
 // TestRandomTimingsProduceAuditCleanSchedules fuzzes the whole stack:
 // random (valid) timing parameters and geometries, a random matrix, a
 // random design point - the controller's schedule must satisfy the
-// independent auditor, and the computed product must match the datapath
-// reference bit-for-bit.
+// independent timing referee (conformance.CheckTrace), and the computed
+// product must match the datapath reference bit-for-bit.
 func TestRandomTimingsProduceAuditCleanSchedules(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -81,9 +82,10 @@ func TestRandomTimingsProduceAuditCleanSchedules(t *testing.T) {
 			t.Logf("seed %d: run failed: %v", seed, err)
 			return false
 		}
-		if err := Audit(cfg, trace); err != nil {
-			t.Logf("seed %d (banks=%d cols=%d bits=%d %+v): %v",
-				seed, geo.Banks, geo.Cols, geo.ColBits, tt, err)
+		vs, err := conformance.CheckTrace(cfg, conformance.Options{Latches: opts.Latches()}, trace)
+		if err != nil || len(vs) > 0 {
+			t.Logf("seed %d (banks=%d cols=%d bits=%d %+v): %v %v",
+				seed, geo.Banks, geo.Cols, geo.ColBits, tt, err, vs)
 			return false
 		}
 		want, err := host.DatapathReference(p, v)

@@ -3,6 +3,7 @@
 // paper's evaluation builds on) traditionally offer: capture the command
 // stream of a live run, inspect or transform it offline, and replay it
 // through the timing checker to validate schedules produced elsewhere.
+// conformance.CheckTrace is the independent referee for a parsed trace.
 //
 // The format is line-oriented text, one command per line:
 //
@@ -24,14 +25,13 @@ import (
 	"strings"
 
 	"newton/internal/aim"
+	"newton/internal/conformance"
 	"newton/internal/dram"
 )
 
-// TimedCommand is one trace entry.
-type TimedCommand struct {
-	Cycle int64
-	Cmd   dram.Command
-}
+// TimedCommand is one trace entry, the type conformance.CheckTrace
+// checks.
+type TimedCommand = conformance.TimedCommand
 
 var kindByName = map[string]dram.Kind{
 	"ACT":       dram.KindACT,
