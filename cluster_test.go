@@ -2,6 +2,8 @@ package newton
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -179,5 +181,84 @@ func TestOutageScheduleRoot(t *testing.T) {
 		Outages: out,
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterConfigRejections: both constructors reject what the one
+// config cannot honour — a GPU fleet on a device without channels, a
+// traffic weight that is NaN, infinite or negative, weights whose sum
+// overflows, an unknown backend kind, a negative calibration depth —
+// and each rejects the other placement's fields by name instead of
+// ignoring them.
+func TestClusterConfigRejections(t *testing.T) {
+	cfg := clusterTestConfig()
+	noChannels := cfg
+	noChannels.Channels = 0
+	models := func(set func(*ClusterModel)) []ClusterModel {
+		ms := []ClusterModel{{Name: "a", Rows: 64, Cols: 32}, {Name: "b", Rows: 64, Cols: 32}}
+		set(&ms[0])
+		return ms
+	}
+	type ctor func(Config, ClusterConfig) (*Cluster, error)
+	server, fleet := Config.NewServer, Config.NewCluster
+	for _, tc := range []struct {
+		name  string
+		ctors []ctor
+		cfg   Config
+		cc    ClusterConfig
+		want  string
+	}{
+		{"gpu without channels", []ctor{server, fleet}, noChannels,
+			ClusterConfig{Models: models(func(*ClusterModel) {}), Backend: ServeGPU}, "Channels must be >= 1"},
+		{"NaN weight", []ctor{server, fleet}, cfg,
+			ClusterConfig{Models: models(func(m *ClusterModel) { m.Weight = math.NaN() })}, `model "a" has Weight NaN`},
+		{"infinite weight", []ctor{server, fleet}, cfg,
+			ClusterConfig{Models: models(func(m *ClusterModel) { m.Weight = math.Inf(1) })}, `model "a" has Weight +Inf`},
+		{"negative weight", []ctor{server, fleet}, cfg,
+			ClusterConfig{Models: models(func(m *ClusterModel) { m.Weight = -2 })}, `model "a" has Weight -2`},
+		{"weights summing past the float range", []ctor{server, fleet}, cfg,
+			ClusterConfig{Models: []ClusterModel{{Name: "a", Rows: 64, Cols: 32, Weight: math.MaxFloat64},
+				{Name: "b", Rows: 64, Cols: 32, Weight: math.MaxFloat64}}}, "weights sum to +Inf"},
+		{"unknown backend", []ctor{server, fleet}, cfg,
+			ClusterConfig{Models: models(func(*ClusterModel) {}), Backend: 7}, "Backend 7"},
+		{"negative calibration depth", []ctor{server, fleet}, cfg,
+			ClusterConfig{Models: models(func(*ClusterModel) {}), CalibrateBatches: -1}, "CalibrateBatches is -1"},
+		{"server replicas", []ctor{server}, cfg,
+			ClusterConfig{Models: models(func(m *ClusterModel) { m.Replicas = 2 })}, "sets Replicas"},
+		{"server split", []ctor{server}, cfg,
+			ClusterConfig{Models: models(func(m *ClusterModel) { m.SplitAcross = 2 })}, "sets SplitAcross"},
+		{"server standby", []ctor{server}, cfg,
+			ClusterConfig{Models: models(func(m *ClusterModel) { m.Standby = 1 })}, "sets Standby"},
+		{"server outages", []ctor{server}, cfg,
+			ClusterConfig{Models: models(func(*ClusterModel) {}), Outages: []DeviceOutage{{Device: 0, At: 100}}}, "Outages"},
+		{"cluster channels", []ctor{fleet}, cfg,
+			ClusterConfig{Models: models(func(m *ClusterModel) { m.Channels = 2 })}, "sets Channels"},
+		{"cluster retry", []ctor{fleet}, cfg,
+			ClusterConfig{Models: models(func(m *ClusterModel) { m.Retry.DetectedPerLaunch = 0.5 })}, "sets Retry"},
+		{"cluster fail time", []ctor{fleet}, cfg,
+			ClusterConfig{Models: models(func(m *ClusterModel) { m.FailAt = 100 })}, "sets FailAt"},
+		{"cluster failover", []ctor{fleet}, cfg,
+			ClusterConfig{Models: models(func(m *ClusterModel) { m.FailoverTo = "b" })}, "sets FailoverTo"},
+	} {
+		for i, build := range tc.ctors {
+			if _, err := build(tc.cfg, tc.cc); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s (constructor %d): error %v, want one naming %q", tc.name, i, err, tc.want)
+			}
+		}
+	}
+
+	// Weight 0 still means 1, and GPU servers still ignore the partition
+	// fields: one device-wide device serves both models.
+	cl, err := cfg.NewServer(ClusterConfig{Backend: ServeGPU, Models: models(func(m *ClusterModel) {
+		m.Weight, m.Channels, m.FailAt, m.Retry.MaxRetries = 3, 3, 100, 2
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if devs := cl.Devices(); len(devs) != 1 || devs[0].Name != "gpu" || devs[0].FailAt != 0 {
+		t.Errorf("GPU server devices %+v, want one healthy device-wide gpu", devs)
+	}
+	if !reflect.DeepEqual(cl.weights, []float64{3, 1}) {
+		t.Errorf("traffic weights %v, want [3 1] (0 means 1)", cl.weights)
 	}
 }

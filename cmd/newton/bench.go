@@ -230,7 +230,7 @@ func runBench(args []string, stdout io.Writer) error {
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	chromeOut := fs.String("chrometrace", "", "run a conformance-verified fig9 ladder on a small layer and write it as a Chrome trace-event file (chrome://tracing, Perfetto) to this file, then exit")
-	if err := parse(fs, args); err != nil {
+	if err := parse(fs, args, geo.check); err != nil {
 		return err
 	}
 

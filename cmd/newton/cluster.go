@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -46,7 +47,11 @@ func runCluster(args []string, stdout io.Writer) error {
 	warmup := fs.Float64("warmup", 0, "autoscale: standby warm-up delay in virtual ns")
 	verify := fs.Bool("verify", false, "calibrate every device table under the independent conformance checker")
 	jsonOut := fs.Bool("json", false, "print machine-readable per-stream results to stdout")
-	if err := parse(fs, args); err != nil {
+	err := parse(fs, args, fl.check, func() error {
+		return errors.Join(finiteTime("reduce", *reduce), atLeast0("outages", int64(*outages)),
+			finiteTime("slo", *slo), atLeast0("max-queue", *maxQueue), finiteTime("warmup", *warmup))
+	})
+	if err != nil {
 		return err
 	}
 

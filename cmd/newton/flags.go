@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -44,10 +45,10 @@ func newFlagSet(name, synopsis string) *flag.FlagSet {
 	return fs
 }
 
-// parse parses a subcommand's arguments. No subcommand takes positional
-// arguments, so one left over (which would silently end flag parsing)
-// is an error too.
-func parse(fs *flag.FlagSet, args []string) error {
+// parse parses a subcommand's arguments, then runs its flag checks in
+// order. No subcommand takes positional arguments, so one left over
+// (which would silently end flag parsing) is an error too.
+func parse(fs *flag.FlagSet, args []string, checks ...func() error) error {
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
@@ -56,6 +57,11 @@ func parse(fs *flag.FlagSet, args []string) error {
 	}
 	if fs.NArg() > 0 {
 		return &usageError{fmt.Sprintf("unexpected argument %q (flags only)", fs.Arg(0))}
+	}
+	for _, check := range checks {
+		if err := check(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -68,6 +74,23 @@ func atLeast1(name string, v int) error {
 	return nil
 }
 
+// atLeast0 rejects a count flag below 0.
+func atLeast0(name string, v int64) error {
+	if v < 0 {
+		return badFlag(name, "must be 0 or more, got %d", v)
+	}
+	return nil
+}
+
+// finiteTime rejects a virtual-time flag that is negative, NaN or
+// infinite.
+func finiteTime(name string, ns float64) error {
+	if !(ns >= 0) || math.IsInf(ns, 1) {
+		return badFlag(name, "must be a finite time >= 0 ns, got %g", ns)
+	}
+	return nil
+}
+
 // geometry is the simulated device's shape.
 type geometry struct{ channels, banks int }
 
@@ -75,6 +98,11 @@ type geometry struct{ channels, banks int }
 func (g *geometry) register(fs *flag.FlagSet, channels int) {
 	fs.IntVar(&g.channels, "channels", channels, "memory channels per device")
 	fs.IntVar(&g.banks, "banks", 16, "banks per channel")
+}
+
+// check rejects a device without channels or banks.
+func (g *geometry) check() error {
+	return errors.Join(atLeast1("channels", g.channels), atLeast1("banks", g.banks))
 }
 
 // config is the paper's Newton configuration at this geometry.
@@ -131,6 +159,13 @@ func (f *fleetFlags) register(fs *flag.FlagSet, loads string, n int, seed int64)
 	fs.StringVar(&f.shed, "shed", "newest", "shed policy when a device queue is full: newest or oldest")
 	fs.StringVar(&f.trace, "trace", "", "replay this arrival trace instead of Poisson streams")
 	fs.StringVar(&f.listen, "listen", "", "serve /metrics, /snapshot and /debug/pprof/* on this address (blocks after the runs)")
+}
+
+// check rejects geometry, batcher and queue values a fleet would run
+// silently wrong or refuse without naming the flag.
+func (f *fleetFlags) check() error {
+	return errors.Join(f.geometry.check(), atLeast1("max-batch", f.maxBatch), atLeast1("gpu-max-batch", f.gpuMaxBatch),
+		atLeast0("queue", int64(f.queue)), finiteTime("max-wait", f.maxWait))
 }
 
 // kinds maps -backend to the fleets to simulate; "both" is the
@@ -252,8 +287,8 @@ func arrivalStreams(traceFile, loads string, n int, seed int64, models int) ([]s
 	var streams []stream
 	for _, part := range strings.Split(loads, ",") {
 		qps, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || !(qps > 0) {
-			return nil, 0, badFlag("loads", "bad load %q (want queries/s > 0)", part)
+		if err != nil || !(qps > 0) || math.IsInf(qps, 1) {
+			return nil, 0, badFlag("loads", "bad load %q (want finite queries/s > 0)", part)
 		}
 		horizon = max(horizon, float64(n)/qps*1e9)
 		streams = append(streams, stream{

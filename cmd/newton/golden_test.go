@@ -156,6 +156,29 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{"cluster -n -5", "-n", nil},
 		{"replay -latches 0", "-latches", nil},
 		{"replay -latches -1", "-latches", nil},
+		{"replay -isr testdata/tiny.isr -channels -1", "-channels", nil},
+		{"replay -isr testdata/tiny.isr -channels 0", "-channels", nil},
+		{"replay -in testdata/cmd.trace -banks 0", "-banks", nil},
+		{"replay -in testdata/cmd.trace -channels -1", "-channels", nil},
+		{"bench -fig serving -channels 0", "-channels", nil},
+		{"sim -banks 0", "-banks", nil},
+		{"mem -channels -2", "-channels", nil},
+		{"serve -channels 0 -n 100 -backend gpu", "-channels", nil},
+		{"cluster -channels 0 -n 100 -backend gpu", "-channels", nil},
+		{"serve -channels -3 -backend gpu", "-channels", nil},
+		{"serve -max-batch 0", "-max-batch", nil},
+		{"cluster -max-batch -3", "-max-batch", nil},
+		{"serve -gpu-max-batch 0", "-gpu-max-batch", nil},
+		{"serve -queue -1", "-queue", nil},
+		{"serve -max-wait -1", "-max-wait", nil},
+		{"cluster -slo -5", "-slo", nil},
+		{"cluster -slo NaN", "-slo", nil},
+		{"cluster -warmup -5", "-warmup", nil},
+		{"cluster -warmup +Inf -max-queue 2 -standby 1", "-warmup", nil},
+		{"cluster -max-queue -1", "-max-queue", nil},
+		{"cluster -outages -2", "-outages", nil},
+		{"cluster -reduce -5", "-reduce", nil},
+		{"serve -loads +Inf", "-loads", nil},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(c.args), &stdout, &stderr)

@@ -139,7 +139,7 @@ func runMem(args []string, stdout io.Writer) error {
 	o.geometry.register(fs, 24)
 	fs.IntVar(&o.runs, "runs", 8, "matrix-vector products to run")
 	fs.BoolVar(&o.drain, "drain", true, "serve the accumulated backlog between runs")
-	if err := parse(fs, args); err != nil {
+	if err := parse(fs, args, o.geometry.check); err != nil {
 		return err
 	}
 	return session(o, stdout)

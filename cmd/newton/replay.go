@@ -41,7 +41,7 @@ func runReplay(args []string, stdout io.Writer) error {
 	latches := fs.Int("latches", 1, "result latches per bank")
 	conventional := fs.Bool("conventional-tfaw", false, "use the conventional (non-AiM) tFAW")
 	verify := fs.Bool("verify", true, "also run the trace through the protocol-conformance checker")
-	if err := parse(fs, args); err != nil {
+	if err := parse(fs, args, geo.check); err != nil {
 		return err
 	}
 	if err := atLeast1("latches", *latches); err != nil {

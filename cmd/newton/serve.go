@@ -32,7 +32,7 @@ func runServe(args []string, stdout io.Writer) error {
 	split := fs.String("split", "", "channels per model: one value for all, or a comma-separated list (default: even split)")
 	record := fs.String("record", "", "write generated arrivals to this trace file")
 	hist := fs.Bool("hist", false, "print a latency histogram per run")
-	if err := parse(fs, args); err != nil {
+	if err := parse(fs, args, fl.check); err != nil {
 		return err
 	}
 
@@ -75,13 +75,13 @@ func runServe(args []string, stdout io.Writer) error {
 	}
 
 	cfg := fl.config()
-	servers := make([]*newton.Server, len(kinds))
+	servers := make([]*newton.Cluster, len(kinds))
 	for i, kind := range kinds {
-		sc := newton.ServeConfig{
+		cc := newton.ClusterConfig{
 			Models:  models,
 			Backend: kind,
 			Seed:    fl.modelSeed,
-			Options: newton.ServeOptions{
+			Options: newton.ClusterOptions{
 				MaxBatch:   fl.maxBatch,
 				MaxWait:    fl.maxWait,
 				QueueDepth: fl.queue,
@@ -89,17 +89,9 @@ func runServe(args []string, stdout io.Writer) error {
 			},
 		}
 		if kind == newton.ServeGPU {
-			sc.Options.MaxBatch = fl.gpuMaxBatch
-			// GPU fleets serve every model from one device; the
-			// per-model channel partitions do not apply.
-			ms := make([]newton.ServedModel, len(models))
-			copy(ms, models)
-			for i := range ms {
-				ms[i].Channels = 0
-			}
-			sc.Models = ms
+			cc.Options.MaxBatch = fl.gpuMaxBatch
 		}
-		if servers[i], err = cfg.NewServer(sc); err != nil {
+		if servers[i], err = cfg.NewServer(cc); err != nil {
 			return fmt.Errorf("building %v fleet: %w", kind, err)
 		}
 		servers[i].Observe(reg, tr)
@@ -117,7 +109,7 @@ func runServe(args []string, stdout io.Writer) error {
 
 // serveCompare is the default mode: Newton vs the batching GPU per
 // stream, with the measured p99 crossover load.
-func serveCompare(w io.Writer, newtonSrv, gpuSrv *newton.Server, streams []stream) error {
+func serveCompare(w io.Writer, newtonSrv, gpuSrv *newton.Cluster, streams []stream) error {
 	fmt.Fprintln(w, "stream           newton p50/p99        gpu p50/p99           gpu batch  winner")
 	crossover := ""
 	for _, s := range streams {
@@ -151,7 +143,7 @@ func serveCompare(w io.Writer, newtonSrv, gpuSrv *newton.Server, streams []strea
 }
 
 // serveSingle runs one fleet over every stream with full metrics.
-func serveSingle(w io.Writer, srv *newton.Server, streams []stream, hist bool) error {
+func serveSingle(w io.Writer, srv *newton.Cluster, streams []stream, hist bool) error {
 	for _, s := range streams {
 		res, err := srv.Replay(s.reqs)
 		if err != nil {
@@ -178,7 +170,7 @@ func serveSingle(w io.Writer, srv *newton.Server, streams []stream, hist bool) e
 // showShards decides whether the per-shard breakdown adds information:
 // multiple shards, or a single shard with something to report (shed or
 // retried work, or a non-healthy state).
-func showShards(res *newton.ServeResult) bool {
+func showShards(res *newton.ClusterResult) bool {
 	if len(res.Devices) > 1 {
 		return true
 	}
@@ -219,7 +211,7 @@ func printHist(w io.Writer, h *newton.ServeHistogram) {
 
 // parseServedModels resolves the -models and -split flags to a model
 // set.
-func parseServedModels(spec, split string) ([]newton.ServedModel, error) {
+func parseServedModels(spec, split string) ([]newton.ClusterModel, error) {
 	names := strings.Split(spec, ",")
 	var parts []int
 	if split != "" {
@@ -228,7 +220,7 @@ func parseServedModels(spec, split string) ([]newton.ServedModel, error) {
 			return nil, err
 		}
 	}
-	models := make([]newton.ServedModel, len(names))
+	models := make([]newton.ClusterModel, len(names))
 	for i, raw := range names {
 		m := &models[i]
 		m.Name = strings.TrimSpace(raw)

@@ -22,7 +22,7 @@ func runSim(args []string, stdout io.Writer) error {
 	geo.register(fs, 24)
 	batch := fs.Int("batch", 1, "batch size (sequential inputs)")
 	list := fs.Bool("list", false, "list Table II workloads and exit")
-	if err := parse(fs, args); err != nil {
+	if err := parse(fs, args, geo.check); err != nil {
 		return err
 	}
 

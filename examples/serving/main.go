@@ -1,10 +1,10 @@
 // Serving: the edge-inference scenario that motivates Newton (§I): a
 // stream of single queries against a recommendation model, where
-// batching to feed a GPU trades latency for throughput. The serving
-// subsystem (newton.Serve*) replays the same seeded Poisson stream
-// against a Newton fleet (serves queries one at a time at its measured
-// per-query time) and a GPU fleet with dynamic batching (drains
-// whatever is queued as one kernel), and reports exact tail latencies.
+// batching to feed a GPU trades latency for throughput. Two
+// newton.Cluster fleets built by Config.NewServer replay the same seeded
+// Poisson stream: a Newton device (serves queries one at a time at its
+// measured per-query time) and a GPU with dynamic batching (drains
+// whatever is queued as one kernel); both report exact tail latencies.
 //
 // At edge request rates Newton's latency is flat and tiny; the GPU's
 // queue must grow long before batching amortizes its matrix fetch -
@@ -30,12 +30,12 @@ func main() {
 	log.SetFlags(0)
 
 	cfg := newton.DefaultConfig()
-	sc := newton.ServeConfig{
-		Models: []newton.ServedModel{{Name: "DLRM-s1", Rows: 512, Cols: 256}},
+	sc := newton.ClusterConfig{
+		Models: []newton.ClusterModel{{Name: "DLRM-s1", Rows: 512, Cols: 256}},
 		Seed:   modelSeed,
 		// Newton serves unbatched: its compute cannot exploit the reuse
 		// batching creates, so coalescing would only add queueing delay.
-		Options: newton.ServeOptions{MaxBatch: 1},
+		Options: newton.ClusterOptions{MaxBatch: 1},
 	}
 	newtonSrv, err := cfg.NewServer(sc)
 	if err != nil {
@@ -44,7 +44,7 @@ func main() {
 	gc := sc
 	gc.Backend = newton.ServeGPU
 	// The GPU drains its queue as one kernel, up to 1024 queries.
-	gc.Options = newton.ServeOptions{MaxBatch: 1024}
+	gc.Options = newton.ClusterOptions{MaxBatch: 1024}
 	gpuSrv, err := cfg.NewServer(gc)
 	if err != nil {
 		log.Fatal(err)

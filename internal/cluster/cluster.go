@@ -6,9 +6,10 @@
 // and of its Fig. 11/12 batching crossovers.
 //
 // A device is whatever one Backend prices: a whole simulated device in
-// a fleet, or one channel partition of a device (Config.Split in the
-// root package) serving its own models, which the root Server builds as
-// a static fleet with one replica placement per model. The pieces:
+// a fleet (the root's Config.NewCluster), or one channel partition of a
+// device (Config.Split) serving its own models, which the root's
+// Config.NewServer builds as a static fleet with one replica placement
+// per model. The pieces:
 //
 //   - placement: a model is either replicated (full copies on k
 //     devices, the router picks one per request) or row-split (each of
@@ -167,6 +168,26 @@ type Autoscale struct {
 	Window int
 }
 
+// check rejects settings that would lose requests or do nothing: the
+// SLO and warm-up must be finite times >= 0, MaxQueue and Window >= 0.
+func (a *Autoscale) check() error {
+	switch {
+	case a == nil:
+	case !finiteTime(a.SLOP99Ns):
+		return fmt.Errorf("cluster: Options.Autoscale.SLOP99Ns is %g; need a finite time >= 0 (0 = off)", a.SLOP99Ns)
+	case !finiteTime(a.WarmupNs):
+		return fmt.Errorf("cluster: Options.Autoscale.WarmupNs is %g; need a finite time >= 0", a.WarmupNs)
+	case a.MaxQueue < 0:
+		return fmt.Errorf("cluster: Options.Autoscale.MaxQueue is %d; need 0 (off) or more", a.MaxQueue)
+	case a.Window < 0:
+		return fmt.Errorf("cluster: Options.Autoscale.Window is %d; need 0 (default) or more", a.Window)
+	}
+	return nil
+}
+
+// finiteTime reports whether t is a finite virtual time >= 0.
+func finiteTime(t float64) bool { return t >= 0 && !math.IsInf(t, 1) }
+
 func (a *Autoscale) window() int {
 	if a == nil || a.Window < 1 {
 		return 256
@@ -279,16 +300,22 @@ type Fleet struct {
 // >= 2 devices), references only in-range devices that list the model,
 // and never puts a Standby device in a slice (a cold slice could never
 // complete a fan-out); failover chains resolve to other existing
-// devices; Options.MaxWait and Options.ReduceNs are finite times >= 0.
+// devices; Options.MaxWait and Options.ReduceNs are finite times >= 0;
+// every device's RetryPlan and the Autoscale settings are in range (see
+// RetryPlan.check and Autoscale.check), so no setting loses requests
+// or is silently ignored.
 func New(devices []Device, placements []Placement, opt Options) (*Fleet, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("cluster: no devices")
 	}
-	if !(opt.MaxWait >= 0) || math.IsInf(opt.MaxWait, 1) {
+	if !finiteTime(opt.MaxWait) {
 		return nil, fmt.Errorf("cluster: Options.MaxWait is %g; need a finite time >= 0", opt.MaxWait)
 	}
-	if !(opt.ReduceNs >= 0) || math.IsInf(opt.ReduceNs, 1) {
+	if !finiteTime(opt.ReduceNs) {
 		return nil, fmt.Errorf("cluster: Options.ReduceNs is %g; need a finite time >= 0", opt.ReduceNs)
+	}
+	if err := opt.Autoscale.check(); err != nil {
+		return nil, err
 	}
 	devs := append([]Device(nil), devices...)
 	byName := make(map[string]int, len(devs))
@@ -301,6 +328,9 @@ func New(devices []Device, placements []Placement, opt Options) (*Fleet, error) 
 		}
 		if !(devs[i].FailAt >= 0) {
 			return nil, fmt.Errorf("cluster: device %d (%s) has FailAt %g; need 0 (never) or a time > 0", i, devs[i].Name, devs[i].FailAt)
+		}
+		if err := devs[i].Retry.check(); err != nil {
+			return nil, fmt.Errorf("cluster: device %d (%s) has %w", i, devs[i].Name, err)
 		}
 		if prev, dup := byName[devs[i].Name]; dup {
 			return nil, fmt.Errorf("cluster: devices %d and %d share the name %q", prev, i, devs[i].Name)

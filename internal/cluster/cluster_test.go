@@ -88,29 +88,52 @@ func TestNewValidation(t *testing.T) {
 
 	// Times the router would otherwise turn into silently wrong numbers
 	// (a negative or NaN latency, a vanished request, a device that
-	// never dies): the error names the field, and the device.
+	// never dies), and retry and autoscale settings that would lose
+	// requests or do nothing: the error names the field, and the device.
 	pl := []Placement{{Model: 0, Replicas: []int{0}}}
+	nan, inf := math.NaN(), math.Inf(1)
+	scale := func(a Autoscale) Options { return Options{Autoscale: &a} }
 	for _, tc := range []struct {
 		name   string
 		opt    Options
 		failAt float64
+		retry  RetryPlan
 		want   string
 	}{
-		{"negative ReduceNs", Options{ReduceNs: -500}, 0, "Options.ReduceNs"},
-		{"NaN ReduceNs", Options{ReduceNs: math.NaN()}, 0, "Options.ReduceNs"},
-		{"infinite ReduceNs", Options{ReduceNs: math.Inf(1)}, 0, "Options.ReduceNs"},
-		{"NaN MaxWait", Options{MaxWait: math.NaN()}, 0, "Options.MaxWait"},
-		{"negative MaxWait", Options{MaxWait: -1}, 0, "Options.MaxWait"},
-		{"infinite MaxWait", Options{MaxWait: math.Inf(1)}, 0, "Options.MaxWait"},
-		{"NaN FailAt", Options{}, math.NaN(), "device 0 (d) has FailAt"},
-		{"negative FailAt", Options{}, -5, "device 0 (d) has FailAt"},
+		{"negative ReduceNs", Options{ReduceNs: -500}, 0, RetryPlan{}, "Options.ReduceNs"},
+		{"NaN ReduceNs", Options{ReduceNs: nan}, 0, RetryPlan{}, "Options.ReduceNs"},
+		{"infinite ReduceNs", Options{ReduceNs: inf}, 0, RetryPlan{}, "Options.ReduceNs"},
+		{"NaN MaxWait", Options{MaxWait: nan}, 0, RetryPlan{}, "Options.MaxWait"},
+		{"negative MaxWait", Options{MaxWait: -1}, 0, RetryPlan{}, "Options.MaxWait"},
+		{"infinite MaxWait", Options{MaxWait: inf}, 0, RetryPlan{}, "Options.MaxWait"},
+		{"NaN FailAt", Options{}, nan, RetryPlan{}, "device 0 (d) has FailAt"},
+		{"negative FailAt", Options{}, -5, RetryPlan{}, "device 0 (d) has FailAt"},
+		{"detection above 1", Options{}, 0, RetryPlan{DetectedPerLaunch: 2}, "device 0 (d) has Retry.DetectedPerLaunch"},
+		{"NaN detection", Options{}, 0, RetryPlan{DetectedPerLaunch: nan}, "device 0 (d) has Retry.DetectedPerLaunch"},
+		{"negative detection", Options{}, 0, RetryPlan{DetectedPerLaunch: -0.1}, "device 0 (d) has Retry.DetectedPerLaunch"},
+		{"negative MaxRetries", Options{}, 0, RetryPlan{MaxRetries: -1}, "device 0 (d) has Retry.MaxRetries"},
+		{"negative DegradeAfter", Options{}, 0, RetryPlan{DegradeAfter: -1}, "device 0 (d) has Retry.DegradeAfter"},
+		{"infinite penalty", Options{}, 0, RetryPlan{DegradedPenalty: inf}, "device 0 (d) has Retry.DegradedPenalty"},
+		{"NaN penalty", Options{}, 0, RetryPlan{DegradedPenalty: nan}, "device 0 (d) has Retry.DegradedPenalty"},
+		{"NaN SLO", scale(Autoscale{SLOP99Ns: nan}), 0, RetryPlan{}, "Options.Autoscale.SLOP99Ns"},
+		{"negative SLO", scale(Autoscale{SLOP99Ns: -5}), 0, RetryPlan{}, "Options.Autoscale.SLOP99Ns"},
+		{"infinite SLO", scale(Autoscale{SLOP99Ns: inf}), 0, RetryPlan{}, "Options.Autoscale.SLOP99Ns"},
+		{"infinite warm-up", scale(Autoscale{MaxQueue: 2, WarmupNs: inf}), 0, RetryPlan{}, "Options.Autoscale.WarmupNs"},
+		{"NaN warm-up", scale(Autoscale{WarmupNs: nan}), 0, RetryPlan{}, "Options.Autoscale.WarmupNs"},
+		{"negative warm-up", scale(Autoscale{WarmupNs: -5}), 0, RetryPlan{}, "Options.Autoscale.WarmupNs"},
+		{"negative MaxQueue", scale(Autoscale{MaxQueue: -1}), 0, RetryPlan{}, "Options.Autoscale.MaxQueue"},
+		{"negative Window", scale(Autoscale{Window: -1}), 0, RetryPlan{}, "Options.Autoscale.Window"},
 	} {
-		d := []Device{{Name: "d", Backend: b, Models: []int{0}, FailAt: tc.failAt}}
+		d := []Device{{Name: "d", Backend: b, Models: []int{0}, FailAt: tc.failAt, Retry: tc.retry}}
 		_, err := New(d, pl, tc.opt)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
 		}
 	}
+	// A finite penalty <= 1 still means "no penalty", and the range ends
+	// are legal.
+	mustFleet(t, []Device{{Backend: b, Models: []int{0},
+		Retry: RetryPlan{DetectedPerLaunch: 1, DegradedPenalty: -3}}}, pl, scale(Autoscale{}))
 	// +Inf FailAt still means "never".
 	f := mustFleet(t, []Device{{Name: "d", Backend: b, Models: []int{0}, FailAt: math.Inf(1)}}, pl, Options{})
 	res, err := f.Replay(reqs(0, 0, 1e6))

@@ -1,6 +1,10 @@
 package cluster
 
-import "math/rand"
+import (
+	"fmt"
+	"math"
+	"math/rand"
+)
 
 // RetryPlan models host-side READRES result validation on one device.
 // Newton's READRES stream bypasses controller ECC (paper §III-E), so a
@@ -26,6 +30,22 @@ type RetryPlan struct {
 	// DegradedPenalty multiplies service times while Degraded (recovery
 	// scrubs interleave with serving). Values <= 1 mean no penalty.
 	DegradedPenalty float64
+}
+
+// check rejects a plan that would lose requests or do nothing. It
+// names the field; New adds the device.
+func (p *RetryPlan) check() error {
+	switch {
+	case !(p.DetectedPerLaunch >= 0 && p.DetectedPerLaunch <= 1):
+		return fmt.Errorf("Retry.DetectedPerLaunch %g; need a probability in [0, 1]", p.DetectedPerLaunch)
+	case p.MaxRetries < 0:
+		return fmt.Errorf("Retry.MaxRetries %d; need 0 or more", p.MaxRetries)
+	case p.DegradeAfter < 0:
+		return fmt.Errorf("Retry.DegradeAfter %d; need 0 (never) or more", p.DegradeAfter)
+	case math.IsNaN(p.DegradedPenalty) || math.IsInf(p.DegradedPenalty, 0):
+		return fmt.Errorf("Retry.DegradedPenalty %g; need a finite factor (<= 1 = no penalty)", p.DegradedPenalty)
+	}
+	return nil
 }
 
 // degraded reports whether detected failures crossed the threshold.

@@ -275,7 +275,9 @@ func (c Config) faultPoint(spec nn.Model, ber float64, protected bool) (FaultPoi
 	}
 	pt.RelL2 = fault.RelL2(faulted.Output, golden.Output)
 	pt.MaxULP = fault.MaxULP32(faulted.Output, golden.Output)
-	pt.Availability = c.faultAvailability(pt, words, float64(golden.Cycles))
+	if pt.Availability, err = c.faultAvailability(pt, words, float64(golden.Cycles)); err != nil {
+		return FaultPoint{}, faultFacts{}, err
+	}
 	return pt, ff, nil
 }
 
@@ -287,15 +289,16 @@ func (c Config) faultPoint(spec nn.Model, ber float64, protected bool) (FaultPoi
 // service rate — a busy but unsaturated shard. Unprotected cells never
 // detect anything, so they "serve" everything (possibly wrongly):
 // availability 1 with nonzero SDC is precisely the silent-corruption
-// hazard.
-func (c Config) faultAvailability(pt FaultPoint, words int64, serviceNs float64) float64 {
+// hazard. A plan or stream the engine rejects is an error, never a
+// silent availability of 0.
+func (c Config) faultAvailability(pt FaultPoint, words int64, serviceNs float64) (float64, error) {
 	perWord := 0.0
 	if pt.Protected && words > 0 {
 		perWord = float64(pt.Detected) / float64(words)
 	}
 	perLaunch := 1 - math.Pow(1-perWord, float64(words))
 	if perLaunch <= 0 {
-		return 1
+		return 1, nil
 	}
 	n := c.faultRequests()
 	qps := 0.5e9 / serviceNs
@@ -304,13 +307,13 @@ func (c Config) faultAvailability(pt FaultPoint, words int64, serviceNs float64)
 	plan := cluster.RetryPlan{Seed: c.Seed + FaultSeed, DetectedPerLaunch: perLaunch, MaxRetries: 3}
 	f, err := oneDevice(tb, plan, cluster.Options{})
 	if err != nil {
-		return 0
+		return 0, fmt.Errorf("availability: %w", err)
 	}
 	res, err := f.Replay(reqs)
-	if err != nil || res.Total.Arrived == 0 {
-		return 0
+	if err != nil {
+		return 0, fmt.Errorf("availability: %w", err)
 	}
-	return float64(res.Total.Served) / float64(res.Total.Arrived)
+	return float64(res.Total.Served) / float64(res.Total.Arrived), nil
 }
 
 // RenderFault formats the reliability campaign.

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // faultCfg is the reduced campaign configuration the tests run: a
 // 4-channel device and short availability streams keep it fast under
@@ -80,5 +83,19 @@ func TestFaultCampaignProtectionContract(t *testing.T) {
 	}
 	if !unprotLoss {
 		t.Error("unprotected cells show no accuracy loss at any swept BER")
+	}
+}
+
+// TestFaultAvailabilityReportsRejectedPlan: a detection rate the engine
+// rejects (more detected words than the footprint holds makes the
+// per-launch probability 2) is an error, not an availability of 0 that
+// would print as a plausible table cell.
+func TestFaultAvailabilityReportsRejectedPlan(t *testing.T) {
+	avail, err := faultCfg().faultAvailability(FaultPoint{Protected: true, Detected: 6}, 3, 100)
+	if err == nil || !strings.Contains(err.Error(), "Retry.DetectedPerLaunch") {
+		t.Fatalf("availability %g, error %v; want the engine's DetectedPerLaunch error", avail, err)
+	}
+	if avail, err := faultCfg().faultAvailability(FaultPoint{Protected: true, Detected: 1}, 1000, 100); err != nil || !(avail > 0 && avail <= 1) {
+		t.Fatalf("valid plan: availability %g, error %v", avail, err)
 	}
 }

@@ -13,9 +13,9 @@ import (
 )
 
 // The tests below drive table backends through the serving engine with
-// hand-computable schedules. They build the topology root NewServer
-// builds: a static fleet in which each model is placed on the first
-// device that lists it, as its one replica.
+// hand-computable schedules. They build the topology the root's
+// Config.NewServer builds: a static fleet in which each model is placed
+// on the first device that lists it, as its one replica.
 
 // tb builds a single-model table backend with the given cumulative
 // batch times.

@@ -35,8 +35,8 @@ func NewObsRegistry() *ObsRegistry { return obs.New() }
 
 // ObsHandler serves the registry over HTTP: /metrics (Prometheus text
 // exposition) and /snapshot (JSON, including the tracer's spans when
-// one is given). Mount it on any mux; cmd/newton-serve wires it to
-// -listen together with net/http/pprof.
+// one is given). Mount it on any mux; newton serve and newton cluster
+// wire it to -listen together with net/http/pprof.
 func ObsHandler(reg *ObsRegistry, tracer *ObsTracer) http.Handler {
 	return obs.Handler(reg, tracer)
 }
@@ -62,13 +62,4 @@ func (s *System) Observe(reg *ObsRegistry, tracer *ObsTracer) {
 // device="ideal"). Passing nil for both detaches.
 func (b *IdealBaseline) Observe(reg *ObsRegistry, tracer *ObsTracer) {
 	b.h.Observe(reg, tracer)
-}
-
-// Observe attaches observability to the serving fleet: subsequent
-// Replay / ServePoisson runs publish the engine's per-device series
-// (device="<shard name>") plus fleet and router series, and record one
-// router-parented span tree per request when a tracer is given.
-// Passing nil for both detaches.
-func (s *Server) Observe(reg *ObsRegistry, tracer *ObsTracer) {
-	s.fleet.Observe(reg, tracer)
 }

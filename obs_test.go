@@ -91,9 +91,9 @@ func TestObserveSystemEndToEnd(t *testing.T) {
 // series under the shard's name, and router-parented request spans.
 func TestObserveServer(t *testing.T) {
 	cfg := smallConfig()
-	srv, err := cfg.NewServer(ServeConfig{
+	srv, err := cfg.NewServer(ClusterConfig{
 		Backend: ServeNewton,
-		Models:  []ServedModel{{Name: "m0", Rows: 32, Cols: 256, Channels: cfg.Channels}},
+		Models:  []ClusterModel{{Name: "m0", Rows: 32, Cols: 256, Channels: cfg.Channels}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -109,14 +109,14 @@ func TestConfigSplitIndependentSystems(t *testing.T) {
 
 func TestNewServerValidation(t *testing.T) {
 	cfg := smallCfg()
-	if _, err := cfg.NewServer(ServeConfig{}); err == nil {
+	if _, err := cfg.NewServer(ClusterConfig{}); err == nil {
 		t.Error("empty model set accepted")
 	}
-	bad := ServeConfig{Models: []ServedModel{{Name: "x", Rows: 0, Cols: 4}}}
+	bad := ClusterConfig{Models: []ClusterModel{{Name: "x", Rows: 0, Cols: 4}}}
 	if _, err := cfg.NewServer(bad); err == nil {
 		t.Error("degenerate shape accepted")
 	}
-	uneven := ServeConfig{Models: []ServedModel{
+	uneven := ClusterConfig{Models: []ClusterModel{
 		{Name: "a", Rows: 64, Cols: 32},
 		{Name: "b", Rows: 64, Cols: 32},
 		{Name: "c", Rows: 64, Cols: 32},
@@ -124,29 +124,29 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := cfg.NewServer(uneven); err == nil {
 		t.Error("4 channels over 3 models should need explicit partitions")
 	}
-	neg := ServeConfig{Models: []ServedModel{{Name: "a", Rows: 64, Cols: 32, Channels: -1}}}
+	neg := ClusterConfig{Models: []ClusterModel{{Name: "a", Rows: 64, Cols: 32, Channels: -1}}}
 	if _, err := cfg.NewServer(neg); err == nil {
 		t.Error("negative partition accepted")
 	}
-	short := ServeConfig{Models: []ServedModel{{Name: "a", Rows: 64, Cols: 32, Channels: 3}}}
+	short := ClusterConfig{Models: []ClusterModel{{Name: "a", Rows: 64, Cols: 32, Channels: 3}}}
 	if _, err := cfg.NewServer(short); err == nil {
 		t.Error("partition not covering the device accepted")
 	}
-	twins := ServeConfig{Models: []ServedModel{
+	twins := ClusterConfig{Models: []ClusterModel{
 		{Name: "a", Rows: 64, Cols: 32},
 		{Name: "a", Rows: 128, Cols: 32},
 	}}
 	if _, err := cfg.NewServer(twins); err == nil || !strings.Contains(err.Error(), `shard "a/2ch"`) {
 		t.Errorf("two models sharing a shard name: err = %v", err)
 	}
-	noFail := ServeConfig{Models: []ServedModel{
+	noFail := ClusterConfig{Models: []ClusterModel{
 		{Name: "a", Rows: 64, Cols: 32, FailoverTo: "b"},
 		{Name: "b", Rows: 64, Cols: 32},
 	}}
 	if _, err := cfg.NewServer(noFail); err == nil {
-		t.Error("FailoverTo without Fault.FailAt accepted")
+		t.Error("FailoverTo without FailAt accepted")
 	}
-	noFail.Models[0].Fault = &ServeFaultPlan{FailAt: 100}
+	noFail.Models[0].FailAt = 100
 	noFail.Models[0].FailoverTo = "a"
 	if _, err := cfg.NewServer(noFail); err == nil {
 		t.Error("a shard failing over to itself accepted")
@@ -158,12 +158,12 @@ func TestNewServerValidation(t *testing.T) {
 // and exact reproducibility of the published numbers.
 func TestServerShardingDeterministic(t *testing.T) {
 	cfg := smallCfg()
-	sc := ServeConfig{
-		Models: []ServedModel{
+	sc := ClusterConfig{
+		Models: []ClusterModel{
 			{Name: "DLRM-s1", Rows: 512, Cols: 256, Channels: 2, Weight: 3},
 			{Name: "tiny", Rows: 128, Cols: 64, Channels: 2, Weight: 1},
 		},
-		Options: ServeOptions{MaxBatch: 2, MaxWait: 2000, QueueDepth: 128},
+		Options: ClusterOptions{MaxBatch: 2, MaxWait: 2000, QueueDepth: 128},
 		Seed:    42,
 	}
 	srv, err := cfg.NewServer(sc)
@@ -206,11 +206,11 @@ func TestServerShardingDeterministic(t *testing.T) {
 // TestServerGPUAndIdealBackends checks the alternative fleet kinds.
 func TestServerGPUAndIdealBackends(t *testing.T) {
 	cfg := smallCfg()
-	models := []ServedModel{{Name: "DLRM-s1", Rows: 512, Cols: 256}}
+	models := []ClusterModel{{Name: "DLRM-s1", Rows: 512, Cols: 256}}
 	reqs := PoissonRequests(500, 1e6, nil, 7)
 
-	gpuSrv, err := cfg.NewServer(ServeConfig{Models: models, Backend: ServeGPU,
-		Options: ServeOptions{MaxBatch: 1024}})
+	gpuSrv, err := cfg.NewServer(ClusterConfig{Models: models, Backend: ServeGPU,
+		Options: ClusterOptions{MaxBatch: 1024}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestServerGPUAndIdealBackends(t *testing.T) {
 		t.Errorf("saturating load should batch on the GPU, mean batch %v", gres.Total.MeanBatch())
 	}
 
-	idealSrv, err := cfg.NewServer(ServeConfig{Models: models, Backend: ServeIdeal, Seed: 42})
+	idealSrv, err := cfg.NewServer(ClusterConfig{Models: models, Backend: ServeIdeal, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +258,10 @@ func TestServeTraceHelpers(t *testing.T) {
 // that NewServer calibrated for both matrices.
 func TestServerFaultFailover(t *testing.T) {
 	cfg := smallCfg()
-	sc := ServeConfig{
-		Models: []ServedModel{
+	sc := ClusterConfig{
+		Models: []ClusterModel{
 			{Name: "a", Rows: 128, Cols: 64, Channels: 2,
-				Fault: &ServeFaultPlan{FailAt: 1}, FailoverTo: "b"},
+				FailAt: 1, FailoverTo: "b"},
 			{Name: "b", Rows: 128, Cols: 64, Channels: 2},
 		},
 		Seed: 11,
@@ -294,7 +294,7 @@ func TestServerFaultFailover(t *testing.T) {
 	}
 
 	bad := sc
-	bad.Models = append([]ServedModel(nil), sc.Models...)
+	bad.Models = append([]ClusterModel(nil), sc.Models...)
 	bad.Models[0].FailoverTo = "nope"
 	if _, err := cfg.NewServer(bad); err == nil {
 		t.Error("unknown failover model accepted")
@@ -305,12 +305,12 @@ func TestServerFaultFailover(t *testing.T) {
 // Retried through the public metrics and stays deterministic.
 func TestServerRetryPlan(t *testing.T) {
 	cfg := smallCfg()
-	sc := ServeConfig{
-		Models: []ServedModel{{Name: "a", Rows: 128, Cols: 64, Channels: 4,
-			Fault: &ServeFaultPlan{Seed: 5, DetectedPerLaunch: 0.5, MaxRetries: 4}}},
+	sc := ClusterConfig{
+		Models: []ClusterModel{{Name: "a", Rows: 128, Cols: 64, Channels: 4,
+			Retry: ClusterRetryPlan{Seed: 5, DetectedPerLaunch: 0.5, MaxRetries: 4}}},
 		Seed: 11,
 	}
-	run := func() *ServeResult {
+	run := func() *ClusterResult {
 		srv, err := cfg.NewServer(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -340,21 +340,21 @@ func TestServerRetryPlan(t *testing.T) {
 // byte-identical.
 func TestServeMetamorphicRename(t *testing.T) {
 	cfg := smallCfg()
-	base := ServeConfig{
-		Models: []ServedModel{
+	base := ClusterConfig{
+		Models: []ClusterModel{
 			{Name: "alpha", Rows: 512, Cols: 256, Channels: 2, Weight: 3},
 			{Name: "beta", Rows: 128, Cols: 64, Channels: 2, Weight: 1},
 		},
-		Options: ServeOptions{MaxBatch: 2, MaxWait: 2000, QueueDepth: 64},
+		Options: ClusterOptions{MaxBatch: 2, MaxWait: 2000, QueueDepth: 64},
 		Seed:    42,
 	}
 	renamed := base
-	renamed.Models = append([]ServedModel(nil), base.Models...)
+	renamed.Models = append([]ClusterModel(nil), base.Models...)
 	renamed.Models[0].Name = "prod-gnmt-v2"
 	renamed.Models[1].Name = "canary"
 
 	reqs := PoissonRequests(2000, 4e5, []float64{3, 1}, 7)
-	run := func(sc ServeConfig) *ServeResult {
+	run := func(sc ClusterConfig) *ClusterResult {
 		srv, err := cfg.NewServer(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -387,9 +387,9 @@ func TestServeMetamorphicRename(t *testing.T) {
 // presentation only.
 func TestServeMetamorphicPartitionOrder(t *testing.T) {
 	cfg := smallCfg()
-	opt := ServeOptions{MaxBatch: 2, MaxWait: 2000, QueueDepth: 64}
-	fwd := ServeConfig{
-		Models: []ServedModel{
+	opt := ClusterOptions{MaxBatch: 2, MaxWait: 2000, QueueDepth: 64}
+	fwd := ClusterConfig{
+		Models: []ClusterModel{
 			{Name: "alpha", Rows: 512, Cols: 256, Channels: 1},
 			{Name: "beta", Rows: 128, Cols: 64, Channels: 2},
 			{Name: "gamma", Rows: 256, Cols: 128, Channels: 1},
@@ -400,7 +400,7 @@ func TestServeMetamorphicPartitionOrder(t *testing.T) {
 	// Permutation of the model list: rev.Models[i] = fwd.Models[perm[i]].
 	perm := []int{2, 0, 1}
 	rev := fwd
-	rev.Models = make([]ServedModel, len(fwd.Models))
+	rev.Models = make([]ClusterModel, len(fwd.Models))
 	for i, src := range perm {
 		rev.Models[i] = fwd.Models[src]
 	}
@@ -416,7 +416,7 @@ func TestServeMetamorphicPartitionOrder(t *testing.T) {
 		remapped[i].Model = inv[remapped[i].Model]
 	}
 
-	run := func(sc ServeConfig, rs []ServeRequest) *ServeResult {
+	run := func(sc ClusterConfig, rs []ServeRequest) *ClusterResult {
 		srv, err := cfg.NewServer(sc)
 		if err != nil {
 			t.Fatal(err)
