@@ -28,14 +28,9 @@ func NewIdealBaseline(cfg Config) (*IdealBaseline, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := host.NewIdealNonPIM(dcfg)
+	h, err := host.NewIdealNonPIM(dcfg, cfg.hostOptions())
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Verify {
-		if err := h.EnableVerify(); err != nil {
-			return nil, err
-		}
 	}
 	return &IdealBaseline{cfg: cfg, dcfg: dcfg, h: h}, nil
 }

@@ -78,7 +78,7 @@ func runCluster(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	kills, err := parseKills(*killFlag)
+	kills, err := parseKills(*killFlag, fleetDevices(models))
 	if err != nil {
 		return err
 	}
@@ -130,8 +130,9 @@ func runCluster(args []string, stdout io.Writer) error {
 	return block()
 }
 
-// parseKills parses -kill "0@20000,2@50000" into explicit outages.
-func parseKills(spec string) ([]newton.DeviceOutage, error) {
+// parseKills parses -kill "0@20000,2@50000" into explicit outages of
+// a fleet of the given size.
+func parseKills(spec string, devices int) ([]newton.DeviceOutage, error) {
 	if spec == "" {
 		return nil, nil
 	}
@@ -142,6 +143,9 @@ func parseKills(spec string) ([]newton.DeviceOutage, error) {
 		at, err2 := strconv.ParseFloat(strings.TrimSpace(t), 64)
 		if !ok || err1 != nil || err2 != nil || !(at > 0) {
 			return nil, badFlag("kill", "bad entry %q (want <device>@<ns>)", part)
+		}
+		if dev < 0 || dev >= devices {
+			return nil, badFlag("kill", "device %d is outside the %d-device fleet", dev, devices)
 		}
 		out = append(out, newton.DeviceOutage{Device: dev, At: at})
 	}
@@ -302,15 +306,15 @@ func single(w io.Writer, cl *newton.Cluster, streams []stream, jsonOut bool) err
 // parseModels resolves the -models/-replicas/-split/-standby flags.
 func parseModels(spec, replicas, split, standby string) ([]newton.ClusterModel, error) {
 	names := strings.Split(spec, ",")
-	repl, err := perModelInts("replicas", replicas, len(names))
+	repl, err := perModelInts("replicas", replicas, len(names), 0)
 	if err != nil {
 		return nil, err
 	}
-	ways, err := perModelInts("split", split, len(names))
+	ways, err := perModelInts("split", split, len(names), 0)
 	if err != nil {
 		return nil, err
 	}
-	spares, err := perModelInts("standby", standby, len(names))
+	spares, err := perModelInts("standby", standby, len(names), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -318,6 +322,9 @@ func parseModels(spec, replicas, split, standby string) ([]newton.ClusterModel, 
 	for i, raw := range names {
 		m := &models[i]
 		*m = newton.ClusterModel{Name: strings.TrimSpace(raw), Replicas: repl[i], SplitAcross: ways[i], Standby: spares[i]}
+		if m.SplitAcross == 1 {
+			return nil, badFlag("split", "model %q splits 1 way; want 0 (replicate) or 2 or more", m.Name)
+		}
 		if m.SplitAcross >= 2 {
 			// -replicas applies a fleet-wide default; a split model is
 			// not replicated.
@@ -328,4 +335,19 @@ func parseModels(spec, replicas, split, standby string) ([]newton.ClusterModel, 
 		}
 	}
 	return models, nil
+}
+
+// fleetDevices counts the devices NewCluster builds for models: each
+// split model's slices, or its active replicas (at least one) and
+// standbys.
+func fleetDevices(models []newton.ClusterModel) int {
+	n := 0
+	for _, m := range models {
+		if m.SplitAcross >= 2 {
+			n += m.SplitAcross
+		} else {
+			n += max(m.Replicas, 1) + m.Standby
+		}
+	}
+	return n
 }

@@ -25,22 +25,25 @@ func TestParseShape(t *testing.T) {
 }
 
 func TestPerModelInts(t *testing.T) {
-	got, err := perModelInts("replicas", "4", 3)
+	got, err := perModelInts("replicas", "4", 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != 4 || got[2] != 4 {
 		t.Errorf("single value must expand: %v", got)
 	}
-	got, err = perModelInts("split", "1,2,3", 3)
+	got, err = perModelInts("split", "1,2,3", 3, 0)
 	if err != nil || got[1] != 2 {
 		t.Errorf("list: %v, %v", got, err)
 	}
-	if _, err := perModelInts("split", "1,2", 3); err == nil {
+	if _, err := perModelInts("split", "1,2", 3, 0); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := perModelInts("split", "nope", 1); err == nil {
+	if _, err := perModelInts("split", "nope", 1, 0); err == nil {
 		t.Error("non-integer accepted")
+	}
+	if _, err := perModelInts("standby", "1,-1", 2, 0); err == nil {
+		t.Error("entry below the minimum accepted")
 	}
 }
 
@@ -62,6 +65,10 @@ func TestParseModels(t *testing.T) {
 	if models[1].SplitAcross != 2 || models[1].Replicas != 0 {
 		t.Errorf("split model must not replicate: %+v", models[1])
 	}
+	// Two replicas and a standby, then two slices: -kill may name 0..4.
+	if n := fleetDevices(models); n != 5 {
+		t.Errorf("fleetDevices = %d, want 5", n)
+	}
 	if _, err := parseModels("NoSuchModel", "1", "0", "0"); err == nil {
 		t.Error("unknown model accepted")
 	}
@@ -71,18 +78,18 @@ func TestParseModels(t *testing.T) {
 }
 
 func TestParseKills(t *testing.T) {
-	if kills, err := parseKills(""); err != nil || kills != nil {
+	if kills, err := parseKills("", 4); err != nil || kills != nil {
 		t.Errorf("empty spec: %v, %v", kills, err)
 	}
-	kills, err := parseKills("0@20000, 2@50000")
+	kills, err := parseKills("0@20000, 2@50000", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(kills) != 2 || kills[0].Device != 0 || kills[0].At != 20000 || kills[1].Device != 2 {
 		t.Errorf("kills: %+v", kills)
 	}
-	for _, bad := range []string{"0", "@100", "x@100", "0@y", "0@0"} {
-		if _, err := parseKills(bad); err == nil {
+	for _, bad := range []string{"0", "@100", "x@100", "0@y", "0@0", "4@100", "-1@100"} {
+		if _, err := parseKills(bad, 4); err == nil {
 			t.Errorf("parseKills(%q) accepted", bad)
 		}
 	}

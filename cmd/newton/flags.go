@@ -212,14 +212,17 @@ func lookupShape(name string) (rows, cols int, err error) {
 }
 
 // perModelInts expands a "-flag 4" or "-flag 4,2,1" spec to one value
-// per model.
-func perModelInts(flagName, spec string, n int) ([]int, error) {
+// per model, each at least min.
+func perModelInts(flagName, spec string, n, min int) ([]int, error) {
 	parts := strings.Split(spec, ",")
 	vals := make([]int, 0, len(parts))
 	for _, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
 			return nil, badFlag(flagName, "bad entry %q", p)
+		}
+		if v < min {
+			return nil, badFlag(flagName, "entry %d must be %d or more", v, min)
 		}
 		vals = append(vals, v)
 	}

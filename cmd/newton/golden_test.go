@@ -179,6 +179,14 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{"cluster -outages -2", "-outages", nil},
 		{"cluster -reduce -5", "-reduce", nil},
 		{"serve -loads +Inf", "-loads", nil},
+		{"serve -channels 4 -n 100 -split -1", "-split", nil},
+		{"cluster -channels 4 -n 100 -replicas -1", "-replicas", nil},
+		{"cluster -channels 4 -n 100 -standby -1", "-standby", nil},
+		{"cluster -channels 4 -n 100 -split 1", "-split", nil},
+		{"cluster -channels 4 -n 100 -split -2", "-split", nil},
+		{"cluster -channels 4 -n 100 -kill 9@100", "-kill", nil},
+		{"cluster -channels 4 -n 100 -kill -1@100", "-kill", nil},
+		{"sim -channels 4 -batch 0 -model DLRM", "-batch", nil},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(c.args), &stdout, &stderr)

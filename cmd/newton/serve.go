@@ -216,7 +216,7 @@ func parseServedModels(spec, split string) ([]newton.ClusterModel, error) {
 	var parts []int
 	if split != "" {
 		var err error
-		if parts, err = perModelInts("split", split, len(names)); err != nil {
+		if parts, err = perModelInts("split", split, len(names), 0); err != nil {
 			return nil, err
 		}
 	}

@@ -22,7 +22,7 @@ func runSim(args []string, stdout io.Writer) error {
 	geo.register(fs, 24)
 	batch := fs.Int("batch", 1, "batch size (sequential inputs)")
 	list := fs.Bool("list", false, "list Table II workloads and exit")
-	if err := parse(fs, args, geo.check); err != nil {
+	if err := parse(fs, args, geo.check, func() error { return atLeast1("batch", *batch) }); err != nil {
 		return err
 	}
 
@@ -47,9 +47,6 @@ func runSim(args []string, stdout io.Writer) error {
 	if *modelName == "" {
 		var err error
 		if r, c, err = resolveShape(*workload, *rows, *cols); err != nil {
-			return err
-		}
-		if err := atLeast1("batch", *batch); err != nil {
 			return err
 		}
 	}

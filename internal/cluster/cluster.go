@@ -329,7 +329,7 @@ func New(devices []Device, placements []Placement, opt Options) (*Fleet, error) 
 		if !(devs[i].FailAt >= 0) {
 			return nil, fmt.Errorf("cluster: device %d (%s) has FailAt %g; need 0 (never) or a time > 0", i, devs[i].Name, devs[i].FailAt)
 		}
-		if err := devs[i].Retry.check(); err != nil {
+		if err := devs[i].Retry.check(devs[i].Backend, devs[i].Models, opt.maxBatch()); err != nil {
 			return nil, fmt.Errorf("cluster: device %d (%s) has %w", i, devs[i].Name, err)
 		}
 		if prev, dup := byName[devs[i].Name]; dup {

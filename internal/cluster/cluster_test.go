@@ -115,6 +115,10 @@ func TestNewValidation(t *testing.T) {
 		{"negative DegradeAfter", Options{}, 0, RetryPlan{DegradeAfter: -1}, "device 0 (d) has Retry.DegradeAfter"},
 		{"infinite penalty", Options{}, 0, RetryPlan{DegradedPenalty: inf}, "device 0 (d) has Retry.DegradedPenalty"},
 		{"NaN penalty", Options{}, 0, RetryPlan{DegradedPenalty: nan}, "device 0 (d) has Retry.DegradedPenalty"},
+		{"overflowing penalty", Options{}, 0, RetryPlan{DetectedPerLaunch: 0.5, MaxRetries: 1, DegradeAfter: 1, DegradedPenalty: 1e308},
+			"device 0 (d) has Retry.DegradedPenalty"},
+		{"penalty overflowing over retries", Options{}, 0, RetryPlan{MaxRetries: 1, DegradeAfter: 1, DegradedPenalty: 1e306},
+			"device 0 (d) has Retry.DegradedPenalty"},
 		{"NaN SLO", scale(Autoscale{SLOP99Ns: nan}), 0, RetryPlan{}, "Options.Autoscale.SLOP99Ns"},
 		{"negative SLO", scale(Autoscale{SLOP99Ns: -5}), 0, RetryPlan{}, "Options.Autoscale.SLOP99Ns"},
 		{"infinite SLO", scale(Autoscale{SLOP99Ns: inf}), 0, RetryPlan{}, "Options.Autoscale.SLOP99Ns"},
@@ -134,9 +138,38 @@ func TestNewValidation(t *testing.T) {
 	// are legal.
 	mustFleet(t, []Device{{Backend: b, Models: []int{0},
 		Retry: RetryPlan{DetectedPerLaunch: 1, DegradedPenalty: -3}}}, pl, scale(Autoscale{}))
+	// The bound covers every batch size up to MaxBatch: here only batch
+	// 4 overflows.
+	grow := []Device{{Name: "d", Backend: &shapeBackend{base: []float64{0}, per: 50}, Models: []int{0},
+		Retry: RetryPlan{DegradeAfter: 1, DegradedPenalty: 1e306}}}
+	if _, err := New(grow, pl, Options{MaxBatch: 4}); err == nil || !strings.Contains(err.Error(), "degraded batch-4 launch") {
+		t.Errorf("penalty overflowing at batch 4: error %v", err)
+	}
+	// A large penalty whose degraded launches stay finite still accounts
+	// for every request.
+	f := mustFleet(t, []Device{{Backend: b, Models: []int{0},
+		Retry: RetryPlan{DetectedPerLaunch: 0.5, MaxRetries: 1, DegradeAfter: 1, DegradedPenalty: 1e300}}}, pl, Options{})
+	arrivals := make([]float64, 500)
+	for i := range arrivals {
+		arrivals[i] = float64(i) * 1e4
+	}
+	res, err := f.Replay(reqs(0, arrivals...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tot := res.Total; tot.Served+tot.Shed != tot.Arrived || tot.Arrived != 500 {
+		t.Errorf("penalty 1e300: %d arrived, %d served, %d shed", tot.Arrived, tot.Served, tot.Shed)
+	}
+	// One that passes New, but whose degraded launches sum past
+	// float64's range within the run, fails the replay by name.
+	f = mustFleet(t, []Device{{Name: "d", Backend: b, Models: []int{0},
+		Retry: RetryPlan{DetectedPerLaunch: 0.5, MaxRetries: 1, DegradeAfter: 1, DegradedPenalty: 5e305}}}, pl, Options{})
+	if _, err := f.Replay(reqs(0, arrivals...)); err == nil || !strings.Contains(err.Error(), "device 0 (d) ends the run with") {
+		t.Errorf("penalty 5e305: replay error %v", err)
+	}
 	// +Inf FailAt still means "never".
-	f := mustFleet(t, []Device{{Name: "d", Backend: b, Models: []int{0}, FailAt: math.Inf(1)}}, pl, Options{})
-	res, err := f.Replay(reqs(0, 0, 1e6))
+	f = mustFleet(t, []Device{{Name: "d", Backend: b, Models: []int{0}, FailAt: math.Inf(1)}}, pl, Options{})
+	res, err = f.Replay(reqs(0, 0, 1e6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,10 @@ type RetryPlan struct {
 	DegradedPenalty float64
 }
 
-// check rejects a plan that would lose requests or do nothing. It
-// names the field; New adds the device.
-func (p *RetryPlan) check() error {
+// check rejects a plan that would lose requests or do nothing on a
+// device pricing its models' launches on b, in batches of up to
+// maxBatch. It names the field; New adds the device.
+func (p *RetryPlan) check(b Backend, models []int, maxBatch int) error {
 	switch {
 	case !(p.DetectedPerLaunch >= 0 && p.DetectedPerLaunch <= 1):
 		return fmt.Errorf("Retry.DetectedPerLaunch %g; need a probability in [0, 1]", p.DetectedPerLaunch)
@@ -44,6 +45,23 @@ func (p *RetryPlan) check() error {
 		return fmt.Errorf("Retry.DegradeAfter %d; need 0 (never) or more", p.DegradeAfter)
 	case math.IsNaN(p.DegradedPenalty) || math.IsInf(p.DegradedPenalty, 0):
 		return fmt.Errorf("Retry.DegradedPenalty %g; need a finite factor (<= 1 = no penalty)", p.DegradedPenalty)
+	}
+	if p.DegradeAfter == 0 || p.DegradedPenalty <= 1 {
+		return nil
+	}
+	// A degraded launch holds the device for up to MaxRetries+1
+	// attempts, each the batch's service time times the penalty, as
+	// the router computes it. Past float64's range the launch would
+	// complete at +Inf, and its batch and everything queued behind it
+	// would be neither served nor shed.
+	attempts := float64(p.MaxRetries) + 1
+	for _, m := range models {
+		for k := 1; k <= maxBatch; k++ {
+			if t := attempts * (b.ServiceCycles(m, k) * p.DegradedPenalty); math.IsInf(t, 0) {
+				return fmt.Errorf("Retry.DegradedPenalty %g; a degraded batch-%d launch of model %d takes %g cycles over %g attempts, need a finite time",
+					p.DegradedPenalty, k, m, t, attempts)
+			}
+		}
 	}
 	return nil
 }

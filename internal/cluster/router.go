@@ -191,6 +191,14 @@ func (f *Fleet) Replay(reqs []Request) (*Result, error) {
 		}
 	}
 
+	for i := range r.devs {
+		// Only a launch completing at +Inf leaves work queued: the
+		// device never frees, so its queue neither launches nor drains.
+		if n := len(r.devs[i].queue); n > 0 {
+			return nil, fmt.Errorf("cluster: device %d (%s) ends the run with %d units queued behind a launch completing at %g: its launches sum past float64's range",
+				i, f.devices[i].Name, n, r.devs[i].free)
+		}
+	}
 	if math.IsInf(r.total.FirstArrival, 1) {
 		r.total.FirstArrival = 0
 	}

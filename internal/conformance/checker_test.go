@@ -315,11 +315,8 @@ func TestVerifiedRunsClean(t *testing.T) {
 // channel-level conformance tap.
 func TestVerifiedIdealClean(t *testing.T) {
 	cfg := dram.Config{Geometry: dram.HBM2EGeometry(1), Timing: dram.AiMTiming()}
-	h, err := host.NewIdealNonPIM(cfg)
+	h, err := host.NewIdealNonPIM(cfg, host.Options{Verify: true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.EnableVerify(); err != nil {
 		t.Fatal(err)
 	}
 	m := layout.RandomMatrix(64, 96, 1)

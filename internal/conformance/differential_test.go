@@ -53,11 +53,8 @@ func measureSpeedup(t *testing.T, cfg dram.Config, rows, cols int) float64 {
 		t.Fatalf("conformance violation in Newton run: %v", verr)
 	}
 
-	ih, err := host.NewIdealNonPIM(cfg)
+	ih, err := host.NewIdealNonPIM(cfg, host.Options{Verify: true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ih.EnableVerify(); err != nil {
 		t.Fatal(err)
 	}
 	ih.Compute = false // timing identical either way; skip the data path

@@ -26,8 +26,9 @@ type Config struct {
 	Banks int
 	// Seed for synthetic weights and inputs.
 	Seed int64
-	// Functional turns on data-path validation inside the ideal
-	// baseline (slower; timing identical).
+	// Functional makes the ideal baseline fold its streamed data into
+	// the product, validating its data path (slower; timing
+	// identical). Newton's controllers always compute.
 	Functional bool
 	// Benchmarks overrides the Table II layer set (nil = full table);
 	// tests use a reduced set to stay fast.
@@ -45,11 +46,11 @@ type Config struct {
 	// checker (internal/conformance): any timing or protocol violation
 	// fails the experiment (newton bench -verify).
 	Verify bool
-	// Oracle puts every Newton controller in its issuer's reference
-	// mode (host.Options.Oracle: reference arithmetic, no memo, REF-by-
-	// REF refresh). The two modes are byte-identical across every
-	// figure; Oracle is the reference TestOracleKnobIdentity compares
-	// the figures against.
+	// Oracle puts every controller — Newton's and the ideal
+	// baseline's — in its issuer's reference mode (host.Options.Oracle:
+	// reference arithmetic, no memo, REF-by-REF refresh). The two modes
+	// are byte-identical across every figure; Oracle is the reference
+	// TestOracleKnobIdentity compares the figures against.
 	Oracle bool
 	// Serial forces every simulation and sweep onto the serial reference
 	// path: controllers simulate channels one at a time
@@ -138,19 +139,14 @@ func (c Config) runNewtonVariant(b workloads.Bench, opts host.Options, aggressiv
 }
 
 // idealHost builds an Ideal Non-PIM baseline with the experiment-wide
-// functional and verification settings applied.
+// functional, verification, reference-mode and parallelism settings
+// applied.
 func (c Config) idealHost(cfg dram.Config) (*host.IdealNonPIM, error) {
-	h, err := host.NewIdealNonPIM(cfg)
+	h, err := host.NewIdealNonPIM(cfg, host.Options{Verify: c.Verify, Oracle: c.Oracle, Parallel: c.hostParallel()})
 	if err != nil {
 		return nil, err
 	}
-	if c.Verify {
-		if err := h.EnableVerify(); err != nil {
-			return nil, err
-		}
-	}
 	h.Compute = c.Functional
-	h.Parallel = c.hostParallel()
 	return h, nil
 }
 

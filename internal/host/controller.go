@@ -149,8 +149,14 @@ func (c *Controller) Stats() dram.Stats {
 // banks and reads the matrix, so the stored rows and bank versions are
 // identical at any worker count (TestPlaceParallelMatchesSerial).
 func (c *Controller) Place(m *layout.Matrix) (*layout.Placement, error) {
+	return c.place(m, c.opts.LayoutKind())
+}
+
+// place is Place with an explicit layout: the ideal baseline always
+// streams an interleaved placement.
+func (c *Controller) place(m *layout.Matrix, kind layout.Kind) (*layout.Placement, error) {
 	// Size the footprint with a trial placement, then reserve and place.
-	trial, err := layout.NewPlacementAt(c.cfg.Geometry, c.opts.LayoutKind(), m, 0)
+	trial, err := layout.NewPlacementAt(c.cfg.Geometry, kind, m, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +164,7 @@ func (c *Controller) Place(m *layout.Matrix) (*layout.Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := layout.NewPlacementAt(c.cfg.Geometry, c.opts.LayoutKind(), m, base)
+	p, err := layout.NewPlacementAt(c.cfg.Geometry, kind, m, base)
 	if err != nil {
 		return nil, err
 	}
@@ -275,20 +281,32 @@ func (c *Controller) RunMVM(p *layout.Placement, v bf16.Vector) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
+	return c.run(p, v, ri)
+}
 
+// channelStream is one channel's command stream for a run: Newton's
+// schedule (*runInput) or the ideal baseline's. It writes only the out
+// rows the placement assigns to x's channel. (An interface over an
+// already heap-allocated value: a closure would cost an allocation.)
+type channelStream interface {
+	stream(x *eventExec, p *layout.Placement, v bf16.Vector, out []float32) error
+}
+
+// run is RunMVM's frame, shared with the ideal baseline: each channel
+// streams from the global clock on the worker pool, then clocks sync.
+func (c *Controller) run(p *layout.Placement, v bf16.Vector, s channelStream) (*Result, error) {
 	start := c.Now()
 	before := c.Stats()
-	out := make([]float32, m.Rows)
+	out := make([]float32, p.Matrix().Rows)
 	res := &Result{Output: out, StartCycle: start,
 		PerChannelCycles: make([]int64, len(c.engines))}
 
-	err = par.ForEachErr(c.workers(), len(c.engines), func(ch int) error {
+	err := par.ForEachErr(c.workers(), len(c.engines), func(ch int) error {
 		c.now[ch] = start
-		finish, err := c.runChannel(ch, p, ri, v, out)
-		if err != nil {
+		if err := s.stream(c.eventFor(ch), p, v, out); err != nil {
 			return fmt.Errorf("host: channel %d: %w", ch, err)
 		}
-		res.PerChannelCycles[ch] = finish - start
+		res.PerChannelCycles[ch] = c.now[ch] - start
 		return nil
 	})
 	if err != nil {
@@ -524,70 +542,69 @@ func (c *Controller) estimateTile(slots int, withBufferLoad bool) int64 {
 	return rowCmds*actGap + t.TRCD + colCmds*slot + t.TMAC + t.TRP
 }
 
-// runChannel executes the channel's shard of the product and returns the
-// channel's finish cycle. out receives this channel's matrix rows; no
-// other channel writes them, so the channel goroutines never contend.
+// stream executes Newton's schedule for x's channel's shard of the
+// product. out receives this channel's matrix rows; no other channel
+// writes them, so the channel goroutines never contend.
 //
 // The schedule — which commands, in which order — is decided here once;
 // the channel's issuer simulates each command.
-func (c *Controller) runChannel(ch int, p *layout.Placement, ri *runInput, v bf16.Vector, out []float32) (int64, error) {
-	x := c.eventFor(ch)
+func (ri *runInput) stream(x *eventExec, p *layout.Placement, v bf16.Vector, out []float32) error {
+	c := x.c
 	x.begin(p, v)
-	var finish int64
 	var err error
 	switch {
 	case c.opts.Reuse:
-		finish, err = c.runChannelInterleaved(x, p, ri, out)
+		err = c.runChannelInterleaved(x, p, ri, out)
 	case c.opts.Latches() > 1:
-		finish, err = c.runChannelQuadLatch(x, p, ri, out)
+		err = c.runChannelQuadLatch(x, p, ri, out)
 	default:
-		finish, err = c.runChannelRowMajor(x, p, ri, out)
+		err = c.runChannelRowMajor(x, p, ri, out)
 	}
 	x.finishRun(err == nil)
-	return finish, err
+	return err
 }
 
 // runChannelInterleaved is Algorithm 1: hold one input chunk in the
 // global buffer and sweep it down all the channel's tiles (column-major
 // tile traversal), reading one partial output element per bank per tile.
-func (c *Controller) runChannelInterleaved(x *eventExec, p *layout.Placement, ri *runInput, out []float32) (int64, error) {
+func (c *Controller) runChannelInterleaved(x *eventExec, p *layout.Placement, ri *runInput, out []float32) error {
 	ch := x.ch
 	ct := p.ChannelTiles(ch)
 	if ct == 0 {
-		return c.now[ch], nil
+		return nil
 	}
 	for chunk := 0; chunk < p.NumChunks(); chunk++ {
 		slots := c.colIOs(p, chunk)
 		est := c.estimateTile(slots, false)
 		if err := x.maybeRefresh(est + int64(slots)*c.cfg.Timing.CmdSlot); err != nil {
-			return 0, err
+			return err
 		}
 		// The chunk's buffer load overlaps the first tile's activations.
 		if err := c.loadBufferAndActivate(x, ri, chunk, slots, p.RowFor(ch, chunk, 0)); err != nil {
-			return 0, err
+			return err
 		}
 		for lt := 0; lt < ct; lt++ {
 			if lt > 0 {
 				// The first tile's banks are already open (and a refresh
 				// here would be illegal anyway).
 				if err := x.maybeRefresh(est); err != nil {
-					return 0, err
+					return err
 				}
 				if err := c.activateRow(x, p.RowFor(ch, chunk, lt)); err != nil {
-					return 0, err
+					return err
 				}
 			}
 			if err := c.computeRow(x, slots, 0); err != nil {
-				return 0, err
+				return err
 			}
 			// Close the banks; the row-bus precharge overlaps with the
 			// column-bus result read.
 			if _, err := x.issue(dram.Command{Kind: dram.KindPREA}); err != nil {
-				return 0, err
+				return err
 			}
 			r, err := x.issue(dram.Command{Kind: dram.KindREADRES})
 			if err != nil {
-				return 0, err
+				return err
 			}
 			tile := p.GlobalTile(ch, lt)
 			for b, val := range r.Results {
@@ -597,7 +614,7 @@ func (c *Controller) runChannelInterleaved(x *eventExec, p *layout.Placement, ri
 			}
 		}
 	}
-	return c.now[ch], nil
+	return nil
 }
 
 // runChannelQuadLatch is the §III-C intermediate design point: row-major
@@ -605,11 +622,11 @@ func (c *Controller) runChannelInterleaved(x *eventExec, p *layout.Placement, ri
 // result latches per bank, so one global-buffer load is reused among L
 // matrix rows per bank instead of one. The paper found it buys almost
 // nothing over full-reuse Newton and costs latch area.
-func (c *Controller) runChannelQuadLatch(x *eventExec, p *layout.Placement, ri *runInput, out []float32) (int64, error) {
+func (c *Controller) runChannelQuadLatch(x *eventExec, p *layout.Placement, ri *runInput, out []float32) error {
 	ch := x.ch
 	ct := p.ChannelTiles(ch)
 	if ct == 0 {
-		return c.now[ch], nil
+		return nil
 	}
 	latches := c.opts.Latches()
 	for g := 0; g*latches < ct; g++ {
@@ -621,25 +638,25 @@ func (c *Controller) runChannelQuadLatch(x *eventExec, p *layout.Placement, ri *
 			slots := c.colIOs(p, chunk)
 			est := int64(size)*c.estimateTile(slots, false) + int64(slots)*c.cfg.Timing.CmdSlot
 			if err := x.maybeRefresh(est); err != nil {
-				return 0, err
+				return err
 			}
 			// One input fetch serves `size` matrix rows per bank, with
 			// the first row's activations overlapped under the fetch.
 			if err := c.loadBufferAndActivate(x, ri, chunk, slots, p.RowFor(ch, chunk, g*latches)); err != nil {
-				return 0, err
+				return err
 			}
 			for r := 0; r < size; r++ {
 				lt := g*latches + r
 				if r > 0 {
 					if err := c.activateRow(x, p.RowFor(ch, chunk, lt)); err != nil {
-						return 0, err
+						return err
 					}
 				}
 				if err := c.computeRow(x, slots, r); err != nil {
-					return 0, err
+					return err
 				}
 				if _, err := x.issue(dram.Command{Kind: dram.KindPREA}); err != nil {
-					return 0, err
+					return err
 				}
 			}
 		}
@@ -647,7 +664,7 @@ func (c *Controller) runChannelQuadLatch(x *eventExec, p *layout.Placement, ri *
 		for r := 0; r < size; r++ {
 			res, err := x.issue(dram.Command{Kind: dram.KindREADRES, Latch: r})
 			if err != nil {
-				return 0, err
+				return err
 			}
 			tile := p.GlobalTile(ch, g*latches+r)
 			for b, val := range res.Results {
@@ -657,42 +674,42 @@ func (c *Controller) runChannelQuadLatch(x *eventExec, p *layout.Placement, ri *
 			}
 		}
 	}
-	return c.now[ch], nil
+	return nil
 }
 
 // runChannelRowMajor is the Newton-no-reuse schedule (§III-C): row-major
 // tile traversal accumulates a full matrix row per bank (one READRES per
 // tile instead of one per DRAM row) but must re-fetch the input chunk
 // into the global buffer for every tile.
-func (c *Controller) runChannelRowMajor(x *eventExec, p *layout.Placement, ri *runInput, out []float32) (int64, error) {
+func (c *Controller) runChannelRowMajor(x *eventExec, p *layout.Placement, ri *runInput, out []float32) error {
 	ch := x.ch
 	ct := p.ChannelTiles(ch)
 	if ct == 0 {
-		return c.now[ch], nil
+		return nil
 	}
 	for lt := 0; lt < ct; lt++ {
 		for chunk := 0; chunk < p.NumChunks(); chunk++ {
 			slots := c.colIOs(p, chunk)
 			if err := x.maybeRefresh(c.estimateTile(slots, true)); err != nil {
-				return 0, err
+				return err
 			}
 			// The input chunk is re-fetched for every tile - the traffic
 			// rise that makes this variant lose - with the activations
 			// overlapped under the re-fetch.
 			if err := c.loadBufferAndActivate(x, ri, chunk, slots, p.RowFor(ch, chunk, lt)); err != nil {
-				return 0, err
+				return err
 			}
 			if err := c.computeRow(x, slots, 0); err != nil {
-				return 0, err
+				return err
 			}
 			if _, err := x.issue(dram.Command{Kind: dram.KindPREA}); err != nil {
-				return 0, err
+				return err
 			}
 		}
 		// One result read per full matrix row (per tile).
 		r, err := x.issue(dram.Command{Kind: dram.KindREADRES})
 		if err != nil {
-			return 0, err
+			return err
 		}
 		tile := p.GlobalTile(ch, lt)
 		for b, val := range r.Results {
@@ -701,5 +718,5 @@ func (c *Controller) runChannelRowMajor(x *eventExec, p *layout.Placement, ri *r
 			}
 		}
 	}
-	return c.now[ch], nil
+	return nil
 }

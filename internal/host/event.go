@@ -11,9 +11,10 @@ import (
 )
 
 // This file is the controller's one command issuer. The schedule loops
-// in controller.go, the ISR hooks, both scrubbers, conventional regions
-// and the traffic service decide WHAT Newton's controller issues; every
-// command they send goes through eventExec.issue, which
+// in controller.go, the ISR hooks, both scrubbers, conventional regions,
+// the traffic service and the Ideal Non-PIM baseline's stream (ideal.go,
+// on a controller of its own) decide WHAT is issued; every command they
+// send goes through eventExec.issue, which
 //
 //   - walks the clock analytically: every command issues at its
 //     earliest legal cycle through the channel's timed path

@@ -103,31 +103,70 @@ func driveRuns(t *testing.T, cfg dram.Config, opts Options, m *layout.Matrix) ([
 	return results, c.Now(), c.Stats()
 }
 
+// driveIdeal is driveRuns for the ideal baseline's stream: the same
+// inputs, with several tREFI of host time after each run, so the next
+// run starts with refreshes overdue and catches them up.
+func driveIdeal(t *testing.T, cfg dram.Config, opts Options, m *layout.Matrix) ([]*Result, int64, dram.Stats) {
+	t.Helper()
+	h, err := NewIdealNonPIM(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := h.Place(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []*Result
+	for _, seed := range []int64{11, 12, 11} {
+		res, err := h.RunMVM(p, randomVector(m.Cols, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+		h.Advance(5*cfg.Timing.TREFI + 137)
+	}
+	if v := h.Conformance(); v != nil && len(v.Violations()) > 0 {
+		t.Fatalf("conformance violations: %v", v.Violations()[0])
+	}
+	return results, h.Now(), h.Stats()
+}
+
 // TestEventCoreMatchesOracle is the tentpole gate: across every schedule
 // family and a multi-run session with memo replays, host advances and
 // ISR-path latch preloads, the event core's outputs, cycle accounting,
 // dram.Stats and final clock are byte-identical to the stepping oracle
-// running under independent conformance checking.
+// running under independent conformance checking. The ideal baseline's
+// stream runs on the same issuer and is held to the same identity, its
+// overdue refreshes caught up in one batch on the default side and REF
+// by REF on the reference side.
 func TestEventCoreMatchesOracle(t *testing.T) {
 	cfg := testCfg()
 	m := layout.RandomMatrix(96, 600, 7)
-	for _, tc := range eventLadder() {
-		t.Run(tc.name, func(t *testing.T) {
-			ev := tc.opts
-			ev.Parallel = ParallelOff
-			eres, enow, estats := driveRuns(t, cfg, ev, m)
-			ores, onow, ostats := driveRuns(t, cfg, oracleOf(ev), m)
-			for i := range ores {
-				assertResultsIdentical(t, ores[i], eres[i], tc.name)
-			}
-			if enow != onow {
-				t.Errorf("final clock %d event, %d oracle", enow, onow)
-			}
-			if estats != ostats {
-				t.Errorf("cumulative stats differ:\nevent:  %+v\noracle: %+v", estats, ostats)
-			}
-		})
+	type runs func(*testing.T, dram.Config, Options, *layout.Matrix) ([]*Result, int64, dram.Stats)
+	check := func(t *testing.T, name string, ev Options, drive runs) dram.Stats {
+		ev.Parallel = ParallelOff
+		eres, enow, estats := drive(t, cfg, ev, m)
+		ores, onow, ostats := drive(t, cfg, oracleOf(ev), m)
+		for i := range ores {
+			assertResultsIdentical(t, ores[i], eres[i], name)
+		}
+		if enow != onow {
+			t.Errorf("final clock %d event, %d oracle", enow, onow)
+		}
+		if estats != ostats {
+			t.Errorf("cumulative stats differ:\nevent:  %+v\noracle: %+v", estats, ostats)
+		}
+		return estats
 	}
+	for _, tc := range eventLadder() {
+		t.Run(tc.name, func(t *testing.T) { check(t, tc.name, tc.opts, driveRuns) })
+	}
+	t.Run("ideal", func(t *testing.T) {
+		st := check(t, "ideal", Options{}, driveIdeal)
+		if want := 10 * int64(cfg.Geometry.Channels); st.Refreshes < want {
+			t.Errorf("%d refreshes, want at least the %d the advances made overdue", st.Refreshes, want)
+		}
+	})
 }
 
 // TestEventCoreLUTMatchesOracle covers the in-DRAM activation readout:

@@ -1,13 +1,14 @@
 package host
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"newton/internal/bf16"
 	"newton/internal/conformance"
 	"newton/internal/dram"
 	"newton/internal/layout"
-	"newton/internal/par"
+	"newton/internal/obs"
 )
 
 // IdealNonPIM is the paper's upper bound on any non-PIM architecture
@@ -17,60 +18,30 @@ import (
 // bandwidth; input and output vectors are held on the compute die for
 // free, so batching does not change its run time at all.
 //
-// The baseline runs through the same cycle-level DRAM simulator as
-// Newton: real ACT/RD/PRE command streams with row activations and
-// precharges overlapped under column streaming (possible because row and
-// column commands use separate buses), and the same refresh schedule.
+// The baseline runs on a Controller of its own: its real ACT/RD/PRE
+// stream, with row activations and precharges overlapped under column
+// streaming (possible because row and column commands use separate
+// buses), goes through the same issuer, refresh policy, conformance tap
+// and run frame as Newton's. The type keeps only the stream's schedule
+// and the host-side fold.
 type IdealNonPIM struct {
-	cfg   dram.Config
-	chans []*dram.Channel
-	now   []int64
-	next  []int64 // next refresh deadline per channel
+	c *Controller
 
 	// Compute controls whether the host actually folds the streamed data
 	// into a matrix-vector product (functional validation) or just
 	// models the transfer time. Timing is identical either way.
 	Compute bool
-
-	// Parallel has Options.Parallel's semantics: channels stream
-	// independently (per-channel clocks, refresh deadlines, bank state,
-	// disjoint output rows via the placement's inverse mapping), so
-	// RunMVM simulates them on a worker pool with byte-identical
-	// results. Zero = GOMAXPROCS, positive = cap, ParallelOff = serial.
-	Parallel int
-
-	// verify holds the per-channel conformance checkers when
-	// EnableVerify was called.
-	verify *conformance.Suite
-
-	// obs publishes per-run metrics and spans after each RunMVM; nil
-	// costs one pointer check.
-	obs *hostObs
-
-	nextFreeRow int
 }
 
-// NewIdealNonPIM builds the baseline with its own channels.
-func NewIdealNonPIM(cfg dram.Config) (*IdealNonPIM, error) {
-	if err := cfg.Validate(); err != nil {
+// NewIdealNonPIM builds the baseline on a controller of its own. Of
+// opts it reads only Verify, Oracle and Parallel: the baseline issues
+// no AiM command, so the optimization toggles do not apply to it.
+func NewIdealNonPIM(cfg dram.Config, opts Options) (*IdealNonPIM, error) {
+	c, err := NewController(cfg, Options{Verify: opts.Verify, Oracle: opts.Oracle, Parallel: opts.Parallel})
+	if err != nil {
 		return nil, err
 	}
-	h := &IdealNonPIM{
-		cfg:     cfg,
-		chans:   make([]*dram.Channel, cfg.Geometry.Channels),
-		now:     make([]int64, cfg.Geometry.Channels),
-		next:    make([]int64, cfg.Geometry.Channels),
-		Compute: true,
-	}
-	for i := range h.chans {
-		ch, err := dram.NewChannel(cfg)
-		if err != nil {
-			return nil, err
-		}
-		h.chans[i] = ch
-		h.next[i] = cfg.Timing.TREFI
-	}
-	return h, nil
+	return &IdealNonPIM{c: c, Compute: true}, nil
 }
 
 // Place loads the matrix with the interleaved layout (the layout is
@@ -78,166 +49,50 @@ func NewIdealNonPIM(cfg dram.Config) (*IdealNonPIM, error) {
 // but using the same placement lets the functional check reuse the
 // coordinate mapping).
 func (h *IdealNonPIM) Place(m *layout.Matrix) (*layout.Placement, error) {
-	p, err := layout.NewPlacementAt(h.cfg.Geometry, layout.Interleaved, m, h.nextFreeRow)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Load(h.chans); err != nil {
-		return nil, err
-	}
-	h.nextFreeRow += p.MaxRowsPerBank()
-	return p, nil
+	return h.c.place(m, layout.Interleaved)
 }
 
 // Advance moves every channel clock forward by d cycles (exposed host
-// latency between layers), mirroring Controller.Advance.
-func (h *IdealNonPIM) Advance(d int64) {
-	end := h.Now() + d
-	for ch := range h.now {
-		h.now[ch] = end
-	}
-}
+// latency between layers), as Controller.Advance does.
+func (h *IdealNonPIM) Advance(d int64) { h.c.Advance(d) }
 
 // Now returns the global clock across channels.
-func (h *IdealNonPIM) Now() int64 {
-	var max int64
-	for _, n := range h.now {
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
+func (h *IdealNonPIM) Now() int64 { return h.c.Now() }
 
 // Stats sums channel statistics.
-func (h *IdealNonPIM) Stats() dram.Stats {
-	var s dram.Stats
-	for _, ch := range h.chans {
-		s.Add(ch.Stats())
-	}
-	return s
-}
+func (h *IdealNonPIM) Stats() dram.Stats { return h.c.Stats() }
 
-// EnableVerify attaches an independent conformance checker to every
-// channel (the baseline drives bare channels, so the tap sits on the
-// channel itself). Subsequent violations fail the run.
-func (h *IdealNonPIM) EnableVerify() error {
-	s, err := conformance.NewSuite(h.cfg, conformance.Options{})
-	if err != nil {
-		return err
-	}
-	h.verify = s
-	for i, ch := range h.chans {
-		ch.SetObserver(s.Channel(i))
-	}
-	return nil
-}
+// Conformance returns the conformance suite when Options.Verify is set,
+// or nil.
+func (h *IdealNonPIM) Conformance() *conformance.Suite { return h.c.Conformance() }
 
-// Conformance returns the attached conformance suite, or nil.
-func (h *IdealNonPIM) Conformance() *conformance.Suite { return h.verify }
-
-func (h *IdealNonPIM) issue(ch int, cmd dram.Command) (dram.IssueResult, error) {
-	at := h.chans[ch].EarliestIssue(cmd, h.now[ch])
-	r, err := h.chans[ch].Issue(cmd, at)
-	if err != nil {
-		return dram.IssueResult{}, err
-	}
-	h.now[ch] = at
-	if h.verify != nil {
-		if verr := h.verify.Channel(ch).Err(); verr != nil {
-			return dram.IssueResult{}, fmt.Errorf("verify: %w", verr)
-		}
-	}
-	return r, nil
-}
-
-// maybeRefresh issues any refresh maturing within the next row's burst,
-// closing the still-open banks first. open[b] tracks which banks hold an
-// open row; it is updated in place. It reports whether a refresh fired
-// (so the caller can re-open its working row).
-func (h *IdealNonPIM) maybeRefresh(ch int, open []bool) (bool, error) {
-	t := h.cfg.Timing
-	// A row's streaming takes about Cols*TCCD; refresh between rows.
-	est := int64(h.cfg.Geometry.Cols) * t.TCCD
-	fired := false
-	for h.next[ch] <= h.now[ch]+est {
-		for b, isOpen := range open {
-			if !isOpen {
-				continue
-			}
-			if _, err := h.issue(ch, dram.Command{Kind: dram.KindPRE, Bank: b}); err != nil {
-				return fired, err
-			}
-			open[b] = false
-		}
-		if h.next[ch] > h.now[ch] {
-			h.now[ch] = h.next[ch]
-		}
-		if _, err := h.issue(ch, dram.Command{Kind: dram.KindREF}); err != nil {
-			return fired, err
-		}
-		h.next[ch] += t.TREFI
-		fired = true
-		if est >= t.TREFI {
-			// Avoid chasing our own tail when the burst exceeds tREFI;
-			// later refreshes are postponed to the next boundary.
-			break
-		}
-	}
-	return fired, nil
+// Observe attaches an observability registry and/or span tracer to the
+// ideal baseline, published under device="ideal". Passing nil for both
+// detaches.
+func (h *IdealNonPIM) Observe(reg *obs.Registry, tracer *obs.Tracer) {
+	h.c.obs = newHostObs(reg, tracer, "ideal")
 }
 
 // RunMVM streams the placed matrix once over the external interface and,
 // when Compute is set, folds the data into the product on the host.
 // The returned Result mirrors the Newton controller's.
 func (h *IdealNonPIM) RunMVM(p *layout.Placement, v bf16.Vector) (*Result, error) {
-	m := p.Matrix()
-	if len(v) != m.Cols {
+	if m := p.Matrix(); len(v) != m.Cols {
 		return nil, fmt.Errorf("host: input vector length %d, matrix has %d columns", len(v), m.Cols)
 	}
-	start := h.Now()
-	before := h.Stats()
-	out := make([]float32, m.Rows)
-	res := &Result{Output: out, StartCycle: start,
-		PerChannelCycles: make([]int64, len(h.chans))}
-
-	workers := Options{Parallel: h.Parallel}.Workers()
-	err := par.ForEachErr(workers, len(h.chans), func(ch int) error {
-		h.now[ch] = start
-		cycles, err := h.runChannel(ch, p, v, out, start)
-		if err != nil {
-			return err
-		}
-		res.PerChannelCycles[ch] = cycles
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	end := h.Now()
-	for ch := range h.now {
-		h.now[ch] = end
-	}
-	res.EndCycle = end
-	res.Cycles = end - start
-	res.Stats = h.Stats().Diff(before)
-	if h.obs != nil {
-		h.obs.publishRun(h.cfg, res, h.verify)
-	}
-	return res, nil
+	return h.c.run(p, v, h)
 }
 
-// runChannel streams one channel's shard of the matrix and returns the
-// channel's busy duration. Like the Newton controller's channel bodies
-// it touches only per-channel state (clock, refresh deadline, bank
-// open/close tracking) and writes only the matrix rows the placement
-// assigns to this channel, so channels can stream concurrently.
-func (h *IdealNonPIM) runChannel(ch int, p *layout.Placement, v bf16.Vector, out []float32, start int64) (int64, error) {
-	geo := h.cfg.Geometry
+// stream issues one channel's shard of the matrix. Like Newton's
+// schedules it touches only its channel's state and writes only the
+// matrix rows the placement assigns to that channel, so channels can
+// stream concurrently.
+func (h *IdealNonPIM) stream(x *eventExec, p *layout.Placement, v bf16.Vector, out []float32) error {
+	geo := h.c.cfg.Geometry
+	ch := x.ch
 	ct := p.ChannelTiles(ch)
 	if ct == 0 {
-		return 0, nil
+		return nil
 	}
 	rowsPerBank := ct * p.NumChunks()
 	type loc struct{ bank, row int }
@@ -251,16 +106,16 @@ func (h *IdealNonPIM) runChannel(ch int, p *layout.Placement, v bf16.Vector, out
 		}
 	}
 	open := make([]bool, geo.Banks)
-	if _, err := h.maybeRefresh(ch, open); err != nil {
-		return 0, err
+	if err := h.refresh(x, open); err != nil {
+		return err
 	}
 	for i, lc := range locs {
 		// Open this location's row if the overlapped activation below
 		// did not already (first location, after a refresh, or with a
 		// single bank, where no overlap is possible).
 		if !open[lc.bank] {
-			if _, err := h.issue(ch, dram.Command{Kind: dram.KindACT, Bank: lc.bank, Row: lc.row}); err != nil {
-				return 0, err
+			if _, err := x.issue(dram.Command{Kind: dram.KindACT, Bank: lc.bank, Row: lc.row}); err != nil {
+				return err
 			}
 			open[lc.bank] = true
 		}
@@ -268,9 +123,9 @@ func (h *IdealNonPIM) runChannel(ch int, p *layout.Placement, v bf16.Vector, out
 		// bounded by the matrix size, not by layout padding.
 		usedCols := p.UsedColIOs(p.ChunkOfRow(ch, lc.row))
 		for col := 0; col < usedCols; col++ {
-			r, err := h.issue(ch, dram.Command{Kind: dram.KindRD, Bank: lc.bank, Col: col})
+			r, err := x.issue(dram.Command{Kind: dram.KindRD, Bank: lc.bank, Col: col})
 			if err != nil {
-				return 0, err
+				return err
 			}
 			if h.Compute {
 				h.fold(p, ch, lc.bank, lc.row, col, r.Data, v, out)
@@ -281,8 +136,8 @@ func (h *IdealNonPIM) runChannel(ch int, p *layout.Placement, v bf16.Vector, out
 				// hidden under this row's column burst.
 				if i > 0 {
 					if pv := locs[i-1]; pv.bank != lc.bank && open[pv.bank] {
-						if _, err := h.issue(ch, dram.Command{Kind: dram.KindPRE, Bank: pv.bank}); err != nil {
-							return 0, err
+						if _, err := x.issue(dram.Command{Kind: dram.KindPRE, Bank: pv.bank}); err != nil {
+							return err
 						}
 						open[pv.bank] = false
 					}
@@ -291,8 +146,8 @@ func (h *IdealNonPIM) runChannel(ch int, p *layout.Placement, v bf16.Vector, out
 				// Overlap the next location's activation, likewise.
 				if i+1 < len(locs) {
 					if nx := locs[i+1]; nx.bank != lc.bank && !open[nx.bank] {
-						if _, err := h.issue(ch, dram.Command{Kind: dram.KindACT, Bank: nx.bank, Row: nx.row}); err != nil {
-							return 0, err
+						if _, err := x.issue(dram.Command{Kind: dram.KindACT, Bank: nx.bank, Row: nx.row}); err != nil {
+							return err
 						}
 						open[nx.bank] = true
 					}
@@ -301,40 +156,61 @@ func (h *IdealNonPIM) runChannel(ch int, p *layout.Placement, v bf16.Vector, out
 		}
 		if geo.Banks == 1 {
 			// No overlap possible: close before the next activation.
-			if _, err := h.issue(ch, dram.Command{Kind: dram.KindPRE, Bank: lc.bank}); err != nil {
-				return 0, err
+			if _, err := x.issue(dram.Command{Kind: dram.KindPRE, Bank: lc.bank}); err != nil {
+				return err
 			}
 			open[lc.bank] = false
 		}
-		if _, err := h.maybeRefresh(ch, open); err != nil {
-			return 0, err
+		if err := h.refresh(x, open); err != nil {
+			return err
 		}
 	}
+	return closeBanks(x, open)
+}
+
+// refresh applies the controller's refresh policy before the next row's
+// burst, estimated at Cols·tCCD. eventExec.refresh needs every bank
+// precharged, so when a refresh is due within the burst the stream
+// closes its open banks first. The baseline serves no conventional
+// traffic, so it skips maybeRefresh's service step.
+func (h *IdealNonPIM) refresh(x *eventExec, open []bool) error {
+	c := h.c
+	est := int64(c.cfg.Geometry.Cols) * c.cfg.Timing.TCCD
+	if c.nextRefresh[x.ch] > c.now[x.ch]+est {
+		return nil
+	}
+	if err := closeBanks(x, open); err != nil {
+		return err
+	}
+	return x.refresh(est)
+}
+
+// closeBanks precharges every bank open marks open and clears the marks.
+func closeBanks(x *eventExec, open []bool) error {
 	for b, isOpen := range open {
 		if !isOpen {
 			continue
 		}
-		if _, err := h.issue(ch, dram.Command{Kind: dram.KindPRE, Bank: b}); err != nil {
-			return 0, err
+		if _, err := x.issue(dram.Command{Kind: dram.KindPRE, Bank: b}); err != nil {
+			return err
 		}
+		open[b] = false
 	}
-	return h.now[ch] - start, nil
+	return nil
 }
 
 // fold accumulates the streamed column I/O into the host-side product
 // using the placement's inverse coordinate mapping: the "infinite
-// compute" host keeps up with the stream by assumption.
+// compute" host keeps up with the stream by assumption. It decodes each
+// lane straight from the column's wire bytes.
 func (h *IdealNonPIM) fold(p *layout.Placement, ch, bank, row, col int, data []byte, v bf16.Vector, out []float32) {
-	lanes := h.cfg.Geometry.ColBits / 16
-	colData, err := bf16.VectorFromBytes(data)
-	if err != nil {
-		return
-	}
+	lanes := h.c.cfg.Geometry.ColBits / 16
 	for lane := 0; lane < lanes; lane++ {
 		i, j, ok := p.InvCoord(layout.Coord{Channel: ch, Bank: bank, Row: row, Col: col, Lane: lane})
 		if !ok {
 			continue
 		}
-		out[i] += colData[lane].Float32() * v[j].Float32()
+		w := bf16.Num(binary.LittleEndian.Uint16(data[2*lane:]))
+		out[i] += w.Float32() * v[j].Float32()
 	}
 }

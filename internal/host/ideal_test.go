@@ -1,9 +1,17 @@
 package host
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"newton/internal/dram"
 	"newton/internal/layout"
 )
 
@@ -11,7 +19,7 @@ func TestIdealOutputExact(t *testing.T) {
 	// The ideal host folds in float32 with no bf16 intermediate
 	// rounding, so it must match the float32 oracle exactly.
 	cfg := testCfg()
-	h, err := NewIdealNonPIM(cfg)
+	h, err := NewIdealNonPIM(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +45,7 @@ func TestIdealStreamsAtExternalBandwidth(t *testing.T) {
 	// matrixBytes / externalBandwidth: activations and precharges hide
 	// under the column stream.
 	cfg := testCfg()
-	h, err := NewIdealNonPIM(cfg)
+	h, err := NewIdealNonPIM(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +84,7 @@ func TestIdealSkipsPadding(t *testing.T) {
 	// bounded by matrix bytes, not layout padding.
 	cfg := testCfg()
 	run := func(cols int) int64 {
-		h, err := NewIdealNonPIM(cfg)
+		h, err := NewIdealNonPIM(cfg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +110,7 @@ func TestIdealSkipsPadding(t *testing.T) {
 
 func TestIdealRefreshes(t *testing.T) {
 	cfg := testCfg()
-	h, err := NewIdealNonPIM(cfg)
+	h, err := NewIdealNonPIM(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +140,7 @@ func TestIdealSingleBank(t *testing.T) {
 	cfg := testCfg()
 	cfg.Geometry.Banks = 1
 	cfg.Geometry.BanksPerCluster = 1
-	h, err := NewIdealNonPIM(cfg)
+	h, err := NewIdealNonPIM(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +169,7 @@ func TestIdealBatchInvariance(t *testing.T) {
 	// library models batch-k as one stream. This test pins the
 	// assumption by checking two consecutive runs take the same time.
 	cfg := testCfg()
-	h, err := NewIdealNonPIM(cfg)
+	h, err := NewIdealNonPIM(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +195,7 @@ func TestIdealBatchInvariance(t *testing.T) {
 }
 
 func TestIdealVectorLengthValidation(t *testing.T) {
-	h, err := NewIdealNonPIM(testCfg())
+	h, err := NewIdealNonPIM(testCfg(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +217,7 @@ func TestNewtonBeatsIdealByModelFactor(t *testing.T) {
 	v := randomVector(1024, 46)
 	newton, _ := runMVM(t, cfg, Newton(), m, v)
 
-	h, err := NewIdealNonPIM(cfg)
+	h, err := NewIdealNonPIM(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,5 +236,106 @@ func TestNewtonBeatsIdealByModelFactor(t *testing.T) {
 	predicted := 16 / (o + 1)
 	if math.Abs(speedup-predicted)/predicted > 0.10 {
 		t.Errorf("speedup %.2fx deviates more than 10%% from model %.2fx", speedup, predicted)
+	}
+}
+
+// idealGoldenCase is one point of the ideal stream's pinned grid.
+type idealGoldenCase struct {
+	family     dram.Family
+	banks      int
+	rows, cols int
+	compute    bool
+}
+
+func (c idealGoldenCase) String() string {
+	return fmt.Sprintf("%s/b%d/%dx%d/compute=%v", c.family, c.banks, c.rows, c.cols, c.compute)
+}
+
+// idealDigest runs one case's session — place, run, Advance(4321), run
+// again — and hashes every observable: both runs' output bits, cycle
+// bounds, per-channel cycles and stats, then the final clock and the
+// cumulative stats. It also returns the session's refresh count.
+func idealDigest(t *testing.T, c idealGoldenCase) (string, int64) {
+	t.Helper()
+	cfg, _ := dram.FamilyConfig(c.family, 2)
+	cfg.Geometry.Banks = c.banks
+	if c.banks < cfg.Geometry.BanksPerCluster {
+		cfg.Geometry.BanksPerCluster = c.banks
+	}
+	h, err := NewIdealNonPIM(cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Compute = c.compute
+	m := layout.RandomMatrix(c.rows, c.cols, 61)
+	p, err := h.Place(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := sha256.New()
+	for run := 0; run < 2; run++ {
+		res, err := h.RunMVM(p, randomVector(c.cols, int64(62+run)))
+		if err != nil {
+			t.Fatalf("%v run %d: %v", c, run, err)
+		}
+		for _, o := range res.Output {
+			fmt.Fprintf(d, "%08x ", math.Float32bits(o))
+		}
+		fmt.Fprintf(d, "\n%d %d %d %v %+v\n", res.StartCycle, res.EndCycle, res.Cycles, res.PerChannelCycles, res.Stats)
+		if run == 0 {
+			h.Advance(4321)
+		}
+	}
+	fmt.Fprintf(d, "%d %+v\n", h.Now(), h.Stats())
+	return hex.EncodeToString(d.Sum(nil)), h.Stats().Refreshes
+}
+
+// TestIdealGolden pins the Ideal Non-PIM stream over every DRAM family,
+// bank counts from 1 (no activation overlap) to 16, full-width, ragged
+// and padded shapes, with the fold on and off, across two runs with
+// host time between them. The file was recorded from the ideal host's
+// own issuer, before the stream moved onto the controller's, so any
+// change to its command schedule, refresh placement or fold shows up
+// as a changed case. Set NEWTON_WRITE_GOLDEN=1 to regenerate after an
+// intentional change to the stream.
+func TestIdealGolden(t *testing.T) {
+	var got bytes.Buffer
+	fmt.Fprintf(&got, "# SHA-256 of the ideal stream's session per case (see TestIdealGolden).\n")
+	var refreshes int64
+	for _, f := range dram.Families() {
+		for _, banks := range []int{1, 2, 4, 16} {
+			for _, s := range [][2]int{{8, 64}, {96, 600}, {512, 1024}, {33, 1500}} {
+				for _, compute := range []bool{true, false} {
+					c := idealGoldenCase{f, banks, s[0], s[1], compute}
+					digest, n := idealDigest(t, c)
+					fmt.Fprintf(&got, "%v %s\n", c, digest)
+					refreshes += n
+				}
+			}
+		}
+	}
+	if refreshes == 0 {
+		t.Error("no case refreshed: the golden no longer guards the refresh policy")
+	}
+	path := filepath.Join("testdata", "ideal_golden.txt")
+	if os.Getenv("NEWTON_WRITE_GOLDEN") != "" {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (set NEWTON_WRITE_GOLDEN=1 to regenerate)", err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d lines, %s has %d", len(gotLines), path, len(wantLines))
+	}
+	for i := range wantLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("got  %s\nwant %s", gotLines[i], wantLines[i])
+		}
 	}
 }

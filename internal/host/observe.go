@@ -12,8 +12,9 @@ import (
 // hostObs is the host layer's observability state: pre-registered
 // metric handles (registration allocates; publishing must not) plus the
 // bookkeeping that turns cumulative suite counters into per-run deltas.
-// Both Controller and IdealNonPIM carry one, distinguished by the
-// device label, so a differential experiment exposes both sides.
+// The Newton controller and the ideal baseline's controller each carry
+// one, distinguished by the device label, so a differential experiment
+// exposes both sides.
 type hostObs struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -53,7 +54,12 @@ var convLatBuckets = obs.ExpBuckets(16, 2, 24)
 
 // newHostObs pre-registers every handle the per-run publisher touches.
 // device distinguishes the Newton controller from the ideal baseline.
+// With neither a registry nor a tracer there is nothing to publish to,
+// and it returns nil.
 func newHostObs(reg *obs.Registry, tracer *obs.Tracer, device string) *hostObs {
+	if reg == nil && tracer == nil {
+		return nil
+	}
 	o := &hostObs{reg: reg, tracer: tracer}
 	if reg == nil {
 		return o
@@ -201,20 +207,5 @@ func meanBusy(perChannel []int64) float64 {
 // a nil registry — or none at all — keeps RunMVM at its benchmarked
 // allocation budget. Passing nil for both detaches.
 func (c *Controller) Observe(reg *obs.Registry, tracer *obs.Tracer) {
-	if reg == nil && tracer == nil {
-		c.obs = nil
-		return
-	}
 	c.obs = newHostObs(reg, tracer, "newton")
-}
-
-// Observe attaches an observability registry and/or span tracer to the
-// ideal baseline, published under device="ideal". Passing nil for both
-// detaches.
-func (h *IdealNonPIM) Observe(reg *obs.Registry, tracer *obs.Tracer) {
-	if reg == nil && tracer == nil {
-		h.obs = nil
-		return
-	}
-	h.obs = newHostObs(reg, tracer, "ideal")
 }

@@ -138,7 +138,7 @@ func TestHostPublishesCommandMix(t *testing.T) {
 // TestIdealPublishesUnderOwnDevice keeps the two hosts' series disjoint.
 func TestIdealPublishesUnderOwnDevice(t *testing.T) {
 	cfg := obsConfig(1, 8)
-	h, err := NewIdealNonPIM(cfg)
+	h, err := NewIdealNonPIM(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

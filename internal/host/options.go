@@ -3,7 +3,8 @@
 // the simulated DRAM channels, with every interface optimization from the
 // paper individually toggleable so the Fig. 9 ablation can be reproduced.
 // It also provides the Ideal Non-PIM baseline: an infinite-compute host
-// that perfectly streams the matrix over the external DRAM interface.
+// that perfectly streams the matrix over the external DRAM interface,
+// its ACT/RD/PRE stream issued by a Controller like Newton's commands.
 package host
 
 import (

@@ -211,11 +211,10 @@ func TestIdealParallelMatchesSerial(t *testing.T) {
 	v := randomVector(m.Cols, 10)
 
 	run := func(parallelMode int) *Result {
-		h, err := NewIdealNonPIM(cfg)
+		h, err := NewIdealNonPIM(cfg, Options{Parallel: parallelMode})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Parallel = parallelMode
 		p, err := h.Place(m)
 		if err != nil {
 			t.Fatal(err)

@@ -88,7 +88,7 @@ func TestRunOnNewtonMatchesReference(t *testing.T) {
 }
 
 func TestRunOnIdealMatchesReferenceExactly(t *testing.T) {
-	h, err := host.NewIdealNonPIM(executorConfig())
+	h, err := host.NewIdealNonPIM(executorConfig(), host.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

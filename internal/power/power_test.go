@@ -33,7 +33,7 @@ func runBoth(t *testing.T) (cfg dram.Config, newton, ideal *host.Result) {
 		t.Fatal(err)
 	}
 
-	h, err := host.NewIdealNonPIM(cfg)
+	h, err := host.NewIdealNonPIM(cfg, host.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

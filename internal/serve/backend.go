@@ -122,7 +122,7 @@ func NewNewtonBackend(dcfg dram.Config, opts host.Options, models map[int]ModelS
 // streams once regardless of k, §V-D), so every batch size costs the
 // batch-1 time and the table never extrapolates upward.
 func NewIdealBackend(dcfg dram.Config, models map[int]ModelShape, seed int64) (*TableBackend, error) {
-	h, err := host.NewIdealNonPIM(dcfg)
+	h, err := host.NewIdealNonPIM(dcfg, host.Options{})
 	if err != nil {
 		return nil, err
 	}
