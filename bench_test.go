@@ -34,7 +34,7 @@ func BenchmarkTableII(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderFig8Layers(rows, sum))
+			b.Logf("\n%s", experiments.Fig8LayersTable(rows, sum).Text())
 		}
 	}
 }
@@ -54,7 +54,7 @@ func BenchmarkFig8Layers(b *testing.B) {
 		b.ReportMetric(sum.Ideal, "ideal_x")
 		b.ReportMetric(sum.NewtonOverIdeal, "newton/ideal_x")
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderFig8Layers(rows, sum))
+			b.Logf("\n%s", experiments.Fig8LayersTable(rows, sum).Text())
 		}
 	}
 }
@@ -74,7 +74,7 @@ func BenchmarkFig8EndToEnd(b *testing.B) {
 			b.ReportMetric(r.Speedup, r.Name+"_x")
 		}
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderFig8EndToEnd(rows, mean))
+			b.Logf("\n%s", experiments.Fig8EndToEndTable(rows, mean).Text())
 		}
 	}
 }
@@ -93,7 +93,7 @@ func BenchmarkFig9(b *testing.B) {
 			b.ReportMetric(means[j], st.Label+"_x")
 		}
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderFig9(rows, means))
+			b.Logf("\n%s", experiments.Fig9Table(rows, means).Text())
 		}
 	}
 }
@@ -111,7 +111,7 @@ func BenchmarkFig10(b *testing.B) {
 			b.ReportMetric(means[j], experiments.BankMetricName(banks))
 		}
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderFig10(rows, means, predicted))
+			b.Logf("\n%s", experiments.Fig10Table(rows, means, predicted).Text())
 		}
 	}
 }
@@ -128,8 +128,7 @@ func BenchmarkFig11(b *testing.B) {
 		// Report the crossover of the first full-width layer.
 		b.ReportMetric(float64(rows[0].CrossoverBatch()), "ideal_crossover_batch")
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderBatchRows(
-				"Fig. 11: batch-size sensitivity vs Ideal Non-PIM", "IdealNonPIM", rows))
+			b.Logf("\n%s", experiments.Fig11Table(rows).Text())
 		}
 	}
 }
@@ -145,8 +144,7 @@ func BenchmarkFig12(b *testing.B) {
 		}
 		b.ReportMetric(float64(rows[0].CrossoverBatch()), "gpu_crossover_batch")
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderBatchRows(
-				"Fig. 12: batch-size sensitivity vs GPU", "GPU", rows))
+			b.Logf("\n%s", experiments.Fig12Table(rows).Text())
 		}
 	}
 }
@@ -162,7 +160,7 @@ func BenchmarkFig13(b *testing.B) {
 		}
 		b.ReportMetric(mean, "avg_power_x")
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderFig13(rows, mean))
+			b.Logf("\n%s", experiments.Fig13Table(rows, mean).Text())
 		}
 	}
 }
@@ -190,7 +188,7 @@ func BenchmarkModelValidation(b *testing.B) {
 		}
 		b.ReportMetric(worst, "worst_model_error_pct")
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderModelValidation(rows))
+			b.Logf("\n%s", experiments.ModelValidationTable(rows).Text())
 		}
 	}
 }
@@ -210,7 +208,7 @@ func BenchmarkNoReuse(b *testing.B) {
 		}
 		b.ReportMetric(experiments.GeoMean(sl), "noreuse_slowdown_x")
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderNoReuse(rows))
+			b.Logf("\n%s", experiments.NoReuseTable(rows).Text())
 		}
 	}
 }
@@ -230,7 +228,7 @@ func BenchmarkCluster(b *testing.B) {
 		b.ReportMetric(sum.NewtonFleetQPS/1e6, "fleet_Mqps")
 		b.ReportMetric(sum.CrossoverQPS/1e6, "crossover_Mqps")
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderCluster(pts, sum))
+			b.Logf("\n%s", experiments.ClusterTable(pts, sum).Text())
 		}
 	}
 }
@@ -255,7 +253,7 @@ func BenchmarkE2E(b *testing.B) {
 			b.ReportMetric(r.Ratio, r.Name+"_x")
 		}
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderE2E(rows, mean))
+			b.Logf("\n%s", experiments.E2ETable(rows, mean).Text())
 			checkE2EContract(b, rows)
 		}
 	}
@@ -330,7 +328,7 @@ func BenchmarkFamilies(b *testing.B) {
 			b.ReportMetric(r.Speedup, string(r.Family)+"_x")
 		}
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderFamilies(rows))
+			b.Logf("\n%s", experiments.FamiliesTable(rows).Text())
 		}
 	}
 }
@@ -365,7 +363,7 @@ func BenchmarkMultiTenant(b *testing.B) {
 		b.ReportMetric(r.LatencyGain, "latency_isolation_x")
 		b.ReportMetric(r.BSlowdown, "big_model_cost_x")
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderMultiTenant(r))
+			b.Logf("\n%s", experiments.MultiTenantTable(r).Text())
 		}
 	}
 }
@@ -384,7 +382,7 @@ func BenchmarkChannelScaling(b *testing.B) {
 		b.ReportMetric(last.Scaling, "scaling_at_48ch_x")
 		b.ReportMetric(last.SpeedupOverIdeal, "newton/ideal_at_48ch_x")
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderChannelScaling(rows))
+			b.Logf("\n%s", experiments.ChannelScalingTable(rows).Text())
 		}
 	}
 }
@@ -403,7 +401,7 @@ func BenchmarkServing(b *testing.B) {
 		b.ReportMetric(points[0].NewtonP99, "newton_p99_light_ns")
 		b.ReportMetric(points[0].GPUP99, "gpu_p99_light_ns")
 		if i == 0 {
-			b.Logf("\n%s", experiments.RenderServing(points, sum))
+			b.Logf("\n%s", experiments.ServingTable(points, sum).Text())
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -16,159 +15,79 @@ import (
 	"newton/internal/experiments"
 )
 
-// report is one study's output: the text table, and the CSV and JSON
-// forms of the studies that have them.
-type report struct {
-	table string
-	csv   string
-	json  any
-}
-
-// figures lists bench's studies in -fig all order.
+// figures lists bench's studies in -fig all order: each runs its
+// study and builds the study's table.
 var figures = []struct {
 	name string
-	run  func(c experiments.Config) (report, error)
+	run  func(c experiments.Config) (experiments.Table, error)
 }{
-	{"8", func(c experiments.Config) (report, error) {
+	{"8", func(c experiments.Config) (experiments.Table, error) {
 		rows, sum, err := c.Fig8Layers()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderFig8Layers(rows, sum), csv: experiments.CSVFig8Layers(rows)}, nil
+		return experiments.Fig8LayersTable(rows, sum), err
 	}},
-	{"8e2e", func(c experiments.Config) (report, error) {
+	{"8e2e", func(c experiments.Config) (experiments.Table, error) {
 		rows, mean, err := c.Fig8EndToEnd()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderFig8EndToEnd(rows, mean)}, nil
+		return experiments.Fig8EndToEndTable(rows, mean), err
 	}},
-	{"e2e", func(c experiments.Config) (report, error) {
+	{"e2e", func(c experiments.Config) (experiments.Table, error) {
 		rows, mean, err := c.E2E(nil)
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderE2E(rows, mean), json: struct {
-			Rows       []experiments.E2ERow
-			MeanRatio  float64
-			RoundTrips []int64
-		}{rows, mean, experiments.E2ERoundTrips}}, nil
+		return experiments.E2ETable(rows, mean), err
 	}},
-	{"9", func(c experiments.Config) (report, error) {
+	{"9", func(c experiments.Config) (experiments.Table, error) {
 		rows, means, err := c.Fig9()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderFig9(rows, means), csv: experiments.CSVFig9(rows)}, nil
+		return experiments.Fig9Table(rows, means), err
 	}},
-	{"10", func(c experiments.Config) (report, error) {
+	{"10", func(c experiments.Config) (experiments.Table, error) {
 		rows, means, predicted, err := c.Fig10()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderFig10(rows, means, predicted), csv: experiments.CSVFig10(rows)}, nil
+		return experiments.Fig10Table(rows, means, predicted), err
 	}},
-	{"11", func(c experiments.Config) (report, error) {
+	{"11", func(c experiments.Config) (experiments.Table, error) {
 		rows, err := c.Fig11()
-		if err != nil {
-			return report{}, err
-		}
-		return report{
-			table: experiments.RenderBatchRows("Fig. 11: batch-size sensitivity vs Ideal Non-PIM", "IdealNonPIM", rows),
-			csv:   experiments.CSVBatchRows("ideal", rows),
-		}, nil
+		return experiments.Fig11Table(rows), err
 	}},
-	{"12", func(c experiments.Config) (report, error) {
+	{"12", func(c experiments.Config) (experiments.Table, error) {
 		rows, err := c.Fig12()
-		if err != nil {
-			return report{}, err
-		}
-		return report{
-			table: experiments.RenderBatchRows("Fig. 12: batch-size sensitivity vs GPU", "GPU", rows),
-			csv:   experiments.CSVBatchRows("gpu", rows),
-		}, nil
+		return experiments.Fig12Table(rows), err
 	}},
-	{"13", func(c experiments.Config) (report, error) {
+	{"13", func(c experiments.Config) (experiments.Table, error) {
 		rows, mean, err := c.Fig13()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderFig13(rows, mean), csv: experiments.CSVFig13(rows)}, nil
+		return experiments.Fig13Table(rows, mean), err
 	}},
-	{"model", func(c experiments.Config) (report, error) {
+	{"model", func(c experiments.Config) (experiments.Table, error) {
 		rows, err := c.ModelValidation()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderModelValidation(rows)}, nil
+		return experiments.ModelValidationTable(rows), err
 	}},
-	{"channels", func(c experiments.Config) (report, error) {
+	{"channels", func(c experiments.Config) (experiments.Table, error) {
 		rows, err := c.ChannelScaling()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderChannelScaling(rows)}, nil
+		return experiments.ChannelScalingTable(rows), err
 	}},
-	{"multitenant", func(c experiments.Config) (report, error) {
+	{"multitenant", func(c experiments.Config) (experiments.Table, error) {
 		r, err := c.MultiTenant()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderMultiTenant(r)}, nil
+		return experiments.MultiTenantTable(r), err
 	}},
-	{"serving", func(c experiments.Config) (report, error) {
+	{"serving", func(c experiments.Config) (experiments.Table, error) {
 		points, sum, err := c.Serving()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderServing(points, sum), csv: experiments.CSVServing(points), json: struct {
-			Points  []experiments.ServingPoint
-			Summary experiments.ServingSummary
-		}{points, sum}}, nil
+		return experiments.ServingTable(points, sum), err
 	}},
-	{"cluster", func(c experiments.Config) (report, error) {
+	{"cluster", func(c experiments.Config) (experiments.Table, error) {
 		points, sum, err := c.Cluster()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderCluster(points, sum), csv: experiments.CSVCluster(points), json: struct {
-			Points  []experiments.ClusterPoint
-			Summary experiments.ClusterSummary
-		}{points, sum}}, nil
+		return experiments.ClusterTable(points, sum), err
 	}},
-	{"fault", func(c experiments.Config) (report, error) {
+	{"fault", func(c experiments.Config) (experiments.Table, error) {
 		points, sum, err := c.FaultCampaign()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderFault(points, sum), csv: experiments.CSVFault(points), json: struct {
-			Points  []experiments.FaultPoint
-			Summary experiments.FaultSummary
-		}{points, sum}}, nil
+		return experiments.FaultTable(points, sum), err
 	}},
-	{"coexist", func(c experiments.Config) (report, error) {
+	{"coexist", func(c experiments.Config) (experiments.Table, error) {
 		points, err := c.Coexistence()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderCoexistence(points), json: struct {
-			Points      []experiments.CoexistPoint
-			Intensities []float64
-		}{points, experiments.CoexistIntensities}}, nil
+		return experiments.CoexistenceTable(points), err
 	}},
-	{"families", func(c experiments.Config) (report, error) {
+	{"families", func(c experiments.Config) (experiments.Table, error) {
 		rows, err := c.Families()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderFamilies(rows)}, nil
+		return experiments.FamiliesTable(rows), err
 	}},
-	{"noreuse", func(c experiments.Config) (report, error) {
+	{"noreuse", func(c experiments.Config) (experiments.Table, error) {
 		rows, err := c.NoReuse()
-		if err != nil {
-			return report{}, err
-		}
-		return report{table: experiments.RenderNoReuse(rows)}, nil
+		return experiments.NoReuseTable(rows), err
 	}},
 }
 
@@ -183,13 +102,10 @@ func figureNames() []string {
 
 // runBench regenerates the paper's evaluation figures (Figs. 8-13) and
 // the model-validation, layout, serving, fleet, fault and coexistence
-// studies, printing each as a text table, or as CSV where a study has a
-// CSV form.
+// studies, printing each as a text table or, with -format csv, as CSV.
 //
-// With -json DIR, the studies that have a machine-readable form (e2e,
-// serving, cluster, fault, coexist) also write BENCH_<name>.json files
-// into DIR, so the reliability and coexistence results can be tracked
-// across changes.
+// With -json DIR, every study also writes its typed results to
+// DIR/BENCH_<name>.json, so results can be tracked across changes.
 //
 // -fig fault is the reliability campaign: seeded bit-flip injection
 // into the stored weight rows of a simulated Newton device, with and
@@ -220,8 +136,8 @@ func runBench(args []string, stdout io.Writer) error {
 	geo.register(fs, 24)
 	functional := fs.Bool("functional", false, "validate data paths inside the ideal baseline (slower)")
 	verify := fs.Bool("verify", false, "run every simulation under the independent conformance checker; any timing or protocol violation aborts")
-	format := fs.String("format", "table", "output format: table or csv (csv available for figs 8, 9, 10, 11, 12, 13, serving, cluster and fault)")
-	jsonDir := fs.String("json", "", "also write BENCH_<name>.json files into this directory (e2e, serving, cluster, fault, coexist)")
+	format := fs.String("format", "table", "output format: table or csv")
+	jsonDir := fs.String("json", "", "also write each study's BENCH_<name>.json file into this directory")
 	serial := fs.Bool("serial", false, "force the serial reference path: channels simulate one at a time and sweeps run their design points sequentially (results are byte-identical either way)")
 	seed := fs.Int64("seed", experiments.Default().Seed, "weight, input and fault-injection seed")
 	n := fs.Int("n", 0, "serving and fault arrivals per stream, and coexistence products per point (0 = each study's default)")
@@ -275,17 +191,17 @@ func runBench(args []string, stdout io.Writer) error {
 			continue
 		}
 		start := time.Now()
-		r, err := f.run(cfg)
-		if err == nil && r.json != nil && *jsonDir != "" {
-			err = writeJSON(filepath.Join(*jsonDir, "BENCH_"+f.name+".json"), r.json)
+		t, err := f.run(cfg)
+		if err == nil && *jsonDir != "" {
+			err = writeJSON(filepath.Join(*jsonDir, "BENCH_"+f.name+".json"), t)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", f.name, err)
 		}
-		if *format == "csv" && r.csv != "" {
-			fmt.Fprint(stdout, r.csv)
+		if *format == "csv" {
+			fmt.Fprint(stdout, t.CSV())
 		} else {
-			fmt.Fprintln(stdout, r.table)
+			fmt.Fprintln(stdout, t.Text())
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", f.name, time.Since(start).Round(time.Millisecond))
 	}
@@ -295,13 +211,13 @@ func runBench(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// writeJSON persists a study's typed rows for cross-run tracking.
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+// writeJSON persists a study's typed results for cross-run tracking.
+func writeJSON(path string, t experiments.Table) error {
+	data, err := t.JSON()
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)

@@ -86,18 +86,17 @@ func (c Config) ChannelScaling() ([]ChannelRow, error) {
 	return rows, nil
 }
 
-// RenderChannelScaling formats the study.
-func RenderChannelScaling(rows []ChannelRow) string {
-	hdr := []string{"channels", "Newton", "ideal", "Newton/ideal", "scaling"}
-	var body [][]string
-	for _, r := range rows {
-		body = append(body, []string{
-			fmt.Sprintf("%d", r.Channels),
-			fmt.Sprintf("%d", r.NewtonCycles),
-			fmt.Sprintf("%d", r.IdealCycles),
-			fmt.Sprintf("%.2fx", r.SpeedupOverIdeal),
-			fmt.Sprintf("%.2fx", r.Scaling),
-		})
+// ChannelScalingTable is the channel-scaling study.
+func ChannelScalingTable(rows []ChannelRow) Table {
+	t := Table{
+		Title: []string{"SV-C channel scaling: parallelism without the Amdahl tax (AlexNet-L6)"},
+		Cols: []Cell{{"channels", "channels"}, {"Newton", "newton_cycles"}, {"ideal", "ideal_cycles"},
+			{"Newton/ideal", "newton_over_ideal_x"}, {"scaling", "scaling_x"}},
+		Results: struct{ Rows []ChannelRow }{rows},
 	}
-	return "SV-C channel scaling: parallelism without the Amdahl tax (AlexNet-L6)\n" + table(hdr, body)
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []Cell{cellInt(int64(r.Channels)), cellInt(r.NewtonCycles), cellInt(r.IdealCycles),
+			cellf("%.2fx", r.SpeedupOverIdeal), cellf("%.2fx", r.Scaling)})
+	}
+	return t
 }

@@ -139,44 +139,38 @@ func (c Config) Cluster() ([]ClusterPoint, ClusterSummary, error) {
 	return points, sum, nil
 }
 
-// RenderCluster formats the fleet study.
-func RenderCluster(points []ClusterPoint, sum ClusterSummary) string {
-	hdr := []string{"load(qps)", "newton p50/p95/p99", "gpu p50/p95/p99", "newton qps", "gpu qps", "winner"}
-	var body [][]string
-	for _, p := range points {
-		body = append(body, []string{
-			fmt.Sprintf("%.0f", p.QPS),
-			fmt.Sprintf("%s / %s / %s", obs.FormatNs(p.NewtonP50), obs.FormatNs(p.NewtonP95), obs.FormatNs(p.NewtonP99)),
-			fmt.Sprintf("%s / %s / %s", obs.FormatNs(p.GPUP50), obs.FormatNs(p.GPUP95), obs.FormatNs(p.GPUP99)),
-			fmt.Sprintf("%.2fM", p.NewtonTput/1e6),
-			fmt.Sprintf("%.2fM", p.GPUTput/1e6),
-			p.Winner(),
-		})
+// ClusterTable is the fleet study. The text merges each fleet's
+// percentiles into one cell.
+func ClusterTable(points []ClusterPoint, sum ClusterSummary) Table {
+	t := Table{
+		Title: []string{
+			fmt.Sprintf("Fleet study (%s, %d devices per fleet, %d Poisson arrivals per load, seed %d)",
+				sum.Bench.Name, sum.Devices, sum.Requests, ClusterSeed),
+			fmt.Sprintf("batch-1 service time per Newton device: %.0f ns (measured)", sum.NewtonService),
+		},
+		Cols: []Cell{{"load(qps)", "qps"}, {"newton p50/p95/p99", ""}, {"", "newton_p50"}, {"", "newton_p95"},
+			{"", "newton_p99"}, {"gpu p50/p95/p99", ""}, {"", "gpu_p50"}, {"", "gpu_p95"}, {"", "gpu_p99"},
+			{"newton qps", "newton_tput"}, {"gpu qps", "gpu_tput"}, {"winner", "winner"}},
+		Footer: []string{
+			fmt.Sprintf("newton fleet capacity at top load: %.2fM qps served", sum.NewtonFleetQPS/1e6),
+			"crossover: none in the studied range; the Newton fleet's p99 wins everywhere",
+		},
+		Results: struct {
+			Points  []ClusterPoint
+			Summary ClusterSummary
+		}{points, sum},
 	}
-	out := fmt.Sprintf("Fleet study (%s, %d devices per fleet, %d Poisson arrivals per load, seed %d)\n",
-		sum.Bench.Name, sum.Devices, sum.Requests, ClusterSeed)
-	out += fmt.Sprintf("batch-1 service time per Newton device: %.0f ns (measured)\n", sum.NewtonService)
-	out += table(hdr, body)
-	out += fmt.Sprintf("newton fleet capacity at top load: %.2fM qps served\n", sum.NewtonFleetQPS/1e6)
 	if sum.CrossoverQPS > 0 {
-		out += fmt.Sprintf("crossover: the GPU fleet's p99 overtakes Newton's at %.0f qps\n", sum.CrossoverQPS)
-	} else {
-		out += "crossover: none in the studied range; the Newton fleet's p99 wins everywhere\n"
+		t.Footer[1] = fmt.Sprintf("crossover: the GPU fleet's p99 overtakes Newton's at %.0f qps", sum.CrossoverQPS)
 	}
-	return out
-}
-
-// CSVCluster emits the fleet study's data.
-func CSVCluster(points []ClusterPoint) string {
-	hdr := []string{"qps", "newton_p50", "newton_p95", "newton_p99",
-		"gpu_p50", "gpu_p95", "gpu_p99", "newton_tput", "gpu_tput", "winner"}
-	var body [][]string
 	for _, p := range points {
-		body = append(body, []string{
-			f(p.QPS), f(p.NewtonP50), f(p.NewtonP95), f(p.NewtonP99),
-			f(p.GPUP50), f(p.GPUP95), f(p.GPUP99),
-			f(p.NewtonTput), f(p.GPUTput), p.Winner(),
-		})
+		t.Rows = append(t.Rows, []Cell{cellf("%.0f", p.QPS),
+			{Text: obs.FormatNs(p.NewtonP50) + " / " + obs.FormatNs(p.NewtonP95) + " / " + obs.FormatNs(p.NewtonP99)},
+			{CSV: f(p.NewtonP50)}, {CSV: f(p.NewtonP95)}, {CSV: f(p.NewtonP99)},
+			{Text: obs.FormatNs(p.GPUP50) + " / " + obs.FormatNs(p.GPUP95) + " / " + obs.FormatNs(p.GPUP99)},
+			{CSV: f(p.GPUP50)}, {CSV: f(p.GPUP95)}, {CSV: f(p.GPUP99)},
+			{fmt.Sprintf("%.2fM", p.NewtonTput/1e6), f(p.NewtonTput)}, {fmt.Sprintf("%.2fM", p.GPUTput/1e6), f(p.GPUTput)},
+			cellStr(p.Winner())})
 	}
-	return csvTable(hdr, body)
+	return t
 }

@@ -40,11 +40,11 @@ func TestClusterStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if RenderCluster(pts, sum) != RenderCluster(pts2, sum2) {
+	if ClusterTable(pts, sum).Text() != ClusterTable(pts2, sum2).Text() {
 		t.Error("fleet study is not deterministic")
 	}
 
-	csv := CSVCluster(pts)
+	csv := ClusterTable(pts, sum).CSV()
 	if !strings.Contains(csv, "newton_p99") || strings.Count(csv, "\n") != len(pts)+1 {
 		t.Errorf("CSV malformed:\n%s", csv)
 	}

@@ -155,22 +155,23 @@ func (c Config) Coexistence() ([]CoexistPoint, error) {
 	return pts, nil
 }
 
-// RenderCoexistence formats the interference sweep.
-func RenderCoexistence(pts []CoexistPoint) string {
-	hdr := []string{"policy", "req/us", "host GB/s", "host p50", "host p99", "PIM p50", "PIM p99", "stall cyc", "served"}
-	var body [][]string
-	for _, p := range pts {
-		body = append(body, []string{
-			p.Policy,
-			fmt.Sprintf("%g", p.Intensity),
-			fmt.Sprintf("%.3f", p.HostGBs),
-			fmt.Sprintf("%d", p.HostP50),
-			fmt.Sprintf("%d", p.HostP99),
-			fmt.Sprintf("%d", p.PIMP50),
-			fmt.Sprintf("%d", p.PIMP99),
-			fmt.Sprintf("%d", p.StallCycles),
-			fmt.Sprintf("%d", p.Served),
-		})
+// CoexistenceTable is the interference sweep. The CSV adds the host
+// p95.
+func CoexistenceTable(pts []CoexistPoint) Table {
+	t := Table{
+		Title: []string{"Coexistence: host traffic vs PIM latency on shared channels (QoS sweep)"},
+		Cols: []Cell{{"policy", "policy"}, {"req/us", "req_per_us"}, {"host GB/s", "host_gbs"},
+			{"host p50", "host_p50"}, {"", "host_p95"}, {"host p99", "host_p99"}, {"PIM p50", "pim_p50"},
+			{"PIM p99", "pim_p99"}, {"stall cyc", "stall_cycles"}, {"served", "served"}},
+		Results: struct {
+			Points      []CoexistPoint
+			Intensities []float64
+		}{pts, CoexistIntensities},
 	}
-	return "Coexistence: host traffic vs PIM latency on shared channels (QoS sweep)\n" + table(hdr, body)
+	for _, p := range pts {
+		t.Rows = append(t.Rows, []Cell{cellStr(p.Policy), cellf("%g", p.Intensity), cellf("%.3f", p.HostGBs),
+			cellInt(p.HostP50), cellInt(p.HostP95), cellInt(p.HostP99), cellInt(p.PIMP50), cellInt(p.PIMP99),
+			cellInt(p.StallCycles), cellInt(p.Served)})
+	}
+	return t
 }

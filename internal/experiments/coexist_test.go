@@ -74,7 +74,7 @@ func TestCoexistenceSweep(t *testing.T) {
 			t.Fatalf("point %s @%g served nothing", p.Policy, p.Intensity)
 		}
 	}
-	out := RenderCoexistence(pts)
+	out := CoexistenceTable(pts).Text()
 	for _, want := range []string{"policy", "PIM p99", "mem-priority", "fair-slice"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)

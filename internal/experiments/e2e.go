@@ -141,30 +141,32 @@ func (c Config) E2E(models []nn.Model) ([]E2ERow, float64, error) {
 	return rows, GeoMean(ratios), nil
 }
 
-// RenderE2E formats the whole-model serving comparison.
-func RenderE2E(rows []E2ERow, mean float64) string {
-	hdr := []string{"model", "on-device", "per-layer"}
+// E2ETable is the whole-model serving comparison, in cycles.
+func E2ETable(rows []E2ERow, mean float64) Table {
+	t := Table{
+		Title: []string{"E2E: whole-model on-device serving (single ISR program) vs per-layer host loop (cycles)"},
+		Cols:  []Cell{{"model", "model"}, {"on-device", "device_cycles"}, {"per-layer", "per_layer_cycles"}},
+		Results: struct {
+			Rows       []E2ERow
+			MeanRatio  float64
+			RoundTrips []int64
+		}{rows, mean, E2ERoundTrips},
+	}
+	sum := []string{"geomean", "", ""}
 	for _, rt := range E2ERoundTrips {
-		hdr = append(hdr, fmt.Sprintf("+rt%d", rt))
+		t.Cols = append(t.Cols, Cell{fmt.Sprintf("+rt%d", rt), fmt.Sprintf("rt%d_cycles", rt)})
+		sum = append(sum, "")
 	}
-	hdr = append(hdr, "speedup", "instrs", "refreshes", "maxdiff")
-	var body [][]string
+	t.Cols = append(t.Cols, Cell{"speedup", "speedup_x"}, Cell{"instrs", "instrs"}, Cell{"refreshes", "refreshes"},
+		Cell{"maxdiff", "max_abs_diff"})
+	t.Summary = [][]string{append(sum, fmt.Sprintf("%.2fx", mean), "", "", "")}
 	for _, r := range rows {
-		row := []string{
-			r.Name,
-			fmt.Sprintf("%d", r.DeviceCycles),
-			fmt.Sprintf("%d", r.PerLayerCycles),
-		}
+		cells := []Cell{cellStr(r.Name), cellInt(r.DeviceCycles), cellInt(r.PerLayerCycles)}
 		for _, hc := range r.HostLoopCycles {
-			row = append(row, fmt.Sprintf("%d", hc))
+			cells = append(cells, cellInt(hc))
 		}
-		row = append(row,
-			fmt.Sprintf("%.2fx", r.Ratio),
-			fmt.Sprintf("%d", r.DeviceInstrs),
-			fmt.Sprintf("%d", r.DeviceRefreshes),
-			fmt.Sprintf("%.3g", r.MaxAbsDiff))
-		body = append(body, row)
+		t.Rows = append(t.Rows, append(cells, cellf("%.2fx", r.Ratio), cellInt(int64(r.DeviceInstrs)),
+			cellInt(r.DeviceRefreshes), cellf("%.3g", r.MaxAbsDiff)))
 	}
-	body = append(body, []string{"geomean", "", "", "", "", fmt.Sprintf("%.2fx", mean), "", "", ""})
-	return "E2E: whole-model on-device serving (single ISR program) vs per-layer host loop (cycles)\n" + table(hdr, body)
+	return t
 }

@@ -63,7 +63,7 @@ func TestE2EStudy(t *testing.T) {
 	if mean <= 0 {
 		t.Errorf("geomean %v", mean)
 	}
-	out := RenderE2E(rows, mean)
+	out := E2ETable(rows, mean).Text()
 	for _, want := range []string{"wide", "narrow", "geomean", "maxdiff"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)

@@ -50,7 +50,7 @@ func TestFig8LayersShape(t *testing.T) {
 	if sum.NewtonOverIdeal < 4 || sum.NewtonOverIdeal > 12 {
 		t.Errorf("Newton-over-ideal geomean %.1f implausible", sum.NewtonOverIdeal)
 	}
-	out := RenderFig8Layers(rows, sum)
+	out := Fig8LayersTable(rows, sum).Text()
 	if !strings.Contains(out, "geomean") || !strings.Contains(out, "GNMT-s1") {
 		t.Error("render missing expected rows")
 	}
@@ -73,7 +73,7 @@ func TestFig9CumulativeImprovement(t *testing.T) {
 	if ratio := means[len(means)-1] / means[0]; ratio < 10 {
 		t.Errorf("full ladder only %.1fx over non-opt", ratio)
 	}
-	if out := RenderFig9(rows, means); !strings.Contains(out, "+gang") {
+	if out := Fig9Table(rows, means).Text(); !strings.Contains(out, "+gang") {
 		t.Error("render missing step labels")
 	}
 }
@@ -98,7 +98,7 @@ func TestFig10BankScaling(t *testing.T) {
 	if !(predicted[0] < predicted[1] && predicted[1] < predicted[2]) {
 		t.Errorf("model predictions not monotone: %v", predicted)
 	}
-	if out := RenderFig10(rows, means, predicted); !strings.Contains(out, "32 banks") {
+	if out := Fig10Table(rows, means, predicted).Text(); !strings.Contains(out, "32 banks") {
 		t.Error("render missing bank columns")
 	}
 }
@@ -126,7 +126,7 @@ func TestFig11IdealCatchesUpWithBatch(t *testing.T) {
 	if cross == 0 || cross > 16 {
 		t.Errorf("ideal crossover at %d, want <= 16", cross)
 	}
-	if out := RenderBatchRows("t", "IdealNonPIM", rows); !strings.Contains(out, "k=16") {
+	if out := Fig11Table(rows).Text(); !strings.Contains(out, "k=16") {
 		t.Error("render missing batch columns")
 	}
 }
@@ -170,7 +170,7 @@ func TestFig13PowerRange(t *testing.T) {
 			t.Errorf("%s energy ratio %.2f >= 1: Newton should save energy", r.Name, r.EnergyRatio)
 		}
 	}
-	if out := RenderFig13(rows, mean); !strings.Contains(out, "avg power") {
+	if out := Fig13Table(rows, mean).Text(); !strings.Contains(out, "avg power") {
 		t.Error("render missing header")
 	}
 }
@@ -187,7 +187,7 @@ func TestModelValidationWithinTolerance(t *testing.T) {
 			t.Errorf("%s: simulator deviates %.1f%% from the SIII-F model", r.Name, r.ErrorPct)
 		}
 	}
-	if out := RenderModelValidation(rows); !strings.Contains(out, "model") {
+	if out := ModelValidationTable(rows).Text(); !strings.Contains(out, "model") {
 		t.Error("render missing header")
 	}
 }
@@ -214,7 +214,7 @@ func TestNoReuseStudy(t *testing.T) {
 			t.Errorf("%s: no-reuse input traffic did not rise", r.Name)
 		}
 	}
-	if out := RenderNoReuse(rows); !strings.Contains(out, "slowdown") {
+	if out := NoReuseTable(rows).Text(); !strings.Contains(out, "slowdown") {
 		t.Error("render missing header")
 	}
 }
@@ -239,7 +239,7 @@ func TestFamiliesTrackModel(t *testing.T) {
 			t.Errorf("%s: Newton did not beat its own ideal bound", r.Family)
 		}
 	}
-	if out := RenderFamilies(rows); !strings.Contains(out, "gddr6") {
+	if out := FamiliesTable(rows).Text(); !strings.Contains(out, "gddr6") {
 		t.Error("render missing families")
 	}
 }
@@ -262,7 +262,7 @@ func TestMultiTenant(t *testing.T) {
 	if r.BSlowdown < 1 || r.BSlowdown > maxSlowdown {
 		t.Errorf("big-model slowdown %.2fx outside (1, %.2f]", r.BSlowdown, maxSlowdown)
 	}
-	if out := RenderMultiTenant(r); !strings.Contains(out, "partitioned") {
+	if out := MultiTenantTable(r).Text(); !strings.Contains(out, "partitioned") {
 		t.Error("render missing schedule rows")
 	}
 }
@@ -292,7 +292,7 @@ func TestChannelScaling(t *testing.T) {
 			t.Errorf("%d channels: scaling %.2fx, want near %.2fx", r.Channels, r.Scaling, wantScale)
 		}
 	}
-	if out := RenderChannelScaling(rows); !strings.Contains(out, "channels") {
+	if out := ChannelScalingTable(rows).Text(); !strings.Contains(out, "channels") {
 		t.Error("render missing header")
 	}
 }
@@ -300,44 +300,44 @@ func TestChannelScaling(t *testing.T) {
 func TestCSVRenderers(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Benchmarks = cfg.Benchmarks[:1]
-	rows, _, err := cfg.Fig8Layers()
+	rows, sum, err := cfg.Fig8Layers()
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := CSVFig8Layers(rows)
+	out := Fig8LayersTable(rows, sum).CSV()
 	if !strings.HasPrefix(out, "layer,newton_cycles") || !strings.Contains(out, "GNMT-s1,") {
 		t.Errorf("fig8 csv malformed:\n%s", out)
 	}
-	f9, _, err := cfg.Fig9()
+	f9, m9, err := cfg.Fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := CSVFig9(f9); !strings.Contains(got, "gang") || strings.Contains(got, "*") {
+	if got := Fig9Table(f9, m9).CSV(); !strings.Contains(got, "gang") || strings.Contains(got, "*") {
 		t.Errorf("fig9 csv header malformed:\n%s", got)
 	}
-	f10, _, _, err := cfg.Fig10()
+	f10, m10, p10, err := cfg.Fig10()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := CSVFig10(f10); !strings.Contains(got, "banks32") {
+	if got := Fig10Table(f10, m10, p10).CSV(); !strings.Contains(got, "banks32") {
 		t.Errorf("fig10 csv malformed:\n%s", got)
 	}
 	f11, err := cfg.Fig11()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := CSVBatchRows("ideal", f11); !strings.Contains(got, "k16") || !strings.Contains(got, ",ideal,") {
+	if got := Fig11Table(f11).CSV(); !strings.Contains(got, "k16") || !strings.Contains(got, ",ideal,") {
 		t.Errorf("batch csv malformed:\n%s", got)
 	}
-	f13, _, err := cfg.Fig13()
+	f13, m13, err := cfg.Fig13()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := CSVFig13(f13); !strings.Contains(got, "avg_power_x") {
+	if got := Fig13Table(f13, m13).CSV(); !strings.Contains(got, "avg_power_x") {
 		t.Errorf("fig13 csv malformed:\n%s", got)
 	}
 	// Every CSV line has the same cell count as its header.
-	for _, doc := range []string{out, CSVFig9(f9), CSVFig10(f10), CSVBatchRows("x", f11), CSVFig13(f13)} {
+	for _, doc := range []string{out, Fig9Table(f9, m9).CSV(), Fig10Table(f10, m10, p10).CSV(), Fig11Table(f11).CSV(), Fig13Table(f13, m13).CSV()} {
 		lines := strings.Split(strings.TrimSpace(doc), "\n")
 		want := strings.Count(lines[0], ",")
 		for _, l := range lines[1:] {

@@ -85,21 +85,19 @@ func (c Config) Families() ([]FamilyRow, error) {
 	return rows, nil
 }
 
-// RenderFamilies formats the family study.
-func RenderFamilies(rows []FamilyRow) string {
-	hdr := []string{"family", "banks", "MACs/bank", "row", "Newton", "ideal", "speedup", "model"}
-	var body [][]string
-	for _, r := range rows {
-		body = append(body, []string{
-			string(r.Family),
-			fmt.Sprintf("%d", r.Banks),
-			fmt.Sprintf("%d", r.MACsPerBank),
-			fmt.Sprintf("%d B", r.RowBytes),
-			fmt.Sprintf("%d", r.NewtonCycles),
-			fmt.Sprintf("%d", r.IdealCycles),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprintf("%.2fx", r.Predicted),
-		})
+// FamiliesTable is the family study.
+func FamiliesTable(rows []FamilyRow) Table {
+	t := Table{
+		Title: []string{"SIII-E family study: Newton over each family's ideal non-PIM (GNMT-s1)"},
+		Cols: []Cell{{"family", "family"}, {"banks", "banks"}, {"MACs/bank", "macs_per_bank"},
+			{"row", "row_bytes"}, {"Newton", "newton_cycles"}, {"ideal", "ideal_cycles"},
+			{"speedup", "speedup_x"}, {"model", "model_x"}},
+		Results: struct{ Rows []FamilyRow }{rows},
 	}
-	return "SIII-E family study: Newton over each family's ideal non-PIM (GNMT-s1)\n" + table(hdr, body)
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []Cell{cellStr(string(r.Family)), cellInt(int64(r.Banks)),
+			cellInt(int64(r.MACsPerBank)), {fmt.Sprintf("%d B", r.RowBytes), d(int64(r.RowBytes))},
+			cellInt(r.NewtonCycles), cellInt(r.IdealCycles), cellf("%.2fx", r.Speedup), cellf("%.2fx", r.Predicted)})
+	}
+	return t
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 
 	"newton/internal/cluster"
 	"newton/internal/dram"
@@ -316,49 +317,32 @@ func (c Config) faultAvailability(pt FaultPoint, words int64, serviceNs float64)
 	return float64(res.Total.Served) / float64(res.Total.Arrived), nil
 }
 
-// RenderFault formats the reliability campaign.
-func RenderFault(points []FaultPoint, sum FaultSummary) string {
-	hdr := []string{"ber", "mode", "flips", "corrected", "detected", "sdc words", "rel-L2", "max-ulp", "avail"}
-	var body [][]string
+// FaultTable is the reliability campaign. The CSV adds the words
+// touched, refetches and corrupted bits.
+func FaultTable(points []FaultPoint, sum FaultSummary) Table {
+	perWord := "unbounded flips"
+	if sum.MaxPerWord > 0 {
+		perWord = fmt.Sprintf("%d flip(s)", sum.MaxPerWord)
+	}
+	t := Table{
+		Title: []string{
+			fmt.Sprintf("Fault campaign (%s, %d layers, %d codewords, max %s per word)", sum.Model, sum.Layers, sum.Words, perWord),
+			fmt.Sprintf("availability: %d Poisson arrivals at half service rate (service %.0f ns), detect-and-retry x3",
+				sum.Requests, sum.ServiceNs),
+		},
+		Cols: []Cell{{"ber", "ber"}, {"mode", "mode"}, {"flips", "injected_bits"}, {"", "words_touched"},
+			{"corrected", "corrected"}, {"detected", "detected"}, {"", "refetched"}, {"sdc words", "sdc_words"},
+			{"", "sdc_bits"}, {"rel-L2", "rel_l2"}, {"max-ulp", "max_ulp"}, {"avail", "availability"}},
+		Results: struct {
+			Points  []FaultPoint
+			Summary FaultSummary
+		}{points, sum},
+	}
 	for _, p := range points {
-		body = append(body, []string{
-			fmt.Sprintf("%.0e", p.BER),
-			p.Mode(),
-			fmt.Sprintf("%d", p.Injected),
-			fmt.Sprintf("%d", p.Corrected),
-			fmt.Sprintf("%d", p.Detected),
-			fmt.Sprintf("%d", p.SDCWords),
-			fmt.Sprintf("%.3g", p.RelL2),
-			fmt.Sprintf("%.3g", float64(p.MaxULP)),
-			fmt.Sprintf("%.4f", p.Availability),
-		})
+		t.Rows = append(t.Rows, []Cell{cellf("%.0e", p.BER), cellStr(p.Mode()), cellInt(p.Injected),
+			cellInt(p.WordsTouched), cellInt(p.Corrected), cellInt(p.Detected), cellInt(p.Refetched),
+			cellInt(p.SDCWords), cellInt(p.SDCBits), cellf("%.3g", p.RelL2),
+			{fmt.Sprintf("%.3g", float64(p.MaxULP)), strconv.FormatUint(p.MaxULP, 10)}, cellf("%.4f", p.Availability)})
 	}
-	out := fmt.Sprintf("Fault campaign (%s, %d layers, %d codewords, max %s per word)\n",
-		sum.Model, sum.Layers, sum.Words, perWordLabel(sum.MaxPerWord))
-	out += fmt.Sprintf("availability: %d Poisson arrivals at half service rate (service %.0f ns), detect-and-retry x3\n",
-		sum.Requests, sum.ServiceNs)
-	out += table(hdr, body)
-	return out
-}
-
-func perWordLabel(n int) string {
-	if n <= 0 {
-		return "unbounded flips"
-	}
-	return fmt.Sprintf("%d flip(s)", n)
-}
-
-// CSVFault emits the campaign data.
-func CSVFault(points []FaultPoint) string {
-	hdr := []string{"ber", "mode", "injected_bits", "words_touched", "corrected",
-		"detected", "refetched", "sdc_words", "sdc_bits", "rel_l2", "max_ulp", "availability"}
-	var body [][]string
-	for _, p := range points {
-		body = append(body, []string{
-			f(p.BER), p.Mode(), d(p.Injected), d(p.WordsTouched), d(p.Corrected),
-			d(p.Detected), d(p.Refetched), d(p.SDCWords), d(p.SDCBits),
-			f(p.RelL2), fmt.Sprintf("%d", p.MaxULP), f(p.Availability),
-		})
-	}
-	return csvTable(hdr, body)
+	return t
 }

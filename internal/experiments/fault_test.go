@@ -25,7 +25,8 @@ func TestFaultCampaignDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return RenderFault(pts, sum) + "\n" + CSVFault(pts)
+		tb := FaultTable(pts, sum)
+		return tb.Text() + "\n" + tb.CSV()
 	}
 	a, b := run(), run()
 	if a != b {

@@ -60,30 +60,34 @@ func (c Config) Fig10() ([]Fig10Row, []float64, []float64, error) {
 	return rows, means, predicted, nil
 }
 
-// RenderFig10 formats the bank-sensitivity table. predicted carries the
-// §III-F model's Newton-over-ideal speedups alongside for reference.
-func RenderFig10(rows []Fig10Row, means, predicted []float64) string {
-	hdr := []string{"layer"}
+// Fig10Table is the bank-sensitivity table. Its last text row carries
+// the §III-F model's Newton-over-ideal speedups for reference.
+func Fig10Table(rows []Fig10Row, means, predicted []float64) Table {
+	t := Table{
+		Title: []string{"Fig. 10: sensitivity to number of banks (speedup over GPU)"},
+		Cols:  []Cell{{"layer", "layer"}},
+		Results: struct {
+			Rows       []Fig10Row
+			Means      []float64
+			Predicted  []float64
+			BankCounts []int
+		}{rows, means, predicted, Fig10BankCounts},
+	}
 	for _, bk := range Fig10BankCounts {
-		hdr = append(hdr, fmt.Sprintf("%d banks", bk))
+		t.Cols = append(t.Cols, Cell{fmt.Sprintf("%d banks", bk), fmt.Sprintf("banks%d", bk)})
 	}
-	var body [][]string
 	for _, r := range rows {
-		cells := []string{r.Name}
+		cells := []Cell{cellStr(r.Name)}
 		for _, sp := range r.Speedups {
-			cells = append(cells, fmt.Sprintf("%.1fx", sp))
+			cells = append(cells, cellf("%.1fx", sp))
 		}
-		body = append(body, cells)
+		t.Rows = append(t.Rows, cells)
 	}
-	cells := []string{"geomean"}
-	for _, m := range means {
-		cells = append(cells, fmt.Sprintf("%.1fx", m))
+	mean, model := []string{"geomean"}, []string{"model(o+1)/n"}
+	for i := range means {
+		mean = append(mean, fmt.Sprintf("%.1fx", means[i]))
+		model = append(model, fmt.Sprintf("%.1fx ideal", predicted[i]))
 	}
-	body = append(body, cells)
-	cells = []string{"model(o+1)/n"}
-	for _, p := range predicted {
-		cells = append(cells, fmt.Sprintf("%.1fx ideal", p))
-	}
-	body = append(body, cells)
-	return "Fig. 10: sensitivity to number of banks (speedup over GPU)\n" + table(hdr, body)
+	t.Summary = [][]string{mean, model}
+	return t
 }

@@ -99,26 +99,39 @@ func (c Config) Fig11() ([]BatchRow, error) { return c.batchStudy(Fig11Batches, 
 // needs a large batch (~64) to overtake Newton.
 func (c Config) Fig12() ([]BatchRow, error) { return c.batchStudy(Fig12Batches, false) }
 
-// RenderBatchRows formats a batch study.
-func RenderBatchRows(title, baselineName string, rows []BatchRow) string {
-	if len(rows) == 0 {
-		return title + ": no data\n"
+// Fig11Table is the batch study against the Ideal Non-PIM.
+func Fig11Table(rows []BatchRow) Table {
+	return batchTable("Fig. 11: batch-size sensitivity vs Ideal Non-PIM", Cell{"IdealNonPIM", "ideal"}, rows)
+}
+
+// Fig12Table is the batch study against the GPU.
+func Fig12Table(rows []BatchRow) Table {
+	return batchTable("Fig. 12: batch-size sensitivity vs GPU", Cell{"GPU", "gpu"}, rows)
+}
+
+// batchTable gives each layer a Newton row and a baseline row, one
+// column per batch size.
+func batchTable(title string, baseline Cell, rows []BatchRow) Table {
+	t := Table{
+		Title:   []string{title + " (performance normalized to GPU at batch 1)"},
+		Cols:    []Cell{{"layer", "layer"}, {"system", "system"}},
+		Results: struct{ Rows []BatchRow }{rows},
 	}
-	hdr := []string{"layer", "system"}
-	for _, k := range rows[0].Batches {
-		hdr = append(hdr, fmt.Sprintf("k=%d", k))
-	}
-	var body [][]string
-	for _, r := range rows {
-		n := []string{r.Name, "Newton"}
-		bl := []string{"", baselineName}
-		for i := range r.Batches {
-			n = append(n, fmt.Sprintf("%.1f", r.Newton[i]))
-			bl = append(bl, fmt.Sprintf("%.1f", r.Baseline[i]))
+	if len(rows) > 0 {
+		for _, k := range rows[0].Batches {
+			t.Cols = append(t.Cols, Cell{fmt.Sprintf("k=%d", k), fmt.Sprintf("k%d", k)})
 		}
-		body = append(body, n, bl)
 	}
-	return title + " (performance normalized to GPU at batch 1)\n" + table(hdr, body)
+	for _, r := range rows {
+		n := []Cell{cellStr(r.Name), {"Newton", "newton"}}
+		b := []Cell{{"", r.Name}, baseline}
+		for i := range r.Batches {
+			n = append(n, cellf("%.1f", r.Newton[i]))
+			b = append(b, cellf("%.1f", r.Baseline[i]))
+		}
+		t.Rows = append(t.Rows, n, b)
+	}
+	return t
 }
 
 // CrossoverBatch returns the smallest studied batch size at which the

@@ -61,18 +61,21 @@ func (c Config) Fig13() ([]Fig13Row, float64, error) {
 	return rows, GeoMean(powers), nil
 }
 
-// RenderFig13 formats the power table.
-func RenderFig13(rows []Fig13Row, mean float64) string {
-	hdr := []string{"layer", "avg power", "compute frac", "energy vs ideal"}
-	var body [][]string
-	for _, r := range rows {
-		body = append(body, []string{
-			r.Name,
-			fmt.Sprintf("%.2fx", r.AvgPower),
-			fmt.Sprintf("%.2f", r.ComputeFraction),
-			fmt.Sprintf("%.2fx", r.EnergyRatio),
-		})
+// Fig13Table is the power table.
+func Fig13Table(rows []Fig13Row, mean float64) Table {
+	t := Table{
+		Title: []string{"Fig. 13: average power normalized to conventional DRAM"},
+		Cols: []Cell{{"layer", "layer"}, {"avg power", "avg_power_x"}, {"compute frac", "compute_fraction"},
+			{"energy vs ideal", "energy_vs_ideal"}},
+		Summary: [][]string{{"geomean", fmt.Sprintf("%.2fx", mean), "", ""}},
+		Results: struct {
+			Rows      []Fig13Row
+			MeanPower float64
+		}{rows, mean},
 	}
-	body = append(body, []string{"geomean", fmt.Sprintf("%.2fx", mean), "", ""})
-	return "Fig. 13: average power normalized to conventional DRAM\n" + table(hdr, body)
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []Cell{cellStr(r.Name), cellf("%.2fx", r.AvgPower),
+			cellf("%.2f", r.ComputeFraction), cellf("%.2fx", r.EnergyRatio)})
+	}
+	return t
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"newton/internal/host"
 	"newton/internal/par"
@@ -86,25 +87,34 @@ func (c Config) Fig9() ([]Fig9Row, []float64, error) {
 	return rows, means, nil
 }
 
-// RenderFig9 formats the ablation table.
-func RenderFig9(rows []Fig9Row, means []float64) string {
+// Fig9Table is the ablation ladder: one column per cumulative step.
+func Fig9Table(rows []Fig9Row, means []float64) Table {
 	steps := Fig9Steps()
-	hdr := []string{"layer"}
-	for _, s := range steps {
-		hdr = append(hdr, s.Label)
+	labels := make([]string, len(steps))
+	t := Table{
+		Title: []string{"Fig. 9: isolating Newton's optimizations (speedup over GPU, cumulative)"},
+		Cols:  []Cell{{"layer", "layer"}},
+		Results: struct {
+			Rows  []Fig9Row
+			Means []float64
+			Steps []string
+		}{rows, means, labels},
 	}
-	var body [][]string
+	for i, st := range steps {
+		labels[i] = st.Label
+		t.Cols = append(t.Cols, Cell{st.Label, strings.TrimSuffix(strings.TrimPrefix(st.Label, "+"), "*")})
+	}
 	for _, r := range rows {
-		cells := []string{r.Name}
+		cells := []Cell{cellStr(r.Name)}
 		for _, sp := range r.Speedups {
-			cells = append(cells, fmt.Sprintf("%.2fx", sp))
+			cells = append(cells, cellf("%.2fx", sp))
 		}
-		body = append(body, cells)
+		t.Rows = append(t.Rows, cells)
 	}
-	cells := []string{"geomean"}
+	sum := []string{"geomean"}
 	for _, m := range means {
-		cells = append(cells, fmt.Sprintf("%.2fx", m))
+		sum = append(sum, fmt.Sprintf("%.2fx", m))
 	}
-	body = append(body, cells)
-	return "Fig. 9: isolating Newton's optimizations (speedup over GPU, cumulative)\n" + table(hdr, body)
+	t.Summary = [][]string{sum}
+	return t
 }

@@ -93,17 +93,20 @@ func (c Config) MultiTenant() (MultiTenantResult, error) {
 	return res, nil
 }
 
-// RenderMultiTenant formats the study.
-func RenderMultiTenant(r MultiTenantResult) string {
-	hdr := []string{"quantity", "cycles"}
-	body := [][]string{
-		{fmt.Sprintf("%s worst-case latency, shared device (queued behind %s)", r.A, r.B),
-			fmt.Sprintf("%d", r.SharedLatencyA)},
-		{fmt.Sprintf("%s latency, partitioned onto %d private channels", r.A, r.ChannelsA),
-			fmt.Sprintf("%d", r.PartitionedLatencyA)},
-		{"latency isolation gain", fmt.Sprintf("%.1fx", r.LatencyGain)},
-		{fmt.Sprintf("%s cost: %d -> %d channels", r.B, r.ChannelsA+r.ChannelsB, r.ChannelsB),
-			fmt.Sprintf("%.2fx slower", r.BSlowdown)},
+// MultiTenantTable is the multi-tenancy study, one quantity a row.
+func MultiTenantTable(r MultiTenantResult) Table {
+	return Table{
+		Title: []string{"SIII-D multi-tenancy: different models in different channels"},
+		Cols:  []Cell{{"quantity", "quantity"}, {"cycles", "value"}},
+		Rows: [][]Cell{
+			{cellStr(fmt.Sprintf("%s worst-case latency, shared device (queued behind %s)", r.A, r.B)),
+				cellInt(r.SharedLatencyA)},
+			{cellStr(fmt.Sprintf("%s latency, partitioned onto %d private channels", r.A, r.ChannelsA)),
+				cellInt(r.PartitionedLatencyA)},
+			{cellStr("latency isolation gain"), cellf("%.1fx", r.LatencyGain)},
+			{cellStr(fmt.Sprintf("%s cost: %d -> %d channels", r.B, r.ChannelsA+r.ChannelsB, r.ChannelsB)),
+				cellf("%.2fx slower", r.BSlowdown)},
+		},
+		Results: r,
 	}
-	return "SIII-D multi-tenancy: different models in different channels\n" + table(hdr, body)
 }

@@ -137,42 +137,33 @@ func oneDevice(b cluster.Backend, retry cluster.RetryPlan, opt cluster.Options) 
 		[]cluster.Placement{{Model: 0, Replicas: []int{0}}}, opt)
 }
 
-// RenderServing formats the serving study.
-func RenderServing(points []ServingPoint, sum ServingSummary) string {
-	hdr := []string{"load(qps)", "newton p50/p99", "gpu p50/p99", "gpu batch", "winner"}
-	var body [][]string
-	for _, p := range points {
-		body = append(body, []string{
-			fmt.Sprintf("%.0f", p.QPS),
-			fmt.Sprintf("%s / %s", obs.FormatNs(p.NewtonP50), obs.FormatNs(p.NewtonP99)),
-			fmt.Sprintf("%s / %s", obs.FormatNs(p.GPUP50), obs.FormatNs(p.GPUP99)),
-			fmt.Sprintf("%.1f", p.GPUBatch),
-			p.Winner(),
-		})
+// ServingTable is the serving study. The text merges each system's
+// percentiles into one cell; the CSV adds throughput.
+func ServingTable(points []ServingPoint, sum ServingSummary) Table {
+	t := Table{
+		Title: []string{
+			fmt.Sprintf("Serving study (%s, %d Poisson arrivals per load, seed %d)", sum.Bench.Name, sum.Requests, ServingSeed),
+			fmt.Sprintf("batch-1 service time: Newton %.0f ns (measured), GPU %.0f ns (model)", sum.NewtonService, sum.GPUBatch1),
+		},
+		Cols: []Cell{{"load(qps)", "qps"}, {"newton p50/p99", ""}, {"", "newton_p50"}, {"", "newton_p99"},
+			{"gpu p50/p99", ""}, {"", "gpu_p50"}, {"", "gpu_p99"}, {"", "newton_tput"}, {"", "gpu_tput"},
+			{"gpu batch", "gpu_mean_batch"}, {"winner", "winner"}},
+		Footer: []string{"crossover: none in the studied range; Newton's p99 wins everywhere"},
+		Results: struct {
+			Points  []ServingPoint
+			Summary ServingSummary
+		}{points, sum},
 	}
-	out := fmt.Sprintf("Serving study (%s, %d Poisson arrivals per load, seed %d)\n",
-		sum.Bench.Name, sum.Requests, ServingSeed)
-	out += fmt.Sprintf("batch-1 service time: Newton %.0f ns (measured), GPU %.0f ns (model)\n",
-		sum.NewtonService, sum.GPUBatch1)
-	out += table(hdr, body)
 	if sum.CrossoverQPS > 0 {
-		out += fmt.Sprintf("crossover: the batching GPU's p99 overtakes Newton's at %.0f qps\n", sum.CrossoverQPS)
-	} else {
-		out += "crossover: none in the studied range; Newton's p99 wins everywhere\n"
+		t.Footer[0] = fmt.Sprintf("crossover: the batching GPU's p99 overtakes Newton's at %.0f qps", sum.CrossoverQPS)
 	}
-	return out
-}
-
-// CSVServing emits the serving study's data.
-func CSVServing(points []ServingPoint) string {
-	hdr := []string{"qps", "newton_p50", "newton_p99", "gpu_p50", "gpu_p99",
-		"newton_tput", "gpu_tput", "gpu_mean_batch", "winner"}
-	var body [][]string
 	for _, p := range points {
-		body = append(body, []string{
-			f(p.QPS), f(p.NewtonP50), f(p.NewtonP99), f(p.GPUP50), f(p.GPUP99),
-			f(p.NewtonTput), f(p.GPUTput), f(p.GPUBatch), p.Winner(),
-		})
+		t.Rows = append(t.Rows, []Cell{cellf("%.0f", p.QPS),
+			{Text: obs.FormatNs(p.NewtonP50) + " / " + obs.FormatNs(p.NewtonP99)},
+			{CSV: f(p.NewtonP50)}, {CSV: f(p.NewtonP99)},
+			{Text: obs.FormatNs(p.GPUP50) + " / " + obs.FormatNs(p.GPUP99)},
+			{CSV: f(p.GPUP50)}, {CSV: f(p.GPUP99)}, {CSV: f(p.NewtonTput)}, {CSV: f(p.GPUTput)},
+			cellf("%.1f", p.GPUBatch), cellStr(p.Winner())})
 	}
-	return csvTable(hdr, body)
+	return t
 }

@@ -54,13 +54,13 @@ func TestServingCrossover(t *testing.T) {
 		t.Errorf("crossover differs across runs: %v vs %v", sum.CrossoverQPS, sum2.CrossoverQPS)
 	}
 
-	out := RenderServing(points, sum)
+	out := ServingTable(points, sum).Text()
 	for _, want := range []string{"DLRM-s1", "crossover", "winner", "GPU"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
-	csv := CSVServing(points)
+	csv := ServingTable(points, sum).CSV()
 	if !strings.Contains(csv, "qps,newton_p50") || len(strings.Split(strings.TrimSpace(csv), "\n")) != len(points)+1 {
 		t.Errorf("csv malformed:\n%s", csv)
 	}

@@ -50,19 +50,19 @@ func (c Config) ModelValidation() ([]ModelValidationRow, error) {
 	return rows, nil
 }
 
-// RenderModelValidation formats the validation table.
-func RenderModelValidation(rows []ModelValidationRow) string {
-	hdr := []string{"layer", "model", "simulated", "error"}
-	var body [][]string
-	for _, r := range rows {
-		body = append(body, []string{
-			r.Name,
-			fmt.Sprintf("%.2fx", r.Predicted),
-			fmt.Sprintf("%.2fx", r.Measured),
-			fmt.Sprintf("%+.1f%%", r.ErrorPct),
-		})
+// ModelValidationTable is the §III-F model against the simulator.
+func ModelValidationTable(rows []ModelValidationRow) Table {
+	t := Table{
+		Title: []string{"SIII-F model validation: Newton speedup over Ideal Non-PIM"},
+		Cols: []Cell{{"layer", "layer"}, {"model", "model_x"}, {"simulated", "simulated_x"},
+			{"error", "error_pct"}},
+		Results: struct{ Rows []ModelValidationRow }{rows},
 	}
-	return "SIII-F model validation: Newton speedup over Ideal Non-PIM\n" + table(hdr, body)
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []Cell{cellStr(r.Name), cellf("%.2fx", r.Predicted),
+			cellf("%.2fx", r.Measured), cellf("%+.1f%%", r.ErrorPct)})
+	}
+	return t
 }
 
 // NoReuseRow compares full Newton with the Newton-no-reuse layout
@@ -118,27 +118,19 @@ func (c Config) NoReuse() ([]NoReuseRow, error) {
 	return rows, nil
 }
 
-// RenderNoReuse formats the layout study.
-func RenderNoReuse(rows []NoReuseRow) string {
-	hdr := []string{"layer", "Newton", "quad-latch", "no-reuse", "no-reuse slowdown", "input traffic ratio"}
-	var body [][]string
+// NoReuseTable is the layout study.
+func NoReuseTable(rows []NoReuseRow) Table {
+	t := Table{
+		Title: []string{"SIII-C layout study: Newton vs Newton-no-reuse"},
+		Cols: []Cell{{"layer", "layer"}, {"Newton", "newton_cycles"}, {"quad-latch", "quad_latch_cycles"},
+			{"no-reuse", "no_reuse_cycles"}, {"no-reuse slowdown", "no_reuse_slowdown_x"},
+			{"input traffic ratio", "input_traffic_ratio_x"}},
+		Results: struct{ Rows []NoReuseRow }{rows},
+	}
 	for _, r := range rows {
-		ratio := float64(r.InputBytesNoReuse) / float64(maxI64(r.InputBytesNewton, 1))
-		body = append(body, []string{
-			r.Name,
-			fmt.Sprintf("%d", r.NewtonCycles),
-			fmt.Sprintf("%d", r.QuadLatchCycles),
-			fmt.Sprintf("%d", r.NoReuseCycles),
-			fmt.Sprintf("%.2fx", r.Slowdown),
-			fmt.Sprintf("%.0fx", ratio),
-		})
+		ratio := float64(r.InputBytesNoReuse) / float64(max(r.InputBytesNewton, 1))
+		t.Rows = append(t.Rows, []Cell{cellStr(r.Name), cellInt(r.NewtonCycles), cellInt(r.QuadLatchCycles),
+			cellInt(r.NoReuseCycles), cellf("%.2fx", r.Slowdown), cellf("%.0fx", ratio)})
 	}
-	return "SIII-C layout study: Newton vs Newton-no-reuse\n" + table(hdr, body)
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return t
 }
