@@ -1,8 +1,6 @@
 package newton
 
 import (
-	"fmt"
-
 	"newton/internal/bf16"
 	"newton/internal/dram"
 	"newton/internal/gpu"
@@ -47,7 +45,7 @@ func (b *IdealBaseline) Load(m *Matrix) (*PlacedMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PlacedMatrix{mat: m, p: p}, nil
+	return &PlacedMatrix{mat: m, p: p, owner: b}, nil
 }
 
 // MatVec streams the matrix once and returns the product (when
@@ -56,8 +54,8 @@ func (b *IdealBaseline) Load(m *Matrix) (*PlacedMatrix, error) {
 // exploits all the reuse - so callers model batch-k time as the batch-1
 // time (§V-D, Fig. 11).
 func (b *IdealBaseline) MatVec(pm *PlacedMatrix, v []float32) ([]float32, RunStats, error) {
-	if pm == nil || pm.p == nil {
-		return nil, RunStats{}, fmt.Errorf("newton: MatVec on an unloaded matrix")
+	if err := pm.on(b); err != nil {
+		return nil, RunStats{}, err
 	}
 	res, err := b.h.RunMVM(pm.p, bf16.FromFloat32Slice(v))
 	if err != nil {

@@ -109,8 +109,8 @@ func (s *System) channels() []*dram.Channel {
 // same seeded PRNG stream, so a campaign of k exposures is as
 // deterministic as one.
 func (s *System) InjectFaults(pm *PlacedMatrix) (FaultReport, error) {
-	if pm == nil || pm.p == nil {
-		return FaultReport{}, fmt.Errorf("newton: InjectFaults on an unloaded matrix")
+	if err := pm.on(s); err != nil {
+		return FaultReport{}, err
 	}
 	if s.inj == nil {
 		return FaultReport{}, fmt.Errorf("newton: fault injection is not enabled (Config.Fault)")
@@ -140,8 +140,8 @@ func (s *System) publishTransient() {
 // the host's golden copy, and only dirty columns are rewritten. The
 // pass runs on the simulated clock like any other controller operation.
 func (s *System) ScrubECC(pm *PlacedMatrix) (ScrubReport, error) {
-	if pm == nil || pm.p == nil {
-		return ScrubReport{}, fmt.Errorf("newton: ScrubECC on an unloaded matrix")
+	if err := pm.on(s); err != nil {
+		return ScrubReport{}, err
 	}
 	if pm.ecc == nil {
 		return ScrubReport{}, fmt.Errorf("newton: matrix was loaded without ECC (Config.Fault.ECC)")
@@ -161,6 +161,9 @@ func (s *System) ScrubECC(pm *PlacedMatrix) (ScrubReport, error) {
 // callers driving the controller directly can call it themselves. It
 // reports whether a scrub ran.
 func (s *System) ScrubPeriodically(pm *PlacedMatrix) (bool, error) {
+	if err := pm.on(s); err != nil {
+		return false, err
+	}
 	f := s.cfg.Fault
 	if !f.Enabled || f.ScrubEvery <= 0 {
 		return false, nil
@@ -181,8 +184,8 @@ func (s *System) ScrubPeriodically(pm *PlacedMatrix) (bool, error) {
 // against the host's golden copy — the oracle view of silent data
 // corruption. It costs no simulated time.
 func (s *System) AuditFaults(pm *PlacedMatrix) (FaultAudit, error) {
-	if pm == nil || pm.p == nil {
-		return FaultAudit{}, fmt.Errorf("newton: AuditFaults on an unloaded matrix")
+	if err := pm.on(s); err != nil {
+		return FaultAudit{}, err
 	}
 	rep, err := fault.Audit(pm.p, s.channels())
 	if err != nil {

@@ -23,6 +23,7 @@
 package newton
 
 import (
+	"errors"
 	"fmt"
 
 	"newton/internal/dram"
@@ -116,17 +117,41 @@ func DefaultConfig() Config {
 	return Config{Channels: 24, Banks: 16, Opts: AllOptimizations(), NormExposureCycles: 100}
 }
 
-// dramConfig lowers the public Config to the simulator's configuration.
+// ErrInvalidConfig is wrapped by every error that rejects a Config
+// field; the message names the field.
+var ErrInvalidConfig = errors.New("newton: invalid config")
+
+// check names the first field out of range, or returns "". The fault
+// fields count only when Fault.Enabled.
+func (c Config) check() string {
+	f := c.Fault
+	switch {
+	case c.Channels < 1:
+		return fmt.Sprintf("Channels must be >= 1, got %d", c.Channels)
+	case c.Banks < 1:
+		return fmt.Sprintf("Banks must be >= 1, got %d", c.Banks)
+	case c.NormExposureCycles < host.AutoNormExposure:
+		return fmt.Sprintf("NormExposureCycles must be >= %d, got %d", host.AutoNormExposure, c.NormExposureCycles)
+	case c.LatchesPerBank < 0:
+		return fmt.Sprintf("LatchesPerBank must be >= 0, got %d", c.LatchesPerBank)
+	case f.Enabled && !(f.BER >= 0 && f.BER <= 1):
+		return fmt.Sprintf("Fault.BER must be in [0, 1], got %g", f.BER)
+	case f.Enabled && !(f.TransientBER >= 0 && f.TransientBER <= 1):
+		return fmt.Sprintf("Fault.TransientBER must be in [0, 1], got %g", f.TransientBER)
+	case f.Enabled && f.MaxPerWord < 0:
+		return fmt.Sprintf("Fault.MaxPerWord must be >= 0, got %d", f.MaxPerWord)
+	case f.Enabled && f.ScrubEvery < 0:
+		return fmt.Sprintf("Fault.ScrubEvery must be >= 0, got %d", f.ScrubEvery)
+	}
+	return ""
+}
+
+// dramConfig checks the public Config and lowers it to the simulator's
+// configuration. NewSystem, NewIdealBaseline, NewServer, NewCluster and
+// Predict all call it.
 func (c Config) dramConfig() (dram.Config, error) {
-	if c.Channels < 1 {
-		return dram.Config{}, fmt.Errorf("newton: Channels must be >= 1, got %d", c.Channels)
-	}
-	if c.Banks < 1 {
-		return dram.Config{}, fmt.Errorf("newton: Banks must be >= 1, got %d", c.Banks)
-	}
-	if c.NormExposureCycles < host.AutoNormExposure {
-		return dram.Config{}, fmt.Errorf("newton: NormExposureCycles must be >= %d, got %d",
-			host.AutoNormExposure, c.NormExposureCycles)
+	if msg := c.check(); msg != "" {
+		return dram.Config{}, fmt.Errorf("%w: %s", ErrInvalidConfig, msg)
 	}
 	geo := dram.HBM2EGeometry(c.Channels)
 	geo.Banks = c.Banks
@@ -138,7 +163,10 @@ func (c Config) dramConfig() (dram.Config, error) {
 		t = dram.AiMTiming()
 	}
 	cfg := dram.Config{Geometry: geo, Timing: t}
-	return cfg, cfg.Validate()
+	if err := cfg.Validate(); err != nil {
+		return dram.Config{}, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+	}
+	return cfg, nil
 }
 
 // hostOptions lowers the optimization set to the controller's options.
