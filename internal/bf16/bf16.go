@@ -44,9 +44,6 @@ func FromFloat32(f float32) Num {
 	return Num(b >> 16)
 }
 
-// FromFloat64 converts a float64 to bfloat16 via float32.
-func FromFloat64(f float64) Num { return FromFloat32(float32(f)) }
-
 // Float32 widens a bfloat16 to float32. The conversion is exact: every
 // bfloat16 value is representable as a float32.
 func (n Num) Float32() float32 { return math.Float32frombits(uint32(n) << 16) }

@@ -78,9 +78,6 @@ func (ch *Channel) Bank(i int) *Bank { return ch.banks[i] }
 // Stats returns a snapshot of the channel's counters.
 func (ch *Channel) Stats() Stats { return ch.stats.Clone() }
 
-// ResetStats zeroes the counters without touching DRAM state.
-func (ch *Channel) ResetStats() { ch.stats = Stats{} }
-
 // SetObserver installs a passive command-stream tap (nil removes it).
 // Callers that drive the channel through an aim.Engine should attach the
 // observer to the engine instead, so it sees the AiM command stream

@@ -180,18 +180,6 @@ func (s *Store) CheckBytes(ch, bank, row int) []byte {
 	return s.check[rowKey{ch, bank, row}]
 }
 
-// Reencode refreshes the check bytes of one row from a known-good image
-// (after a scrub rewrites it).
-func (s *Store) Reencode(ch, bank, row int, data []byte) {
-	cs := s.check[rowKey{ch, bank, row}]
-	if cs == nil {
-		return
-	}
-	for w := range cs {
-		cs[w] = ECCEncode(leWord(data[w*8:]))
-	}
-}
-
 // Words returns how many 64-bit words the store covers.
 func (s *Store) Words() int64 {
 	var n int64

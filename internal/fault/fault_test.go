@@ -31,8 +31,10 @@ func testSystem(t *testing.T, seed int64) ([]*dram.Channel, *layout.Placement) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Load(channels); err != nil {
-		t.Fatal(err)
+	for ch, c := range channels {
+		if err := p.LoadChannel(ch, c); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return channels, p
 }
@@ -87,8 +89,10 @@ func TestGoldenRowMatchesLoadedState(t *testing.T) {
 			}
 			channels = append(channels, ch)
 		}
-		if err := p.Load(channels); err != nil {
-			t.Fatal(err)
+		for ch, c := range channels {
+			if err := p.LoadChannel(ch, c); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, k := range placementRows(p) {
 			stored, err := channels[k.Ch].Bank(k.Bank).PeekRow(k.Row)

@@ -260,20 +260,6 @@ func (p *Placement) InvCoord(c Coord) (i, j int, ok bool) {
 	return i, j, true
 }
 
-// Load preloads the matrix into the channels' banks, one channel after
-// another through LoadChannel. channels must have length geo.Channels.
-func (p *Placement) Load(channels []*dram.Channel) error {
-	if len(channels) != p.geo.Channels {
-		return fmt.Errorf("layout: placement spans %d channels, got %d", p.geo.Channels, len(channels))
-	}
-	for ch, c := range channels {
-		if err := p.LoadChannel(ch, c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // LoadChannel preloads channel ch's share of the matrix into c's banks.
 // Every (matrix row, chunk) owns its own DRAM row, so each chunk is
 // encoded little-endian straight into that row's storage and the rest

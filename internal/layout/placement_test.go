@@ -217,8 +217,10 @@ func TestLoadMatchesCoord(t *testing.T) {
 					before[ch][b] = chans[ch].Bank(b).Version()
 				}
 			}
-			if err := p.Load(chans); err != nil {
-				t.Fatal(err)
+			for ch, c := range chans {
+				if err := p.LoadChannel(ch, c); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			label := fmt.Sprintf("%v prefill=%v", kind, prefill)
@@ -268,17 +270,14 @@ func TestLoadMatchesCoord(t *testing.T) {
 	}
 }
 
-// TestLoadWrongChannelCount checks a channel slice of the wrong length,
-// a LoadChannel index outside the geometry and a channel of another
-// geometry are named errors rather than index panics.
+// TestLoadWrongChannelCount checks a LoadChannel index outside the
+// geometry and a channel of another geometry are named errors rather
+// than index panics.
 func TestLoadWrongChannelCount(t *testing.T) {
 	g := smallGeometry(2)
 	p, err := NewPlacement(g, Interleaved, NewMatrix(4, 4))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := p.Load(nil); err == nil {
-		t.Error("wrong channel slice length accepted")
 	}
 	ch := newChannels(t, g)[0]
 	for _, bad := range []int{-1, 2, 7} {

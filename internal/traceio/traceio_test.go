@@ -83,7 +83,7 @@ func TestReplayReproducesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Load([]*dram.Channel{ch}); err != nil {
+		if err := p.LoadChannel(0, ch); err != nil {
 			t.Fatal(err)
 		}
 		e := aim.NewEngineWithLatches(ch, opts.Latches())
