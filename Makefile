@@ -1,7 +1,7 @@
 # Convenience targets; `make check` is the full verification gate
 # (build + vet + race-enabled tests) CI and pre-commit should run.
 
-.PHONY: check build test bench figures fuzz
+.PHONY: check build test bench figures fuzz loc
 
 check:
 	./scripts/check.sh
@@ -26,3 +26,7 @@ bench:
 
 figures:
 	go run ./cmd/newton bench -fig all
+
+# Non-test Go and assembly line counts, as CHANGES.md reports them.
+loc:
+	./scripts/loc.sh
