@@ -2,11 +2,12 @@
 
 package aim
 
-// useAVX2 is false off amd64: AccumulateColumn always runs column16.
+// useAVX2 is false off amd64: the 16-lane column step always runs the
+// Go loop over column16.
 var useAVX2 = false
 
-// column16AVX2 exists so AccumulateColumn compiles on every
-// architecture; with useAVX2 false it is never reached.
-func column16AVX2(w *[32]byte, in *[16]float32) float32 {
-	panic("aim: column16AVX2 called off amd64")
+// columnsAVX2 exists so the MAC step compiles on every architecture;
+// with useAVX2 false it is never reached.
+func columnsAVX2(w []byte, in []float32, acc float32) (latch float32, folded int) {
+	panic("aim: columnsAVX2 called off amd64")
 }

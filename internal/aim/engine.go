@@ -234,6 +234,58 @@ func (e *Engine) MultiplyAccumulate(bank, latch int, cycle int64) error {
 	return nil
 }
 
+// AccumulateColumns runs the COMP arithmetic of columns [from, to) of
+// banks [lo, hi) into latch, outside the reference mode: the host's
+// issuer calls it once per ganged COMP row (a row step), and with one
+// column, or one column of one bank, for a single COMP or COMP_BK. The
+// input comes from global-buffer slots [from, to); last is the latest
+// of the COMPs' issue cycles. Each bank takes one kernel call over its
+// open row's columns, and every latch ends bit-identical to Apply's
+// reference arithmetic run COMP by COMP. Errors come in Apply's order:
+// an unwritten slot, then a bank's column, then the latch. An empty run
+// does nothing.
+func (e *Engine) AccumulateColumns(lo, hi, latch, from, to int, last int64) error {
+	if to <= from {
+		return nil
+	}
+	input, widened, err := e.gbuf.SubChunks(from, to)
+	if err != nil {
+		return err
+	}
+	tmac := e.ch.Config().Timing.TMAC
+	for b := lo; b < hi; b++ {
+		wire, err := e.rowColumns(b, from, to)
+		if err != nil {
+			return err
+		}
+		if err := e.macs[b].accumulateColumns(latch, wire, input, widened, last, tmac); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rowColumns returns columns [from, to) of bank b's open row as one
+// slice. A bank keeps each row in one array, so the first column's view
+// runs on into the next; the last column's view checks the range, and
+// its address that the two views share the array.
+func (e *Engine) rowColumns(b, from, to int) ([]byte, error) {
+	bank := e.ch.Bank(b)
+	first, err := bank.ColumnView(from)
+	if err != nil || to-from == 1 {
+		return first, err
+	}
+	last, err := bank.ColumnView(to - 1)
+	if err != nil {
+		return nil, err
+	}
+	n := (to - from) * len(first)
+	if cap(first) < n || &first[:n][n-len(last)] != &last[0] {
+		return nil, fmt.Errorf("aim: bank %d does not hold columns %d-%d of its open row in one array", b, from, to-1)
+	}
+	return first[:n], nil
+}
+
 // Result carries the outcome of an issued command.
 type Result struct {
 	// DataReady is when returned data is valid on the bus.

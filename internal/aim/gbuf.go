@@ -30,7 +30,11 @@ type GlobalBuffer struct {
 	slots    int // column I/Os per row
 	laneBits int
 	data     []bf16.Num // slots * lanes elements
-	valid    []bool     // per-slot valid bits
+	// wide is data widened to float32 lane for lane, the operand the
+	// MAC units multiply by. WriteSlot and EWOp, the buffer's only
+	// writers, update both.
+	wide  []float32
+	valid []bool // per-slot valid bits
 }
 
 // NewGlobalBuffer returns a buffer with the given number of column-I/O
@@ -41,6 +45,7 @@ func NewGlobalBuffer(slots, colBits int) *GlobalBuffer {
 		slots:    slots,
 		laneBits: colBits,
 		data:     make([]bf16.Num, slots*lanes),
+		wide:     make([]float32, slots*lanes),
 		valid:    make([]bool, slots),
 	}
 }
@@ -61,8 +66,18 @@ func (g *GlobalBuffer) WriteSlot(slot int, data []byte) error {
 	}
 	lanes := g.Lanes()
 	bf16.DecodeInto(g.data[slot*lanes:(slot+1)*lanes], data)
+	g.widen(slot)
 	g.valid[slot] = true
 	return nil
+}
+
+// widen refreshes slot's widened lanes from its bf16 lanes.
+func (g *GlobalBuffer) widen(slot int) {
+	lanes := g.Lanes()
+	wide := g.wide[slot*lanes : (slot+1)*lanes]
+	for i, n := range g.data[slot*lanes : (slot+1)*lanes] {
+		wide[i] = n.Float32()
+	}
 }
 
 // SubChunk returns a copy of the sub-chunk (one slot's worth of input
@@ -81,14 +96,28 @@ func (g *GlobalBuffer) SubChunk(slot int) (bf16.Vector, error) {
 // fan-out wires, in effect. Callers must not write through it, and it is
 // stale after the slot's next GWRITE.
 func (g *GlobalBuffer) SubChunkView(slot int) (bf16.Vector, error) {
-	if slot < 0 || slot >= g.slots {
-		return nil, fmt.Errorf("aim: global buffer slot %d out of range [0,%d)", slot, g.slots)
+	v, _, err := g.SubChunks(slot, slot+1)
+	return v, err
+}
+
+// SubChunks returns slots [from, to) as one run, the input of a row of
+// COMPs: their bf16 lanes and the same lanes widened to float32, slot
+// after slot, both without copying and with SubChunkView's rules. Every
+// slot must have been written; the error names the first that was not.
+func (g *GlobalBuffer) SubChunks(from, to int) (bf16.Vector, []float32, error) {
+	if to <= from {
+		return nil, nil, nil
 	}
-	if !g.valid[slot] {
-		return nil, fmt.Errorf("aim: global buffer slot %d read before being written", slot)
+	for s := from; s < to; s++ {
+		if s < 0 || s >= g.slots {
+			return nil, nil, fmt.Errorf("aim: global buffer slot %d out of range [0,%d)", s, g.slots)
+		}
+		if !g.valid[s] {
+			return nil, nil, fmt.Errorf("aim: global buffer slot %d read before being written", s)
+		}
 	}
 	lanes := g.Lanes()
-	return g.data[slot*lanes : (slot+1)*lanes], nil
+	return g.data[from*lanes : to*lanes], g.wide[from*lanes : to*lanes], nil
 }
 
 // EWOp applies one element-wise ALU step in the buffer's SRAM:
@@ -112,6 +141,7 @@ func (g *GlobalBuffer) EWOp(dst, src int, mul bool) error {
 			a[i] = bf16.Add(a[i], b[i])
 		}
 	}
+	g.widen(dst)
 	return nil
 }
 

@@ -169,59 +169,100 @@ func (m *MACUnit) AccumulateLatch(latch int, filter, input bf16.Vector, cycle, t
 	return nil
 }
 
-// AccumulateColumn is AccumulateLatch over a wire-format filter column
-// (little-endian bf16, one lane per 2 bytes): the host event core's
-// fused step. It skips DecodeInto's Num round-trip for the filter and
-// takes the input twice, as Nums and pre-widened by WidenInto, so the
-// fast path multiplies floats while the fallback below hands
-// AccumulateLatch the exact operands. A 16-lane unit, the paper's, runs
-// column16AVX2 where the CPU has AVX2 (useAVX2) and the unrolled
-// column16 elsewhere; the two return the same bits on every column
-// whose sum is not NaN. Other widths run the generic loop.
+// accumulateColumns is AccumulateLatch applied column by column over a
+// run of wire-format filter columns (little-endian bf16, one lane per 2
+// bytes), the issuer's COMP arithmetic: column c's filter is
+// wire[2*lanes*c:], its input sub-chunk input[lanes*c:] and the same
+// lanes widened to float32 widened[lanes*c:]. last is the latest issue
+// cycle of the run's COMPs: they issue in increasing cycles, so one
+// Occupy(last, tmac) leaves the drain horizon where one per column
+// would. foldColumns adds the column sums to the latch, kept widened to
+// float32; a latch with no value starts at -0, which adds to every sum
+// that is not NaN exactly.
 //
-// The result is bit-identical to DecodeInto then AccumulateLatch: every
-// product and tree add rounds as MulFloat and AddFloats do, with
-// TreeReduce's pairing. Only operand order may differ between the two
-// compiled bodies, and it matters only when both operands of a float
-// operation are NaN: the first source register's payload survives, and
-// Go orders commutative operands per call site. Any NaN in a product or
-// a tree add reaches the column sum, so a NaN sum redoes the step in
-// AccumulateLatch's own code. Otherwise every operation saw non-NaN
-// operands, and the latch add at most one NaN, whose payload is the
-// only one it can propagate.
-func (m *MACUnit) AccumulateColumn(latch int, wire []byte, input bf16.Vector, widened []float32, cycle, tmac int64) error {
+// The result is bit-identical to DecodeInto then AccumulateLatch per
+// column: every product and tree add rounds as MulFloat and AddFloats
+// do, with TreeReduce's pairing, and each latch add as FromFloat32.
+// Only operand order may differ between the compiled bodies, and it
+// matters only when both operands of a float operation are NaN: the
+// first source register's payload survives, and Go orders commutative
+// operands per call site. Any NaN in a product or a tree add reaches
+// the column sum, so foldColumns stops at a NaN sum and its column is
+// redone in AccumulateLatch's own code, at its place in the chain.
+// Otherwise every operation saw non-NaN operands, and the latch add at
+// most one NaN, whose payload is the only one it can propagate.
+func (m *MACUnit) accumulateColumns(latch int, wire []byte, input bf16.Vector, widened []float32, last, tmac int64) error {
 	if latch < 0 || latch >= len(m.latches) {
 		return fmt.Errorf("aim: latch %d out of range [0,%d)", latch, len(m.latches))
 	}
-	if len(wire) != 2*m.lanes || len(widened) != m.lanes {
-		return fmt.Errorf("aim: MAC column is %d bytes and %d lanes, unit has %d lanes",
-			len(wire), len(widened), m.lanes)
+	n := len(input) / m.lanes
+	if len(input) != m.lanes*n || len(widened) != m.lanes*n || len(wire) != 2*m.lanes*n {
+		return fmt.Errorf("aim: MAC columns of %d bytes and %d/%d lanes, unit has %d lanes",
+			len(wire), len(input), len(widened), m.lanes)
 	}
-	var sum float32
-	if m.lanes == 16 {
-		if useAVX2 {
-			sum = column16AVX2((*[32]byte)(wire), (*[16]float32)(widened))
-		} else {
-			sum = column16((*[32]byte)(wire), (*[16]float32)(widened))
-		}
-	} else {
-		for i, in := range widened {
-			m.scratch[i] = bf16.Round(wireLane(wire, i) * in)
-		}
-		sum = treeReduceFloats(m.scratch)
+	acc, has := m.latches[latch].Float32(), m.hasValue[latch]
+	if !has {
+		acc = negZero
 	}
-	if sum != sum {
+	for c := 0; c < n; c++ {
+		var k int
+		acc, k = m.foldColumns(wire[2*m.lanes*c:], widened[m.lanes*c:m.lanes*n], acc)
+		c += k
+		has = has || k > 0
+		if c == n {
+			break
+		}
+		// Column c's sum is NaN.
+		if has {
+			m.latches[latch], m.hasValue[latch] = bf16.Num(math.Float32bits(acc)>>16), true
+		}
 		filter := make(bf16.Vector, m.lanes)
-		bf16.DecodeInto(filter, wire)
-		return m.AccumulateLatch(latch, filter, input, cycle, tmac)
+		bf16.DecodeInto(filter, wire[2*m.lanes*c:])
+		if err := m.AccumulateLatch(latch, filter, input[m.lanes*c:m.lanes*(c+1)], last, tmac); err != nil {
+			return err
+		}
+		acc, has = m.latches[latch].Float32(), true
 	}
-	if m.hasValue[latch] {
-		m.latches[latch] = bf16.FromFloat32(m.latches[latch].Float32() + sum)
-	} else {
-		m.latches[latch], m.hasValue[latch] = bf16.FromFloat32(sum), true
+	if has {
+		m.latches[latch], m.hasValue[latch] = bf16.Num(math.Float32bits(acc)>>16), true
 	}
-	m.Occupy(cycle, tmac)
+	m.Occupy(last, tmac)
 	return nil
+}
+
+// negZero is -0 as a float32.
+var negZero = math.Float32frombits(0x80000000)
+
+// foldColumns folds the column sums of a run into the widened latch acc
+// in column order, acc = round(acc + sum), and stops before the first
+// column whose sum is NaN. It returns acc and the number of columns
+// folded. At 16 lanes, the paper's, columnsAVX2 runs it where the CPU
+// has AVX2 (useAVX2), and this loop over the unrolled column16
+// elsewhere; the two return the same bits. Other widths run the generic
+// product loop. The chain rounds with roundFinite: every sum it adds
+// has zero low 16 bits, and so has acc.
+func (m *MACUnit) foldColumns(wire []byte, widened []float32, acc float32) (float32, int) {
+	if m.lanes == 16 && useAVX2 {
+		return columnsAVX2(wire, widened, acc)
+	}
+	n := len(widened) / m.lanes
+	for c := 0; c < n; c++ {
+		var sum float32
+		if m.lanes == 16 {
+			sum = column16((*[32]byte)(wire[32*c:]), (*[16]float32)(widened[16*c:]))
+		} else {
+			col, in := wire[2*m.lanes*c:], widened[m.lanes*c:]
+			for i := range m.scratch {
+				m.scratch[i] = bf16.Round(wireLane(col, i) * in[i])
+			}
+			sum = treeReduceFloats(m.scratch)
+		}
+		if sum != sum {
+			return acc, c
+		}
+		acc = roundFinite(acc + sum)
+	}
+	return acc, n
 }
 
 // wireLane decodes lane i of a wire-format column straight to float32.
@@ -230,9 +271,10 @@ func wireLane(wire []byte, i int) float32 {
 }
 
 // roundFinite is bf16.Round without its NaN branch, exact on what
-// column16 rounds: its operands have zero low 16 bits, so every NaN the
-// hardware makes from them is quiet with zero low 16 bits too, and the
-// increment leaves it the NaN Round would return.
+// column16 and the latch chain round: their operands have zero low 16
+// bits, so every NaN the hardware makes from them is quiet with zero
+// low 16 bits too, and the increment leaves it the NaN Round would
+// return.
 func roundFinite(f float32) float32 {
 	b := math.Float32bits(f)
 	b += 0x7FFF + (b>>16)&1
@@ -242,7 +284,7 @@ func roundFinite(f float32) float32 {
 // column16 is the 16-lane multiply and adder tree, unrolled: lane
 // products, then TreeReduce's adjacent pairing level by level, rounding
 // to bfloat16 after every multiply and every add. It is the fallback
-// where useAVX2 is false and the reference column16AVX2 is tested
+// where useAVX2 is false and the reference columnsAVX2 is tested
 // against.
 func column16(w *[32]byte, in *[16]float32) float32 {
 	p0, p1 := roundFinite(wireLane(w[:], 0)*in[0]), roundFinite(wireLane(w[:], 1)*in[1])
@@ -257,15 +299,6 @@ func column16(w *[32]byte, in *[16]float32) float32 {
 	s4, s5, s6, s7 := roundFinite(p8+p9), roundFinite(p10+p11), roundFinite(p12+p13), roundFinite(p14+p15)
 	t0, t1, t2, t3 := roundFinite(s0+s1), roundFinite(s2+s3), roundFinite(s4+s5), roundFinite(s6+s7)
 	return roundFinite(roundFinite(t0+t1) + roundFinite(t2+t3))
-}
-
-// WidenInto widens a bf16 vector into float32 lanes, the exact value
-// MulFloat would see for each element: the widened operand of
-// AccumulateColumn, computed once per input sub-chunk.
-func WidenInto(dst []float32, v bf16.Vector) {
-	for i, n := range v {
-		dst[i] = n.Float32()
-	}
 }
 
 // Occupy advances the drain horizon for a compute step issued at cycle

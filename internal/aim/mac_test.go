@@ -120,7 +120,7 @@ func TestMACFirstAccumulateReplacesZero(t *testing.T) {
 	}
 }
 
-// columnSpecials are the bf16 classes AccumulateColumn's exactness
+// columnSpecials are the bf16 classes accumulateColumns' exactness
 // leans on: signed zeros, infinities, NaNs with and without the quiet
 // bit and with distinct payloads, subnormals, and +-1.
 var columnSpecials = []uint16{
@@ -131,28 +131,43 @@ var columnSpecials = []uint16{
 	0x3F80, 0xBF80, // +-1
 }
 
-// columnStep runs one step through AccumulateColumn on fused and
-// through DecodeInto then AccumulateLatch on ref, and reports any
-// difference in latch bits, valid bit or drain horizon.
-func columnStep(fused, ref *MACUnit, latch int, filter, input bf16.Vector, widened []float32, cycle int64) error {
-	if err := ref.AccumulateLatch(latch, filter, input, cycle, 4); err != nil {
+// columnRun runs one run of columns through accumulateColumns on multi
+// and column by column through DecodeInto then AccumulateLatch on ref,
+// column c issued at cycle+c, and reports any difference in any
+// latch's bits or valid bit or in the drain horizon.
+func columnRun(multi, ref *MACUnit, latch int, filters, inputs []bf16.Vector, cycle int64) error {
+	var wire []byte
+	var input bf16.Vector
+	var widened []float32
+	for c := range filters {
+		if err := ref.AccumulateLatch(latch, filters[c], inputs[c], cycle+int64(c), 4); err != nil {
+			return err
+		}
+		wire = append(wire, filters[c].Bytes()...)
+		input = append(input, inputs[c]...)
+		for _, x := range inputs[c] {
+			widened = append(widened, x.Float32())
+		}
+	}
+	n := len(filters)
+	if err := multi.accumulateColumns(latch, wire, input, widened, cycle+int64(n-1), 4); err != nil {
 		return err
 	}
-	WidenInto(widened, input)
-	if err := fused.AccumulateColumn(latch, filter.Bytes(), input, widened, cycle, 4); err != nil {
-		return err
+	for l := 0; l < ref.Latches(); l++ {
+		want, wantHas := ref.LatchState(l)
+		if got, has := multi.LatchState(l); got != want || has != wantHas {
+			return fmt.Errorf("latch %d after %d columns: run %#04x/%v, AccumulateLatch %#04x/%v",
+				l, n, uint16(got), has, uint16(want), wantHas)
+		}
 	}
-	want, wantHas := ref.LatchState(latch)
-	got, has := fused.LatchState(latch)
-	if got != want || has != wantHas || fused.ReadyAt() != ref.ReadyAt() {
-		return fmt.Errorf("fused latch %#04x/%v ready %d, AccumulateLatch %#04x/%v ready %d",
-			uint16(got), has, fused.ReadyAt(), uint16(want), wantHas, ref.ReadyAt())
+	if multi.ReadyAt() != ref.ReadyAt() {
+		return fmt.Errorf("after %d columns: run ready %d, AccumulateLatch ready %d", n, multi.ReadyAt(), ref.ReadyAt())
 	}
 	return nil
 }
 
-// columnFallsBack reports whether AccumulateColumn must hand a step to
-// AccumulateLatch: whether its column sum is NaN, which does not
+// columnFallsBack reports whether accumulateColumns must hand a column
+// to AccumulateLatch: whether its column sum is NaN, which does not
 // depend on the order operands meet in.
 func columnFallsBack(filter, input bf16.Vector) bool {
 	products := make(bf16.Vector, len(filter))
@@ -162,16 +177,20 @@ func columnFallsBack(filter, input bf16.Vector) bool {
 	return TreeReduce(products).IsNaN()
 }
 
-// TestAccumulateColumnMatchesAccumulateLatch holds the fused wire-format
-// step bit-identical to DecodeInto then AccumulateLatch — latch value,
-// valid bit and drain horizon — over random accumulation sequences at
-// 4, 8 and 16 lanes (the unrolled 16-lane body and the generic loop).
-// Half the trials draw finite values in [-1, 1); the other half salt
-// raw bit patterns with the special values whose rounding and
+// TestAccumulateColumnMatchesAccumulateLatch holds the multi-column
+// wire-format step bit-identical to DecodeInto then AccumulateLatch
+// applied column by column — every latch's value and valid bit, and the
+// drain horizon — over random sequences of runs (1 to 8 columns, now
+// and then a whole 32-column row) at 4, 8 and 16 lanes (the 16-lane
+// kernels and the generic loop), into latch 0 or latch 3 of a 4-latch
+// unit, a third of them onto a latch preloaded as WR_BIAS would. Half
+// the trials draw finite values in [-1, 1); the other half salt raw bit
+// patterns with the special values whose rounding and
 // payload-propagation behavior the event core's exactness leans on.
-// Both the fast path and the NaN-sum fallback must run at every lane
-// count. The whole run repeats with each 16-lane column step the CPU
-// can run: the AVX2 kernel and column16.
+// Both the kernel's sums and the NaN-sum fallback must run at every
+// lane count, and NaN sums must fall on the first, a middle and the
+// last column of a run. The whole run repeats with each 16-lane kernel
+// the CPU can run: the AVX2 kernel and columns16.
 func TestAccumulateColumnMatchesAccumulateLatch(t *testing.T) {
 	for _, k := range columnKernels(t) {
 		t.Run(k.name, func(t *testing.T) {
@@ -179,13 +198,13 @@ func TestAccumulateColumnMatchesAccumulateLatch(t *testing.T) {
 			accumulateColumnMatchesAccumulateLatch(t)
 		})
 	}
-	widened := make([]float32, 16)
 	m := NewMACUnit(16)
-	if err := m.AccumulateColumn(1, make([]byte, 32), make(bf16.Vector, 16), widened, 0, 4); err == nil {
+	widened := make([]float32, 32)
+	if err := m.accumulateColumns(1, make([]byte, 64), make(bf16.Vector, 32), widened, 0, 4); err == nil {
 		t.Error("latch 1 of a one-latch unit accepted")
 	}
-	if err := m.AccumulateColumn(0, make([]byte, 16), make(bf16.Vector, 16), widened, 0, 4); err == nil {
-		t.Error("half-width column accepted")
+	if err := m.accumulateColumns(0, make([]byte, 48), make(bf16.Vector, 32), widened, 0, 4); err == nil {
+		t.Error("a run with a half-width column accepted")
 	}
 }
 
@@ -203,53 +222,72 @@ func accumulateColumnMatchesAccumulateLatch(t *testing.T) {
 		return bf16.FromBits(uint16(rng.Uint32()))
 	}
 	for _, lanes := range []int{4, 8, 16} {
-		widened := make([]float32, lanes)
 		fast, fallback := 0, 0
+		var nanAt [3]int // NaN sums at the first, a middle and the last column of a run
 		for trial := 0; trial < 1000; trial++ {
 			finite := trial%2 == 1
-			ref := NewMACUnitWithLatches(lanes, 2)
-			fused := NewMACUnitWithLatches(lanes, 2)
-			latch := trial / 2 % 2
+			ref := NewMACUnitWithLatches(lanes, 4)
+			multi := NewMACUnitWithLatches(lanes, 4)
+			latch := 3 * (trial / 2 % 2)
 			if trial%3 == 1 {
 				// Start from a preloaded bias, as WR_BIAS would.
 				bias := randNum(finite)
 				if err := ref.PreloadLatch(latch, bias); err != nil {
 					t.Fatal(err)
 				}
-				if err := fused.PreloadLatch(latch, bias); err != nil {
+				if err := multi.PreloadLatch(latch, bias); err != nil {
 					t.Fatal(err)
 				}
 			}
-			steps := 1 + rng.Intn(8)
-			for s := 0; s < steps; s++ {
-				filter := make(bf16.Vector, lanes)
-				input := make(bf16.Vector, lanes)
-				for i := 0; i < lanes; i++ {
-					filter[i] = randNum(finite)
-					input[i] = randNum(finite)
+			cycle := int64(0)
+			for runs := 1 + rng.Intn(3); runs > 0; runs-- {
+				n := 1 + rng.Intn(8)
+				if rng.Intn(8) == 0 {
+					n = 32
 				}
-				if columnFallsBack(filter, input) {
+				filters, inputs := make([]bf16.Vector, n), make([]bf16.Vector, n)
+				for c := range filters {
+					filters[c], inputs[c] = make(bf16.Vector, lanes), make(bf16.Vector, lanes)
+					for i := 0; i < lanes; i++ {
+						filters[c][i] = randNum(finite)
+						inputs[c][i] = randNum(finite)
+					}
+					switch {
+					case !columnFallsBack(filters[c], inputs[c]):
+						fast++
+						continue
+					case c == 0:
+						nanAt[0]++
+					case c == n-1:
+						nanAt[2]++
+					default:
+						nanAt[1]++
+					}
 					fallback++
-				} else {
-					fast++
 				}
-				if err := columnStep(fused, ref, latch, filter, input, widened, int64(10*s)); err != nil {
-					t.Fatalf("lanes %d trial %d step %d: %v", lanes, trial, s, err)
+				if err := columnRun(multi, ref, latch, filters, inputs, cycle); err != nil {
+					t.Fatalf("lanes %d trial %d latch %d: %v", lanes, trial, latch, err)
 				}
+				cycle += 10 * int64(n)
 			}
 		}
 		if fast == 0 || fallback == 0 {
-			t.Errorf("lanes %d: %d fast-path and %d fallback steps, want both above 0", lanes, fast, fallback)
+			t.Errorf("lanes %d: %d kernel and %d fallback columns, want both above 0", lanes, fast, fallback)
+		}
+		if nanAt[0] == 0 || nanAt[1] == 0 || nanAt[2] == 0 {
+			t.Errorf("lanes %d: NaN sums at the first, a middle and the last column of a run %v times, want each above 0", lanes, nanAt)
 		}
 	}
 }
 
-// FuzzAccumulateColumn holds AccumulateColumn to DecodeInto then
-// AccumulateLatch on arbitrary bit patterns. The first byte picks the
-// lane count (4, 8 or 16), the latch (of two) and whether a bias is
-// preloaded, from the next two bytes; the rest is read as a sequence of
-// steps, each a filter column then an input sub-chunk of 2*lanes bytes.
+// FuzzAccumulateColumn holds accumulateColumns to DecodeInto then
+// AccumulateLatch column by column on arbitrary bit patterns. The first
+// byte picks the lane count (4, 8 or 16), the latch (0 or 3 of four)
+// and whether a bias is preloaded, from the next two bytes; the rest is
+// read as one run of columns, each a filter column then an input
+// sub-chunk of 2*lanes bytes.
 func FuzzAccumulateColumn(f *testing.F) {
+	// seed builds an input; latch 1 selects latch 3.
 	seed := func(lanesIdx, latch int, bias *uint16, steps ...[]uint16) []byte {
 		head := lanesIdx + 3*latch
 		var data []byte
@@ -301,6 +339,20 @@ func FuzzAccumulateColumn(f *testing.F) {
 	// ties-to-even rounding carries the largest finite value to +Inf.
 	f.Add(seed(2, 0, nil, column(0, map[int]uint16{0: 0x7F7F, 16: 0x4000})))
 	f.Add(seed(2, 0, nil, column(0, map[int]uint16{0: 0x7F7F, 16: 0x3F80, 1: 0x7B00, 17: 0x3F80})))
+	// A NaN sum in the middle and at the end of a three-column run.
+	nanCol := column(one, map[int]uint16{2: 0xFFA5})
+	f.Add(seed(2, 0, nil, column(one, nil), nanCol, column(one, nil)))
+	f.Add(seed(2, 1, nil, column(one, nil), column(one, nil), nanCol))
+	// Sums of -0 (every product -0 * 1) onto a latch with no value,
+	// which must then read -0: an empty latch starts the chain at -0,
+	// as -0 + -0 is -0 where +0 + -0 would read +0.
+	negZeros := column(0x8000, nil)
+	for i := 16; i < 32; i++ {
+		negZeros[i] = one
+	}
+	f.Add(seed(2, 0, nil, negZeros))
+	f.Add(seed(2, 1, nil, negZeros, negZeros))
+	f.Add(seed(0, 0, nil, negZeros[:4], negZeros[16:20]))
 	kernels := columnKernels(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -308,12 +360,12 @@ func FuzzAccumulateColumn(f *testing.F) {
 		}
 		head := data[0]
 		lanes := []int{4, 8, 16}[head%3]
-		latch := int(head/3) % 2
+		latch := 3 * (int(head/3) % 2)
 		for _, k := range kernels {
 			useAVX2 = k.avx2
 			data := data[1:]
-			ref := NewMACUnitWithLatches(lanes, 2)
-			fused := NewMACUnitWithLatches(lanes, 2)
+			ref := NewMACUnitWithLatches(lanes, 4)
+			multi := NewMACUnitWithLatches(lanes, 4)
 			if head/6%2 == 1 {
 				if len(data) < 2 {
 					return
@@ -323,54 +375,56 @@ func FuzzAccumulateColumn(f *testing.F) {
 				if err := ref.PreloadLatch(latch, bias); err != nil {
 					t.Fatal(err)
 				}
-				if err := fused.PreloadLatch(latch, bias); err != nil {
+				if err := multi.PreloadLatch(latch, bias); err != nil {
 					t.Fatal(err)
 				}
 			}
-			widened := make([]float32, lanes)
-			for s := 0; len(data) >= 4*lanes; s++ {
-				filter := make(bf16.Vector, lanes)
-				input := make(bf16.Vector, lanes)
+			var filters, inputs []bf16.Vector
+			for len(data) >= 4*lanes {
+				filter, input := make(bf16.Vector, lanes), make(bf16.Vector, lanes)
 				bf16.DecodeInto(filter, data)
 				bf16.DecodeInto(input, data[2*lanes:])
 				data = data[4*lanes:]
-				if err := columnStep(fused, ref, latch, filter, input, widened, int64(10*s)); err != nil {
-					t.Fatalf("%s lanes %d latch %d step %d: %v", k.name, lanes, latch, s, err)
-				}
+				filters, inputs = append(filters, filter), append(inputs, input)
+			}
+			if len(filters) == 0 {
+				return
+			}
+			if err := columnRun(multi, ref, latch, filters, inputs, 0); err != nil {
+				t.Fatalf("%s lanes %d latch %d: %v", k.name, lanes, latch, err)
 			}
 		}
 	})
 }
 
-// BenchmarkAccumulateColumn times one column access across a channel's
-// 16 banks, as eventExec.compute runs a COMP: one widened input
-// sub-chunk shared by every bank's fused step over its own column of
-// finite values, once per 16-lane column step the CPU can run.
+// BenchmarkAccumulateColumn times one DRAM row of a channel's 16 banks,
+// 32 columns of finite values each, as a row step runs it: one
+// accumulateColumns call per bank over the same 32 input sub-chunks,
+// once per 16-lane kernel the CPU can run.
 func BenchmarkAccumulateColumn(b *testing.B) {
-	const banks, lanes = 16, 16
+	const banks, lanes, cols = 16, 16, 32
 	rng := rand.New(rand.NewSource(3))
 	finite := func() bf16.Vector {
-		v := make(bf16.Vector, lanes)
+		v := make(bf16.Vector, cols*lanes)
 		for i := range v {
 			v[i] = bf16.FromFloat32(rng.Float32()*2 - 1)
 		}
 		return v
 	}
 	units := newMACUnits(banks, lanes, 1)
-	cols := make([][]byte, banks)
-	for i := range cols {
-		cols[i] = finite().Bytes()
+	rows := make([][]byte, banks)
+	for i := range rows {
+		rows[i] = finite().Bytes()
 	}
 	input := finite()
-	widened := make([]float32, lanes)
-	WidenInto(widened, input)
+	widened := input.Float32Slice()
 	for _, k := range columnKernels(b) {
 		b.Run(k.name, func(b *testing.B) {
 			useAVX2 = k.avx2
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for bank := range units {
-					if err := units[bank].AccumulateColumn(0, cols[bank], input, widened, int64(i), 4); err != nil {
+					if err := units[bank].accumulateColumns(0, rows[bank], input, widened, int64(i), 4); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -391,21 +445,5 @@ func TestOccupyAdvancesDrainOnly(t *testing.T) {
 	}
 	if _, has := m.LatchState(0); has {
 		t.Error("Occupy set the latch's valid bit")
-	}
-}
-
-// TestWidenIntoExact holds WidenInto to Num.Float32 bit equality.
-func TestWidenIntoExact(t *testing.T) {
-	v := make(bf16.Vector, 256)
-	for i := range v {
-		v[i] = bf16.FromBits(uint16(i * 257)) // covers all byte patterns incl. NaNs
-	}
-	dst := make([]float32, len(v))
-	WidenInto(dst, v)
-	for i, n := range v {
-		if got, want := dst[i], n.Float32(); got != want &&
-			!(got != got && want != want) { // NaN widens to NaN
-			t.Fatalf("lane %d: widened %x to %v, want %v", i, uint16(n), got, want)
-		}
 	}
 }

@@ -33,6 +33,7 @@ func TestGlobalBufferEWOp(t *testing.T) {
 			t.Fatalf("mul lane %d = %v, want %v", i, got[i].Float32(), want.Float32())
 		}
 	}
+	checkWidened(t, g, 0, 1, got)
 	if err := g.EWOp(0, 1, false); err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +43,7 @@ func TestGlobalBufferEWOp(t *testing.T) {
 			t.Fatalf("add lane %d = %v, want %v", i, got[i].Float32(), want.Float32())
 		}
 	}
+	checkWidened(t, g, 0, 2, append(got, b...))
 	// Both operands must be valid slots.
 	if err := g.EWOp(0, 5, true); err == nil {
 		t.Error("EWOp with unwritten source accepted")

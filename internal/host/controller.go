@@ -468,8 +468,13 @@ func (c *Controller) activateRow(x *eventExec, dramRow int) error {
 
 // computeRow issues the compute commands consuming `slots` sub-chunks
 // of the open row in every bank, accumulating into the given result
-// latch, expanded according to the gang/complex optimization flags.
+// latch, expanded according to the gang/complex optimization flags. A
+// ganged COMP row runs as one row step where the issuer allows it
+// (eventExec.canRowStep).
 func (c *Controller) computeRow(x *eventExec, slots, latch int) error {
+	if c.opts.GangedCompute && c.opts.ComplexCommands && x.canRowStep(slots, latch) {
+		return x.rowStep(slots, latch)
+	}
 	banks := c.cfg.Geometry.Banks
 	// x.issue is called directly with each command literal: a wrapping
 	// closure would add an 80-byte Command copy to every compute command.

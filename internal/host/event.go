@@ -23,8 +23,12 @@ import (
 //     up in one closed-form batch instead of a per-interval loop;
 //   - applies each command's datapath effect to the engine's own state —
 //     MAC units, pending BCAST/COLRD registers, global buffer — through
-//     aim.Engine.Apply, except that COMP columns accumulate through the
-//     fused MACUnit.AccumulateColumn straight from the banks' open rows;
+//     aim.Engine.Apply, except COMP and COMP_BK: aim.Engine.AccumulateColumns
+//     reads their columns straight from the banks' open rows, and a ganged
+//     COMP row runs as one row step (rowStep): its COMPs issue one by one,
+//     then its arithmetic runs once, one kernel call per bank over the
+//     row's columns. A Trace hook, which may rewrite a column right after
+//     the COMP that read it, makes compute run column by column;
 //   - memoizes, within RunMVM only, the per-READRES result frames per
 //     (channel, placement): a later run with the same input vector,
 //     bank contents and initial latch state replays recorded frames and
@@ -42,8 +46,9 @@ import (
 // differential tests in event_test.go, the experiments differential
 // test and FuzzEventCore hold the two modes byte-identical (outputs,
 // cycles, stats, expositions, command streams), so they isolate exactly
-// the fused kernel, the memo and the refresh batch. Timing itself has
-// one implementation, checked independently by internal/conformance.
+// the row step and its kernel, the memo and the refresh batch. Timing
+// itself has one implementation, checked independently by
+// internal/conformance.
 
 // memoRecord is one placement's memoized run: the key (input vector,
 // bank-content versions, initial latch state) and the recorded
@@ -71,11 +76,17 @@ type eventExec struct {
 	// arithmetic, no memo, refreshes REF by REF.
 	ref bool
 
-	// widScratch holds the widened input sub-chunk for the slot widSlot
-	// (-1 = none), shared by all banks of a COMP and by the per-bank
-	// COMPBank commands on the same column.
-	widScratch []float32
-	widSlot    int
+	// inRow is set while rowStep issues a ganged COMP row: issue then
+	// leaves each COMP's arithmetic to the row's end, counting in rowCols
+	// the COMPs the channel accepted and keeping the latest one's cycle
+	// in rowLast.
+	inRow   bool
+	rowCols int
+	rowLast int64
+	// rowSteps counts row steps and columnSteps the COMP and COMP_BK
+	// commands whose arithmetic ran alone, so tests can assert which
+	// arithmetic ran.
+	rowSteps, columnSteps int64
 
 	resScratch bf16.Vector
 	latchKey   []uint32 // memoValid's packed latch state
@@ -106,8 +117,6 @@ func (c *Controller) eventFor(ch int) *eventExec {
 		banks:      g.Banks,
 		latches:    c.opts.Latches(),
 		ref:        c.opts.Oracle,
-		widScratch: make([]float32, g.ColBits/16),
-		widSlot:    -1,
 		resScratch: make(bf16.Vector, g.Banks),
 		latchKey:   make([]uint32, 0, g.Banks*c.opts.Latches()),
 		memo:       make(map[*layout.Placement]*memoRecord),
@@ -116,13 +125,10 @@ func (c *Controller) eventFor(ch int) *eventExec {
 	return x
 }
 
-// begin prepares the issuer for one RunMVM: drop the widened-input
-// cache (code holding Controller.Engine may have written the global
-// buffer without going through the issuer) and, outside the reference
+// begin prepares the issuer for one RunMVM: outside the reference
 // mode, decide between replaying the placement's memo and recording a
 // fresh one.
 func (x *eventExec) begin(p *layout.Placement, v bf16.Vector) {
-	x.widSlot = -1
 	x.place = p
 	x.frame = 0
 	if x.ref {
@@ -194,9 +200,10 @@ func (x *eventExec) finishRun(ok bool) {
 // applies the command's timing through the channel's timed path, then
 // its datapath effect: RD returns the open-row column view (valid until
 // the row's next write; callers that modify or keep it must copy), WR
-// stores, COMP and COMP_BK take the fused step outside the reference
-// mode, a memo replay skips the arithmetic, and every other kind goes
-// through Engine.Apply. Then it reports the command to the taps. The
+// stores, COMP and COMP_BK run Engine.AccumulateColumns over their one
+// column outside the reference mode (a row step's COMPs leave it to the
+// row's end), a memo replay skips the arithmetic, and every other kind
+// goes through Engine.Apply. Then it reports the command to the taps. The
 // timing walk takes cmd by pointer — the per-command copies of the
 // 80-byte Command struct are the dominant cost of a warm
 // (memo-replaying) run otherwise — so the kind and bank are saved
@@ -227,11 +234,16 @@ func (x *eventExec) issue(cmd dram.Command) (aim.Result, error) {
 		// contents — conservative and correct.
 		err = x.dch.Bank(bank).WriteColumn(cmd.Col, cmd.Data)
 
+	case kind == dram.KindCOMP && x.inRow:
+		x.rowCols, x.rowLast = x.rowCols+1, at
+
 	case kind == dram.KindCOMP && !x.ref:
-		err = x.compute(0, x.banks, cmd.Col, cmd.Latch, at)
+		x.columnSteps++
+		err = x.compute(0, x.banks, cmd.Latch, cmd.Col, cmd.Col+1, at)
 
 	case kind == dram.KindCOMPBank && !x.ref:
-		err = x.compute(bank, bank+1, cmd.Col, cmd.Latch, at)
+		x.columnSteps++
+		err = x.compute(bank, bank+1, cmd.Latch, cmd.Col, cmd.Col+1, at)
 
 	case kind == dram.KindMAC && x.replay != nil:
 		lo, hi := x.e.BankSpan(bank)
@@ -244,10 +256,6 @@ func (x *eventExec) issue(cmd dram.Command) (aim.Result, error) {
 
 	default:
 		out, err = x.e.Apply(cmd, at)
-		switch kind {
-		case dram.KindGWRITE, dram.KindEWMUL, dram.KindEWADD, dram.KindCOPYBKGB:
-			x.widSlot = -1 // the command rewrote a buffer slot
-		}
 	}
 	if err != nil {
 		return aim.Result{}, err
@@ -287,35 +295,59 @@ func (x *eventExec) readMemo(latch int) (bf16.Vector, error) {
 	return x.resScratch, nil
 }
 
-// compute applies one COMP/COMPBank column access to banks [lo, hi):
-// the fused step on each bank's MAC unit over its open row's column, or,
-// on a memo replay, only the drain horizon.
-func (x *eventExec) compute(lo, hi, col, lt int, at int64) error {
-	tmac := x.c.cfg.Timing.TMAC
+// compute runs the COMP arithmetic of columns [from, to) of banks
+// [lo, hi) into latch, the latest COMP issued at last, through
+// Engine.AccumulateColumns, or, on a memo replay, only pushes the drain
+// horizons.
+func (x *eventExec) compute(lo, hi, latch, from, to int, last int64) error {
 	if x.replay != nil {
+		tmac := x.c.cfg.Timing.TMAC
 		for b := lo; b < hi; b++ {
-			x.e.MAC(b).Occupy(at, tmac)
+			x.e.MAC(b).Occupy(last, tmac)
 		}
 		return nil
 	}
-	input, err := x.e.GlobalBuffer().SubChunkView(col)
-	if err != nil {
+	return x.e.AccumulateColumns(lo, hi, latch, from, to, last)
+}
+
+// canRowStep reports whether a ganged COMP row over slots [0, slots)
+// into latch may run its arithmetic as one row step. Not in the
+// reference mode. Not under a Trace hook, which may rewrite a column
+// right after the COMP that read it (the transient injector does), so
+// a row step at the row's end would read the rewritten bits. And not
+// when the arithmetic would fail, on a latch out of range or a slot
+// never written: column by column, the error surfaces at the COMP where
+// the reference mode raises it, with the same clock and stats.
+func (x *eventExec) canRowStep(slots, latch int) bool {
+	if x.ref || x.c.Trace != nil || latch < 0 || latch >= x.latches {
+		return false
+	}
+	_, _, err := x.e.GlobalBuffer().SubChunks(0, slots)
+	return err == nil
+}
+
+// rowStep issues a ganged COMP row, columns [0, slots) into latch, one
+// COMP at a time through issue, with every COMP's timing, stats and
+// taps, then runs the row's arithmetic in one Engine.AccumulateColumns
+// call: one kernel call per bank over its open row's columns. A COMP
+// that fails still leaves the latches where the column-by-column path
+// leaves them: the arithmetic of every COMP whose timing the channel
+// accepted runs before the error returns.
+func (x *eventExec) rowStep(slots, latch int) error {
+	x.inRow, x.rowCols = true, 0
+	var err error
+	for s := 0; s < slots && err == nil; s++ {
+		_, err = x.issue(dram.Command{Kind: dram.KindCOMP, Col: s, Latch: latch})
+	}
+	x.inRow = false
+	if x.rowCols == 0 {
 		return err
 	}
-	if x.widSlot != col {
-		aim.WidenInto(x.widScratch, input)
-		x.widSlot = col
+	x.rowSteps++
+	if aerr := x.compute(0, x.banks, latch, 0, x.rowCols, x.rowLast); err == nil {
+		err = aerr
 	}
-	for b := lo; b < hi; b++ {
-		wire, err := x.dch.Bank(b).ColumnView(col)
-		if err != nil {
-			return err
-		}
-		if err := x.e.MAC(b).AccumulateColumn(lt, wire, input, x.widScratch, at, tmac); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // maybeRefresh runs before each operation estimated at est cycles.

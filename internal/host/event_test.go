@@ -380,10 +380,13 @@ func TestEventCoreObsExpositionMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestEventModeGating pins that only Options.Oracle selects the
-// issuer's reference mode: under Verify, a Trace hook, or an engine or
-// channel observer, RunMVM keeps the fused arithmetic, and the taps see
-// its command stream.
+// TestEventModeGating pins which arithmetic RunMVM's compute rows run.
+// Only Options.Oracle selects the issuer's reference mode. Plain, under
+// Verify and under an engine or channel observer, every ganged COMP row
+// runs as one row step; under a Trace hook, which may rewrite a column
+// right after the COMP that read it, every COMP runs column by column.
+// A silent fallback from the row step fails the test, and the taps must
+// see the command stream.
 func TestEventModeGating(t *testing.T) {
 	cfg := testCfg()
 	m := layout.RandomMatrix(32, 256, 3)
@@ -394,20 +397,21 @@ func TestEventModeGating(t *testing.T) {
 	oracle.Oracle = true
 	var seen int
 	count := obsFunc(func(dram.Command, int64) { seen++ })
+	const row, column, reference = "row step", "column by column", "reference"
 	for _, tc := range []struct {
 		name   string
 		opts   Options
 		attach func(c *Controller)
-		event  bool
+		arith  string
 	}{
-		{"plain", Newton(), nil, true},
-		{"verify", verify, nil, true},
+		{"plain", Newton(), nil, row},
+		{"verify", verify, nil, row},
 		{"trace", Newton(), func(c *Controller) {
 			c.Trace = func(int, dram.Command, int64, aim.Result) { seen++ }
-		}, true},
-		{"engine-observer", Newton(), func(c *Controller) { c.Engine(1).SetObserver(count) }, true},
-		{"channel-observer", Newton(), func(c *Controller) { c.Engine(0).Channel().SetObserver(count) }, true},
-		{"oracle", oracle, nil, false},
+		}, column},
+		{"engine-observer", Newton(), func(c *Controller) { c.Engine(1).SetObserver(count) }, row},
+		{"channel-observer", Newton(), func(c *Controller) { c.Engine(0).Channel().SetObserver(count) }, row},
+		{"oracle", oracle, nil, reference},
 	} {
 		seen = 0
 		c, err := NewController(cfg, tc.opts)
@@ -428,8 +432,20 @@ func TestEventModeGating(t *testing.T) {
 		for ch, x := range c.events {
 			if x == nil {
 				t.Errorf("%s: channel %d ran without an issuer", tc.name, ch)
-			} else if x.ref == tc.event {
-				t.Errorf("%s: channel %d used the reference arithmetic: %v, want %v", tc.name, ch, x.ref, !tc.event)
+				continue
+			}
+			ran := ""
+			switch {
+			case x.ref && x.rowSteps == 0 && x.columnSteps == 0:
+				ran = reference
+			case !x.ref && x.rowSteps > 0 && x.columnSteps == 0:
+				ran = row
+			case !x.ref && x.rowSteps == 0 && x.columnSteps > 0:
+				ran = column
+			}
+			if ran != tc.arith {
+				t.Errorf("%s: channel %d ran %d row steps and %d column steps (reference mode %v), want %s",
+					tc.name, ch, x.rowSteps, x.columnSteps, x.ref, tc.arith)
 			}
 		}
 		if tc.attach != nil && seen == 0 {
@@ -438,6 +454,107 @@ func TestEventModeGating(t *testing.T) {
 		if s := c.Conformance(); s != nil && s.Commands() != res.Stats.TotalCommands() {
 			t.Errorf("%s: checker saw %d commands, the run issued %d", tc.name, s.Commands(), res.Stats.TotalCommands())
 		}
+	}
+}
+
+// TestComputeRowErrorMatchesOracle holds a ganged compute row that
+// fails to the reference mode, through the ISR hook IssueCompute on a
+// placed matrix's open row. With 4 of the row's 8 global-buffer slots
+// written the row fails at its fifth COMP, with latch 5 on a one-latch
+// channel at its first, and with a Verify violation recorded during its
+// third COMP (by a channel observer, which keeps the row step) at that
+// COMP's tap. Each time the default mode must return the reference
+// mode's error and leave the same channel clock, stats, latches and
+// drain horizon.
+func TestComputeRowErrorMatchesOracle(t *testing.T) {
+	cfg := testCfg()
+	m := layout.RandomMatrix(32, 512, 5)
+	type outcome struct {
+		err      string
+		now      int64
+		stats    dram.Stats
+		latches  []uint32
+		drain    int64
+		rowSteps int64
+	}
+	run := func(opts Options, written, latch, violateAt int) outcome {
+		c, err := NewController(cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.Place(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.IssueActivate(0, p.RowFor(0, 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < written; s++ {
+			gw := dram.Command{Kind: dram.KindGWRITE, Col: s, Data: randomVector(16, int64(s)).Bytes()}
+			if _, _, err := c.IssueCommand(0, gw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		comps := 0
+		c.Engine(0).Channel().SetObserver(obsFunc(func(cmd dram.Command, cycle int64) {
+			if cmd.Kind != dram.KindCOMP {
+				return
+			}
+			if comps++; comps == violateAt {
+				// An ACT to an open bank: a violation the checker reports
+				// at this COMP's tap.
+				c.Conformance().Channel(0).Observe(dram.Command{Kind: dram.KindACT, Bank: 0, Row: 1}, cycle)
+			}
+		}))
+		var o outcome
+		if err := c.IssueCompute(0, 8, latch); err != nil {
+			o.err = err.Error()
+		}
+		o.now, o.stats, o.drain = c.ChannelNow(0), c.Stats(), c.Engine(0).DrainHorizon()
+		o.rowSteps = c.events[0].rowSteps
+		for b := 0; b < cfg.Geometry.Banks; b++ {
+			o.latches = append(o.latches, packLatch(c.Engine(0).MAC(b).LatchState(0)))
+		}
+		return o
+	}
+	verify := Newton()
+	verify.Verify = true
+	for _, tc := range []struct {
+		name                      string
+		opts                      Options
+		written, latch, violateAt int
+		wantCOMPs, wantRowSteps   int64
+	}{
+		{"unwritten slot", Newton(), 4, 0, 0, 5, 0},
+		{"latch out of range", Newton(), 8, 5, 0, 1, 0},
+		{"verify violation", verify, 8, 0, 3, 3, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			or := tc.opts
+			or.Oracle = true
+			ev, want := run(tc.opts, tc.written, tc.latch, tc.violateAt), run(or, tc.written, tc.latch, tc.violateAt)
+			if want.err == "" {
+				t.Fatal("the reference mode's row did not fail")
+			}
+			if ev.err != want.err {
+				t.Errorf("error %q, reference mode %q", ev.err, want.err)
+			}
+			if ev.now != want.now || ev.drain != want.drain {
+				t.Errorf("clock %d and drain horizon %d, reference mode %d and %d", ev.now, ev.drain, want.now, want.drain)
+			}
+			if ev.stats != want.stats {
+				t.Errorf("stats differ:\ndefault:   %+v\nreference: %+v", ev.stats, want.stats)
+			}
+			if got := want.stats.Count(dram.KindCOMP); got != tc.wantCOMPs {
+				t.Errorf("the reference mode counted %d COMPs, want %d", got, tc.wantCOMPs)
+			}
+			if !reflect.DeepEqual(ev.latches, want.latches) {
+				t.Errorf("latches %x, reference mode %x", ev.latches, want.latches)
+			}
+			if ev.rowSteps != tc.wantRowSteps {
+				t.Errorf("%d row steps, want %d", ev.rowSteps, tc.wantRowSteps)
+			}
+		})
 	}
 }
 

@@ -103,8 +103,10 @@ func (c *Controller) IssueActivate(ch, dramRow int) error {
 
 // IssueCompute issues the compute sequence consuming `slots` sub-chunks
 // of the open row in every bank of channel ch, accumulating into the
-// given result latch, expanded per the gang/complex flags: the fused
-// compute step, or the reference arithmetic under Options.Oracle.
+// given result latch, expanded per the gang/complex flags: a ganged COMP
+// row as one row step where the issuer allows it, or the reference
+// arithmetic under Options.Oracle. A row that fails does so at the COMP,
+// clock and stats the reference mode fails at.
 func (c *Controller) IssueCompute(ch, slots, latch int) error {
 	if err := c.checkChannel(ch); err != nil {
 		return err

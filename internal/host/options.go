@@ -69,7 +69,7 @@ type Options struct {
 	// Oracle selects the reference mode of the controller's one
 	// command issuer, for every command a Controller method sends:
 	// COMP and COMP_BK use the reference arithmetic (DecodeInto then
-	// AccumulateLatch) instead of the fused column step, RunMVM keeps
+	// AccumulateLatch, COMP by COMP) instead of the row step, RunMVM keeps
 	// no READRES memo, and refresh catch-up issues REF by REF instead
 	// of in one closed-form batch. Timing has one implementation either
 	// way. The two modes are byte-identical in outputs, cycles, stats,
