@@ -28,8 +28,7 @@ type Table struct {
 // Cell is one value in its text and CSV forms.
 type Cell struct{ Text, CSV string }
 
-// cellf prints a number with a text format and, in CSV, to six
-// significant digits.
+// cellf prints a number with a text format and, in CSV, as f does.
 func cellf(format string, v float64) Cell { return Cell{fmt.Sprintf(format, v), f(v)} }
 
 // cellInt prints an integer the same way in both forms.
@@ -38,7 +37,9 @@ func cellInt(v int64) Cell { return cellStr(d(v)) }
 // cellStr prints a label the same way in both forms.
 func cellStr(s string) Cell { return Cell{s, s} }
 
-func f(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+// f prints a CSV float in the shortest form that reads back as the
+// same float64, every digit JSON carries.
+func f(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 func d(v int64) string   { return strconv.FormatInt(v, 10) }
 
 // records returns the header and the rows in one form, text or CSV,
