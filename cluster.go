@@ -281,8 +281,9 @@ func (c Config) NewServer(cc ClusterConfig) (*Cluster, error) {
 // NewCluster places models on whole devices: one full simulated device
 // (with c's channels and options) per replica, standby and slice,
 // named "<backend>-<i>" in fleet order, with replica failover rings and
-// the router placement. Replicas of a model share one calibrated table
-// (their devices are identical), so fleet construction costs one
+// the router placement. Replicas of a model, and a row-split model's
+// slices of equal size, share one calibrated table (their devices and
+// seeded weights are identical), so fleet construction costs one
 // calibration per distinct shape, run on a worker pool. NewCluster
 // rejects the partition fields (Channels, Retry, FailAt, FailoverTo).
 func (c Config) NewCluster(cc ClusterConfig) (*Cluster, error) {
@@ -321,6 +322,8 @@ func (c Config) NewCluster(cc ClusterConfig) (*Cluster, error) {
 			if m.Rows < m.SplitAcross {
 				return nil, fmt.Errorf("newton: model %q has %d rows, splits across %d devices", m.Name, m.Rows, m.SplitAcross)
 			}
+			// The first rem slices take base+1 rows and the rest base, so
+			// slices 0 and rem start the runs of equal shape.
 			base, rem := m.Rows/m.SplitAcross, m.Rows%m.SplitAcross
 			pl := cluster.Placement{Model: mi}
 			for s := 0; s < m.SplitAcross; s++ {
@@ -328,10 +331,12 @@ func (c Config) NewCluster(cc ClusterConfig) (*Cluster, error) {
 				if s < rem {
 					rows++
 				}
-				tasks = append(tasks, calTask{model: mi, shape: serve.ModelShape{
-					Name: fmt.Sprintf("%s[%d/%d]", m.Name, s, m.SplitAcross),
-					Rows: rows, Cols: m.Cols,
-				}})
+				if s == 0 || s == rem {
+					tasks = append(tasks, calTask{model: mi, shape: serve.ModelShape{
+						Name: fmt.Sprintf("%s[%d/%d]", m.Name, s, m.SplitAcross),
+						Rows: rows, Cols: m.Cols,
+					}})
+				}
 				pl.Slices = append(pl.Slices, len(devs))
 				devs = append(devs, devPlan{model: mi, task: len(tasks) - 1, failTo: -1})
 			}
@@ -362,8 +367,8 @@ func (c Config) NewCluster(cc ClusterConfig) (*Cluster, error) {
 		placements = append(placements, pl)
 	}
 
-	// Calibrate one backend per task, in parallel; replicas share the
-	// resulting table, slices each get their own.
+	// Calibrate one backend per task, in parallel; replicas and
+	// equal-size slices share the resulting table.
 	depth := calibrationDepth(cc.CalibrateBatches, cc.Options.MaxBatch)
 	backends := make([]cluster.Backend, len(tasks))
 	if err := par.ForEachErr(0, len(tasks), func(ti int) error {

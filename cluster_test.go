@@ -126,6 +126,43 @@ func TestClusterServePoissonDeterministic(t *testing.T) {
 	}
 }
 
+// TestClusterEqualSlicesShareCalibration pins NewCluster's one
+// calibration per distinct shape for row-split models: a 64-row model's
+// two 32-row slices share one backend, a 65-row model's 33- and 32-row
+// slices get one each, and split three ways its two 22-row slices share
+// one beside the 21-row slice's.
+func TestClusterEqualSlicesShareCalibration(t *testing.T) {
+	cfg := clusterTestConfig()
+	for _, tc := range []struct {
+		rows, split int
+		group       []int // slices with equal groups share a backend
+	}{
+		{64, 2, []int{0, 0}},
+		{65, 2, []int{0, 1}},
+		{65, 3, []int{0, 0, 1}},
+	} {
+		cl, err := cfg.NewCluster(ClusterConfig{
+			Models: []ClusterModel{{Name: "split", Rows: tc.rows, Cols: 32, SplitAcross: tc.split}},
+			Seed:   3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs := cl.Devices()
+		if len(devs) != tc.split {
+			t.Fatalf("%d rows split %d ways: %d devices", tc.rows, tc.split, len(devs))
+		}
+		for i := range devs {
+			for j := i + 1; j < len(devs); j++ {
+				if shared := devs[i].Backend == devs[j].Backend; shared != (tc.group[i] == tc.group[j]) {
+					t.Errorf("%d rows split %d ways: slices %d and %d share a backend: %v",
+						tc.rows, tc.split, i, j, shared)
+				}
+			}
+		}
+	}
+}
+
 // Killing a device mid-run drains its queue to the replica sibling
 // without dropping any accepted request.
 func TestClusterOutageDrainsToSibling(t *testing.T) {

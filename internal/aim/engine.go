@@ -92,11 +92,6 @@ func (e *Engine) MAC(b int) *MACUnit { return e.macs[b] }
 // the host).
 func (e *Engine) SetLUT(l *LUT) { e.lut = l }
 
-// LUT returns the installed activation look-up table, nil when in-DRAM
-// activation is off. The host's issuer applies it to memoized READRES
-// frames the way Apply's READRES does.
-func (e *Engine) LUT() *LUT { return e.lut }
-
 // SetObserver installs a passive command-stream tap (nil removes it).
 // The engine observes the original AiM command, before the channel-level
 // rewrite a ganged COLRD undergoes (chCmd), so observers see the stream
@@ -168,9 +163,9 @@ func waitsForDrain(k dram.Kind) bool {
 	return k == dram.KindREADRES || k == dram.KindRDAF || k == dram.KindWRBIAS
 }
 
-// BankSpan returns the banks [lo, hi) a COLRD or MAC addresses: every
+// bankSpan returns the banks [lo, hi) a COLRD or MAC addresses: every
 // bank for AllBanks, else the one bank.
-func (e *Engine) BankSpan(bank int) (lo, hi int) {
+func (e *Engine) bankSpan(bank int) (lo, hi int) {
 	if bank == AllBanks {
 		return 0, len(e.macs)
 	}
@@ -197,7 +192,7 @@ func (e *Engine) Broadcast(slot int) error {
 // a change to the row before the MAC (a transient upset) does not reach
 // the MAC's operands.
 func (e *Engine) ReadColumn(bank, col int) error {
-	lo, hi := e.BankSpan(bank)
+	lo, hi := e.bankSpan(bank)
 	if lo < 0 || hi > len(e.macs) {
 		return fmt.Errorf("aim: bank %d out of range [0,%d)", bank, len(e.macs))
 	}
@@ -218,7 +213,7 @@ func (e *Engine) MultiplyAccumulate(bank, latch int, cycle int64) error {
 	if !e.hasInput {
 		return fmt.Errorf("aim: MAC with no broadcast input latched")
 	}
-	lo, hi := e.BankSpan(bank)
+	lo, hi := e.bankSpan(bank)
 	if lo < 0 || hi > len(e.macs) {
 		return fmt.Errorf("aim: bank %d out of range [0,%d)", bank, len(e.macs))
 	}

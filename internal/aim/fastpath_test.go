@@ -57,7 +57,7 @@ func TestAccumulateMatchesReference(t *testing.T) {
 		for step := 0; step < 4000; step++ {
 			filter := randVector(rng, lanes)
 			input := randVector(rng, lanes)
-			if err := m.Accumulate(filter, input, int64(step), 1); err != nil {
+			if err := m.AccumulateLatch(0, filter, input, int64(step), 1); err != nil {
 				t.Fatal(err)
 			}
 			ref = refAccumulate(ref, hasValue, filter, input)
@@ -83,11 +83,11 @@ func TestAccumulateAllocationFree(t *testing.T) {
 	filter := randVector(rand.New(rand.NewSource(5)), 16)
 	input := randVector(rand.New(rand.NewSource(6)), 16)
 	avg := testing.AllocsPerRun(200, func() {
-		if err := m.Accumulate(filter, input, 0, 1); err != nil {
+		if err := m.AccumulateLatch(0, filter, input, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
-		t.Errorf("Accumulate allocates %.1f times per call, want 0", avg)
+		t.Errorf("AccumulateLatch allocates %.1f times per call, want 0", avg)
 	}
 }

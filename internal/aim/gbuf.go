@@ -80,21 +80,10 @@ func (g *GlobalBuffer) widen(slot int) {
 	}
 }
 
-// SubChunk returns a copy of the sub-chunk (one slot's worth of input
-// elements) broadcast to the banks by a COMP or BCAST command.
-func (g *GlobalBuffer) SubChunk(slot int) (bf16.Vector, error) {
-	view, err := g.SubChunkView(slot)
-	if err != nil {
-		return nil, err
-	}
-	out := make(bf16.Vector, len(view))
-	copy(out, view)
-	return out, nil
-}
-
-// SubChunkView returns the sub-chunk without copying - the broadcast
-// fan-out wires, in effect. Callers must not write through it, and it is
-// stale after the slot's next GWRITE.
+// SubChunkView returns the sub-chunk (one slot's worth of input
+// elements) broadcast to the banks by a COMP or BCAST command, without
+// copying - the broadcast fan-out wires, in effect. Callers must not
+// write through it, and it is stale after the slot's next GWRITE.
 func (g *GlobalBuffer) SubChunkView(slot int) (bf16.Vector, error) {
 	v, _, err := g.SubChunks(slot, slot+1)
 	return v, err

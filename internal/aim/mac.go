@@ -25,7 +25,7 @@ type MACUnit struct {
 	latches  []bf16.Num
 	hasValue []bool
 
-	// scratch holds the lane products during one Accumulate, reused
+	// scratch holds the lane products during one AccumulateLatch, reused
 	// across calls so the compute stream allocates nothing, and shared
 	// by the units of one channel (newMACUnits). The products
 	// are kept as widened float32 values (bf16.Round outputs): each
@@ -137,16 +137,11 @@ func treeReduceFloats(v []float32) float32 {
 	return v[0]
 }
 
-// Accumulate performs one compute step into latch 0: multiply the filter
-// sub-chunk by the input sub-chunk lane-wise, reduce through the adder
-// tree, and add into the result latch. cycle is the issue cycle of the
-// triggering COMP and tmac the pipeline completion latency; the latch is
-// valid at cycle+tmac.
-func (m *MACUnit) Accumulate(filter, input bf16.Vector, cycle, tmac int64) error {
-	return m.AccumulateLatch(0, filter, input, cycle, tmac)
-}
-
-// AccumulateLatch is Accumulate targeting one of several result latches.
+// AccumulateLatch performs one compute step into a result latch:
+// multiply the filter sub-chunk by the input sub-chunk lane-wise, reduce
+// through the adder tree, and add into the latch. cycle is the issue
+// cycle of the triggering COMP and tmac the pipeline completion latency;
+// the latch is valid at cycle+tmac.
 func (m *MACUnit) AccumulateLatch(latch int, filter, input bf16.Vector, cycle, tmac int64) error {
 	if latch < 0 || latch >= len(m.latches) {
 		return fmt.Errorf("aim: latch %d out of range [0,%d)", latch, len(m.latches))
@@ -165,7 +160,7 @@ func (m *MACUnit) AccumulateLatch(latch int, filter, input bf16.Vector, cycle, t
 		m.latches[latch] = bf16.FromFloat32(sum)
 		m.hasValue[latch] = true
 	}
-	m.Occupy(cycle, tmac)
+	m.occupy(cycle, tmac)
 	return nil
 }
 
@@ -175,7 +170,7 @@ func (m *MACUnit) AccumulateLatch(latch int, filter, input bf16.Vector, cycle, t
 // wire[2*lanes*c:], its input sub-chunk input[lanes*c:] and the same
 // lanes widened to float32 widened[lanes*c:]. last is the latest issue
 // cycle of the run's COMPs: they issue in increasing cycles, so one
-// Occupy(last, tmac) leaves the drain horizon where one per column
+// occupy(last, tmac) leaves the drain horizon where one per column
 // would. foldColumns adds the column sums to the latch, kept widened to
 // float32; a latch with no value starts at -0, which adds to every sum
 // that is not NaN exactly.
@@ -226,7 +221,7 @@ func (m *MACUnit) accumulateColumns(latch int, wire []byte, input bf16.Vector, w
 	if has {
 		m.latches[latch], m.hasValue[latch] = bf16.Num(math.Float32bits(acc)>>16), true
 	}
-	m.Occupy(last, tmac)
+	m.occupy(last, tmac)
 	return nil
 }
 
@@ -301,11 +296,9 @@ func column16(w *[32]byte, in *[16]float32) float32 {
 	return roundFinite(roundFinite(t0+t1) + roundFinite(t2+t3))
 }
 
-// Occupy advances the drain horizon for a compute step issued at cycle
-// that matures tmac later, without the step's arithmetic. Accumulate
-// calls it; the host event core calls it alone when a memoized run
-// already knows the results.
-func (m *MACUnit) Occupy(cycle, tmac int64) {
+// occupy advances the drain horizon for a compute step issued at cycle
+// that matures tmac later; it does none of the step's arithmetic.
+func (m *MACUnit) occupy(cycle, tmac int64) {
 	if done := cycle + tmac; done > m.readyAt {
 		m.readyAt = done
 	}
@@ -339,7 +332,7 @@ func (m *MACUnit) ReadyAt() int64 { return m.readyAt }
 
 // LatchState returns one latch's raw value and valid bit without the
 // Result accessors' zero-substitution: the exact accumulator state the
-// host event core keys its memo on.
+// differential tests compare.
 func (m *MACUnit) LatchState(latch int) (bf16.Num, bool) {
 	if latch < 0 || latch >= len(m.latches) {
 		return bf16.Zero, false

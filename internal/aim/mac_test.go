@@ -71,14 +71,14 @@ func TestMACAccumulate(t *testing.T) {
 		filter[i] = bf16.FromFloat32(1)
 		input[i] = bf16.FromFloat32(2)
 	}
-	if err := m.Accumulate(filter, input, 100, 12); err != nil {
+	if err := m.AccumulateLatch(0, filter, input, 100, 12); err != nil {
 		t.Fatal(err)
 	}
 	if v, ready := m.Result(); v.Float32() != 32 || ready != 112 {
 		t.Errorf("latch = %v at %d, want 32 at 112", v.Float32(), ready)
 	}
 	// Second accumulation adds into the latch.
-	if err := m.Accumulate(filter, input, 104, 12); err != nil {
+	if err := m.AccumulateLatch(0, filter, input, 104, 12); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := m.Result(); v.Float32() != 64 {
@@ -95,10 +95,10 @@ func TestMACAccumulate(t *testing.T) {
 
 func TestMACWidthMismatch(t *testing.T) {
 	m := NewMACUnit(16)
-	if err := m.Accumulate(make(bf16.Vector, 8), make(bf16.Vector, 16), 0, 1); err == nil {
+	if err := m.AccumulateLatch(0, make(bf16.Vector, 8), make(bf16.Vector, 16), 0, 1); err == nil {
 		t.Error("narrow filter accepted")
 	}
-	if err := m.Accumulate(make(bf16.Vector, 16), make(bf16.Vector, 8), 0, 1); err == nil {
+	if err := m.AccumulateLatch(0, make(bf16.Vector, 16), make(bf16.Vector, 8), 0, 1); err == nil {
 		t.Error("narrow input accepted")
 	}
 	if m.Lanes() != 16 {
@@ -112,7 +112,7 @@ func TestMACFirstAccumulateReplacesZero(t *testing.T) {
 	m := NewMACUnit(2)
 	filter := bf16.FromFloat32Slice([]float32{-1, 0})
 	input := bf16.FromFloat32Slice([]float32{1, 0})
-	if err := m.Accumulate(filter, input, 0, 1); err != nil {
+	if err := m.AccumulateLatch(0, filter, input, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := m.Result(); v.Float32() != -1 {
@@ -433,17 +433,17 @@ func BenchmarkAccumulateColumn(b *testing.B) {
 	}
 }
 
-// TestOccupyAdvancesDrainOnly holds Occupy to the timing half of a
+// TestOccupyAdvancesDrainOnly holds occupy to the timing half of a
 // step: the drain horizon moves forward, never back, and the latch is
 // untouched.
 func TestOccupyAdvancesDrainOnly(t *testing.T) {
 	m := NewMACUnit(4)
-	m.Occupy(100, 7)
-	m.Occupy(50, 7)
+	m.occupy(100, 7)
+	m.occupy(50, 7)
 	if got := m.ReadyAt(); got != 107 {
 		t.Errorf("ReadyAt = %d, want 107", got)
 	}
 	if _, has := m.LatchState(0); has {
-		t.Error("Occupy set the latch's valid bit")
+		t.Error("occupy set the latch's valid bit")
 	}
 }

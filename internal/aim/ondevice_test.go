@@ -24,7 +24,7 @@ func TestGlobalBufferEWOp(t *testing.T) {
 	if err := g.EWOp(0, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.SubChunk(0)
+	got, err := g.SubChunkView(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestGlobalBufferEWOp(t *testing.T) {
 	if err := g.EWOp(0, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = g.SubChunk(0)
+	got, _ = g.SubChunkView(0)
 	for i := range got {
 		if want := bf16.Add(bf16.Mul(a[i], b[i]), b[i]); got[i] != want {
 			t.Fatalf("add lane %d = %v, want %v", i, got[i].Float32(), want.Float32())

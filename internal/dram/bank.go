@@ -48,13 +48,6 @@ type Bank struct {
 	nextCol int64 // earliest RD/WR/COMP column access
 
 	rows map[int][]byte
-
-	// version counts stored-data mutations. Every path that can change a
-	// row's bytes (WriteColumn, MutateRow) bumps it, so caches
-	// keyed on bank contents (the host's event-core result memo) can
-	// detect staleness with one integer compare instead of hashing the
-	// stored rows.
-	version uint64
 }
 
 // newBank returns an idle bank with no stored data.
@@ -136,8 +129,8 @@ func (b *Bank) ReadColumn(col int) ([]byte, error) {
 // ColumnView returns the open row's column I/O without copying: the
 // zero-allocation read path of the compute commands on both simulator
 // cores. The view is only valid until the row's data next changes, and
-// callers must not write through it (a write would bypass the Version
-// counter and poison content-keyed caches).
+// callers must not write through it: stored data changes only through
+// WriteColumn and MutateRow.
 func (b *Bank) ColumnView(col int) ([]byte, error) {
 	// The legality test is inline, so the compute stream's per-column
 	// reads make no second call.
@@ -184,14 +177,8 @@ func (b *Bank) WriteColumn(col int, data []byte) error {
 		return fmt.Errorf("dram: write data is %d bytes, column I/O is %d", len(data), cb)
 	}
 	copy(b.openData()[col*cb:], data)
-	b.version++
 	return nil
 }
-
-// Version returns the bank's stored-data mutation counter: it advances
-// on every WriteColumn and MutateRow, and never otherwise, so equal
-// versions guarantee byte-identical stored rows.
-func (b *Bank) Version() uint64 { return b.version }
 
 // PeekRow returns a copy of a row's stored image without timing effects,
 // for debugging and tests. A row never written reads as zeros and stays
@@ -230,6 +217,5 @@ func (b *Bank) MutateRow(row int, fn func(data []byte)) error {
 		return fmt.Errorf("dram: row %d out of range [0,%d)", row, b.geo.Rows)
 	}
 	fn(b.row(row))
-	b.version++
 	return nil
 }

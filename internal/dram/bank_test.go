@@ -106,9 +106,8 @@ func TestBankLoadPeekRow(t *testing.T) {
 	if !bytes.Equal(zero, make([]byte, g.RowBytes())) {
 		t.Error("unwritten row does not read as zeros")
 	}
-	if b.StoredRows() != 0 || len(b.StoredRowIDs()) != 0 || b.Version() != 0 {
-		t.Errorf("peek changed the bank: %d stored rows %v, version %d",
-			b.StoredRows(), b.StoredRowIDs(), b.Version())
+	if b.StoredRows() != 0 || len(b.StoredRowIDs()) != 0 {
+		t.Errorf("peek changed the bank: %d stored rows %v", b.StoredRows(), b.StoredRowIDs())
 	}
 
 	img := make([]byte, g.RowBytes())

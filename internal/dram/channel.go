@@ -270,7 +270,7 @@ func (ch *Channel) Issue(cmd Command, cycle int64) (IssueResult, error) {
 // IssueTimed issues cmd at its earliest legal cycle at or after from —
 // bound, then transition, then the observer — and moves no data: the
 // caller reads and writes the columns its commands touch (the host's
-// issuer reads open-row views and skips them on a memo replay).
+// issuer reads open-row views).
 // It returns the issue cycle and the command's DataReady cycle (zero for
 // commands that return no data). cmd is taken by pointer, like bound's.
 func (ch *Channel) IssueTimed(cmd *Command, from int64) (int64, int64, error) {

@@ -47,7 +47,7 @@ type Config struct {
 	Verify bool
 	// Oracle puts every controller — Newton's and the ideal
 	// baseline's — in its issuer's reference mode (host.Options.Oracle:
-	// reference arithmetic, no memo, REF-by-REF refresh). The two modes
+	// reference arithmetic, REF-by-REF refresh). The two modes
 	// are byte-identical across every figure; Oracle is the reference
 	// TestOracleKnobIdentity compares the figures against.
 	Oracle bool

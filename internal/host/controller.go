@@ -47,8 +47,7 @@ type Controller struct {
 	obs *hostObs
 	// events holds each channel's issuer (event.go), the one path every
 	// command takes, created lazily on the channel's first command and
-	// reused across runs so the warm path allocates nothing (the issuer
-	// carries the result memo).
+	// reused across runs so a run allocates no issuer.
 	events []*eventExec
 	// traffic, when AttachTraffic installed a conventional workload,
 	// holds the coexistence state: the workload, its reserved row
@@ -553,9 +552,9 @@ func (c *Controller) estimateTile(slots int, withBufferLoad bool) int64 {
 //
 // The schedule — which commands, in which order — is decided here once;
 // the channel's issuer simulates each command.
-func (ri *runInput) stream(x *eventExec, p *layout.Placement, v bf16.Vector, out []float32) error {
+func (ri *runInput) stream(x *eventExec, p *layout.Placement, _ bf16.Vector, out []float32) error {
 	c := x.c
-	x.begin(p, v)
+	x.inRun = true
 	var err error
 	switch {
 	case c.opts.Reuse:
@@ -565,7 +564,7 @@ func (ri *runInput) stream(x *eventExec, p *layout.Placement, v bf16.Vector, out
 	default:
 		err = c.runChannelRowMajor(x, p, ri, out)
 	}
-	x.finishRun(err == nil)
+	x.inRun = false
 	return err
 }
 

@@ -1,13 +1,8 @@
 package host
 
 import (
-	"fmt"
-	"slices"
-
 	"newton/internal/aim"
-	"newton/internal/bf16"
 	"newton/internal/dram"
-	"newton/internal/layout"
 )
 
 // This file is the controller's one command issuer. The schedule loops
@@ -29,42 +24,24 @@ import (
 //     then its arithmetic runs once, one kernel call per bank over the
 //     row's columns. A Trace hook, which may rewrite a column right after
 //     the COMP that read it, makes compute run column by column;
-//   - memoizes, within RunMVM only, the per-READRES result frames per
-//     (channel, placement): a later run with the same input vector,
-//     bank contents and initial latch state replays recorded frames and
-//     skips the arithmetic, leaving only the timing walk and the drain
-//     horizons (results are value-independent of the clock, so the memo
-//     needs no timing key). Nothing else is carried across runs: every
-//     run walks its full command stream;
 //   - reports every command, refreshes included, to the engine observer
 //     (the conformance checker under Verify), the channel observer and
 //     the Trace hook.
 //
+// The issuer keeps no cache: every run walks its full command stream
+// and does its own arithmetic.
+//
 // Options.Oracle selects the issuer's reference mode: the same timing
 // path with the reference arithmetic (Engine.Apply's DecodeInto then
-// AccumulateLatch), no memo, and refreshes issued REF by REF. The
-// differential tests in event_test.go, the experiments differential
-// test and FuzzEventCore hold the two modes byte-identical (outputs,
-// cycles, stats, expositions, command streams), so they isolate exactly
-// the row step and its kernel, the memo and the refresh batch. Timing
-// itself has one implementation, checked independently by
-// internal/conformance.
-
-// memoRecord is one placement's memoized run: the key (input vector,
-// bank-content versions, initial latch state) and the recorded
-// pre-LUT READRES frames. Frames are keyed pre-LUT so installing a
-// different activation table does not invalidate the record; the LUT
-// is applied at readout, as the engine applies it.
-type memoRecord struct {
-	input   bf16.Vector
-	bankVer []uint64
-	latch0  []uint32 // packed (Num<<1 | has) per bank*latch
-	frames  []bf16.Num
-}
+// AccumulateLatch) and refreshes issued REF by REF. The differential
+// tests in event_test.go, the experiments differential test and
+// FuzzEventCore hold the two modes byte-identical (outputs, cycles,
+// stats, expositions, command streams), so they isolate exactly the row
+// step and its kernel and the refresh batch. Timing itself has one
+// implementation, checked independently by internal/conformance.
 
 // eventExec is one channel's issuer. It persists on the Controller
-// across runs, carrying the memo and scratch state so warm runs
-// allocate nothing. The datapath state it drives is the engine's.
+// across runs. The datapath state it drives is the engine's.
 type eventExec struct {
 	c       *Controller
 	ch      int
@@ -73,8 +50,11 @@ type eventExec struct {
 	banks   int
 	latches int
 	// ref is the reference mode (Options.Oracle): reference compute
-	// arithmetic, no memo, refreshes REF by REF.
+	// arithmetic, refreshes REF by REF.
 	ref bool
+	// inRun is set while RunMVM streams this channel's schedule, whose
+	// refresh boundaries also serve arrived host traffic.
+	inRun bool
 
 	// inRow is set while rowStep issues a ganged COMP row: issue then
 	// leaves each COMP's arithmetic to the row's end, counting in rowCols
@@ -87,19 +67,6 @@ type eventExec struct {
 	// commands whose arithmetic ran alone, so tests can assert which
 	// arithmetic ran.
 	rowSteps, columnSteps int64
-
-	resScratch bf16.Vector
-	latchKey   []uint32 // memoValid's packed latch state
-
-	memo map[*layout.Placement]*memoRecord
-	// place is the placement RunMVM is running, nil outside a run.
-	place  *layout.Placement
-	rec    *memoRecord // recording (first run); nil when replaying
-	replay *memoRecord // replaying; nil when recording
-	frame  int
-	// memoHits counts runs that replay a memo record, so tests can
-	// assert the memo actually engaged rather than silently missing.
-	memoHits int64
 }
 
 // eventFor returns channel ch's issuer, creating it on first use.
@@ -108,90 +75,17 @@ func (c *Controller) eventFor(ch int) *eventExec {
 		return x
 	}
 	e := c.engines[ch]
-	g := c.cfg.Geometry
 	x := &eventExec{
-		c:          c,
-		ch:         ch,
-		e:          e,
-		dch:        e.Channel(),
-		banks:      g.Banks,
-		latches:    c.opts.Latches(),
-		ref:        c.opts.Oracle,
-		resScratch: make(bf16.Vector, g.Banks),
-		latchKey:   make([]uint32, 0, g.Banks*c.opts.Latches()),
-		memo:       make(map[*layout.Placement]*memoRecord),
+		c:       c,
+		ch:      ch,
+		e:       e,
+		dch:     e.Channel(),
+		banks:   c.cfg.Geometry.Banks,
+		latches: c.opts.Latches(),
+		ref:     c.opts.Oracle,
 	}
 	c.events[ch] = x
 	return x
-}
-
-// begin prepares the issuer for one RunMVM: outside the reference
-// mode, decide between replaying the placement's memo and recording a
-// fresh one.
-func (x *eventExec) begin(p *layout.Placement, v bf16.Vector) {
-	x.place = p
-	x.frame = 0
-	if x.ref {
-		return
-	}
-	if rec := x.memo[p]; rec != nil && x.memoValid(rec, v) {
-		x.rec, x.replay = nil, rec
-		x.memoHits++
-		return
-	}
-	x.replay = nil
-	x.rec = &memoRecord{
-		input:   append(bf16.Vector(nil), v...),
-		bankVer: make([]uint64, x.banks),
-		latch0:  x.packLatches(make([]uint32, 0, x.banks*x.latches)),
-	}
-	for b := 0; b < x.banks; b++ {
-		x.rec.bankVer[b] = x.dch.Bank(b).Version()
-	}
-}
-
-// memoValid reports whether a record's key still holds: same input
-// bits, unchanged bank contents, same initial latch state. Timing state
-// (clocks, refresh phase, bus horizons) is deliberately not part of the
-// key — the frames hold functional results, which are value-pure.
-func (x *eventExec) memoValid(rec *memoRecord, v bf16.Vector) bool {
-	if !slices.Equal(rec.input, v) {
-		return false
-	}
-	for b, ver := range rec.bankVer {
-		if ver != x.dch.Bank(b).Version() {
-			return false
-		}
-	}
-	x.latchKey = x.packLatches(x.latchKey[:0])
-	return slices.Equal(rec.latch0, x.latchKey)
-}
-
-func packLatch(n bf16.Num, has bool) uint32 {
-	p := uint32(n) << 1
-	if has {
-		p |= 1
-	}
-	return p
-}
-
-func (x *eventExec) packLatches(dst []uint32) []uint32 {
-	for b := 0; b < x.banks; b++ {
-		for l := 0; l < x.latches; l++ {
-			dst = append(dst, packLatch(x.e.MAC(b).LatchState(l)))
-		}
-	}
-	return dst
-}
-
-// finishRun installs the freshly recorded memo when the run succeeded
-// and leaves the run. A failed run leaves the engine at the failure
-// point.
-func (x *eventExec) finishRun(ok bool) {
-	if ok && x.rec != nil {
-		x.memo[x.place] = x.rec
-	}
-	x.rec, x.replay, x.place = nil, nil, nil
 }
 
 // issue schedules cmd at its earliest legal cycle at or after the
@@ -202,12 +96,11 @@ func (x *eventExec) finishRun(ok bool) {
 // the row's next write; callers that modify or keep it must copy), WR
 // stores, COMP and COMP_BK run Engine.AccumulateColumns over their one
 // column outside the reference mode (a row step's COMPs leave it to the
-// row's end), a memo replay skips the arithmetic, and every other kind
-// goes through Engine.Apply. Then it reports the command to the taps. The
-// timing walk takes cmd by pointer — the per-command copies of the
-// 80-byte Command struct are the dominant cost of a warm
-// (memo-replaying) run otherwise — so the kind and bank are saved
-// before the in-place chCmd rewrite and restored after it.
+// row's end), and every other kind goes through Engine.Apply. Then it
+// reports the command to the taps. The timing walk takes cmd by
+// pointer, sparing a copy of the 80-byte Command struct per command, so
+// the kind and bank are saved before the in-place chCmd rewrite and
+// restored after it.
 func (x *eventExec) issue(cmd dram.Command) (aim.Result, error) {
 	kind, bank := cmd.Kind, cmd.Bank
 	from := x.c.now[x.ch]
@@ -230,8 +123,6 @@ func (x *eventExec) issue(cmd dram.Command) (aim.Result, error) {
 		out.Data, err = x.dch.Bank(bank).ColumnView(cmd.Col)
 
 	case kind == dram.KindWR:
-		// The bank's version bump invalidates memos keyed on the old
-		// contents — conservative and correct.
 		err = x.dch.Bank(bank).WriteColumn(cmd.Col, cmd.Data)
 
 	case kind == dram.KindCOMP && x.inRow:
@@ -239,20 +130,11 @@ func (x *eventExec) issue(cmd dram.Command) (aim.Result, error) {
 
 	case kind == dram.KindCOMP && !x.ref:
 		x.columnSteps++
-		err = x.compute(0, x.banks, cmd.Latch, cmd.Col, cmd.Col+1, at)
+		err = x.e.AccumulateColumns(0, x.banks, cmd.Latch, cmd.Col, cmd.Col+1, at)
 
 	case kind == dram.KindCOMPBank && !x.ref:
 		x.columnSteps++
-		err = x.compute(bank, bank+1, cmd.Latch, cmd.Col, cmd.Col+1, at)
-
-	case kind == dram.KindMAC && x.replay != nil:
-		lo, hi := x.e.BankSpan(bank)
-		for b := lo; b < hi; b++ {
-			x.e.MAC(b).Occupy(at, x.c.cfg.Timing.TMAC)
-		}
-
-	case kind == dram.KindREADRES && (x.rec != nil || x.replay != nil):
-		out.Results, err = x.readMemo(cmd.Latch)
+		err = x.e.AccumulateColumns(bank, bank+1, cmd.Latch, cmd.Col, cmd.Col+1, at)
 
 	default:
 		out, err = x.e.Apply(cmd, at)
@@ -268,46 +150,6 @@ func (x *eventExec) issue(cmd dram.Command) (aim.Result, error) {
 		return aim.Result{}, err
 	}
 	return out, nil
-}
-
-// readMemo performs a READRES inside a memoized run: read and reset the
-// latches, then record the frame or, on a replay, substitute the
-// recorded one, and apply the installed LUT as Engine.Apply does.
-func (x *eventExec) readMemo(latch int) (bf16.Vector, error) {
-	for b := 0; b < x.banks; b++ {
-		m := x.e.MAC(b)
-		x.resScratch[b] = m.ResultLatch(latch)
-		m.ResetLatch(latch)
-	}
-	if x.replay == nil {
-		x.rec.frames = append(x.rec.frames, x.resScratch...)
-	} else {
-		lo := x.frame * x.banks
-		if lo+x.banks > len(x.replay.frames) {
-			return nil, fmt.Errorf("host: memo replay past its %d frames", len(x.replay.frames)/x.banks)
-		}
-		copy(x.resScratch, x.replay.frames[lo:lo+x.banks])
-		x.frame++
-	}
-	if l := x.e.LUT(); l != nil {
-		l.ApplyInPlace(x.resScratch)
-	}
-	return x.resScratch, nil
-}
-
-// compute runs the COMP arithmetic of columns [from, to) of banks
-// [lo, hi) into latch, the latest COMP issued at last, through
-// Engine.AccumulateColumns, or, on a memo replay, only pushes the drain
-// horizons.
-func (x *eventExec) compute(lo, hi, latch, from, to int, last int64) error {
-	if x.replay != nil {
-		tmac := x.c.cfg.Timing.TMAC
-		for b := lo; b < hi; b++ {
-			x.e.MAC(b).Occupy(last, tmac)
-		}
-		return nil
-	}
-	return x.e.AccumulateColumns(lo, hi, latch, from, to, last)
 }
 
 // canRowStep reports whether a ganged COMP row over slots [0, slots)
@@ -344,7 +186,7 @@ func (x *eventExec) rowStep(slots, latch int) error {
 		return err
 	}
 	x.rowSteps++
-	if aerr := x.compute(0, x.banks, latch, 0, x.rowCols, x.rowLast); err == nil {
+	if aerr := x.e.AccumulateColumns(0, x.banks, latch, 0, x.rowCols, x.rowLast); err == nil {
 		err = aerr
 	}
 	return err
@@ -355,7 +197,7 @@ func (x *eventExec) rowStep(slots, latch int) error {
 // QoS policy (the schedule's refresh boundaries are its precharged
 // points), then it applies the refresh policy.
 func (x *eventExec) maybeRefresh(est int64) error {
-	if x.place != nil {
+	if x.inRun {
 		if err := x.c.serviceHost(x, true); err != nil {
 			return err
 		}

@@ -51,10 +51,9 @@ func oracleOf(opts Options) Options {
 }
 
 // driveRuns executes the same multi-run session against one controller:
-// several products with varying inputs (including an exact repeat, which
-// the event core answers from its memo), a host-time Advance, and a
-// WR_BIAS preload between runs. It returns every Result plus the final
-// clock and cumulative stats.
+// several products with varying inputs (including an exact repeat), a
+// host-time Advance, and a WR_BIAS preload between runs. It returns
+// every Result plus the final clock and cumulative stats.
 func driveRuns(t *testing.T, cfg dram.Config, opts Options, m *layout.Matrix) ([]*Result, int64, dram.Stats) {
 	t.Helper()
 	c, err := NewController(cfg, opts)
@@ -68,7 +67,7 @@ func driveRuns(t *testing.T, cfg dram.Config, opts Options, m *layout.Matrix) ([
 	inputs := []bf16.Vector{
 		randomVector(m.Cols, 11),
 		randomVector(m.Cols, 12),
-		randomVector(m.Cols, 11), // repeat of run 0: the memo-replay case
+		randomVector(m.Cols, 11), // repeat of run 0
 	}
 	var results []*Result
 	for i, v := range inputs {
@@ -82,9 +81,8 @@ func driveRuns(t *testing.T, cfg dram.Config, opts Options, m *layout.Matrix) ([
 		}
 		if i == 1 {
 			// Preload every bank's latch 0 with a bias through the
-			// oracle-path ISR hook; run 2 must fold it in despite being a
-			// byte-identical repeat of run 0's input (the memo key includes
-			// the initial latch state, so the event core recomputes).
+			// oracle-path ISR hook; run 2 must fold it in although its
+			// input repeats run 0's.
 			banks := cfg.Geometry.Banks
 			bias := make([]byte, 2*banks)
 			for b := 0; b < banks; b++ {
@@ -132,7 +130,7 @@ func driveIdeal(t *testing.T, cfg dram.Config, opts Options, m *layout.Matrix) (
 }
 
 // TestEventCoreMatchesOracle is the tentpole gate: across every schedule
-// family and a multi-run session with memo replays, host advances and
+// family and a multi-run session with a repeated input, host advances and
 // ISR-path latch preloads, the event core's outputs, cycle accounting,
 // dram.Stats and final clock are byte-identical to the stepping oracle
 // running under independent conformance checking. The ideal baseline's
@@ -170,8 +168,8 @@ func TestEventCoreMatchesOracle(t *testing.T) {
 }
 
 // TestEventCoreLUTMatchesOracle covers the in-DRAM activation readout:
-// installing, swapping and removing a LUT between runs must track the
-// oracle, including on memo replays (frames are memoized pre-LUT).
+// installing, swapping and removing a LUT between runs over one input
+// must track the oracle.
 func TestEventCoreLUTMatchesOracle(t *testing.T) {
 	cfg := testCfg()
 	m := layout.RandomMatrix(64, 384, 21)
@@ -188,7 +186,7 @@ func TestEventCoreLUTMatchesOracle(t *testing.T) {
 		var results []*Result
 		for _, sel := range []int{dram.AFReLU, dram.AFSigmoid, dram.AFNone, dram.AFReLU} {
 			c.SetActivation(aim.StandardLUT(sel))
-			res, err := c.RunMVM(p, v) // same input every run: replays after run 0
+			res, err := c.RunMVM(p, v) // same input every run
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,11 +213,8 @@ func TestEventCoreLUTMatchesOracle(t *testing.T) {
 
 // TestEventCoreRunReplayMatchesOracle targets warm reruns: long
 // stretches of byte-identical runs (the serving steady state) must stay
-// indistinguishable from the oracle while the event core replays their
-// READRES frames from the memo, across host advances that shift the
-// refresh phase and input changes that force recomputes in between. It
-// also counts the memo hits the script implies, so a silent miss cannot
-// degrade the comparison into compute-vs-compute.
+// indistinguishable from the oracle across a host advance that shifts
+// the refresh phase and an input change in between.
 func TestEventCoreRunReplayMatchesOracle(t *testing.T) {
 	cfg := testCfg()
 	m := layout.RandomMatrix(96, 600, 57)
@@ -227,7 +222,7 @@ func TestEventCoreRunReplayMatchesOracle(t *testing.T) {
 	vb := randomVector(m.Cols, 62)
 	for _, tc := range eventLadder() {
 		t.Run(tc.name, func(t *testing.T) {
-			drive := func(opts Options) ([]*Result, int64, dram.Stats, *Controller) {
+			drive := func(opts Options) ([]*Result, int64, dram.Stats) {
 				c, err := NewController(cfg, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -245,22 +240,22 @@ func TestEventCoreRunReplayMatchesOracle(t *testing.T) {
 					results = append(results, res)
 				}
 				for i := 0; i < 6; i++ {
-					run(va) // steady state: memo hits from run 2 on
+					run(va) // steady state
 				}
 				c.Advance(741) // shift clocks and refresh phase
 				for i := 0; i < 3; i++ {
-					run(va) // the memo has no timing key: still hits
+					run(va)
 				}
-				run(vb) // memo miss: recompute, and vb's record replaces va's
+				run(vb) // an input change
 				for i := 0; i < 3; i++ {
-					run(va) // one miss re-records va, then hits again
+					run(va)
 				}
-				return results, c.Now(), c.Stats(), c
+				return results, c.Now(), c.Stats()
 			}
 			ev := tc.opts
 			ev.Parallel = ParallelOff
-			eres, enow, estats, ec := drive(ev)
-			ores, onow, ostats, _ := drive(oracleOf(ev))
+			eres, enow, estats := drive(ev)
+			ores, onow, ostats := drive(oracleOf(ev))
 			for i := range ores {
 				assertResultsIdentical(t, ores[i], eres[i], tc.name)
 			}
@@ -270,25 +265,14 @@ func TestEventCoreRunReplayMatchesOracle(t *testing.T) {
 			if estats != ostats {
 				t.Errorf("cumulative stats differ:\nevent:  %+v\noracle: %+v", estats, ostats)
 			}
-			// Per channel: runs 2-9 and the last two of the 13 hit.
-			var execs, hits int64
-			for _, x := range ec.events {
-				if x != nil {
-					execs++
-					hits += x.memoHits
-				}
-			}
-			if execs == 0 || hits != 10*execs {
-				t.Errorf("%d memo hits over %d channels, want 10 per channel", hits, execs)
-			}
 		})
 	}
 }
 
-// TestEventCoreMemoInvalidation rewrites one bank's matrix cells between
-// two byte-identical runs; the bank-version key must force a recompute
-// so the event core tracks the oracle's changed output.
-func TestEventCoreMemoInvalidation(t *testing.T) {
+// TestEventCoreRowRewriteMatchesOracle rewrites one bank's matrix cells
+// between two runs on one input: the output must change, identically in
+// both modes.
+func TestEventCoreRowRewriteMatchesOracle(t *testing.T) {
 	cfg := testCfg()
 	m := layout.RandomMatrix(64, 384, 31)
 	v := randomVector(m.Cols, 32)
@@ -325,7 +309,7 @@ func TestEventCoreMemoInvalidation(t *testing.T) {
 	assertResultsIdentical(t, o1, e1, "before-mutate")
 	assertResultsIdentical(t, o2, e2, "after-mutate")
 	if reflect.DeepEqual(e1.Output, e2.Output) {
-		t.Fatalf("outputs agree across the row rewrite — stale memo replayed")
+		t.Fatalf("outputs agree across the row rewrite")
 	}
 }
 
@@ -558,6 +542,15 @@ func TestComputeRowErrorMatchesOracle(t *testing.T) {
 	}
 }
 
+// packLatch packs a latch's value and valid bit into one comparable word.
+func packLatch(n bf16.Num, has bool) uint32 {
+	p := uint32(n) << 1
+	if has {
+		p |= 1
+	}
+	return p
+}
+
 // obsFunc adapts a function to dram.Observer.
 type obsFunc func(cmd dram.Command, cycle int64)
 
@@ -745,12 +738,12 @@ func TestIssuerSessionMatchesOracle(t *testing.T) {
 // command stream to the oracle's as its taps see it: an engine observer
 // on every channel must record identical (cmd, cycle) sequences and the
 // Trace hook identical (cmd, cycle, results) sequences, refreshes
-// included. The script covers every ladder rung, memo-hit reruns, and a
-// long Advance whose catch-up refreshes reach the taps one at a time;
-// with a transient-fault hook the hook also rewrites each column right
-// after the compute command that read it, which the event core must
-// absorb exactly as the oracle does (the pending COLRD register holds a
-// copy, and every rewrite invalidates the memo).
+// included. The script covers every ladder rung, reruns of one input,
+// and a long Advance whose catch-up refreshes reach the taps one at a
+// time; with a transient-fault hook the hook also rewrites each column
+// right after the compute command that read it, which the event core
+// must absorb exactly as the oracle does (the pending COLRD register
+// holds a copy).
 func TestEventCoreObserverStreamMatchesOracle(t *testing.T) {
 	cfg := testCfg()
 	m := layout.RandomMatrix(96, 600, 71)
@@ -761,7 +754,7 @@ func TestEventCoreObserverStreamMatchesOracle(t *testing.T) {
 		cycle   int64
 		results bf16.Vector
 	}
-	drive := func(opts Options, transient bool) (observed, traced []tapped, results []*Result, hits int64) {
+	drive := func(opts Options, transient bool) (observed, traced []tapped, results []*Result) {
 		c, err := NewController(cfg, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -800,12 +793,7 @@ func TestEventCoreObserverStreamMatchesOracle(t *testing.T) {
 		if transient && ti.Flips == 0 {
 			t.Fatal("the transient hook flipped nothing")
 		}
-		for _, x := range c.events {
-			if x != nil {
-				hits += x.memoHits
-			}
-		}
-		return observed, traced, results, hits
+		return observed, traced, results
 	}
 	same := func(t *testing.T, what string, e, o []tapped) {
 		t.Helper()
@@ -828,8 +816,8 @@ func TestEventCoreObserverStreamMatchesOracle(t *testing.T) {
 				ev := tc.opts
 				or := ev
 				or.Oracle = true
-				eobs, etr, eres, hits := drive(ev, transient)
-				oobs, otr, ores, _ := drive(or, transient)
+				eobs, etr, eres := drive(ev, transient)
+				oobs, otr, ores := drive(or, transient)
 				same(t, "observer", eobs, oobs)
 				same(t, "trace", etr, otr)
 				for i := range ores {
@@ -844,18 +832,14 @@ func TestEventCoreObserverStreamMatchesOracle(t *testing.T) {
 				if refs < 40*cfg.Geometry.Channels {
 					t.Errorf("%d REFs observed across the 40-tREFI advance, want at least 40 per channel", refs)
 				}
-				if !transient && hits == 0 {
-					t.Error("no memo hits: the replay path went untapped")
-				}
 			})
 		}
 	}
 }
 
 // benchMVM measures repeated serial RunMVMs of a GNMT-s1-shaped product.
-// With vary set, it alternates two inputs so every run misses the memo
-// (the steady-state cold-compute cost); otherwise runs after the first
-// replay the memo (the steady-state warm cost).
+// With vary set, it alternates two inputs (cold); otherwise it reruns
+// one input (warm). Every run does its own arithmetic either way.
 func benchMVM(b *testing.B, opts Options, vary bool) {
 	cfg := dram.Config{Geometry: dram.HBM2EGeometry(32), Timing: dram.AiMTiming()}
 	opts.Parallel = ParallelOff
@@ -886,8 +870,8 @@ func BenchmarkMVMEventWarm(b *testing.B) { benchMVM(b, Newton(), false) }
 func BenchmarkMVMEventCold(b *testing.B) { benchMVM(b, Newton(), true) }
 
 // BenchmarkMVMEventWarmSmall is the DLRM-s1 shape (512x256) at the
-// paper's 24-channel config: small enough that per-run fixed costs
-// (memo key check, output assembly) dominate over replay.
+// paper's 24-channel config, rerunning one input: small enough that
+// per-run fixed costs (input encoding, output assembly) show.
 func BenchmarkMVMEventWarmSmall(b *testing.B) {
 	cfg := dram.Config{Geometry: dram.HBM2EGeometry(24), Timing: dram.AiMTiming()}
 	opts := Newton()

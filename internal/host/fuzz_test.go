@@ -72,7 +72,7 @@ func decodeFuzzSession(data []byte) fuzzSession {
 	runs := 1 + src.intn(4)
 	for r := 0; r < runs; r++ {
 		st := fuzzStep{
-			inputSeed: int64(1 + src.intn(3)), // small pool: repeats hit the memo
+			inputSeed: int64(1 + src.intn(3)), // small pool: inputs repeat
 			tweakLane: -1,
 			lut:       -1,
 			mutate:    -1,
@@ -193,7 +193,7 @@ func FuzzEventCore(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{3, 64, 2, 0, 0, 4, 0, 9}, 8))  // quad-latch, repeated inputs
 	f.Add(bytes.Repeat([]byte{2, 255, 1, 1, 3, 0, 2, 5}, 8)) // no-reuse with LUT swaps
 	f.Add(bytes.Repeat([]byte{1, 17, 3, 3, 0, 0, 0, 0, 60}, 6))
-	// Four identical plain runs: the memo-hit steady state.
+	// Four identical plain runs: the warm steady state.
 	f.Add(append([]byte{31, 99, 0, 1, 3}, bytes.Repeat([]byte{0, 1, 1, 1, 1, 1}, 5)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := decodeFuzzSession(data)

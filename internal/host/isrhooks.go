@@ -16,8 +16,7 @@ import (
 // through the channel's one issuer (eventExec.issue), so conformance
 // checking, the Trace hook, and the refresh policy all keep working
 // unchanged. ForEachChannel runs a masked instruction's channels on
-// RunMVM's worker pool. The memo is RunMVM's alone: outside a run,
-// READRES reads the latches through Engine.Apply.
+// RunMVM's worker pool.
 
 // Channels returns the number of DRAM channels the controller owns.
 func (c *Controller) Channels() int { return len(c.engines) }

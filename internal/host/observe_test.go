@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"newton/internal/bf16"
 	"newton/internal/dram"
 	"newton/internal/layout"
 	"newton/internal/obs"
@@ -210,11 +211,11 @@ func TestSelfCheckWithinEnvelope(t *testing.T) {
 }
 
 // TestRunMVMAllocationBudget is the nil-registry hot-path gate: with no
-// observability attached, a serial warm RunMVM (same input every run)
-// must stay at the allocation budgets the hot-path purge reached. The
-// observability hook is one pointer check; attaching nothing must cost
-// nothing. The 24-channel rows are the Table II layers at the paper's
-// configuration.
+// observability attached, a serial RunMVM on a changing input (two
+// inputs in turn, so every measured run computes) must stay at the
+// allocation budgets the hot-path purge reached. The observability hook
+// is one pointer check; attaching nothing must cost nothing. The
+// 24-channel rows are the Table II layers at the paper's configuration.
 func TestRunMVMAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate runs full-size MVMs")
@@ -242,9 +243,11 @@ func TestRunMVMAllocationBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v := randomVector(m.Cols, 12)
+			vs := []bf16.Vector{randomVector(m.Cols, 12), randomVector(m.Cols, 13)}
+			run := 0
 			allocs := testing.AllocsPerRun(3, func() {
-				if _, err := c.RunMVM(p, v); err != nil {
+				run++
+				if _, err := c.RunMVM(p, vs[run%2]); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -86,8 +86,9 @@ func (c *Controller) ScrubECC(p *layout.Placement, store *fault.Store) (ScrubRep
 						if err != nil {
 							return rep, err
 						}
-						// RD returns the open row's view; correct a copy, as
-						// writing through the view would bypass Bank.Version.
+						// RD returns the open row's view; correct a copy, so
+						// the row changes only when the WR carrying the
+						// correction issues.
 						copy(data, r.Data)
 						dirty := false
 						for w := 0; w*8+8 <= len(data); w++ {

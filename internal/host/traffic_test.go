@@ -197,7 +197,8 @@ func TestCoexistSerialParallelIdentity(t *testing.T) {
 // TestCoexistReplayGating pins that a warm rerun never reuses an
 // earlier run's timing once conventional traffic is attached: the
 // rerun's cycles must reflect the interleaved traffic, while its
-// product stays exact and in-run service actually happens.
+// product stays exact and in-run service actually happens, and only
+// inside the run.
 func TestCoexistReplayGating(t *testing.T) {
 	cfg := testCfg()
 	opts := Newton()
@@ -238,8 +239,21 @@ func TestCoexistReplayGating(t *testing.T) {
 			mixed.Cycles, warm.Cycles)
 	}
 	assertExact(t, mixed.Output, warm.Output, "mixed rerun")
-	if rep := c.TrafficReport(); rep.InRunBytes == 0 {
+	rep := c.TrafficReport()
+	if rep.InRunBytes == 0 {
 		t.Fatal("mem-priority rerun serviced no in-run traffic")
+	}
+	// Only a run serves traffic at its refresh boundaries: a scrub after
+	// it, with requests arrived, serves none in-run.
+	c.Advance(cfg.Timing.TREFI)
+	if !c.TrafficPending() {
+		t.Fatal("no traffic arrived before the scrub")
+	}
+	if err := c.Scrub(p); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.TrafficReport().InRunBytes; got != rep.InRunBytes {
+		t.Errorf("a scrub after the runs served %d in-run bytes", got-rep.InRunBytes)
 	}
 }
 

@@ -265,8 +265,7 @@ func (p *Placement) InvCoord(c Coord) (i, j int, ok bool) {
 // encoded little-endian straight into that row's storage and the rest
 // of the row is cleared: a row that held data before ends exactly as a
 // whole-row write of the zero-padded chunk would leave it, and padding
-// computes as 0 (the host discards invalid bank results). Each row
-// written bumps its bank's Version once.
+// computes as 0 (the host discards invalid bank results).
 //
 // LoadChannel touches only c and reads the matrix, so channels can load
 // concurrently.
