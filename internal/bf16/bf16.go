@@ -78,20 +78,11 @@ func (n Num) IsInf(sign int) bool {
 // IsZero reports whether n is positive or negative zero.
 func (n Num) IsZero() bool { return n&^signMask == 0 }
 
-// Neg returns -n. Negation is exact (a sign-bit flip), including for NaN.
-func (n Num) Neg() Num { return n ^ signMask }
-
 // Abs returns |n|.
 func (n Num) Abs() Num { return n &^ signMask }
 
-// Signbit reports whether the sign bit is set.
-func (n Num) Signbit() bool { return n&signMask != 0 }
-
 // Add returns a+b rounded to bfloat16.
 func Add(a, b Num) Num { return FromFloat32(a.Float32() + b.Float32()) }
-
-// Sub returns a-b rounded to bfloat16.
-func Sub(a, b Num) Num { return FromFloat32(a.Float32() - b.Float32()) }
 
 // Mul returns a*b rounded to bfloat16.
 func Mul(a, b Num) Num { return FromFloat32(a.Float32() * b.Float32()) }
@@ -132,9 +123,6 @@ func MulFloat(a, b Num) float32 { return Round(a.Float32() * b.Float32()) }
 // Add(FromFloat32(x), FromFloat32(y)).Float32() when x and y are
 // exactly representable in bfloat16.
 func AddFloats(x, y float32) float32 { return Round(x + y) }
-
-// Less reports a < b with IEEE semantics (false if either is NaN).
-func Less(a, b Num) bool { return a.Float32() < b.Float32() }
 
 // Equal reports a == b with IEEE semantics: NaN compares unequal to
 // everything and -0 equals +0.

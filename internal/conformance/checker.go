@@ -248,15 +248,6 @@ const (
 	classConv
 )
 
-// MustNew is New for configurations known to validate.
-func MustNew(cfg dram.Config, opt Options) *Checker {
-	c, err := New(cfg, opt)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Commands returns how many commands this checker has observed.
 func (c *Checker) Commands() int64 { return c.commands }
 

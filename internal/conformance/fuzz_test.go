@@ -334,7 +334,11 @@ func runConformance(data []byte, report func(format string, args ...any)) {
 		return
 	}
 	e := aim.NewEngineWithLatches(ch, latches)
-	c := conformance.MustNew(cfg, fuzzOptions(latches))
+	c, err := conformance.New(cfg, fuzzOptions(latches))
+	if err != nil {
+		report("conformance.New: %v", err)
+		return
+	}
 	e.SetObserver(c)
 
 	trace := generate(cfg, latches, e, c, src, report)

@@ -84,9 +84,6 @@ func (ch *Channel) Stats() Stats { return ch.stats.Clone() }
 // before the engine's channel-level rewrites.
 func (ch *Channel) SetObserver(o Observer) { ch.obs = o }
 
-// Observer returns the installed tap, nil when none.
-func (ch *Channel) Observer() Observer { return ch.obs }
-
 // IssueResult reports the effects of a successfully issued command.
 type IssueResult struct {
 	// DataReady is the cycle at which read data (RD) or result data

@@ -64,6 +64,7 @@ func TestTimingValidateErrors(t *testing.T) {
 		{"tfaw<trrd", func(tt *Timing) { tt.TFAW = tt.TRRD - 1 }},
 		{"tras<trcd", func(tt *Timing) { tt.TRAS = tt.TRCD - 1 }},
 		{"trefi<=trfc", func(tt *Timing) { tt.TREFI = tt.TRFC }},
+		{"trefi<=cmdslot", func(tt *Timing) { tt.CmdSlot = tt.TREFI }},
 		{"tmac", func(tt *Timing) { tt.TMAC = 0 }},
 	}
 	for _, c := range cases {

@@ -131,6 +131,11 @@ func (t Timing) Validate() error {
 	if t.TREFI <= t.TRFC {
 		return fmt.Errorf("dram: TREFI (%d) must exceed TRFC (%d)", t.TREFI, t.TRFC)
 	}
+	// Each catch-up REF takes a row-bus slot, so a refresh interval no
+	// longer than one would leave the controller forever behind.
+	if t.TREFI <= t.CmdSlot {
+		return fmt.Errorf("dram: TREFI (%d) must exceed CmdSlot (%d)", t.TREFI, t.CmdSlot)
+	}
 	return nil
 }
 

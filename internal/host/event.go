@@ -14,8 +14,7 @@ import (
 //   - walks the clock analytically: every command issues at its
 //     earliest legal cycle through the channel's timed path
 //     (dram.Channel.IssueTimed: the channel's one set of timing rules,
-//     then its one state transition), and refresh back-logs are caught
-//     up in one closed-form batch instead of a per-interval loop;
+//     then its one state transition), refreshes included;
 //   - applies each command's datapath effect to the engine's own state —
 //     MAC units, pending BCAST/COLRD registers, global buffer — through
 //     aim.Engine.Apply, except COMP and COMP_BK: aim.Engine.AccumulateColumns
@@ -32,13 +31,13 @@ import (
 // and does its own arithmetic.
 //
 // Options.Oracle selects the issuer's reference mode: the same timing
-// path with the reference arithmetic (Engine.Apply's DecodeInto then
-// AccumulateLatch) and refreshes issued REF by REF. The differential
-// tests in event_test.go, the experiments differential test and
-// FuzzEventCore hold the two modes byte-identical (outputs, cycles,
-// stats, expositions, command streams), so they isolate exactly the row
-// step and its kernel and the refresh batch. Timing itself has one
-// implementation, checked independently by internal/conformance.
+// path and refresh policy with the reference arithmetic (Engine.Apply's
+// DecodeInto then AccumulateLatch). The differential tests in
+// event_test.go, the experiments differential test and FuzzEventCore
+// hold the two modes byte-identical (outputs, cycles, stats,
+// expositions, command streams), so they isolate exactly the row step
+// and its kernel. Timing itself has one implementation, checked
+// independently by internal/conformance.
 
 // eventExec is one channel's issuer. It persists on the Controller
 // across runs. The datapath state it drives is the engine's.
@@ -50,7 +49,7 @@ type eventExec struct {
 	banks   int
 	latches int
 	// ref is the reference mode (Options.Oracle): reference compute
-	// arithmetic, refreshes REF by REF.
+	// arithmetic.
 	ref bool
 	// inRun is set while RunMVM streams this channel's schedule, whose
 	// refresh boundaries also serve arrived host traffic.
@@ -213,36 +212,14 @@ func (x *eventExec) maybeRefresh(est int64) error {
 // the operation. An operation longer than tREFI (possible for the
 // de-optimized variants) simply accrues postponed refreshes that are
 // paid back at the next boundary, as JEDEC refresh postponing allows.
-// Banks must be precharged, which is true at tile boundaries.
-//
-// The catch-up has a closed form. REF by REF, the i-th catch-up refresh
-// issues at t_i = t1 + (i-1)*step with step = max(tRFC, CmdSlot) —
-// each REF overwrites every bank's nextACT to its own cycle + tRFC and
-// occupies a row-bus slot, so nothing else constrains the next one —
-// and the loop exits at the smallest k with nr0 + k*tREFI > t_k.
-// Solving that inequality gives k directly; the channel applies all k
-// refreshes in one O(banks) batch. The reference mode, anything tapping
-// the command stream, and a degenerate preset (tREFI within one
-// refresh's shadow, where the loop refreshes one per interval forever)
-// take the loop instead, each REF through issue.
+// Banks must be precharged, which is true at tile boundaries. Every REF
+// goes through issue, with its timing, stats and taps. After the
+// first, each catch-up REF issues max(tRFC, CmdSlot) after
+// the one before while the deadline moves by tREFI, which
+// dram.Timing.Validate requires to be longer, so the loop ends.
 func (x *eventExec) refresh(est int64) error {
 	c, ch := x.c, x.ch
 	t := c.cfg.Timing
-	step := x.dch.RefreshStep()
-	batch := !x.ref && c.Trace == nil && x.e.Observer() == nil && x.dch.Observer() == nil
-	if c.nextRefresh[ch] <= c.now[ch] && batch && t.TREFI > step {
-		first := x.dch.EarliestIssue(dram.Command{Kind: dram.KindREF}, c.now[ch])
-		var k int64 = 1
-		if a := first - c.nextRefresh[ch] - step; a >= 0 {
-			k = a/(t.TREFI-step) + 1
-		}
-		last, err := x.dch.RefreshBatch(first, int(k))
-		if err != nil {
-			return err
-		}
-		c.now[ch] = last
-		c.nextRefresh[ch] += k * t.TREFI
-	}
 	ref := func() error {
 		if c.nextRefresh[ch] > c.now[ch] {
 			c.now[ch] = c.nextRefresh[ch]

@@ -134,9 +134,9 @@ func driveIdeal(t *testing.T, cfg dram.Config, opts Options, m *layout.Matrix) (
 // ISR-path latch preloads, the event core's outputs, cycle accounting,
 // dram.Stats and final clock are byte-identical to the stepping oracle
 // running under independent conformance checking. The ideal baseline's
-// stream runs on the same issuer and is held to the same identity, its
-// overdue refreshes caught up in one batch on the default side and REF
-// by REF on the reference side.
+// stream runs on the same issuer and is held to the same identity, with
+// refreshes overdue after host advances, caught up by the one refresh
+// loop both modes share.
 func TestEventCoreMatchesOracle(t *testing.T) {
 	cfg := testCfg()
 	m := layout.RandomMatrix(96, 600, 7)
@@ -556,10 +556,11 @@ type obsFunc func(cmd dram.Command, cycle int64)
 
 func (f obsFunc) Observe(cmd dram.Command, cycle int64) { f(cmd, cycle) }
 
-// TestEventCoreRefreshCatchUp drives the closed-form refresh catch-up
-// hard: a long Advance leaves the channel many tREFI behind, and the
-// batched catch-up must land on exactly the oracle's clock, refresh
-// count and stats.
+// TestEventCoreRefreshCatchUp drives the refresh catch-up hard: a long
+// Advance leaves the channel many tREFI behind, and the next run must
+// land on exactly the oracle's clock, refresh count and stats.
+// TestRefreshCatchUpClosedForm checks the catch-up itself against its
+// closed form.
 func TestEventCoreRefreshCatchUp(t *testing.T) {
 	cfg := testCfg()
 	m := layout.RandomMatrix(64, 384, 51)
@@ -602,12 +603,85 @@ func TestEventCoreRefreshCatchUp(t *testing.T) {
 	}
 }
 
+// TestRefreshCatchUpClosedForm holds the refresh loop to the closed form
+// of a catch-up. A channel whose deadline has passed, and whose first
+// REF can issue at first, owes REFs at first, first+step, ... with
+// step = max(tRFC, CmdSlot): each REF sets every bank's nextACT to its
+// own cycle + tRFC and takes a row-bus slot. The loop stops at the
+// smallest k with deadline + k·tREFI > first + (k−1)·step, that is
+// k = ⌊(first − deadline − step)/(tREFI − step)⌋ + 1, or 1 when
+// first − deadline < step. Checked on the test config and on every
+// family preset, from 1 to 1000 tREFI behind.
+func TestRefreshCatchUpClosedForm(t *testing.T) {
+	type preset struct {
+		name string
+		cfg  dram.Config
+	}
+	presets := []preset{{"test", testCfg()}}
+	for _, f := range dram.Families() {
+		cfg, _ := dram.FamilyConfig(f, 2)
+		presets = append(presets, preset{string(f), cfg})
+	}
+	m := layout.RandomMatrix(64, 384, 51)
+	v := randomVector(m.Cols, 52)
+	const ch = 0
+	for _, pr := range presets {
+		tm := pr.cfg.Timing
+		step := max(tm.TRFC, tm.CmdSlot)
+		for _, behind := range []int64{1, 3, 100, 1000} {
+			c, err := NewController(pr.cfg, Newton())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := c.Place(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.RunMVM(p, v); err != nil {
+				t.Fatal(err)
+			}
+			c.Advance(behind * tm.TREFI)
+			dch := c.Engine(ch).Channel()
+			deadline := c.nextRefresh[ch]
+			first := dch.EarliestIssue(dram.Command{Kind: dram.KindREF}, c.now[ch])
+			k := int64(1)
+			if a := first - deadline - step; a >= 0 {
+				k = a/(tm.TREFI-step) + 1
+			}
+			var refs []int64
+			dch.SetObserver(obsFunc(func(cmd dram.Command, cycle int64) {
+				if cmd.Kind == dram.KindREF {
+					refs = append(refs, cycle)
+				}
+			}))
+			before := dch.Stats().Refreshes
+			if err := c.CatchUpRefresh(ch, 0); err != nil {
+				t.Fatalf("%s, behind %d tREFI: %v", pr.name, behind, err)
+			}
+			if int64(len(refs)) != k || dch.Stats().Refreshes-before != k {
+				t.Errorf("%s, behind %d tREFI: %d REFs issued, %d counted, want %d",
+					pr.name, behind, len(refs), dch.Stats().Refreshes-before, k)
+			}
+			for i, at := range refs {
+				if want := first + int64(i)*step; at != want {
+					t.Errorf("%s, behind %d tREFI: REF %d at %d, want %d", pr.name, behind, i, at, want)
+					break
+				}
+			}
+			if c.nextRefresh[ch] <= c.now[ch] {
+				t.Errorf("%s, behind %d tREFI: deadline %d not past the clock %d",
+					pr.name, behind, c.nextRefresh[ch], c.now[ch])
+			}
+		}
+	}
+}
+
 // TestIssuerSessionMatchesOracle holds the paths outside RunMVM to the
 // reference mode: both scrubbers, a conventional region's partial-block
 // write and read-back, the ISR refresh hook and the between-run traffic
-// drain. The default side runs unverified and untapped, so each path's
-// refresh catch-up after a long Advance takes the closed-form batch;
-// the reference side issues REF by REF under the conformance checker.
+// drain. The default side runs unverified and untapped, the reference
+// side under the conformance checker, and each path catches up on
+// refreshes after a long Advance.
 // Clocks and stats after every step, the scrub reports, the read-back
 // bytes and every stored row must match.
 func TestIssuerSessionMatchesOracle(t *testing.T) {

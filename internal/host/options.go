@@ -69,11 +69,10 @@ type Options struct {
 	// Oracle selects the reference mode of the controller's one
 	// command issuer, for every command a Controller method sends:
 	// COMP and COMP_BK use the reference arithmetic (DecodeInto then
-	// AccumulateLatch, COMP by COMP) instead of the row step, and
-	// refresh catch-up issues REF by REF instead of in one closed-form
-	// batch. Timing has one implementation either
-	// way. The two modes are byte-identical in outputs, cycles, stats,
-	// obs expositions and command streams; Oracle is the reference the
+	// AccumulateLatch, COMP by COMP) instead of the row step. Timing and
+	// the refresh policy have one implementation either way. The two
+	// modes are byte-identical in outputs, cycles, stats, obs
+	// expositions and command streams; Oracle is the reference the
 	// differential tests and FuzzEventCore compare the default mode
 	// against.
 	Oracle bool

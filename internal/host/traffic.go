@@ -87,8 +87,8 @@ func (ct *chanTraffic) closeRows(x *eventExec) error {
 // width must match the geometry, and Options.QoS must validate. The
 // conventional region is reserved at the top of every bank's row space
 // (addr.RowAllocator's conventional end), so AiM and conventional data
-// may share banks but never a row. Only one workload may be attached
-// at a time.
+// may share banks but never a row. A controller takes at most one
+// workload.
 func (c *Controller) AttachTraffic(t *mem.Traffic) error {
 	if t == nil {
 		return fmt.Errorf("host: nil traffic workload")
@@ -142,11 +142,6 @@ func (c *Controller) Traffic() *mem.Traffic {
 	return c.traffic.t
 }
 
-// DetachTraffic removes the attached workload. The conventional row
-// region stays reserved (the allocator is append-only, like the AiM
-// side): re-attaching reserves a fresh region below it.
-func (c *Controller) DetachTraffic() { c.traffic = nil }
-
 // TrafficPending reports whether any channel has a conventional
 // request that has already arrived at the current clocks.
 func (c *Controller) TrafficPending() bool {
@@ -168,7 +163,7 @@ func (c *Controller) TrafficPending() bool {
 // with — so every policy drains identically here; the policies differ
 // only in how much service they admit inside a run. The drain moves
 // real data through the banks on the channel's issuer, like every other
-// command, with the refresh catch-up batched outside the reference mode.
+// command, refreshes included.
 func (c *Controller) ServiceArrivedTraffic() error {
 	if c.traffic == nil {
 		return fmt.Errorf("host: no traffic workload attached")

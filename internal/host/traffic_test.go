@@ -85,7 +85,7 @@ func TestAttachTrafficValidation(t *testing.T) {
 		t.Error("service with no workload attached accepted")
 	}
 	if c.TrafficPending() || c.Traffic() != nil || (c.TrafficReport() != TrafficReport{}) {
-		t.Error("detached controller reports traffic state")
+		t.Error("controller with no workload reports traffic state")
 	}
 	if err := c.AttachTraffic(newTraffic(t, cfg, heavyTraffic())); err != nil {
 		t.Fatal(err)
@@ -336,14 +336,6 @@ func TestServiceArrivedTrafficDrains(t *testing.T) {
 				t.Fatalf("channel %d: malformed record %+v", ch, r)
 			}
 		}
-	}
-	// Detach frees the controller for a fresh workload.
-	c.DetachTraffic()
-	if c.Traffic() != nil {
-		t.Fatal("workload still attached after detach")
-	}
-	if err := c.AttachTraffic(newTraffic(t, c.cfg, heavyTraffic())); err != nil {
-		t.Fatalf("re-attach after detach: %v", err)
 	}
 }
 

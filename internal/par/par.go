@@ -83,8 +83,3 @@ func Effective(workers, n int) int {
 	}
 	return workers
 }
-
-// ForEach is ForEachErr for item functions that cannot fail.
-func ForEach(workers, n int, fn func(i int)) {
-	ForEachErr(workers, n, func(i int) error { fn(i); return nil })
-}

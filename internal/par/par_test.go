@@ -15,7 +15,9 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 16, 100} {
 		for _, n := range []int{0, 1, 2, 7, 64} {
 			counts := make([]atomic.Int32, n)
-			ForEach(workers, n, func(i int) { counts[i].Add(1) })
+			if err := ForEachErr(workers, n, func(i int) error { counts[i].Add(1); return nil }); err != nil {
+				t.Fatal(err)
+			}
 			for i := range counts {
 				if c := counts[i].Load(); c != 1 {
 					t.Errorf("workers=%d n=%d: index %d ran %d times", workers, n, i, c)
@@ -108,7 +110,9 @@ func TestForEachDeterministicResults(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0), 32} {
 		got := make([]int, n)
-		ForEach(workers, n, func(i int) { got[i] = i * i })
+		if err := ForEachErr(workers, n, func(i int) error { got[i] = i * i; return nil }); err != nil {
+			t.Fatal(err)
+		}
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
