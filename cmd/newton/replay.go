@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 
-	"newton/internal/aim"
 	"newton/internal/conformance"
 	"newton/internal/dram"
 	"newton/internal/host"
@@ -17,11 +16,15 @@ import (
 // the cycle-level simulator, the trace-driven workflow of classic DRAM
 // simulators: capture a schedule (newton trace -o), edit or generate it
 // offline, then replay it here to check every timing constraint and
-// obtain the resulting statistics. -banks sizes the replay channel.
+// obtain the resulting statistics. The trace issues on a one-channel
+// controller through the host's issuer, as every other path's commands
+// do; -banks sizes the channel and -latches its result latches.
 //
-// In strict mode any timing violation aborts with the offending entry;
-// otherwise violating commands are re-scheduled at their earliest legal
-// cycle and the number of shifts is reported.
+// In strict mode any timing violation aborts with the offending entry
+// and its earliest legal cycle; otherwise a violating command is
+// re-scheduled at its earliest legal cycle at or after the previous
+// command's, so the commands after it keep their order, and the number
+// of shifts is reported.
 //
 // With -isr the input is a textual ISR program (the format isr.Encode
 // emits and nn.Executor compiles to): it is statically checked, then
@@ -74,13 +77,12 @@ func runReplay(args []string, stdout io.Writer) error {
 		t = dram.ConventionalTiming()
 	}
 	cfg := dram.Config{Geometry: g, Timing: t}
-	ch, err := dram.NewChannel(cfg)
+	c, err := host.NewController(cfg, host.Options{LatchesPerBank: *latches})
 	if err != nil {
 		return err
 	}
-	e := aim.NewEngineWithLatches(ch, *latches)
 
-	rep, shifted, err := traceio.Replay(e, trace, *strict)
+	rep, shifted, err := traceio.Replay(c, trace, *strict)
 	if err != nil {
 		return err
 	}

@@ -13,13 +13,12 @@ const AllBanks = -1
 
 // Engine executes Newton's AiM command set on one DRAM channel. It owns
 // the channel's compute state: the global input buffer, one MAC unit per
-// bank, the activation LUT, and the small holding registers that the
-// de-optimized three-step command sequence (BCAST / COLRD / MAC) needs.
+// bank, and the small holding registers that the de-optimized three-step
+// command sequence (BCAST / COLRD / MAC) needs.
 type Engine struct {
 	ch   *dram.Channel
 	gbuf *GlobalBuffer
 	macs []*MACUnit
-	lut  *LUT
 
 	// pendingInput is the sub-chunk latched by the last BCAST, feeding
 	// subsequent MAC commands in the de-optimized sequence. The backing
@@ -87,35 +86,24 @@ func (e *Engine) GlobalBuffer() *GlobalBuffer { return e.gbuf }
 // MAC returns bank b's MAC unit.
 func (e *Engine) MAC(b int) *MACUnit { return e.macs[b] }
 
-// SetLUT installs the per-channel activation look-up table (nil disables
-// in-DRAM activation; the default Newton schedule applies activations on
-// the host).
-func (e *Engine) SetLUT(l *LUT) { e.lut = l }
-
 // SetObserver installs a passive command-stream tap (nil removes it).
 // The engine observes the original AiM command, before the channel-level
-// rewrite a ganged COLRD undergoes (chCmd), so observers see the stream
-// the scheduler actually emitted; do not also attach the same observer
-// to the underlying channel.
+// rewrite a ganged COLRD undergoes (ChannelCommand), so observers see
+// the stream the scheduler actually emitted; do not also attach the
+// same observer to the underlying channel.
 func (e *Engine) SetObserver(o dram.Observer) { e.obs = o }
 
 // Observer returns the installed command-stream tap, nil when none. The
-// host's issuer, which bypasses Issue, reports each command to it.
+// host's issuer reports each command it issues to it.
 func (e *Engine) Observer() dram.Observer { return e.obs }
 
-// chCmd maps an AiM command to the channel-level command whose timing
-// and bank effects it has: a ganged COLRD performs a COMP-style all-bank
-// column access (without touching the global buffer).
-func (e *Engine) chCmd(cmd dram.Command) dram.Command {
-	e.ChannelCommand(&cmd)
-	return cmd
-}
-
-// ChannelCommand exposes the chCmd rewrite so callers that bypass Issue
-// (the host's issuer drives the channel's timed path directly) apply
-// the same ganged-COLRD mapping and therefore the same timing. It
-// rewrites cmd in place — callers that still need the AiM-level kind
-// and bank must save them first.
+// ChannelCommand maps an AiM command, in place, to the channel-level
+// command whose timing and bank effects it has: a ganged COLRD performs
+// a COMP-style all-bank column access (without touching the global
+// buffer). The host's issuer applies it before the channel's timed path
+// and EarliestIssue before the channel's timing rules, so both see the
+// same timing. Callers that still need the AiM-level kind and bank must
+// save them first.
 func (e *Engine) ChannelCommand(cmd *dram.Command) {
 	if cmd.Kind == dram.KindCOLRD && cmd.Bank == AllBanks {
 		cmd.Kind = dram.KindCOMP
@@ -135,8 +123,10 @@ func WaitsForDrain(k dram.Kind) bool { return waitsForDrain(k) }
 // return a torn partial sum, and a bias preload would race the tree's
 // writeback.
 func (e *Engine) EarliestIssue(cmd dram.Command, from int64) int64 {
-	earliest := e.ch.EarliestIssue(e.chCmd(cmd), from)
-	if waitsForDrain(cmd.Kind) {
+	kind := cmd.Kind
+	e.ChannelCommand(&cmd)
+	earliest := e.ch.EarliestIssue(cmd, from)
+	if waitsForDrain(kind) {
 		if h := e.DrainHorizon(); h > earliest {
 			earliest = h
 		}
@@ -287,39 +277,11 @@ type Result struct {
 	DataReady int64
 	// Data is RD column data.
 	Data []byte
-	// Results is the concatenated bank result latches from READRES
-	// (index = bank), after LUT activation when a LUT is installed. The
+	// Results is the concatenated bank result latches from READRES or
+	// RD_AF (index = bank), RD_AF's through its activation table. The
 	// slice aliases an engine-owned scratch buffer: it is overwritten by
-	// the engine's next READRES, so callers that keep it must copy.
+	// the engine's next result read, so callers that keep it must copy.
 	Results bf16.Vector
-}
-
-// Issue executes cmd at the given cycle: the channel checks timing,
-// performs bank effects and moves RD/WR data, then Apply applies the
-// compute semantics. It is the stepping path trace replay and the
-// package tests drive; the host's issuer walks the channel's timed path
-// and calls Apply itself.
-func (e *Engine) Issue(cmd dram.Command, cycle int64) (Result, error) {
-	if waitsForDrain(cmd.Kind) {
-		// The host must have inserted the adder-tree drain delay.
-		if earliest := e.EarliestIssue(cmd, cycle); earliest > cycle {
-			return Result{}, &dram.Error{Cmd: cmd, Cycle: cycle, Earliest: earliest,
-				Reason: cmd.Kind.String() + " before adder-tree pipelines drained"}
-		}
-	}
-	res, err := e.ch.Issue(e.chCmd(cmd), cycle)
-	if err != nil {
-		return Result{}, err
-	}
-	out, err := e.Apply(cmd, cycle)
-	if err != nil {
-		return Result{}, err
-	}
-	out.DataReady, out.Data = res.DataReady, res.Data
-	if e.obs != nil {
-		e.obs.Observe(cmd, cycle)
-	}
-	return out, nil
 }
 
 // Apply applies cmd's datapath effect, issued at cycle, to the engine's
@@ -390,17 +352,15 @@ func (e *Engine) Apply(cmd dram.Command, cycle int64) (Result, error) {
 			e.resScratch[b] = m.ResultLatch(cmd.Latch)
 			m.ResetLatch(cmd.Latch)
 		}
-		// READRES goes through the installed LUT; RD_AF through the
-		// activation-function table its command selects: the per-channel
-		// LUT sits between the latches and the bus, so results leave the
-		// device already activated. AFNone passes through (the channel
-		// has validated the selector).
-		lut := e.lut
+		// READRES returns the raw latches; RD_AF goes through the
+		// activation-function table its command selects, which sits
+		// between the latches and the bus, so results leave the device
+		// already activated. AFNone passes through (the channel has
+		// validated the selector).
 		if cmd.Kind == dram.KindRDAF {
-			lut = StandardLUT(cmd.AF)
-		}
-		if lut != nil {
-			lut.ApplyInPlace(e.resScratch)
+			if lut := StandardLUT(cmd.AF); lut != nil {
+				lut.ApplyInPlace(e.resScratch)
+			}
 		}
 		out.Results = e.resScratch
 

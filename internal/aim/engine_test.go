@@ -39,14 +39,48 @@ func loadRows(t *testing.T, e *Engine) {
 	}
 }
 
+// issue drives cmd as the host's issuer does, at its earliest legal
+// cycle at or after from: a latch command waits for the adder trees to
+// drain, ChannelCommand rewrites a ganged COLRD, the channel's timed
+// path checks timing and state, RD and WR move their column, Apply runs
+// every other kind's datapath effect, and the observer sees the
+// original command. It returns the result and the issue cycle.
+func issue(e *Engine, cmd dram.Command, from int64) (Result, int64, error) {
+	if waitsForDrain(cmd.Kind) {
+		from = max(from, e.DrainHorizon())
+	}
+	chCmd := cmd
+	e.ChannelCommand(&chCmd)
+	at, ready, err := e.Channel().IssueTimed(&chCmd, from)
+	if err != nil {
+		return Result{}, 0, err
+	}
+	var out Result
+	switch cmd.Kind {
+	case dram.KindRD:
+		out.Data, err = e.Channel().Bank(cmd.Bank).ColumnView(cmd.Col)
+	case dram.KindWR:
+		err = e.Channel().Bank(cmd.Bank).WriteColumn(cmd.Col, cmd.Data)
+	default:
+		out, err = e.Apply(cmd, at)
+	}
+	if err != nil {
+		return Result{}, 0, err
+	}
+	out.DataReady = ready
+	if e.obs != nil {
+		e.obs.Observe(cmd, at)
+	}
+	return out, at, nil
+}
+
 // issueSeq issues commands back to back at their earliest cycles.
 func issueSeq(t *testing.T, e *Engine, cmds ...dram.Command) (last Result, now int64) {
 	t.Helper()
 	for _, cmd := range cmds {
-		at := e.EarliestIssue(cmd, now)
-		r, err := e.Issue(cmd, at)
+		r, at, err := issue(e, cmd, now)
 		if err != nil {
-			t.Fatalf("issue %v at %d: %v", cmd, at, err)
+			t.Fatalf("issue %v from %d: %v", cmd, now, err)
 		}
 		last, now = r, at
 	}
@@ -156,10 +190,8 @@ func TestREADRESWaitsForPipeline(t *testing.T) {
 	cmds = append(cmds, dram.Command{Kind: dram.KindCOMP, Col: 0})
 	_, now := issueSeq(t, e, cmds...)
 	tmac := e.Channel().Config().Timing.TMAC
-	// Issuing READRES before the adder tree drains is a hazard.
-	if _, err := e.Issue(dram.Command{Kind: dram.KindREADRES}, now+1); err == nil {
-		t.Fatal("READRES before pipeline drain accepted")
-	}
+	// READRES waits for the adder tree to drain: reading mid-flight
+	// would return a torn partial sum.
 	if got := e.EarliestIssue(dram.Command{Kind: dram.KindREADRES}, now); got != now+tmac {
 		t.Errorf("READRES earliest = %d, want %d", got, now+tmac)
 	}
@@ -174,43 +206,15 @@ func TestCOMPWithUnwrittenBufferFails(t *testing.T) {
 		cmds = append(cmds, dram.Command{Kind: dram.KindGACT, Cluster: cl, Row: 0})
 	}
 	_, now := issueSeq(t, e, cmds...)
-	at := e.EarliestIssue(dram.Command{Kind: dram.KindCOMP, Col: 0}, now)
-	if _, err := e.Issue(dram.Command{Kind: dram.KindCOMP, Col: 0}, at); err == nil {
+	if _, _, err := issue(e, dram.Command{Kind: dram.KindCOMP, Col: 0}, now); err == nil {
 		t.Fatal("COMP with unwritten global buffer accepted")
 	}
 }
 
 func TestMACWithoutBroadcastFails(t *testing.T) {
 	e := newTestEngine(t)
-	at := e.EarliestIssue(dram.Command{Kind: dram.KindMAC, Bank: 0}, 0)
-	if _, err := e.Issue(dram.Command{Kind: dram.KindMAC, Bank: 0}, at); err == nil {
+	if _, _, err := issue(e, dram.Command{Kind: dram.KindMAC, Bank: 0}, 0); err == nil {
 		t.Fatal("MAC without prior BCAST accepted")
-	}
-}
-
-func TestEngineLUTAppliesAtREADRES(t *testing.T) {
-	e := newTestEngine(t)
-	loadRows(t, e)
-	e.SetLUT(NewLUT("relu", func(x float32) float32 {
-		if x < 0 {
-			return 0
-		}
-		return x
-	}))
-	g := e.Channel().Config().Geometry
-	cmds := []dram.Command{{Kind: dram.KindGWRITE, Col: 0, Data: inputSlot(-1)}}
-	for cl := 0; cl < g.Clusters(); cl++ {
-		cmds = append(cmds, dram.Command{Kind: dram.KindGACT, Cluster: cl, Row: 0})
-	}
-	cmds = append(cmds,
-		dram.Command{Kind: dram.KindCOMP, Col: 0},
-		dram.Command{Kind: dram.KindREADRES})
-	res, _ := issueSeq(t, e, cmds...)
-	// Raw latches would be -(b+1); ReLU clamps all to zero.
-	for b, v := range res.Results {
-		if !v.IsZero() {
-			t.Errorf("bank %d result = %v, want 0 after ReLU", b, v.Float32())
-		}
 	}
 }
 
@@ -222,8 +226,7 @@ func TestConventionalCommandsPassThrough(t *testing.T) {
 	data[3] = 0x5A
 	issueSeq(t, e,
 		dram.Command{Kind: dram.KindWR, Bank: 0, Col: 2, Data: data})
-	at := e.EarliestIssue(dram.Command{Kind: dram.KindRD, Bank: 0, Col: 2}, now)
-	r, err := e.Issue(dram.Command{Kind: dram.KindRD, Bank: 0, Col: 2}, at)
+	r, _, err := issue(e, dram.Command{Kind: dram.KindRD, Bank: 0, Col: 2}, now)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,8 +189,7 @@ func TestEngineBiasAndRDAF(t *testing.T) {
 
 	// RD_AF consumed the latches; a second read returns zeros (AFNone
 	// passes the raw latch through, no table).
-	at := e.EarliestIssue(dram.Command{Kind: dram.KindRDAF, AF: dram.AFNone}, 0)
-	res2, err := e.Issue(dram.Command{Kind: dram.KindRDAF, AF: dram.AFNone}, at)
+	res2, _, err := issue(e, dram.Command{Kind: dram.KindRDAF, AF: dram.AFNone}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,16 +204,16 @@ func TestEngineBiasAndRDAF(t *testing.T) {
 // the ISR-era commands.
 func TestEngineBiasAndRDAFErrors(t *testing.T) {
 	e := newTestEngine(t)
-	if _, err := e.Issue(dram.Command{Kind: dram.KindWRBIAS, Data: []byte{1, 2, 3}}, 0); err == nil {
+	if _, _, err := issue(e, dram.Command{Kind: dram.KindWRBIAS, Data: []byte{1, 2, 3}}, 0); err == nil {
 		t.Error("WR_BIAS with a short payload accepted")
 	}
-	if _, err := e.Issue(dram.Command{Kind: dram.KindRDAF, AF: dram.AFCount}, 0); err == nil {
+	if _, _, err := issue(e, dram.Command{Kind: dram.KindRDAF, AF: dram.AFCount}, 0); err == nil {
 		t.Error("RD_AF with an out-of-range selector accepted")
 	}
-	if _, err := e.Issue(dram.Command{Kind: dram.KindEWMUL, Col: 0, Slot: 1}, 0); err == nil {
+	if _, _, err := issue(e, dram.Command{Kind: dram.KindEWMUL, Col: 0, Slot: 1}, 0); err == nil {
 		t.Error("EWMUL on unwritten slots accepted")
 	}
-	if _, err := e.Issue(dram.Command{Kind: dram.KindCOPYGBBK, Bank: 0, Col: 0, Slot: 0}, 0); err == nil {
+	if _, _, err := issue(e, dram.Command{Kind: dram.KindCOPYGBBK, Bank: 0, Col: 0, Slot: 0}, 0); err == nil {
 		t.Error("COPY_GBBK with no open row accepted")
 	}
 }
@@ -239,7 +238,7 @@ func TestResultReadRejectsMissingLatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := NewEngineWithLatches(ch, c.latches)
-		res, err := e.Issue(c.cmd, 0)
+		res, err := e.Apply(c.cmd, 0)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%d latches, %v: %v", c.latches, c.cmd, err)
@@ -276,9 +275,7 @@ func TestEngineCopyAndEWRoundTrip(t *testing.T) {
 	)
 	_, now := issueSeq(t, e, cmds...)
 
-	rd := dram.Command{Kind: dram.KindRD, Bank: 0, Col: 1}
-	at := e.EarliestIssue(rd, now)
-	r, err := e.Issue(rd, at)
+	r, _, err := issue(e, dram.Command{Kind: dram.KindRD, Bank: 0, Col: 1}, now)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,21 +78,11 @@ func (n Num) IsInf(sign int) bool {
 // IsZero reports whether n is positive or negative zero.
 func (n Num) IsZero() bool { return n&^signMask == 0 }
 
-// Abs returns |n|.
-func (n Num) Abs() Num { return n &^ signMask }
-
 // Add returns a+b rounded to bfloat16.
 func Add(a, b Num) Num { return FromFloat32(a.Float32() + b.Float32()) }
 
 // Mul returns a*b rounded to bfloat16.
 func Mul(a, b Num) Num { return FromFloat32(a.Float32() * b.Float32()) }
-
-// FMA returns a*b+c computed in float32 and rounded once to bfloat16.
-// This models a MAC unit whose multiplier feeds an adder without an
-// intermediate bfloat16 rounding step.
-func FMA(a, b, c Num) Num {
-	return FromFloat32(a.Float32()*b.Float32() + c.Float32())
-}
 
 // Round returns f rounded to bfloat16 precision, as a float32: it is
 // FromFloat32(f).Float32() computed in one step, without materializing

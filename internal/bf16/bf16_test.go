@@ -94,17 +94,6 @@ func TestOverflowToInf(t *testing.T) {
 	}
 }
 
-func TestAbs(t *testing.T) {
-	one := FromFloat32(1)
-	if FromFloat32(-1).Abs() != one || one.Abs() != one {
-		t.Error("Abs(±1) != 1")
-	}
-	// Abs clears only the sign, so a negative NaN stays NaN.
-	if nan := (QNaN | signMask).Abs(); nan != QNaN {
-		t.Errorf("Abs(-NaN) = %#04x, want %#04x", nan.Bits(), QNaN.Bits())
-	}
-}
-
 func TestArithmetic(t *testing.T) {
 	a, b := FromFloat32(1.5), FromFloat32(2.5)
 	if got := Add(a, b).Float32(); got != 4 {
@@ -112,9 +101,6 @@ func TestArithmetic(t *testing.T) {
 	}
 	if got := Mul(a, b).Float32(); got != 3.75 {
 		t.Errorf("1.5*2.5 = %v", got)
-	}
-	if got := FMA(a, b, One).Float32(); got != 4.75 {
-		t.Errorf("1.5*2.5+1 = %v", got)
 	}
 	if !Equal(a, a) || Equal(a, b) || Equal(QNaN, QNaN) {
 		t.Error("Equal wrong")

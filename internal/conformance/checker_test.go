@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"newton/internal/aim"
 	"newton/internal/bf16"
 	"newton/internal/conformance"
 	"newton/internal/dram"
@@ -258,12 +257,11 @@ func TestBrokenSchedulerCaught(t *testing.T) {
 
 	// Cross-validation: the channel's own checker must reject the same
 	// schedule, otherwise checker and simulator disagree about legality.
-	ch, err := dram.NewChannel(cfg)
+	ctrl, err := replayController(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := aim.NewEngine(ch)
-	if _, _, err := traceio.Replay(e, trace, true); err == nil {
+	if _, _, err := traceio.Replay(ctrl, trace, true); err == nil {
 		t.Fatalf("strict replay accepted the dropped-tFAW schedule the checker flagged")
 	}
 }

@@ -49,14 +49,17 @@ type genState struct {
 	filter    []bool
 }
 
-// generate drives an engine with a random-but-well-formed command
-// schedule derived from src: every emitted command is protocol-legal and
-// issued at the engine's earliest legal cycle (plus occasional slack).
-// It returns the issued trace. report is called on any divergence
-// between the engine's earliest-issue and the checker's.
-func generate(cfg dram.Config, latches int, e *aim.Engine, c *conformance.Checker,
+// generate drives channel 0 of a controller with a random-but-well-formed
+// command schedule derived from src, through the host's issuer
+// (WaitChannel, then IssueCommand): every emitted command is
+// protocol-legal and issued at the engine's earliest legal cycle (plus
+// occasional slack). It returns the issued trace. report is called on
+// any divergence between the engine's earliest-issue and the checker's,
+// or between the cycle generated and the cycle the issuer chose.
+func generate(cfg dram.Config, latches int, ctrl *host.Controller, c *conformance.Checker,
 	src *byteSource, report func(format string, args ...any)) []traceio.TimedCommand {
 	g := cfg.Geometry
+	e := ctrl.Engine(0)
 	st := genState{gbuf: make([]bool, g.Cols), filter: make([]bool, g.Banks)}
 	open := func(b int) bool { return e.Channel().Bank(b).State() == dram.BankActive }
 	anyOpen := func() (int, bool) {
@@ -305,8 +308,9 @@ func generate(cfg dram.Config, latches int, e *aim.Engine, c *conformance.Checke
 		if src.next()%4 == 0 {
 			at += int64(src.intn(5)) // idle gaps diversify window states
 		}
-		if _, err := e.Issue(cmd, at); err != nil {
-			report("engine rejected generated command %v at %d: %v", cmd, at, err)
+		ctrl.WaitChannel(0, at)
+		if _, issued, err := ctrl.IssueCommand(0, cmd); err != nil || issued != at {
+			report("issuer took generated command %v for cycle %d at %d: %v", cmd, at, issued, err)
 			return trace
 		}
 		now = at
@@ -321,6 +325,12 @@ func fuzzOptions(latches int) conformance.Options {
 	return conformance.Options{Latches: latches, RefreshSlack: -1}
 }
 
+// replayController returns a fresh one-channel controller with the
+// given result latches per bank, the controller newton replay builds.
+func replayController(cfg dram.Config, latches int) (*host.Controller, error) {
+	return host.NewController(cfg, host.Options{LatchesPerBank: latches})
+}
+
 // runConformance executes one generator round and the mutation round;
 // report receives any divergence between checker and simulator.
 func runConformance(data []byte, report func(format string, args ...any)) {
@@ -328,20 +338,19 @@ func runConformance(data []byte, report func(format string, args ...any)) {
 	src := &byteSource{data: data}
 	latches := 1 + src.intn(2)
 
-	ch, err := dram.NewChannel(cfg)
+	ctrl, err := replayController(cfg, latches)
 	if err != nil {
-		report("NewChannel: %v", err)
+		report("NewController: %v", err)
 		return
 	}
-	e := aim.NewEngineWithLatches(ch, latches)
 	c, err := conformance.New(cfg, fuzzOptions(latches))
 	if err != nil {
 		report("conformance.New: %v", err)
 		return
 	}
-	e.SetObserver(c)
+	ctrl.Engine(0).SetObserver(c)
 
-	trace := generate(cfg, latches, e, c, src, report)
+	trace := generate(cfg, latches, ctrl, c, src, report)
 
 	// Direction 1: the checker accepts everything the scheduler emitted.
 	if vs := c.Violations(); len(vs) > 0 {
@@ -369,22 +378,22 @@ func runConformance(data []byte, report func(format string, args ...any)) {
 		report("CheckTrace: %v", err)
 		return
 	}
-	ch2, err := dram.NewChannel(cfg)
+	ctrl2, err := replayController(cfg, latches)
 	if err != nil {
-		report("NewChannel: %v", err)
+		report("NewController: %v", err)
 		return
 	}
-	_, _, replayErr := traceio.Replay(aim.NewEngineWithLatches(ch2, latches), mutated, true)
+	_, _, replayErr := traceio.Replay(ctrl2, mutated, true)
 	if (len(vs) == 0) != (replayErr == nil) {
 		report("checker/simulator disagree on mutated schedule (idx %d, delta %d): checker violations %v, replay error %v",
 			idx, delta, vs, replayErr)
 	}
 }
 
-// FuzzConformance generates random-but-well-formed command schedules and
-// asserts the two equivalence directions: the checker accepts whatever a
-// legal scheduler emits, and checker and simulator agree on the legality
-// of mutated schedules.
+// FuzzConformance generates random-but-well-formed command schedules,
+// issued through the host's issuer, and asserts the two equivalence
+// directions: the checker accepts whatever a legal scheduler emits, and
+// checker and simulator agree on the legality of mutated schedules.
 func FuzzConformance(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
@@ -473,12 +482,12 @@ func checkTextTrace(data []byte, report func(format string, args ...any)) {
 	if len(vs) > 0 {
 		return // checker rejected it; nothing further to assert
 	}
-	ch, err := dram.NewChannel(cfg)
+	ctrl, err := replayController(cfg, latches)
 	if err != nil {
-		report("NewChannel: %v", err)
+		report("NewController: %v", err)
 		return
 	}
-	if _, _, err := traceio.Replay(aim.NewEngineWithLatches(ch, latches), trace, true); err != nil {
+	if _, _, err := traceio.Replay(ctrl, trace, true); err != nil {
 		report("checker passed a trace the simulator rejects: %v", err)
 	}
 }

@@ -114,18 +114,6 @@ func (b *Bank) row(r int) []byte {
 	return data
 }
 
-// ReadColumn returns a copy of column I/O col of the open row. It is a
-// functional read; timing is the channel's concern.
-func (b *Bank) ReadColumn(col int) ([]byte, error) {
-	view, err := b.ColumnView(col)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(view))
-	copy(out, view)
-	return out, nil
-}
-
 // ColumnView returns the open row's column I/O without copying: the
 // zero-allocation read path of the compute commands on both simulator
 // cores. The view is only valid until the row's data next changes, and

@@ -44,7 +44,7 @@ func TestBankReadWrite(t *testing.T) {
 	g := testGeometry()
 	tt := ConventionalTiming()
 	b := newBank(g)
-	if _, err := b.ReadColumn(0); err == nil {
+	if _, err := b.ColumnView(0); err == nil {
 		t.Error("read from idle bank accepted")
 	}
 	b.activate(3, 0, &tt)
@@ -52,7 +52,7 @@ func TestBankReadWrite(t *testing.T) {
 	if err := b.WriteColumn(7, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.ReadColumn(7)
+	got, err := b.ColumnView(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestBankReadWrite(t *testing.T) {
 		t.Error("read-after-write mismatch")
 	}
 	// An untouched column reads as zeros.
-	zero, err := b.ReadColumn(8)
+	zero, err := b.ColumnView(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +74,10 @@ func TestBankReadWriteErrors(t *testing.T) {
 	tt := ConventionalTiming()
 	b := newBank(g)
 	b.activate(0, 0, &tt)
-	if _, err := b.ReadColumn(-1); err == nil {
+	if _, err := b.ColumnView(-1); err == nil {
 		t.Error("negative column accepted")
 	}
-	if _, err := b.ReadColumn(g.Cols); err == nil {
+	if _, err := b.ColumnView(g.Cols); err == nil {
 		t.Error("out-of-range column accepted")
 	}
 	if err := b.WriteColumn(0, []byte{1}); err == nil {
@@ -143,7 +143,7 @@ func TestBankLazyAllocation(t *testing.T) {
 		t.Error("fresh bank stores rows")
 	}
 	b.activate(1, 0, &tt)
-	if _, err := b.ReadColumn(0); err != nil {
+	if _, err := b.ColumnView(0); err != nil {
 		t.Fatal(err)
 	}
 	if b.StoredRows() != 1 {

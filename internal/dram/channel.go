@@ -84,19 +84,6 @@ func (ch *Channel) Stats() Stats { return ch.stats.Clone() }
 // before the engine's channel-level rewrites.
 func (ch *Channel) SetObserver(o Observer) { ch.obs = o }
 
-// IssueResult reports the effects of a successfully issued command.
-type IssueResult struct {
-	// DataReady is the cycle at which read data (RD) or result data
-	// (READRES) is valid on the bus, or at which a COMP's column data has
-	// been consumed by the multipliers. Zero for commands with no
-	// returned data.
-	DataReady int64
-	// Data is a copy of the column I/O returned by RD. Compute and copy
-	// commands read their columns in the aim package, which owns their
-	// datapath.
-	Data []byte
-}
-
 // banksInCluster returns the bank index range [lo, hi) of a G_ACT cluster.
 func (ch *Channel) banksInCluster(cluster int) (lo, hi int, err error) {
 	per := ch.cfg.Geometry.BanksPerCluster
@@ -139,13 +126,13 @@ func (ch *Channel) recordActivations(c int64, k int) {
 
 // EarliestIssue returns the first cycle >= from at which cmd would be
 // legal on this channel, considering only timing (not row-state errors,
-// which are reported by Issue).
+// which IssueTimed reports).
 func (ch *Channel) EarliestIssue(cmd Command, from int64) int64 { return ch.bound(&cmd, from) }
 
 // bound is the channel's one set of timing rules: the first cycle >=
 // from at which cmd meets every bus, bank, tRRD, tFAW and tCCD
-// constraint. It reads the channel state and never changes it; Issue,
-// IssueTimed and EarliestIssue all take their issue cycle from it. cmd
+// constraint. It reads the channel state and never changes it;
+// IssueTimed and EarliestIssue both take their issue cycle from it. cmd
 // is taken by pointer to keep the 80-byte Command off the per-command
 // copy path; it is never mutated or retained.
 func (ch *Channel) bound(cmd *Command, from int64) int64 {
@@ -233,41 +220,10 @@ func (ch *Channel) bankOrNil(i int) *Bank {
 	return ch.banks[i]
 }
 
-// Issue applies cmd at the given cycle. It returns an *Error if the cycle
-// violates a timing constraint or the command is illegal in the current
-// bank state. On success the channel state, functional data, and stats
-// are updated and the command's effects are reported: RD returns a copy
-// of its column and WR stores its payload. Compute and copy commands
-// move no data here; the aim package reads and writes their columns.
-func (ch *Channel) Issue(cmd Command, cycle int64) (IssueResult, error) {
-	if earliest := ch.bound(&cmd, cycle); earliest > cycle {
-		return IssueResult{}, &Error{Cmd: cmd, Cycle: cycle, Earliest: earliest,
-			Reason: "timing constraint violated"}
-	}
-	ready, err := ch.transition(&cmd, cycle)
-	if err != nil {
-		return IssueResult{}, err
-	}
-	res := IssueResult{DataReady: ready}
-	switch cmd.Kind {
-	case KindRD:
-		res.Data, err = ch.banks[cmd.Bank].ReadColumn(cmd.Col)
-	case KindWR:
-		err = ch.banks[cmd.Bank].WriteColumn(cmd.Col, cmd.Data)
-	}
-	if err != nil {
-		return IssueResult{}, err
-	}
-	if ch.obs != nil {
-		ch.obs.Observe(cmd, cycle)
-	}
-	return res, nil
-}
-
 // IssueTimed issues cmd at its earliest legal cycle at or after from —
 // bound, then transition, then the observer — and moves no data: the
 // caller reads and writes the columns its commands touch (the host's
-// issuer reads open-row views).
+// issuer reads open-row views). It is the channel's one entry point.
 // It returns the issue cycle and the command's DataReady cycle (zero for
 // commands that return no data). cmd is taken by pointer, like bound's.
 func (ch *Channel) IssueTimed(cmd *Command, from int64) (int64, int64, error) {

@@ -199,21 +199,16 @@ func (c Command) String() string {
 	}
 }
 
-// Error is a timing- or state-violation error from the checker. Earliest
-// carries the first cycle at which the command would have been legal when
-// the violation is purely one of timing (0 when the command is illegal
-// regardless of time, e.g. reading a closed bank).
+// Error reports a command the channel's state machine rejected at Cycle:
+// a closed bank, an out-of-range bank, row, cluster or column, or a bad
+// payload. Timing is never an error: IssueTimed waits for the earliest
+// legal cycle, which EarliestIssue names.
 type Error struct {
-	Cmd      Command
-	Cycle    int64
-	Earliest int64
-	Reason   string
+	Cmd    Command
+	Cycle  int64
+	Reason string
 }
 
 func (e *Error) Error() string {
-	if e.Earliest > 0 {
-		return fmt.Sprintf("dram: %v at cycle %d: %s (earliest legal cycle %d)",
-			e.Cmd, e.Cycle, e.Reason, e.Earliest)
-	}
 	return fmt.Sprintf("dram: %v at cycle %d: %s", e.Cmd, e.Cycle, e.Reason)
 }

@@ -83,7 +83,7 @@ func TestCoexistenceSweep(t *testing.T) {
 }
 
 // TestCoexistenceOracleIdentity pins that the study is byte-identical
-// on the event core and the stepping oracle (and serial vs parallel),
+// in the issuer's default and reference modes (and serial vs parallel),
 // like every other figure.
 func TestCoexistenceOracleIdentity(t *testing.T) {
 	cfg := coexistConfig()

@@ -8,7 +8,7 @@ import (
 // TestOracleKnobIdentity pins the Oracle knob's contract across the
 // figure runners: the default event-driven core produces exactly the
 // same typed rows — outputs, cycles, stats, speedup ratios — as the
-// stepping reference engine, so Oracle is purely a differential A/B
+// issuer's reference mode, so Oracle is purely a differential A/B
 // switch. Fig. 9 walks the whole optimization ladder (every schedule
 // family and both timing presets), Fig. 8 adds the ideal baseline
 // normalization, and the fault campaign drives whole-model serving with

@@ -243,7 +243,7 @@ func TestTransientInjectorGatedToComp(t *testing.T) {
 		t.Fatalf("flipped %d bits with every bank idle", ti.Flips)
 	}
 	// Non-compute commands are ignored even with a row open.
-	if _, err := channels[0].Issue(dram.Command{Kind: dram.KindACT, Bank: 3, Row: p.BaseRow()}, 1000); err != nil {
+	if _, _, err := channels[0].IssueTimed(&dram.Command{Kind: dram.KindACT, Bank: 3, Row: p.BaseRow()}, 1000); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := channels[0].Bank(3).PeekRow(p.BaseRow())
@@ -276,7 +276,7 @@ func TestTransientInjectorGatedToComp(t *testing.T) {
 	// COLRD reads a column like COMP: one bank's, or with Bank =
 	// aim.AllBanks every open bank's (here banks 3 and 5). MAC reads no
 	// column, whatever its Bank and Col fields hold.
-	if _, err := channels[0].Issue(dram.Command{Kind: dram.KindACT, Bank: 5, Row: p.BaseRow()}, 2000); err != nil {
+	if _, _, err := channels[0].IssueTimed(&dram.Command{Kind: dram.KindACT, Bank: 5, Row: p.BaseRow()}, 2000); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -299,7 +299,7 @@ func TestTransientInjectorGatedToComp(t *testing.T) {
 func TestTransientInjectorZeroRateIsFree(t *testing.T) {
 	channels, p := testSystem(t, 7)
 	ti := NewTransientInjector(Params{Seed: 1}, channels)
-	if _, err := channels[0].Issue(dram.Command{Kind: dram.KindACT, Bank: 0, Row: p.BaseRow()}, 1000); err != nil {
+	if _, _, err := channels[0].IssueTimed(&dram.Command{Kind: dram.KindACT, Bank: 0, Row: p.BaseRow()}, 1000); err != nil {
 		t.Fatal(err)
 	}
 	ti.OnCommand(0, dram.Command{Kind: dram.KindCOMP, Col: 0})

@@ -120,15 +120,6 @@ func (c *Controller) Now() int64 {
 	return max
 }
 
-// SetActivation installs an in-DRAM activation LUT on every channel (the
-// no-reuse schedule applies activations before READRES). Passing nil
-// removes it.
-func (c *Controller) SetActivation(l *aim.LUT) {
-	for _, e := range c.engines {
-		e.SetLUT(l)
-	}
-}
-
 // Stats sums the channel statistics.
 func (c *Controller) Stats() dram.Stats {
 	var s dram.Stats

@@ -98,8 +98,8 @@ func (c *Controller) eventFor(ch int) *eventExec {
 // row's end), and every other kind goes through Engine.Apply. Then it
 // reports the command to the taps. The timing walk takes cmd by
 // pointer, sparing a copy of the 80-byte Command struct per command, so
-// the kind and bank are saved before the in-place chCmd rewrite and
-// restored after it.
+// the kind and bank are saved before the in-place ChannelCommand
+// rewrite and restored after it.
 func (x *eventExec) issue(cmd dram.Command) (aim.Result, error) {
 	kind, bank := cmd.Kind, cmd.Bank
 	from := x.c.now[x.ch]

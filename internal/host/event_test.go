@@ -41,7 +41,7 @@ func eventLadder() []struct {
 	}
 }
 
-// oracleOf returns the stepping-oracle twin of an option set, with the
+// oracleOf returns the reference-mode twin of an option set, with the
 // independent conformance checker attached so the oracle side also
 // proves the command stream legal.
 func oracleOf(opts Options) Options {
@@ -132,7 +132,7 @@ func driveIdeal(t *testing.T, cfg dram.Config, opts Options, m *layout.Matrix) (
 // TestEventCoreMatchesOracle is the tentpole gate: across every schedule
 // family and a multi-run session with a repeated input, host advances and
 // ISR-path latch preloads, the event core's outputs, cycle accounting,
-// dram.Stats and final clock are byte-identical to the stepping oracle
+// dram.Stats and final clock are byte-identical to the reference mode
 // running under independent conformance checking. The ideal baseline's
 // stream runs on the same issuer and is held to the same identity, with
 // refreshes overdue after host advances, caught up by the one refresh
@@ -165,50 +165,6 @@ func TestEventCoreMatchesOracle(t *testing.T) {
 			t.Errorf("%d refreshes, want at least the %d the advances made overdue", st.Refreshes, want)
 		}
 	})
-}
-
-// TestEventCoreLUTMatchesOracle covers the in-DRAM activation readout:
-// installing, swapping and removing a LUT between runs over one input
-// must track the oracle.
-func TestEventCoreLUTMatchesOracle(t *testing.T) {
-	cfg := testCfg()
-	m := layout.RandomMatrix(64, 384, 21)
-	v := randomVector(m.Cols, 22)
-	drive := func(opts Options) []*Result {
-		c, err := NewController(cfg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := c.Place(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var results []*Result
-		for _, sel := range []int{dram.AFReLU, dram.AFSigmoid, dram.AFNone, dram.AFReLU} {
-			c.SetActivation(aim.StandardLUT(sel))
-			res, err := c.RunMVM(p, v) // same input every run
-			if err != nil {
-				t.Fatal(err)
-			}
-			results = append(results, res)
-		}
-		if s := c.Conformance(); s != nil && len(s.Violations()) > 0 {
-			t.Fatalf("conformance violations: %v", s.Violations()[0])
-		}
-		return results
-	}
-	opts := NoReuse()
-	opts.Parallel = ParallelOff
-	eres := drive(opts)
-	ores := drive(oracleOf(opts))
-	for i := range ores {
-		assertResultsIdentical(t, ores[i], eres[i], "lut")
-	}
-	// The activation selections must have mattered: runs with different
-	// LUTs over the same input disagree somewhere.
-	if reflect.DeepEqual(eres[0].Output, eres[2].Output) {
-		t.Fatalf("ReLU and identity runs agree — the LUT was not applied")
-	}
 }
 
 // TestEventCoreRunReplayMatchesOracle targets warm reruns: long

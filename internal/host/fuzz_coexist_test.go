@@ -92,7 +92,7 @@ func driveCoexistSession(t *testing.T, s coexistFuzzSession, opts Options) ([]*R
 // both simulator cores and asserts (a) the independently derived
 // conformance checker — coexist rules included — accepts every command
 // either core emits, and (b) the event core remains byte-identical
-// to the stepping oracle under interleaved traffic: outputs, cycles,
+// to the issuer's reference mode under interleaved traffic: outputs, cycles,
 // stats, clocks, and every conventional request's service record.
 func FuzzCoexist(f *testing.F) {
 	f.Add([]byte{})

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"newton/internal/aim"
 	"newton/internal/bf16"
 	"newton/internal/dram"
 	"newton/internal/layout"
@@ -37,8 +36,8 @@ func (s *fuzzSource) intn(n int) int {
 
 // fuzzSession is one randomized multi-run session decoded from fuzz
 // bytes: a matrix shape, an option ladder rung, and a scripted sequence
-// of runs with input changes, latch preloads, LUT swaps, host advances
-// and stored-bit mutations between them.
+// of runs with input changes, latch preloads, host advances and
+// stored-bit mutations between them.
 type fuzzSession struct {
 	rows, cols int
 	opts       Options
@@ -50,7 +49,6 @@ type fuzzStep struct {
 	tweakLane int   // -1, or an element of the input to salt with NaN
 	bias      byte  // 0 = none, else WR_BIAS fill byte before the run
 	biasLatch int
-	lut       int   // -1 = leave, else AF selector to install
 	advance   int64 // host cycles to Advance after the run
 	mutate    int   // -1, or a bank whose base row gets a bit flipped
 }
@@ -74,7 +72,6 @@ func decodeFuzzSession(data []byte) fuzzSession {
 		st := fuzzStep{
 			inputSeed: int64(1 + src.intn(3)), // small pool: inputs repeat
 			tweakLane: -1,
-			lut:       -1,
 			mutate:    -1,
 		}
 		if src.next()%4 == 0 {
@@ -83,9 +80,6 @@ func decodeFuzzSession(data []byte) fuzzSession {
 		if src.next()%4 == 0 {
 			st.bias = 1 + src.next()
 			st.biasLatch = src.intn(s.opts.Latches())
-		}
-		if s.opts.InDRAMActivation && src.next()%2 == 0 {
-			st.lut = src.intn(dram.AFCount)
 		}
 		if a := src.next(); a%3 == 0 {
 			st.advance = int64(a) * 997 // reaches past tREFI at the high end
@@ -131,9 +125,6 @@ func driveFuzzSession(t *testing.T, s fuzzSession, opts Options) ([]*Result, int
 					t.Fatal(err)
 				}
 			}
-		}
-		if st.lut >= 0 {
-			c.SetActivation(aim.StandardLUT(st.lut))
 		}
 		if st.mutate >= 0 {
 			bank := c.Engine(st.mutate % c.Channels()).Channel().Bank(st.mutate % cfg.Geometry.Banks)
@@ -182,7 +173,7 @@ func assertVerifiedAlike(t *testing.T, ec, oc *Controller) {
 
 // FuzzEventCore feeds random legal multi-run sessions through both
 // simulator cores and asserts the event core is indistinguishable from
-// the stepping oracle: bit-identical outputs, cycle accounting,
+// the issuer's reference mode: bit-identical outputs, cycle accounting,
 // dram.Stats and final clocks, with both cores' command streams
 // independently checked — zero conformance violations on either side
 // and the same number of commands checked.
@@ -191,7 +182,7 @@ func FuzzEventCore(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
 	f.Add(bytes.Repeat([]byte{0, 7, 1, 11, 13}, 12))
 	f.Add(bytes.Repeat([]byte{3, 64, 2, 0, 0, 4, 0, 9}, 8))  // quad-latch, repeated inputs
-	f.Add(bytes.Repeat([]byte{2, 255, 1, 1, 3, 0, 2, 5}, 8)) // no-reuse with LUT swaps
+	f.Add(bytes.Repeat([]byte{2, 255, 1, 1, 3, 0, 2, 5}, 8)) // no-reuse
 	f.Add(bytes.Repeat([]byte{1, 17, 3, 3, 0, 0, 0, 0, 60}, 6))
 	// Four identical plain runs: the warm steady state.
 	f.Add(append([]byte{31, 99, 0, 1, 3}, bytes.Repeat([]byte{0, 1, 1, 1, 1, 1}, 5)...))

@@ -35,10 +35,6 @@ type Options struct {
 	// GangedActivation activates a four-bank cluster with one G_ACT
 	// command instead of four per-bank ACTs (paper §III-D).
 	GangedActivation bool
-	// InDRAMActivation applies the neural activation function through
-	// the per-channel look-up table before results leave the DRAM,
-	// as the no-reuse variant requires (paper §III-C).
-	InDRAMActivation bool
 	// NormExposureCycles is the exposed host-side latency per layer for
 	// batch normalization: the paper hides all but the first tile's
 	// normalization under Newton's compute (§III-C), so a model run
@@ -170,12 +166,10 @@ func NonOpt() Options {
 }
 
 // NoReuse returns the Newton-no-reuse variant of §III-C: every interface
-// optimization on, but the row-major layout with per-tile input re-fetch
-// and in-DRAM LUT activations.
+// optimization on, but the row-major layout with per-tile input re-fetch.
 func NoReuse() Options {
 	o := Newton()
 	o.Reuse = false
-	o.InDRAMActivation = true
 	return o
 }
 

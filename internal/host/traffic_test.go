@@ -107,7 +107,7 @@ func TestAttachTrafficValidation(t *testing.T) {
 }
 
 // TestCoexistEventOracleIdentity drives the identical mixed-traffic
-// session through the event core and the verified stepping oracle
+// session through the event core and the verified reference mode
 // under every QoS policy: outputs, cycles, stats, clocks and every
 // conventional request's service record must match byte for byte, and
 // the oracle side must be conformance-clean (including the coexist

@@ -307,7 +307,7 @@ type traced struct {
 }
 
 // TestISREventMatchesOracle holds ISR compute rows on the event core
-// byte-identical to the stepping oracle: for every model and option
+// byte-identical to the issuer's reference mode: for every model and option
 // set, three inferences on one controller must give the same output
 // bits, cycles, per-layer cycles, refreshes, DRAM stats and Trace
 // stream with Options.Oracle off and on. The one-column-I/O model

@@ -2,7 +2,8 @@
 // the trace-driven workflow DRAM simulators like DRAMsim2 (which the
 // paper's evaluation builds on) traditionally offer: capture the command
 // stream of a live run, inspect or transform it offline, and replay it
-// through the timing checker to validate schedules produced elsewhere.
+// through the host controller's issuer, which checks every timing
+// constraint, to validate schedules produced elsewhere.
 // conformance.CheckTrace is the independent referee for a parsed trace.
 //
 // The format is line-oriented text, one command per line:
@@ -27,6 +28,7 @@ import (
 	"newton/internal/aim"
 	"newton/internal/conformance"
 	"newton/internal/dram"
+	"newton/internal/host"
 )
 
 // TimedCommand is one trace entry, the type conformance.CheckTrace
@@ -221,41 +223,44 @@ type ReplayReport struct {
 	Results [][]float32
 }
 
-// Replay feeds a trace to an AiM engine at the recorded cycles,
-// validating every timing constraint. The trace must be sorted by cycle.
-// In strict mode any violation aborts; otherwise violating commands are
-// re-scheduled at their earliest legal cycle and the shift is counted.
-func Replay(e *aim.Engine, trace []TimedCommand, strict bool) (ReplayReport, int, error) {
+// Replay issues a trace on channel 0 of c, a fresh controller, through
+// the host's issuer: WaitChannel to each entry's recorded cycle, then
+// IssueCommand. The trace must be sorted by cycle. In strict mode an
+// entry that cannot issue at its recorded cycle aborts the replay
+// before it issues, naming the earliest legal cycle; otherwise the
+// issuer takes it at its earliest legal cycle at or after the previous
+// command's, and each late entry counts as a shift.
+func Replay(c *host.Controller, trace []TimedCommand, strict bool) (ReplayReport, int, error) {
 	var rep ReplayReport
 	shifted := 0
 	var last int64
+	e := c.Engine(0)
 	for i, tc := range trace {
 		if tc.Cycle < last {
 			return rep, shifted, fmt.Errorf("traceio: entry %d at cycle %d after cycle %d: trace must be sorted",
 				i, tc.Cycle, last)
 		}
 		last = tc.Cycle
-		at := tc.Cycle
-		if earliest := e.EarliestIssue(tc.Cmd, at); earliest > at {
-			if strict {
+		if strict {
+			if earliest := e.EarliestIssue(tc.Cmd, tc.Cycle); earliest > tc.Cycle {
 				return rep, shifted, fmt.Errorf("traceio: entry %d (%v at %d) violates timing; earliest legal cycle %d",
-					i, tc.Cmd, at, earliest)
+					i, tc.Cmd, tc.Cycle, earliest)
 			}
-			at = earliest
+		}
+		c.WaitChannel(0, tc.Cycle)
+		res, at, err := c.IssueCommand(0, tc.Cmd)
+		if err != nil {
+			return rep, shifted, fmt.Errorf("traceio: entry %d (%v at %d): %w", i, tc.Cmd, tc.Cycle, err)
+		}
+		if at > tc.Cycle {
 			shifted++
 		}
-		res, err := e.Issue(tc.Cmd, at)
-		if err != nil {
-			return rep, shifted, fmt.Errorf("traceio: entry %d (%v at %d): %w", i, tc.Cmd, at, err)
-		}
 		rep.Commands++
-		if at > rep.LastCycle {
-			rep.LastCycle = at
-		}
+		rep.LastCycle = at
 		if res.Results != nil {
 			rep.Results = append(rep.Results, res.Results.Float32Slice())
 		}
 	}
-	rep.Stats = e.Channel().Stats()
+	rep.Stats = c.Stats()
 	return rep, shifted, nil
 }

@@ -2,6 +2,8 @@ package traceio
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,6 +18,18 @@ func traceConfig() dram.Config {
 	g := dram.HBM2EGeometry(1)
 	g.Rows = 128
 	return dram.Config{Geometry: g, Timing: dram.AiMTiming()}
+}
+
+// replayController returns a fresh one-channel controller on
+// traceConfig with the given result latches per bank, as newton replay
+// builds one.
+func replayController(t *testing.T, latches int) *host.Controller {
+	t.Helper()
+	c, err := host.NewController(traceConfig(), host.Options{LatchesPerBank: latches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // captureRun records a single-channel Newton MVM as a trace.
@@ -74,20 +88,16 @@ func TestWriteParseRoundTrip(t *testing.T) {
 func TestReplayReproducesRun(t *testing.T) {
 	for _, opts := range []host.Options{host.Newton(), host.NoReuse(), host.QuadLatch()} {
 		trace, output, m := captureRun(t, opts)
-		// Replay into a fresh engine whose banks hold the same matrix.
-		ch, err := dram.NewChannel(traceConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Replay into a fresh controller whose banks hold the same matrix.
+		c := replayController(t, opts.Latches())
 		p, err := layout.NewPlacementAt(traceConfig().Geometry, opts.LayoutKind(), m, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.LoadChannel(0, ch); err != nil {
+		if err := p.LoadChannel(0, c.Engine(0).Channel()); err != nil {
 			t.Fatal(err)
 		}
-		e := aim.NewEngineWithLatches(ch, opts.Latches())
-		rep, shifted, err := Replay(e, trace, true)
+		rep, shifted, err := Replay(c, trace, true)
 		if err != nil {
 			t.Fatalf("%+v: strict replay failed: %v", opts.LayoutKind(), err)
 		}
@@ -123,22 +133,21 @@ func TestReplayReproducesRun(t *testing.T) {
 }
 
 func TestReplayStrictCatchesViolations(t *testing.T) {
-	ch, err := dram.NewChannel(traceConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := aim.NewEngine(ch)
 	// An ACT at 0 and a read one cycle later violates tRCD.
 	trace := []TimedCommand{
 		{Cycle: 0, Cmd: dram.Command{Kind: dram.KindACT, Bank: 0, Row: 1}},
 		{Cycle: 1, Cmd: dram.Command{Kind: dram.KindRD, Bank: 0, Col: 0}},
 	}
-	if _, _, err := Replay(e, trace, true); err == nil {
+	_, _, err := Replay(replayController(t, 1), trace, true)
+	if err == nil {
 		t.Fatal("strict replay accepted a tRCD violation")
 	}
+	// The error names the earliest legal cycle, tRCD after the ACT.
+	if want := fmt.Sprintf("earliest legal cycle %d", traceConfig().Timing.TRCD); !strings.Contains(err.Error(), want) {
+		t.Errorf("strict error %q does not name %q", err, want)
+	}
 	// Lenient replay re-schedules it.
-	ch2, _ := dram.NewChannel(traceConfig())
-	rep, shifted, err := Replay(aim.NewEngine(ch2), trace, false)
+	rep, shifted, err := Replay(replayController(t, 1), trace, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +160,41 @@ func TestReplayStrictCatchesViolations(t *testing.T) {
 }
 
 func TestReplayRejectsUnsortedTrace(t *testing.T) {
-	ch, _ := dram.NewChannel(traceConfig())
 	trace := []TimedCommand{
 		{Cycle: 10, Cmd: dram.Command{Kind: dram.KindACT, Bank: 0, Row: 0}},
 		{Cycle: 5, Cmd: dram.Command{Kind: dram.KindACT, Bank: 1, Row: 0}},
 	}
-	if _, _, err := Replay(aim.NewEngine(ch), trace, false); err == nil {
+	if _, _, err := Replay(replayController(t, 1), trace, false); err == nil {
 		t.Fatal("unsorted trace accepted")
+	}
+}
+
+// cycleRecorder records the issue cycle of every command it observes.
+type cycleRecorder []int64
+
+func (r *cycleRecorder) Observe(_ dram.Command, cycle int64) { *r = append(*r, cycle) }
+
+// TestReplayKeepsTraceOrder holds lenient replay to the in-order issue
+// every other path keeps: a command shifted past its recorded cycle
+// delays the commands after it, so the replayed stream stays sorted.
+// The second ACT waits tRRD, and the GWRITE recorded at cycle 2 then
+// issues with it, not before it.
+func TestReplayKeepsTraceOrder(t *testing.T) {
+	trace := []TimedCommand{
+		{Cycle: 0, Cmd: dram.Command{Kind: dram.KindACT, Bank: 0}},
+		{Cycle: 1, Cmd: dram.Command{Kind: dram.KindACT, Bank: 1}},
+		{Cycle: 2, Cmd: dram.Command{Kind: dram.KindGWRITE, Data: make([]byte, traceConfig().Geometry.ColBytes())}},
+	}
+	c := replayController(t, 1)
+	var issued cycleRecorder
+	c.Engine(0).SetObserver(&issued)
+	_, shifted, err := Replay(c, trace, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trrd := traceConfig().Timing.TRRD
+	if want := []int64{0, trrd, trrd}; !slices.Equal(issued, want) || shifted != 2 {
+		t.Errorf("issued at %v with %d shifts, want %v with 2", issued, shifted, want)
 	}
 }
 
