@@ -547,12 +547,9 @@ func (ri *runInput) stream(x *eventExec, p *layout.Placement, _ bf16.Vector, out
 	c := x.c
 	x.inRun = true
 	var err error
-	switch {
-	case c.opts.Reuse:
+	if c.opts.Reuse {
 		err = c.runChannelInterleaved(x, p, ri, out)
-	case c.opts.Latches() > 1:
-		err = c.runChannelQuadLatch(x, p, ri, out)
-	default:
+	} else {
 		err = c.runChannelRowMajor(x, p, ri, out)
 	}
 	x.inRun = false
@@ -612,12 +609,16 @@ func (c *Controller) runChannelInterleaved(x *eventExec, p *layout.Placement, ri
 	return nil
 }
 
-// runChannelQuadLatch is the §III-C intermediate design point: row-major
-// layout (full matrix-row accumulation, minimal output traffic) with L
-// result latches per bank, so one global-buffer load is reused among L
-// matrix rows per bank instead of one. The paper found it buys almost
-// nothing over full-reuse Newton and costs latch area.
-func (c *Controller) runChannelQuadLatch(x *eventExec, p *layout.Placement, ri *runInput, out []float32) error {
+// runChannelRowMajor is the row-major schedule of §III-C with L =
+// Options.Latches() result latches per bank: row-major tile traversal
+// accumulates a full matrix row per bank (one READRES per tile instead
+// of one per DRAM row), and each input chunk fetched into the global
+// buffer serves L matrix rows per bank. With L = 1 it is
+// Newton-no-reuse, which re-fetches the chunk for every tile, the
+// traffic rise that makes that variant lose. With L = 4 it is the
+// quad-latch intermediate design point, which the paper found buys
+// almost nothing over full-reuse Newton and costs latch area.
+func (c *Controller) runChannelRowMajor(x *eventExec, p *layout.Placement, ri *runInput, out []float32) error {
 	ch := x.ch
 	ct := p.ChannelTiles(ch)
 	if ct == 0 {
@@ -631,7 +632,15 @@ func (c *Controller) runChannelQuadLatch(x *eventExec, p *layout.Placement, ri *
 		}
 		for chunk := 0; chunk < p.NumChunks(); chunk++ {
 			slots := c.colIOs(p, chunk)
+			// The refresh bound counts the chunk's buffer load at the
+			// command slot that paces GWRITEs when L > 1 rows share it,
+			// and at the column cadence, as estimateTile does, when
+			// every tile re-fetches it. The two differ where tCCD >
+			// CmdSlot (LPDDR4, DDR4); TestRowMajorGolden holds both.
 			est := int64(size)*c.estimateTile(slots, false) + int64(slots)*c.cfg.Timing.CmdSlot
+			if latches == 1 {
+				est = c.estimateTile(slots, true)
+			}
 			if err := x.maybeRefresh(est); err != nil {
 				return err
 			}
@@ -666,50 +675,6 @@ func (c *Controller) runChannelQuadLatch(x *eventExec, p *layout.Placement, ri *
 				if row, ok := p.MatrixRow(tile, b); ok {
 					out[row] = val.Float32()
 				}
-			}
-		}
-	}
-	return nil
-}
-
-// runChannelRowMajor is the Newton-no-reuse schedule (§III-C): row-major
-// tile traversal accumulates a full matrix row per bank (one READRES per
-// tile instead of one per DRAM row) but must re-fetch the input chunk
-// into the global buffer for every tile.
-func (c *Controller) runChannelRowMajor(x *eventExec, p *layout.Placement, ri *runInput, out []float32) error {
-	ch := x.ch
-	ct := p.ChannelTiles(ch)
-	if ct == 0 {
-		return nil
-	}
-	for lt := 0; lt < ct; lt++ {
-		for chunk := 0; chunk < p.NumChunks(); chunk++ {
-			slots := c.colIOs(p, chunk)
-			if err := x.maybeRefresh(c.estimateTile(slots, true)); err != nil {
-				return err
-			}
-			// The input chunk is re-fetched for every tile - the traffic
-			// rise that makes this variant lose - with the activations
-			// overlapped under the re-fetch.
-			if err := c.loadBufferAndActivate(x, ri, chunk, slots, p.RowFor(ch, chunk, lt)); err != nil {
-				return err
-			}
-			if err := c.computeRow(x, slots, 0); err != nil {
-				return err
-			}
-			if _, err := x.issue(dram.Command{Kind: dram.KindPREA}); err != nil {
-				return err
-			}
-		}
-		// One result read per full matrix row (per tile).
-		r, err := x.issue(dram.Command{Kind: dram.KindREADRES})
-		if err != nil {
-			return err
-		}
-		tile := p.GlobalTile(ch, lt)
-		for b, val := range r.Results {
-			if row, ok := p.MatrixRow(tile, b); ok {
-				out[row] = val.Float32()
 			}
 		}
 	}
