@@ -1,9 +1,11 @@
 package aim
 
 import (
+	"math"
 	"testing"
 
 	"newton/internal/bf16"
+	"newton/internal/dram"
 )
 
 func TestLUTExactForAllEncodings(t *testing.T) {
@@ -13,10 +15,7 @@ func TestLUTExactForAllEncodings(t *testing.T) {
 		}
 		return x
 	}
-	l := NewLUT("relu", relu)
-	if l.Name() != "relu" {
-		t.Errorf("Name = %q", l.Name())
-	}
+	l := NewLUT(relu)
 	// bfloat16 has only 65536 encodings, so the table can be checked
 	// exhaustively against direct evaluation.
 	for i := 0; i < 1<<16; i++ {
@@ -28,18 +27,37 @@ func TestLUTExactForAllEncodings(t *testing.T) {
 	}
 }
 
-func TestLUTApplyVector(t *testing.T) {
-	l := NewLUT("neg", func(x float32) float32 { return -x })
-	in := bf16.FromFloat32Slice([]float32{1, -2, 3})
-	out := l.ApplyVector(in)
-	want := []float32{-1, 2, -3}
-	for i := range want {
-		if out[i].Float32() != want[i] {
-			t.Errorf("lane %d = %v, want %v", i, out[i].Float32(), want[i])
-		}
+func TestActivationFunc(t *testing.T) {
+	if ActivationFunc(dram.AFNone) != nil {
+		t.Error("AFNone should have no function")
 	}
-	// Input must be untouched.
-	if in[0].Float32() != 1 {
-		t.Error("ApplyVector mutated input")
+	if ActivationFunc(dram.AFCount+5) != nil {
+		t.Error("out-of-range selector should have no function")
+	}
+	relu := ActivationFunc(dram.AFReLU)
+	if relu(-2) != 0 || relu(3) != 3 {
+		t.Errorf("relu(-2)=%v relu(3)=%v", relu(-2), relu(3))
+	}
+	sig := ActivationFunc(dram.AFSigmoid)
+	if got := sig(0); got != 0.5 {
+		t.Errorf("sigmoid(0) = %v", got)
+	}
+	tanh := ActivationFunc(dram.AFTanh)
+	if got := tanh(0); got != 0 {
+		t.Errorf("tanh(0) = %v", got)
+	}
+	if got := float64(tanh(1)); math.Abs(got-math.Tanh(1)) > 1e-7 {
+		t.Errorf("tanh(1) = %v", got)
+	}
+}
+
+func TestLUTApplyInPlace(t *testing.T) {
+	l := NewLUT(func(x float32) float32 { return -x })
+	v := bf16.FromFloat32Slice([]float32{1, -2, 3})
+	l.ApplyInPlace(v)
+	for i, want := range []float32{-1, 2, -3} {
+		if v[i].Float32() != want {
+			t.Errorf("lane %d = %v, want %v", i, v[i].Float32(), want)
+		}
 	}
 }

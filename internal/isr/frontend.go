@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"newton/internal/aim"
 	"newton/internal/bf16"
 	"newton/internal/dram"
 	"newton/internal/host"
@@ -336,7 +337,7 @@ func (f *Frontend) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		if fn := AFFunc(f.cfr[CFRAF]); fn != nil {
+		if fn := aim.ActivationFunc(f.cfr[CFRAF]); fn != nil {
 			for i := range v {
 				v[i] = fn(v[i])
 			}

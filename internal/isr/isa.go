@@ -27,7 +27,6 @@ import (
 	"math"
 
 	"newton/internal/bf16"
-	"newton/internal/dram"
 )
 
 // Op identifies an ISR instruction.
@@ -85,16 +84,17 @@ const (
 	// OpCOPYGBBK copies global-buffer slot Slot into column Col of the
 	// open row of bank Bank on the (one-hot) masked channel.
 	OpCOPYGBBK
-	// OpAF applies the activation selected by CFR 0 to Count elements
-	// starting at GPR Gpr, in float32 (the frontend's LUT apply for
-	// multi-chunk layers, whose sums accumulate in GPRs).
+	// OpAF applies the activation selected by CFR 0
+	// (aim.ActivationFunc) to Count elements starting at GPR Gpr, in
+	// float32 (the frontend's LUT apply for multi-chunk layers, whose
+	// sums accumulate in GPRs).
 	OpAF
 	// OpNORM batch-normalizes Count elements starting at GPR Gpr
-	// (float64 mean/variance, matching nn.BatchNorm bit for bit) and
-	// charges Exposure cycles of exposed latency on every channel.
+	// (Normalize, float64 mean/variance) and charges Exposure cycles of
+	// exposed latency on every channel.
 	OpNORM
 	// OpRESHAPE adapts Count elements at GPR Gpr to Count2 elements at
-	// GPR Gpr2 with nn.Reshape's deterministic fold rule, rounding to
+	// GPR Gpr2 with ReshapeInto's deterministic fold rule, rounding to
 	// bfloat16 as the inter-layer writeback does.
 	OpRESHAPE
 	// OpMARK records the current global cycle under label Idx: the
@@ -186,36 +186,12 @@ func (o Op) String() string {
 	return "Op(?)"
 }
 
-// AFFunc returns the float32 scalar function for a dram.AF* selector,
-// or nil for AFNone and out-of-range selectors. The formulas are the
-// same expressions as nn.Activation.Func (pinned by a cross-package
-// test), so a frontend AF instruction reproduces the host-side
-// activation bit for bit.
-func AFFunc(af int) func(float32) float32 {
-	switch af {
-	case dram.AFReLU:
-		return func(x float32) float32 {
-			if x < 0 {
-				return 0
-			}
-			return x
-		}
-	case dram.AFSigmoid:
-		return func(x float32) float32 {
-			return float32(1 / (1 + math.Exp(-float64(x))))
-		}
-	case dram.AFTanh:
-		return func(x float32) float32 {
-			return float32(math.Tanh(float64(x)))
-		}
-	}
-	return nil
-}
-
-// Normalize is the NORM instruction's arithmetic: batch normalization
-// with float64 mean and variance. It duplicates nn.BatchNorm (the isr
-// package cannot import nn, which sits above it); a cross-package test
-// pins the two implementations together.
+// Normalize is batch normalization, the NORM instruction's arithmetic
+// and the per-layer path's (nn): it standardizes v in place to zero
+// mean and unit variance, with float64 mean and variance. Unlike
+// activations, applied element-wise as results arrive, normalization
+// needs the full vector's range, which is why its first-tile latency is
+// exposed (§III-C).
 func Normalize(v []float32) {
 	if len(v) == 0 {
 		return
@@ -240,12 +216,13 @@ func Normalize(v []float32) {
 	}
 }
 
-// ReshapeInto is the RESHAPE instruction's arithmetic: nn.Reshape's
-// deterministic width adaptation (equal widths pass through, otherwise
-// elements fold modulo the source length with a 0.5 scale), with every
-// element rounded to bfloat16 as the inter-layer writeback does. It
-// duplicates nn.Reshape for the same layering reason as Normalize and
-// is pinned by the same cross-package test.
+// ReshapeInto is the RESHAPE instruction's arithmetic and the per-layer
+// path's (nn.Reshape wraps it): a deterministic width adaptation
+// standing in for the model-specific plumbing (LSTM gating, residual
+// adds, concatenations) that does not touch DRAM. Equal widths pass
+// through; otherwise elements fold modulo the source length with a 0.5
+// scale to keep magnitudes stable. Every element is rounded to bfloat16
+// as the inter-layer writeback does.
 func ReshapeInto(dst, src []float32) {
 	if len(dst) == len(src) {
 		for i, x := range src {

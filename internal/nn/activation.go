@@ -8,22 +8,25 @@ package nn
 
 import (
 	"fmt"
-	"math"
+
+	"newton/internal/aim"
+	"newton/internal/dram"
 )
 
 // Activation identifies a neural activation function (distinct from DRAM
-// row activation, as the paper is careful to note).
+// row activation, as the paper is careful to note). Its values are the
+// device's dram.AF* selectors.
 type Activation uint8
 
 const (
 	// None is the identity.
-	None Activation = iota
+	None Activation = dram.AFNone
 	// ReLU is max(0, x).
-	ReLU
+	ReLU Activation = dram.AFReLU
 	// Sigmoid is 1/(1+e^-x).
-	Sigmoid
+	Sigmoid Activation = dram.AFSigmoid
 	// Tanh is the hyperbolic tangent.
-	Tanh
+	Tanh Activation = dram.AFTanh
 )
 
 // String implements fmt.Stringer.
@@ -41,27 +44,14 @@ func (a Activation) String() string {
 	return fmt.Sprintf("Activation(%d)", uint8(a))
 }
 
-// Func returns the scalar function.
+// Func returns the scalar function: aim.ActivationFunc, the one
+// definition the device's tables and the ISR frontend share, or the
+// identity for None.
 func (a Activation) Func() func(float32) float32 {
-	switch a {
-	case ReLU:
-		return func(x float32) float32 {
-			if x < 0 {
-				return 0
-			}
-			return x
-		}
-	case Sigmoid:
-		return func(x float32) float32 {
-			return float32(1 / (1 + math.Exp(-float64(x))))
-		}
-	case Tanh:
-		return func(x float32) float32 {
-			return float32(math.Tanh(float64(x)))
-		}
-	default:
-		return func(x float32) float32 { return x }
+	if f := aim.ActivationFunc(int(a)); f != nil {
+		return f
 	}
+	return func(x float32) float32 { return x }
 }
 
 // Apply applies the activation in place.
@@ -72,33 +62,5 @@ func (a Activation) Apply(v []float32) {
 	f := a.Func()
 	for i := range v {
 		v[i] = f(v[i])
-	}
-}
-
-// BatchNorm standardizes v in place to zero mean and unit variance. The
-// paper notes that unlike activations (applied element-wise as results
-// arrive), normalization needs the full vector's range, which is why its
-// first-tile latency is exposed (§III-C).
-func BatchNorm(v []float32) {
-	if len(v) == 0 {
-		return
-	}
-	var mean float64
-	for _, x := range v {
-		mean += float64(x)
-	}
-	mean /= float64(len(v))
-	var variance float64
-	for _, x := range v {
-		d := float64(x) - mean
-		variance += d * d
-	}
-	variance /= float64(len(v))
-	inv := 1.0
-	if variance > 0 {
-		inv = 1 / math.Sqrt(variance+1e-5)
-	}
-	for i, x := range v {
-		v[i] = float32((float64(x) - mean) * inv)
 	}
 }

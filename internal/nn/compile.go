@@ -8,19 +8,13 @@ import (
 	"newton/internal/layout"
 )
 
-// afSelector maps an activation to the device's RD_AF/CFR selector.
+// afSelector maps an activation to the device's RD_AF/CFR selector,
+// which is its value.
 func afSelector(a Activation) (int, error) {
-	switch a {
-	case None:
-		return dram.AFNone, nil
-	case ReLU:
-		return dram.AFReLU, nil
-	case Sigmoid:
-		return dram.AFSigmoid, nil
-	case Tanh:
-		return dram.AFTanh, nil
+	if int(a) >= dram.AFCount {
+		return 0, fmt.Errorf("nn: activation %v has no device selector", a)
 	}
-	return 0, fmt.Errorf("nn: activation %v has no device selector", a)
+	return int(a), nil
 }
 
 // CompileISR lowers a placed model and its input vector to one

@@ -229,75 +229,6 @@ func TestCompileISRRejectsUnmaskableDevice(t *testing.T) {
 	}
 }
 
-// TestISRHelpersPinnedToNN pins internal/isr's duplicated arithmetic
-// (it cannot import nn) to the nn originals: Normalize to BatchNorm,
-// ReshapeInto to Reshape, AFFunc to Activation.Func.
-func TestISRHelpersPinnedToNN(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	vec := func(n int) []float32 {
-		v := make([]float32, n)
-		for i := range v {
-			v[i] = rng.Float32()*4 - 2
-		}
-		return v
-	}
-
-	for _, n := range []int{1, 7, 64, 1000} {
-		a := vec(n)
-		b := append([]float32(nil), a...)
-		BatchNorm(a)
-		isr.Normalize(b)
-		for i := range a {
-			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-				t.Fatalf("Normalize diverges from BatchNorm at %d: %v vs %v", i, b[i], a[i])
-			}
-		}
-	}
-	// Constant vector: the zero-variance guard must match too.
-	c1 := []float32{3, 3, 3, 3}
-	c2 := append([]float32(nil), c1...)
-	BatchNorm(c1)
-	isr.Normalize(c2)
-	if !reflect.DeepEqual(c1, c2) {
-		t.Fatalf("zero-variance paths diverge: %v vs %v", c2, c1)
-	}
-
-	for _, widths := range [][2]int{{64, 64}, {64, 48}, {48, 96}, {1, 17}} {
-		src := vec(widths[0])
-		want := Reshape(src, widths[1])
-		got := make([]float32, widths[1])
-		isr.ReshapeInto(got, src)
-		for i := range got {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i].Float32()) {
-				t.Fatalf("ReshapeInto(%v) diverges from Reshape at %d", widths, i)
-			}
-		}
-	}
-
-	acts := []Activation{None, ReLU, Sigmoid, Tanh}
-	sels := make([]int, len(acts))
-	for i, a := range acts {
-		var err error
-		if sels[i], err = afSelector(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inputs := vec(200)
-	inputs = append(inputs, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 0, -0.0)
-	for i, a := range acts {
-		nf := a.Func()
-		af := isr.AFFunc(sels[i])
-		if af == nil {
-			af = func(x float32) float32 { return x } // AFNone: identity
-		}
-		for _, x := range inputs {
-			if math.Float32bits(nf(x)) != math.Float32bits(af(x)) {
-				t.Fatalf("AFFunc(%v)(%v) = %v, Activation.Func gives %v", a, x, af(x), nf(x))
-			}
-		}
-	}
-}
-
 // traced is one command as a controller's Trace hook saw it.
 type traced struct {
 	ch      int

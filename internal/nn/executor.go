@@ -5,6 +5,7 @@ import (
 
 	"newton/internal/bf16"
 	"newton/internal/host"
+	"newton/internal/isr"
 	"newton/internal/layout"
 )
 
@@ -117,7 +118,7 @@ func RunWithRoundTrip(r MVMRunner, pm *PlacedModel, input []float32, normExposur
 		pm.addBias(i, out)
 		l.Act.Apply(out) // applied as elements arrive: no exposed latency
 		if l.BatchNorm {
-			BatchNorm(out)
+			isr.Normalize(out)
 			r.Advance(normExposure)
 		}
 		if roundTrip > 0 && i < len(pm.Spec.Layers)-1 {
@@ -130,22 +131,10 @@ func RunWithRoundTrip(r MVMRunner, pm *PlacedModel, input []float32, normExposur
 	return res, nil
 }
 
-// Reshape deterministically adapts an activation vector to the next
-// layer's input width, standing in for the model-specific plumbing
-// (LSTM gating, residual adds, concatenations) that does not touch DRAM.
-// Equal widths pass through; otherwise elements fold modulo the source
-// length with a 1/sqrt(fold) scale to keep magnitudes stable, and the
-// result is rounded to bfloat16 as it would be when written back.
+// Reshape adapts an activation vector to the next layer's input width
+// with isr.ReshapeInto, the RESHAPE instruction's arithmetic.
 func Reshape(v []float32, cols int) bf16.Vector {
-	out := make(bf16.Vector, cols)
-	if cols == len(v) {
-		for i, x := range v {
-			out[i] = bf16.FromFloat32(x)
-		}
-		return out
-	}
-	for i := 0; i < cols; i++ {
-		out[i] = bf16.FromFloat32(v[i%len(v)] * 0.5)
-	}
-	return out
+	f := make([]float32, cols)
+	isr.ReshapeInto(f, v)
+	return bf16.FromFloat32Slice(f)
 }

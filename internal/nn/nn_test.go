@@ -69,37 +69,6 @@ func TestActivationString(t *testing.T) {
 	}
 }
 
-func TestBatchNorm(t *testing.T) {
-	v := []float32{1, 2, 3, 4, 5}
-	BatchNorm(v)
-	var mean, variance float64
-	for _, x := range v {
-		mean += float64(x)
-	}
-	mean /= float64(len(v))
-	for _, x := range v {
-		variance += (float64(x) - mean) * (float64(x) - mean)
-	}
-	variance /= float64(len(v))
-	if math.Abs(mean) > 1e-5 {
-		t.Errorf("post-norm mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 1e-2 {
-		t.Errorf("post-norm variance = %v", variance)
-	}
-}
-
-func TestBatchNormDegenerate(t *testing.T) {
-	BatchNorm(nil) // must not panic
-	v := []float32{5, 5, 5}
-	BatchNorm(v) // zero variance
-	for _, x := range v {
-		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			t.Errorf("constant vector normalized to %v", x)
-		}
-	}
-}
-
 func TestModelValidate(t *testing.T) {
 	good := Model{Name: "ok", Layers: []Layer{{Name: "l", Rows: 4, Cols: 4}}}
 	if err := good.Validate(); err != nil {

@@ -1,6 +1,10 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+
+	"newton/internal/isr"
+)
 
 // RunReference executes the model in plain float32 on the generated
 // matrices: the software oracle for the simulated runs. It follows the
@@ -22,7 +26,7 @@ func RunReference(pm *PlacedModel, input []float32) ([]float32, error) {
 		pm.addBias(i, out)
 		l.Act.Apply(out)
 		if l.BatchNorm {
-			BatchNorm(out)
+			isr.Normalize(out)
 		}
 		cur = out
 	}
