@@ -33,12 +33,6 @@ func NewIdealBaseline(cfg Config) (*IdealBaseline, error) {
 	return &IdealBaseline{cfg: cfg, dcfg: dcfg, h: h}, nil
 }
 
-// SetFunctional controls whether the baseline host actually computes the
-// product from the streamed data (the default, validating the data path)
-// or only models transfer time. Timing is identical either way; large
-// sweeps turn it off for speed.
-func (b *IdealBaseline) SetFunctional(on bool) { b.h.Compute = on }
-
 // Load places a matrix in the baseline's DRAM.
 func (b *IdealBaseline) Load(m *Matrix) (*PlacedMatrix, error) {
 	p, err := b.h.Place(m.m)
@@ -48,8 +42,8 @@ func (b *IdealBaseline) Load(m *Matrix) (*PlacedMatrix, error) {
 	return &PlacedMatrix{mat: m, p: p, owner: b}, nil
 }
 
-// MatVec streams the matrix once and returns the product (when
-// functional validation is on) with run statistics. With k-way batching
+// MatVec streams the matrix once and returns the product, folded on
+// the host from the streamed data, with run statistics. With k-way batching
 // the ideal host still streams the matrix once - its infinite compute
 // exploits all the reuse - so callers model batch-k time as the batch-1
 // time (§V-D, Fig. 11).

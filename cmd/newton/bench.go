@@ -134,7 +134,6 @@ func runBench(args []string, stdout io.Writer) error {
 	fig := fs.String("fig", "all", "figure to regenerate: "+names)
 	var geo geometry
 	geo.register(fs, 24)
-	functional := fs.Bool("functional", false, "validate data paths inside the ideal baseline (slower)")
 	verify := fs.Bool("verify", false, "run every simulation under the independent conformance checker; any timing or protocol violation aborts")
 	format := fs.String("format", "table", "output format: table or csv")
 	jsonDir := fs.String("json", "", "also write each study's BENCH_<name>.json file into this directory")
@@ -161,7 +160,7 @@ func runBench(args []string, stdout io.Writer) error {
 	}
 	cfg := experiments.Default()
 	cfg.Channels, cfg.Banks = geo.channels, geo.banks
-	cfg.Functional, cfg.Verify, cfg.Serial = *functional, *verify, *serial
+	cfg.Verify, cfg.Serial = *verify, *serial
 	cfg.Seed, cfg.ServingN, cfg.FaultMaxPerWord = *seed, *n, *maxPerWord
 	if *bers != "" {
 		for _, part := range strings.Split(*bers, ",") {

@@ -48,7 +48,6 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			base.SetFunctional(false)
 
 			weights := newton.RandomMatrix(4096, 1024, 1)
 			spm, err := sys.Load(weights)

@@ -77,7 +77,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base.SetFunctional(false)
 	bpm, err := base.LoadModel(spec, 1)
 	if err != nil {
 		log.Fatal(err)

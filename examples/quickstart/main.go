@@ -62,7 +62,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base.SetFunctional(false)
 	bplaced, err := base.Load(weights)
 	if err != nil {
 		log.Fatal(err)

@@ -57,7 +57,6 @@ func measureSpeedup(t *testing.T, cfg dram.Config, rows, cols int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ih.Compute = false // timing identical either way; skip the data path
 	ip, err := ih.Place(m)
 	if err != nil {
 		t.Fatal(err)

@@ -25,10 +25,6 @@ type Config struct {
 	Banks int
 	// Seed for synthetic weights and inputs.
 	Seed int64
-	// Functional makes the ideal baseline fold its streamed data into
-	// the product, validating its data path (slower; timing
-	// identical). Newton's controllers always compute.
-	Functional bool
 	// Benchmarks overrides the Table II layer set (nil = full table);
 	// tests use a reduced set to stay fast.
 	Benchmarks []workloads.Bench
@@ -138,15 +134,9 @@ func (c Config) runNewtonVariant(b workloads.Bench, opts host.Options, aggressiv
 }
 
 // idealHost builds an Ideal Non-PIM baseline with the experiment-wide
-// functional, verification, reference-mode and parallelism settings
-// applied.
+// verification, reference-mode and parallelism settings applied.
 func (c Config) idealHost(cfg dram.Config) (*host.IdealNonPIM, error) {
-	h, err := host.NewIdealNonPIM(cfg, host.Options{Verify: c.Verify, Oracle: c.Oracle, Parallel: c.hostParallel()})
-	if err != nil {
-		return nil, err
-	}
-	h.Compute = c.Functional
-	return h, nil
+	return host.NewIdealNonPIM(cfg, host.Options{Verify: c.Verify, Oracle: c.Oracle, Parallel: c.hostParallel()})
 }
 
 // runIdeal simulates the Ideal Non-PIM on one benchmark.

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"newton/internal/host"
-	"newton/internal/layout"
 	"newton/internal/par"
+	"newton/internal/serve"
 )
 
 // Fig11Batches are the batch sizes of the Ideal-Non-PIM comparison.
@@ -28,11 +27,13 @@ type BatchRow struct {
 // batchStudy shares the machinery of Figs. 11 and 12. idealBaseline
 // selects the Ideal Non-PIM (true) or the GPU (false) as the comparison.
 //
-// Newton's batch-k time is measured, not extrapolated: k products run
-// back to back on one system with the live refresh schedule, and the
-// clock is sampled at each studied batch size. The result confirms the
-// paper's observation that Newton's compute cannot exploit the matrix
-// reuse batching creates - its time is linear in k (§V-D).
+// Newton's batch-k time is measured, not extrapolated: it is the
+// serving calibration (serve.NewNewtonBackend), which runs k products
+// of the benchmark's seeded matrix and input back to back on one
+// system with the live refresh schedule and samples the clock after
+// each. The result confirms the paper's observation that Newton's
+// compute cannot exploit the matrix reuse batching creates - its time
+// is linear in k (§V-D).
 func (c Config) batchStudy(batches []int, idealBaseline bool) ([]BatchRow, error) {
 	g := c.gpuModel()
 	maxBatch := batches[len(batches)-1]
@@ -40,23 +41,10 @@ func (c Config) batchStudy(batches []int, idealBaseline bool) ([]BatchRow, error
 	rows := make([]BatchRow, len(benches))
 	err := par.ForEachErr(c.sweepWorkers(), len(benches), func(i int) error {
 		b := benches[i]
-		ctrl, err := host.NewController(c.dramConfig(c.Banks, true), c.paperNewton())
+		shape := map[int]serve.ModelShape{0: {Name: b.Name, Rows: b.Rows, Cols: b.Cols}}
+		newton, err := serve.NewNewtonBackend(c.dramConfig(c.Banks, true), c.paperNewton(), shape, maxBatch, c.Seed)
 		if err != nil {
-			return err
-		}
-		m := layout.RandomMatrix(b.Rows, b.Cols, c.Seed)
-		p, err := ctrl.Place(m)
-		if err != nil {
-			return err
-		}
-		v := c.inputFor(b.Cols)
-		start := ctrl.Now()
-		newtonAt := make(map[int]int64, len(batches))
-		for k := 1; k <= maxBatch; k++ {
-			if _, err := ctrl.RunMVM(p, v); err != nil {
-				return fmt.Errorf("batch study %s input %d: %w", b.Name, k, err)
-			}
-			newtonAt[k] = ctrl.Now() - start
+			return fmt.Errorf("batch study %s: %w", b.Name, err)
 		}
 
 		var idealCycles float64
@@ -73,7 +61,7 @@ func (c Config) batchStudy(batches []int, idealBaseline bool) ([]BatchRow, error
 		row := BatchRow{Name: b.Name, Batches: batches}
 		for _, k := range batches {
 			// Performance normalized to GPU batch 1: (k / t) / (1 / gpu1).
-			row.Newton = append(row.Newton, float64(k)*gpu1/float64(newtonAt[k]))
+			row.Newton = append(row.Newton, float64(k)*gpu1/newton.ServiceCycles(0, k))
 			if idealBaseline {
 				row.Baseline = append(row.Baseline, float64(k)*gpu1/idealCycles)
 			} else {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"newton/internal/dram"
@@ -167,7 +168,7 @@ func NewStore(p *layout.Placement, channels []*dram.Channel) (*Store, error) {
 		}
 		cs := make([]byte, len(data)/8)
 		for w := range cs {
-			cs[w] = ECCEncode(leWord(data[w*8:]))
+			cs[w] = ECCEncode(binary.LittleEndian.Uint64(data[w*8:]))
 		}
 		s.check[k] = cs
 	}
@@ -187,20 +188,6 @@ func (s *Store) Words() int64 {
 		n += int64(len(cs))
 	}
 	return n
-}
-
-// leWord assembles a little-endian 64-bit word from 8 bytes.
-func leWord(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// putLEWord stores a 64-bit word back into 8 bytes, little-endian.
-func putLEWord(b []byte, w uint64) {
-	_ = b[7]
-	b[0], b[1], b[2], b[3] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
-	b[4], b[5], b[6], b[7] = byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56)
 }
 
 // placementRows lists the (channel, bank, dramRow) triples a placement

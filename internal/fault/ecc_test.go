@@ -113,13 +113,3 @@ func TestStatusString(t *testing.T) {
 		}
 	}
 }
-
-func TestLEWordRoundTrip(t *testing.T) {
-	b := make([]byte, 8)
-	for _, w := range eccWords {
-		putLEWord(b, w)
-		if got := leWord(b); got != w {
-			t.Fatalf("leWord(putLEWord(%#x)) = %#x", w, got)
-		}
-	}
-}

@@ -24,6 +24,7 @@
 package fault
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -271,7 +272,7 @@ func Audit(p *layout.Placement, channels []*dram.Channel) (AuditReport, error) {
 		golden := GoldenRow(p, k.Ch, k.Bank, k.Row)
 		for w := 0; w*8+8 <= len(data); w++ {
 			rep.Words++
-			g, d := leWord(golden[w*8:]), leWord(data[w*8:])
+			g, d := binary.LittleEndian.Uint64(golden[w*8:]), binary.LittleEndian.Uint64(data[w*8:])
 			if g != d {
 				rep.BadWords++
 				rep.BadBits += int64(popcount64(g ^ d))

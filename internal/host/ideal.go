@@ -26,11 +26,6 @@ import (
 // and the host-side fold.
 type IdealNonPIM struct {
 	c *Controller
-
-	// Compute controls whether the host actually folds the streamed data
-	// into a matrix-vector product (functional validation) or just
-	// models the transfer time. Timing is identical either way.
-	Compute bool
 }
 
 // NewIdealNonPIM builds the baseline on a controller of its own. Of
@@ -41,7 +36,7 @@ func NewIdealNonPIM(cfg dram.Config, opts Options) (*IdealNonPIM, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &IdealNonPIM{c: c, Compute: true}, nil
+	return &IdealNonPIM{c: c}, nil
 }
 
 // Place loads the matrix with the interleaved layout (the layout is
@@ -73,8 +68,8 @@ func (h *IdealNonPIM) Observe(reg *obs.Registry, tracer *obs.Tracer) {
 	h.c.obs = newHostObs(reg, tracer, "ideal")
 }
 
-// RunMVM streams the placed matrix once over the external interface and,
-// when Compute is set, folds the data into the product on the host.
+// RunMVM streams the placed matrix once over the external interface and
+// folds the data into the product on the host.
 // The returned Result mirrors the Newton controller's.
 func (h *IdealNonPIM) RunMVM(p *layout.Placement, v bf16.Vector) (*Result, error) {
 	if m := p.Matrix(); len(v) != m.Cols {
@@ -127,9 +122,7 @@ func (h *IdealNonPIM) stream(x *eventExec, p *layout.Placement, v bf16.Vector, o
 			if err != nil {
 				return err
 			}
-			if h.Compute {
-				h.fold(p, ch, lc.bank, lc.row, col, r.Data, v, out)
-			}
+			h.fold(p, ch, lc.bank, lc.row, col, r.Data, v, out)
 			switch col {
 			case 0:
 				// Close the previous location's bank on the row bus,

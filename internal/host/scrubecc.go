@@ -1,6 +1,7 @@
 package host
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"newton/internal/dram"
@@ -94,14 +95,14 @@ func (c *Controller) ScrubECC(p *layout.Placement, store *fault.Store) (ScrubRep
 						for w := 0; w*8+8 <= len(data); w++ {
 							rep.WordsChecked++
 							wordIdx := col*cb/8 + w
-							word := leWord(data[w*8:])
+							word := binary.LittleEndian.Uint64(data[w*8:])
 							fixed, st := fault.ECCDecode(word, check[wordIdx])
 							switch st {
 							case fault.StatusOK:
 							case fault.StatusCorrected:
 								rep.Corrected++
 								if fixed != word {
-									putLEWord(data[w*8:], fixed)
+									binary.LittleEndian.PutUint64(data[w*8:], fixed)
 									dirty = true
 								}
 							case fault.StatusDetected:
@@ -135,18 +136,4 @@ func (c *Controller) ScrubECC(p *layout.Placement, store *fault.Store) (ScrubRep
 		c.obs.publishScrub(&rep)
 	}
 	return rep, nil
-}
-
-// leWord / putLEWord mirror the fault package's little-endian word view
-// of row bytes.
-func leWord(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLEWord(b []byte, w uint64) {
-	_ = b[7]
-	b[0], b[1], b[2], b[3] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
-	b[4], b[5], b[6], b[7] = byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56)
 }

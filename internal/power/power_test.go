@@ -37,7 +37,6 @@ func runBoth(t *testing.T) (cfg dram.Config, newton, ideal *host.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Compute = false
 	ip, err := h.Place(m)
 	if err != nil {
 		t.Fatal(err)

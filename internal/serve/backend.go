@@ -126,7 +126,6 @@ func NewIdealBackend(dcfg dram.Config, models map[int]ModelShape, seed int64) (*
 	if err != nil {
 		return nil, err
 	}
-	h.Compute = false
 	ids := make([]int, 0, len(models))
 	for id := range models {
 		ids = append(ids, id)

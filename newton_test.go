@@ -98,7 +98,6 @@ func TestNewtonFasterThanIdealByPredictedFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.SetFunctional(false)
 	m := RandomMatrix(512, 1024, 3)
 	spm, err := sys.Load(m)
 	if err != nil {
@@ -371,7 +370,6 @@ func TestPowerReports(t *testing.T) {
 		t.Errorf("avg power %.2fx outside the paper's range", pw.AvgPower)
 	}
 	base, _ := NewIdealBaseline(cfg)
-	base.SetFunctional(false)
 	bpm, _ := base.Load(RandomMatrix(256, 1024, 6))
 	_, bst, err := base.MatVec(bpm, testVec(1024))
 	if err != nil {
