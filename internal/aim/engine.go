@@ -47,12 +47,9 @@ type Engine struct {
 	obs dram.Observer
 }
 
-// NewEngine wraps a channel with Newton's compute datapath: one result
-// latch per bank, as the shipped design has.
-func NewEngine(ch *dram.Channel) *Engine { return NewEngineWithLatches(ch, 1) }
-
-// NewEngineWithLatches builds the datapath with several result latches
-// per bank, the SIII-C quad-latch design point.
+// NewEngineWithLatches wraps a channel with Newton's compute datapath
+// and the given number of result latches per bank: one in the shipped
+// design, four at the SIII-C quad-latch design point.
 func NewEngineWithLatches(ch *dram.Channel, latches int) *Engine {
 	geo := ch.Config().Geometry
 	lanes := geo.ColBits / 16

@@ -19,7 +19,7 @@ func newTestEngine(t *testing.T) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewEngine(ch)
+	return NewEngineWithLatches(ch, 1)
 }
 
 // loadRows fills row 0 of every bank with a known pattern: bank b,

@@ -50,9 +50,6 @@ func NewGlobalBuffer(slots, colBits int) *GlobalBuffer {
 	}
 }
 
-// Slots returns the number of column-I/O slots.
-func (g *GlobalBuffer) Slots() int { return g.slots }
-
 // Lanes returns the number of bfloat16 elements per slot.
 func (g *GlobalBuffer) Lanes() int { return g.laneBits / 16 }
 
@@ -150,12 +147,4 @@ func (g *GlobalBuffer) EncodeSlot(slot int, dst []byte) error {
 		dst[2*i+1] = byte(b >> 8)
 	}
 	return nil
-}
-
-// Invalidate marks every slot stale, as when a new input-vector chunk is
-// about to be loaded.
-func (g *GlobalBuffer) Invalidate() {
-	for i := range g.valid {
-		g.valid[i] = false
-	}
 }

@@ -38,17 +38,6 @@ func (v Vector) Bytes() []byte {
 	return b
 }
 
-// VectorFromBytes decodes a little-endian byte slice into a Vector.
-// The byte slice length must be even.
-func VectorFromBytes(b []byte) (Vector, error) {
-	if len(b)%2 != 0 {
-		return nil, fmt.Errorf("bf16: byte length %d is not a multiple of 2", len(b))
-	}
-	v := make(Vector, len(b)/2)
-	DecodeInto(v, b)
-	return v, nil
-}
-
 // DecodeInto decodes little-endian bytes into dst without allocating;
 // dst must hold exactly len(b)/2 elements. It is the hot path of the
 // simulator's per-column compute.
@@ -58,23 +47,11 @@ func DecodeInto(dst Vector, b []byte) {
 	}
 }
 
-// Dot returns the dot product of a and b computed with a float32
-// accumulator (the precision of Newton's adder tree) and rounded once.
-// It panics if the lengths differ; mismatched operand widths indicate a
-// programming error in the datapath, not a runtime condition.
-func Dot(a, b Vector) Num {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("bf16: dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var acc float32
-	for i := range a {
-		acc += a[i].Float32() * b[i].Float32()
-	}
-	return FromFloat32(acc)
-}
-
-// DotFloat32 is Dot without the final bfloat16 rounding, for reference
-// computations.
+// DotFloat32 returns the dot product of a and b with a float32
+// accumulator (the precision of Newton's adder tree), not rounded, for
+// reference computations. It panics if the lengths differ; mismatched
+// operand widths indicate a programming error in the datapath, not a
+// runtime condition.
 func DotFloat32(a, b Vector) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("bf16: dot length mismatch %d vs %d", len(a), len(b)))

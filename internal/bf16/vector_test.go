@@ -11,10 +11,12 @@ func TestVectorBytesRoundTrip(t *testing.T) {
 		for i, r := range raw {
 			v[i] = Num(r)
 		}
-		got, err := VectorFromBytes(v.Bytes())
-		if err != nil || len(got) != len(v) {
+		b := v.Bytes()
+		if len(b) != 2*len(v) {
 			return false
 		}
+		got := make(Vector, len(v))
+		DecodeInto(got, b)
 		for i := range v {
 			if got[i] != v[i] {
 				return false
@@ -24,12 +26,6 @@ func TestVectorBytesRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestVectorFromBytesOddLength(t *testing.T) {
-	if _, err := VectorFromBytes([]byte{1, 2, 3}); err == nil {
-		t.Error("odd byte length accepted")
 	}
 }
 
@@ -47,9 +43,6 @@ func TestFloat32SliceRoundTrip(t *testing.T) {
 func TestDot(t *testing.T) {
 	a := FromFloat32Slice([]float32{1, 2, 3})
 	b := FromFloat32Slice([]float32{4, 5, 6})
-	if got := Dot(a, b).Float32(); got != 32 {
-		t.Errorf("dot = %v, want 32", got)
-	}
 	if got := DotFloat32(a, b); got != 32 {
 		t.Errorf("dotf32 = %v, want 32", got)
 	}
@@ -61,11 +54,11 @@ func TestDotMismatchPanics(t *testing.T) {
 			t.Error("length mismatch did not panic")
 		}
 	}()
-	Dot(make(Vector, 2), make(Vector, 3))
+	DotFloat32(make(Vector, 2), make(Vector, 3))
 }
 
 func TestDotEmpty(t *testing.T) {
-	if got := Dot(Vector{}, Vector{}); !got.IsZero() {
-		t.Errorf("empty dot = %v", got.Float32())
+	if got := DotFloat32(Vector{}, Vector{}); got != 0 {
+		t.Errorf("empty dot = %v", got)
 	}
 }

@@ -180,10 +180,6 @@ func (b *Bank) PeekRow(row int) ([]byte, error) {
 	return out, nil
 }
 
-// StoredRows returns how many distinct rows hold data, for capacity
-// accounting in tests.
-func (b *Bank) StoredRows() int { return len(b.rows) }
-
 // StoredRowIDs returns the row numbers that hold data, ascending, so
 // callers that walk the stored state (fault injection, audits) visit
 // rows in a deterministic order regardless of map iteration.

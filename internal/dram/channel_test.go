@@ -389,9 +389,6 @@ func TestKindStrings(t *testing.T) {
 			t.Errorf("kind %d has empty string", k)
 		}
 	}
-	if !KindCOMP.IsAiM() || KindRD.IsAiM() || !KindGWRITE.IsAiM() {
-		t.Error("IsAiM classification wrong")
-	}
 	if Kind(200).String() == "" {
 		t.Error("unknown kind string empty")
 	}

@@ -125,17 +125,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// IsAiM reports whether the command belongs to Newton's extension set
-// rather than the conventional DRAM command set.
-func (k Kind) IsAiM() bool {
-	switch k {
-	case KindGWRITE, KindGACT, KindCOMP, KindCOMPBank, KindBCAST, KindCOLRD, KindMAC, KindREADRES,
-		KindWRBIAS, KindRDAF, KindEWMUL, KindEWADD, KindCOPYBKGB, KindCOPYGBBK:
-		return true
-	}
-	return false
-}
-
 // Command is one command on a channel's command bus.
 //
 // Field use by kind:

@@ -27,7 +27,7 @@ func testSystem(t *testing.T, seed int64) ([]*dram.Channel, *layout.Placement) {
 		channels[i] = ch
 	}
 	m := layout.RandomMatrix(64, 512, seed)
-	p, err := layout.NewPlacement(geo, layout.Interleaved, m)
+	p, err := layout.NewPlacementAt(geo, layout.Interleaved, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestGoldenRowMatchesLoadedState(t *testing.T) {
 		geo := dram.HBM2EGeometry(2)
 		geo.Rows = 64
 		m := layout.RandomMatrix(33, 700, 11) // ragged rows and columns
-		p, err := layout.NewPlacement(geo, kind, m)
+		p, err := layout.NewPlacementAt(geo, kind, m, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -300,7 +300,7 @@ func TestRunMVMValidation(t *testing.T) {
 		t.Error("wrong vector length accepted")
 	}
 	// A placement with the wrong layout kind must be rejected.
-	rm, err := layout.NewPlacement(testCfg().Geometry, layout.RowMajor, m)
+	rm, err := layout.NewPlacementAt(testCfg().Geometry, layout.RowMajor, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestRunMVMValidation(t *testing.T) {
 	}
 	// A placement for a different geometry must be rejected.
 	other := dram.HBM2EGeometry(3)
-	op, err := layout.NewPlacement(other, layout.Interleaved, m)
+	op, err := layout.NewPlacementAt(other, layout.Interleaved, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

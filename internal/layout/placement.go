@@ -62,14 +62,9 @@ type Placement struct {
 	tiles      int // global tiles = ceil(Rows / banks)
 }
 
-// NewPlacement maps matrix m onto geometry geo with the given layout,
-// starting at DRAM row 0.
-func NewPlacement(geo dram.Geometry, kind Kind, m *Matrix) (*Placement, error) {
-	return NewPlacementAt(geo, kind, m, 0)
-}
-
-// NewPlacementAt maps matrix m starting at the given DRAM row in every
-// bank, so several matrices (a model's layers) can coexist in one device.
+// NewPlacementAt maps matrix m onto geometry geo with the given layout,
+// starting at the given DRAM row in every bank, so several matrices (a
+// model's layers) can coexist in one device.
 func NewPlacementAt(geo dram.Geometry, kind Kind, m *Matrix, baseRow int) (*Placement, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err

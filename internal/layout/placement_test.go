@@ -23,7 +23,7 @@ func smallGeometry(channels int) dram.Geometry {
 func TestPlacementDerivedQuantities(t *testing.T) {
 	g := smallGeometry(2)
 	m := NewMatrix(40, 1100)
-	p, err := NewPlacement(g, Interleaved, m)
+	p, err := NewPlacementAt(g, Interleaved, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPlacementDerivedQuantities(t *testing.T) {
 func TestTileChannelRoundTrip(t *testing.T) {
 	g := smallGeometry(3)
 	m := NewMatrix(16*7, 512)
-	p, err := NewPlacement(g, Interleaved, m)
+	p, err := NewPlacementAt(g, Interleaved, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestCoordBijectionSmall(t *testing.T) {
 	for _, kind := range []Kind{Interleaved, RowMajor} {
 		g := smallGeometry(2)
 		m := NewMatrix(33, 700)
-		p, err := NewPlacement(g, kind, m)
+		p, err := NewPlacementAt(g, kind, m, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestCoordBijectionSmall(t *testing.T) {
 func TestInvCoordRejectsPadding(t *testing.T) {
 	g := smallGeometry(1)
 	m := NewMatrix(20, 700) // ragged in both dimensions
-	p, err := NewPlacement(g, Interleaved, m)
+	p, err := NewPlacementAt(g, Interleaved, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestLoadMatchesCoord(t *testing.T) {
 // than index panics.
 func TestLoadWrongChannelCount(t *testing.T) {
 	g := smallGeometry(2)
-	p, err := NewPlacement(g, Interleaved, NewMatrix(4, 4))
+	p, err := NewPlacementAt(g, Interleaved, NewMatrix(4, 4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +285,12 @@ func TestPlacementCapacity(t *testing.T) {
 	g := smallGeometry(1) // 256 rows per bank
 	// 16 banks x 256 rows x 512 elements = 2M elements capacity.
 	big := NewMatrix(16*257, 512) // needs 257 rows per bank
-	if _, err := NewPlacement(g, Interleaved, big); err == nil {
+	if _, err := NewPlacementAt(g, Interleaved, big, 0); err == nil {
 		t.Error("over-capacity matrix accepted")
 	}
 	// Base row shifts the limit.
 	ok := NewMatrix(16*256, 512)
-	if _, err := NewPlacement(g, Interleaved, ok); err != nil {
+	if _, err := NewPlacementAt(g, Interleaved, ok, 0); err != nil {
 		t.Errorf("exactly-fitting matrix rejected: %v", err)
 	}
 	if _, err := NewPlacementAt(g, Interleaved, ok, 1); err == nil {
@@ -304,7 +304,7 @@ func TestPlacementCapacity(t *testing.T) {
 func TestUsedColIOs(t *testing.T) {
 	g := smallGeometry(1)
 	m := NewMatrix(4, 700)
-	p, err := NewPlacement(g, Interleaved, m)
+	p, err := NewPlacementAt(g, Interleaved, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestRowForChunkOfRowInverse(t *testing.T) {
 func TestChunkVector(t *testing.T) {
 	g := smallGeometry(1)
 	m := NewMatrix(4, 700)
-	p, _ := NewPlacement(g, Interleaved, m)
+	p, _ := NewPlacementAt(g, Interleaved, m, 0)
 	v := make(bf16.Vector, 700)
 	for i := range v {
 		v[i] = bf16.FromFloat32(float32(i%100) + 1) // exactly representable
@@ -370,7 +370,7 @@ func TestChunkVector(t *testing.T) {
 func TestMatrixRowRagged(t *testing.T) {
 	g := smallGeometry(1)
 	m := NewMatrix(20, 512)
-	p, _ := NewPlacement(g, Interleaved, m)
+	p, _ := NewPlacementAt(g, Interleaved, m, 0)
 	if row, ok := p.MatrixRow(1, 3); !ok || row != 19 {
 		t.Errorf("MatrixRow(1,3) = %d,%v", row, ok)
 	}

@@ -300,22 +300,6 @@ func (g *Gauge) Set(v float64) {
 // SetInt stores an integer value.
 func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
 
-// SetMax raises the gauge to v if v exceeds the current value.
-func (g *Gauge) SetMax(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.s.f.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.s.f.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on the nil handle).
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -18,7 +18,6 @@ func TestNilRegistryAndHandlesNoOp(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
-	g.SetMax(2)
 	h.Observe(1.5)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil handles must read as zero")
@@ -159,20 +158,6 @@ func TestLabelEscaping(t *testing.T) {
 	want := `esc_total{p="a\"b\\c\n"} 1`
 	if !strings.Contains(buf.String(), want) {
 		t.Fatalf("escaped sample %q missing from:\n%s", want, buf.String())
-	}
-}
-
-func TestGaugeSetMax(t *testing.T) {
-	r := New()
-	g := r.Gauge("peak", "")
-	g.SetMax(3)
-	g.SetMax(1)
-	if g.Value() != 3 {
-		t.Fatalf("SetMax lowered the gauge: %g", g.Value())
-	}
-	g.SetMax(9)
-	if g.Value() != 9 {
-		t.Fatalf("SetMax did not raise the gauge: %g", g.Value())
 	}
 }
 

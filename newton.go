@@ -87,7 +87,7 @@ type Config struct {
 	// LatchesPerBank is the number of result latches per bank (0 or 1 =
 	// the shipped single-latch design). Four latches with Reuse off is
 	// the §III-C intermediate design point the paper evaluated and
-	// rejected; QuadLatchConfig builds it.
+	// rejected.
 	LatchesPerBank int
 	// Fault configures the fault-injection and reliability subsystem
 	// (fault.go). The zero value disables it entirely.
@@ -100,15 +100,6 @@ type Config struct {
 	// (internal/conformance) to every channel's command stream; any
 	// timing or protocol violation fails the run with a "verify:" error.
 	Verify bool
-}
-
-// QuadLatchConfig returns the §III-C quad-latch design point: row-major
-// layout, four result latches per bank, every interface optimization on.
-func QuadLatchConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Opts.Reuse = false
-	cfg.LatchesPerBank = 4
-	return cfg
 }
 
 // DefaultConfig is the paper's evaluation configuration: 24 channels,

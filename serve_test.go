@@ -30,7 +30,7 @@ func TestConfigSplitEdgeCases(t *testing.T) {
 	}
 	// Split must not mutate the receiver, and non-channel fields carry
 	// over to every partition.
-	quad := QuadLatchConfig()
+	quad := quadLatchConfig()
 	quad.Channels = 24
 	parts, err := quad.Split(8, 16)
 	if err != nil {

@@ -35,20 +35,6 @@ func (s RunStats) Duration() time.Duration {
 	return time.Duration(s.Cycles) * time.Nanosecond
 }
 
-// CommandsPerColumn is the command-bandwidth cost of the run: commands
-// issued per bank-column of compute data consumed. Full Newton's ganged
-// complex commands drive this far below one (one COMP serves sixteen
-// banks); the de-optimized variants pay up to 48x more, which is the
-// paper's central interface argument (§III-D).
-func (s RunStats) CommandsPerColumn() float64 {
-	const colBytes = 32
-	cols := s.InternalBytesRead / colBytes
-	if cols <= 0 {
-		return 0
-	}
-	return float64(s.Commands) / float64(cols)
-}
-
 // add merges batch-item stats.
 func (s RunStats) add(o RunStats) RunStats {
 	s.Cycles += o.Cycles
