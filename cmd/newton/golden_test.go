@@ -33,6 +33,7 @@ var goldenRows = []struct{ name, args string }{
 	{"trace_gantt", "trace -variant nonopt -rows 8 -cols 256 -gantt"},
 	{"trace_noreuse", "trace -variant noreuse -max 0 -rows 16 -cols 512 -o FILE"},
 	{"replay_strict", "replay -in testdata/cmd.trace -strict"},
+	{"replay_shifted", "replay -in testdata/shift.trace"},
 	{"replay_isr", "replay -isr testdata/tiny.isr"},
 	{"serve", "serve -channels 4 -n 2000"},
 	{"serve_hist", "serve -channels 4 -n 2000 -backend newton -models DLRM-s1,GNMT-s1 -split 2,2 -hist"},

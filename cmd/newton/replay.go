@@ -82,23 +82,26 @@ func runReplay(args []string, stdout io.Writer) error {
 		return err
 	}
 
+	// The checker observes the stream the controller issues, shifts
+	// included. Refresh cadence is disabled: offline traces carry no
+	// refresh policy of their own (strict replay already re-times any
+	// REFs they do contain).
+	var chk *conformance.Checker
+	if *verify {
+		if chk, err = conformance.New(cfg, conformance.Options{Latches: *latches, RefreshSlack: -1}); err != nil {
+			return err
+		}
+		c.Engine(0).SetObserver(chk)
+	}
 	rep, shifted, err := traceio.Replay(c, trace, *strict)
 	if err != nil {
 		return err
 	}
-	if *verify && shifted == 0 {
-		// Refresh cadence is disabled: offline traces carry no refresh
-		// policy of their own (strict replay already re-times any REFs
-		// they do contain).
-		opt := conformance.Options{Latches: *latches, RefreshSlack: -1}
-		vs, err := conformance.CheckTrace(cfg, opt, trace)
-		if err != nil {
-			return err
-		}
-		if len(vs) > 0 {
+	if chk != nil {
+		if vs := chk.Violations(); len(vs) > 0 {
 			return fmt.Errorf("conformance: %d violations, first: %v", len(vs), vs[0])
 		}
-		fmt.Fprintf(stdout, "conformance:   %d commands checked, 0 violations\n", len(trace))
+		fmt.Fprintf(stdout, "conformance:   %d commands checked, 0 violations\n", chk.Commands())
 	}
 	fmt.Fprintf(stdout, "replayed:      %d commands\n", rep.Commands)
 	fmt.Fprintf(stdout, "finish cycle:  %d\n", rep.LastCycle)
