@@ -8,9 +8,8 @@ import (
 	"newton/internal/dram"
 )
 
-// LUT is the per-channel neural-activation look-up table used by the
-// Newton-no-reuse variant, where activations must be applied inside the
-// DRAM before results are read out (paper §III-C: "the neural network
+// LUT is a per-channel neural-activation look-up table, through which
+// RD_AF reads the result latches (paper §III-C: "the neural network
 // activation functions are implemented as look-up tables. Newton employs
 // a single look up table per channel"). Because bfloat16 has only 2^16
 // encodings, the table is exact for any scalar function. The paper's

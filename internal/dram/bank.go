@@ -170,7 +170,7 @@ func (b *Bank) WriteColumn(col int, data []byte) error {
 
 // PeekRow returns a copy of a row's stored image without timing effects,
 // for debugging and tests. A row never written reads as zeros and stays
-// unallocated, so a peek leaves StoredRows and StoredRowIDs unchanged.
+// unallocated, so a peek leaves StoredRowIDs unchanged.
 func (b *Bank) PeekRow(row int) ([]byte, error) {
 	if row < 0 || row >= b.geo.Rows {
 		return nil, fmt.Errorf("dram: row %d out of range [0,%d)", row, b.geo.Rows)

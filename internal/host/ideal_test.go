@@ -287,11 +287,12 @@ func idealDigest(t *testing.T, c idealGoldenCase) (string, int64) {
 
 // TestIdealGolden pins the Ideal Non-PIM stream over every DRAM family,
 // bank counts from 1 (no activation overlap) to 16, full-width, ragged
-// and padded shapes, across two runs with host time between them. The file was recorded from the ideal host's
-// own issuer, before the stream moved onto the controller's, so any
-// change to its command schedule, refresh placement or fold shows up
-// as a changed case. Set NEWTON_WRITE_GOLDEN=1 to regenerate after an
-// intentional change to the stream.
+// and padded shapes, across two runs with host time between them. The
+// file was recorded from the ideal host's own issuer, before the stream
+// moved onto the controller's, so any change to its command schedule,
+// refresh placement or fold shows up as a changed case. Set
+// NEWTON_WRITE_GOLDEN=1 to regenerate after an intentional change to
+// the stream.
 func TestIdealGolden(t *testing.T) {
 	var got bytes.Buffer
 	fmt.Fprintf(&got, "# SHA-256 of the ideal stream's session per case (see TestIdealGolden).\n")
