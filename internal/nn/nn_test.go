@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"newton/internal/host"
 )
 
 func TestActivationValues(t *testing.T) {
@@ -66,6 +68,93 @@ func TestActivationString(t *testing.T) {
 		if a.String() == "" {
 			t.Errorf("Activation(%d) has empty string", a)
 		}
+	}
+}
+
+// batchNormOutputs runs a one-layer model on the Newton controller and on
+// the float32 reference, returning both outputs.
+func batchNormOutputs(t *testing.T, l Layer, input []float32) (run, ref []float32) {
+	t.Helper()
+	ctrl, err := host.NewController(executorConfig(), host.Newton())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := PlaceModel(ctrl, Model{Name: "bn", Layers: []Layer{l}}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(ctrl, pm, input, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref, err = RunReference(pm, input); err != nil {
+		t.Fatal(err)
+	}
+	return res.Output, ref
+}
+
+func moments(v []float32) (mean, variance float64) {
+	for _, x := range v {
+		mean += float64(x)
+	}
+	mean /= float64(len(v))
+	for _, x := range v {
+		variance += (float64(x) - mean) * (float64(x) - mean)
+	}
+	return mean, variance / float64(len(v))
+}
+
+func TestBatchNorm(t *testing.T) {
+	layer := Layer{Name: "bn", Rows: 64, Cols: 48, Act: Tanh, BatchNorm: true}
+	input := testInput(layer.Cols)
+	run, ref := batchNormOutputs(t, layer, input)
+	for name, v := range map[string][]float32{"run": run, "reference": ref} {
+		mean, variance := moments(v)
+		if math.Abs(mean) > 1e-5 {
+			t.Errorf("%s: post-norm mean = %v", name, mean)
+		}
+		if math.Abs(variance-1) > 1e-2 {
+			t.Errorf("%s: post-norm variance = %v", name, variance)
+		}
+	}
+
+	// The flag standardizes the activated layer output and changes
+	// nothing else: the same layer without it, standardized here, must
+	// give the reference's values.
+	layer.BatchNorm = false
+	_, raw := batchNormOutputs(t, layer, input)
+	mean, variance := moments(raw)
+	for i, x := range raw {
+		want := (float64(x) - mean) / math.Sqrt(variance+1e-5)
+		if math.Abs(float64(ref[i])-want) > 1e-5 {
+			t.Errorf("output %d: %v, standardized activation %v", i, ref[i], want)
+		}
+	}
+}
+
+func TestBatchNormDegenerate(t *testing.T) {
+	// A zero input gives a constant sigmoid output, and a one-row layer's
+	// output is a single element: both have zero variance, which batch
+	// norm must map to zeros rather than divide by.
+	cases := []struct {
+		name  string
+		layer Layer
+		input []float32
+	}{
+		{"zero-input", Layer{Name: "bn", Rows: 64, Cols: 48, Act: Sigmoid, BatchNorm: true}, make([]float32, 48)},
+		{"one-row", Layer{Name: "bn", Rows: 1, Cols: 48, Act: Tanh, BatchNorm: true}, testInput(48)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run, ref := batchNormOutputs(t, c.layer, c.input)
+			for name, v := range map[string][]float32{"run": run, "reference": ref} {
+				for i, x := range v {
+					if x != 0 {
+						t.Errorf("%s: constant vector normalized to %v at %d", name, x, i)
+					}
+				}
+			}
+		})
 	}
 }
 
