@@ -44,13 +44,13 @@ func buildConfig(o options) (newton.Config, error) {
 		Traffic: newton.TrafficConfig{
 			IntensityReqPerUs: o.intensity,
 			ReadFraction:      o.readFrac,
-			Locality:          newton.TrafficLocality(loc),
+			Locality:          loc,
 			HitStreak:         o.streak,
 			Stride:            o.stride,
 			Rows:              o.footRows,
 			Seed:              o.seed,
 		},
-		Policy:      newton.TrafficPolicy(pol),
+		Policy:      pol,
 		EpochCycles: o.epoch,
 		HostShare:   o.share,
 	}
@@ -107,7 +107,7 @@ func session(o options, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\n  drained    %d bytes between runs\n", ts.BetweenBytes)
 	fmt.Fprintf(w, "  latency    p50 %d  p95 %d  p99 %d  max %d cycles (mean %.1f)\n",
-		ts.P50, ts.P95, ts.P99, ts.Max, ts.MeanLatency)
+		ts.P50, ts.P95, ts.P99, ts.Max, ts.Mean)
 	fmt.Fprintf(w, "  pim stall  %d cycles charged to in-run service\n", ts.StallCycles)
 	if sys.TrafficPending() {
 		fmt.Fprintf(w, "  backlog    requests still queued at cycle %d\n", sys.Now())

@@ -3,6 +3,7 @@ package newton
 import (
 	"fmt"
 
+	"newton/internal/host"
 	"newton/internal/mem"
 )
 
@@ -10,77 +11,42 @@ import (
 // (Config.Coexist) arbitrates its shared channels between AiM work and
 // host requests. The zero value is PolicyPIMPriority, which schedules
 // exactly like a system with no traffic attached.
-type TrafficPolicy int
+type TrafficPolicy = mem.Policy
 
 const (
 	// PolicyPIMPriority never perturbs a running product: conventional
 	// requests wait for idle gaps between runs.
-	PolicyPIMPriority TrafficPolicy = iota
+	PolicyPIMPriority = mem.PIMPriority
 	// PolicyMemPriority serves every arrived conventional request at
 	// each arbitration point before AiM work continues.
-	PolicyMemPriority
+	PolicyMemPriority = mem.MemPriority
 	// PolicyFairSlice grants the host a configurable share of each
 	// fixed epoch's cycles (CoexistConfig.EpochCycles, HostShare).
-	PolicyFairSlice
+	PolicyFairSlice = mem.FairSlice
 )
-
-// String implements fmt.Stringer with the report names.
-func (p TrafficPolicy) String() string {
-	switch p {
-	case PolicyPIMPriority, PolicyMemPriority, PolicyFairSlice:
-		return mem.Policy(p).String()
-	}
-	return fmt.Sprintf("TrafficPolicy(%d)", int(p))
-}
 
 // TrafficLocality selects the row-locality profile of the generated
 // conventional stream.
-type TrafficLocality int
+type TrafficLocality = mem.Locality
 
 const (
 	// TrafficHitStreak issues fixed-length back-to-back bursts to one
 	// (bank, row): a high row-hit-rate stream.
-	TrafficHitStreak TrafficLocality = iota
+	TrafficHitStreak = mem.LocalityHit
 	// TrafficStride walks columns by a fixed step, advancing rows on
 	// wrap-around.
-	TrafficStride
+	TrafficStride = mem.LocalityStride
 	// TrafficUniform draws bank, row and column uniformly: the
 	// worst-case, near-zero-hit profile.
-	TrafficUniform
+	TrafficUniform = mem.LocalityUniform
 )
-
-// String implements fmt.Stringer with the report names.
-func (l TrafficLocality) String() string {
-	switch l {
-	case TrafficHitStreak, TrafficStride, TrafficUniform:
-		return mem.Locality(l).String()
-	}
-	return fmt.Sprintf("TrafficLocality(%d)", int(l))
-}
 
 // TrafficConfig describes the conventional workload a coexisting system
 // carries: a seeded per-channel Poisson arrival process over a small
 // per-bank row region at the conventional end of the row space (the
 // paper's §III-A same-row restriction — AiM matrices and ordinary data
 // share banks but never a DRAM row).
-type TrafficConfig struct {
-	// IntensityReqPerUs is the offered load per channel in requests per
-	// microsecond. Must be positive.
-	IntensityReqPerUs float64
-	// ReadFraction is the probability a request is a read, in [0, 1].
-	ReadFraction float64
-	// Locality selects the address stream's row-locality profile.
-	Locality TrafficLocality
-	// HitStreak is the TrafficHitStreak burst length (0 = default 8).
-	HitStreak int
-	// Stride is the TrafficStride column step (0 = default 1).
-	Stride int
-	// Rows is the per-bank conventional footprint in rows (0 = default
-	// 32), reserved from the top of every bank's row space.
-	Rows int
-	// Seed reproduces the stream exactly.
-	Seed int64
-}
+type TrafficConfig = mem.TrafficConfig
 
 // CoexistConfig attaches a conventional workload and a QoS policy to a
 // system (Config.Coexist). Requests accumulate in virtual time as the
@@ -100,50 +66,36 @@ type CoexistConfig struct {
 	HostShare float64
 }
 
-// lowerCoexist validates and lowers the façade coexistence
-// configuration to the internal workload and QoS values. It mirrors
-// Split's exact-validation stance: every error names the offending
-// field before any state is built.
-func (c Config) lowerCoexist() (mem.TrafficConfig, mem.QoS, error) {
+// lowerCoexist validates the façade coexistence configuration and
+// lowers its QoS selector. It mirrors Split's exact-validation stance:
+// every error names the offending field before any state is built.
+func (c Config) lowerCoexist() (mem.QoS, error) {
 	cx := c.Coexist
 	switch cx.Policy {
 	case PolicyPIMPriority, PolicyMemPriority, PolicyFairSlice:
 	default:
-		return mem.TrafficConfig{}, mem.QoS{}, fmt.Errorf("newton: Coexist.Policy %d is not a TrafficPolicy", int(cx.Policy))
+		return mem.QoS{}, fmt.Errorf("newton: Coexist.Policy %d is not a TrafficPolicy", int(cx.Policy))
 	}
 	switch cx.Traffic.Locality {
 	case TrafficHitStreak, TrafficStride, TrafficUniform:
 	default:
-		return mem.TrafficConfig{}, mem.QoS{}, fmt.Errorf("newton: Coexist.Traffic.Locality %d is not a TrafficLocality", int(cx.Traffic.Locality))
+		return mem.QoS{}, fmt.Errorf("newton: Coexist.Traffic.Locality %d is not a TrafficLocality", int(cx.Traffic.Locality))
 	}
-	tcfg := mem.TrafficConfig{
-		IntensityReqPerUs: cx.Traffic.IntensityReqPerUs,
-		ReadFraction:      cx.Traffic.ReadFraction,
-		Locality:          mem.Locality(cx.Traffic.Locality),
-		HitStreak:         cx.Traffic.HitStreak,
-		Stride:            cx.Traffic.Stride,
-		Rows:              cx.Traffic.Rows,
-		Seed:              cx.Traffic.Seed,
+	if err := cx.Traffic.Validate(); err != nil {
+		return mem.QoS{}, fmt.Errorf("newton: Coexist.Traffic: %v", err)
 	}
-	if err := tcfg.Validate(); err != nil {
-		return mem.TrafficConfig{}, mem.QoS{}, fmt.Errorf("newton: Coexist.Traffic: %v", err)
-	}
-	qos := mem.QoS{
-		Policy:      mem.Policy(cx.Policy),
-		EpochCycles: cx.EpochCycles,
-		HostShare:   cx.HostShare,
-	}
+	qos := mem.QoS{Policy: cx.Policy, EpochCycles: cx.EpochCycles, HostShare: cx.HostShare}
 	if err := qos.Validate(); err != nil {
-		return mem.TrafficConfig{}, mem.QoS{}, fmt.Errorf("newton: Coexist: %v", err)
+		return mem.QoS{}, fmt.Errorf("newton: Coexist: %v", err)
 	}
-	return tcfg, qos, nil
+	return qos, nil
 }
 
 // attachCoexist instantiates the workload over the built system's
 // geometry and installs it on the controller.
-func (s *System) attachCoexist(tcfg mem.TrafficConfig) error {
+func (s *System) attachCoexist() error {
 	g := s.dcfg.Geometry
-	t, err := mem.New(tcfg, g.Channels, g.Banks, g.Cols, g.ColBytes())
+	t, err := mem.New(s.cfg.Coexist.Traffic, g.Channels, g.Banks, g.Cols, g.ColBytes())
 	if err != nil {
 		return fmt.Errorf("newton: Coexist: %v", err)
 	}
@@ -167,42 +119,14 @@ func (s *System) DrainTraffic() error {
 }
 
 // TrafficStats summarizes the conventional workload's service so far on
-// a coexisting system.
-type TrafficStats struct {
-	// Requests, Reads and Writes count serviced requests; Bytes is the
-	// data they moved (one column I/O each).
-	Requests, Reads, Writes, Bytes int64
-	// P50, P95, P99 and Max are arrival-to-completion latency
-	// percentiles in cycles; MeanLatency is the average.
-	P50, P95, P99, Max int64
-	MeanLatency        float64
-	// InRunBytes moved while a product was in flight (the QoS policy's
-	// grant); BetweenBytes moved in DrainTraffic gaps.
-	InRunBytes, BetweenBytes int64
-	// StallCycles is the total clock advance charged to in-run
-	// conventional service — the PIM-side interference bill.
-	StallCycles int64
-}
+// a coexisting system: request counts, bytes and latency percentiles
+// (Requests … Max, Mean), the in-run and between-run bytes, and the PIM
+// stall cycles in-run service cost.
+type TrafficStats = host.TrafficReport
 
 // TrafficStats reports the attached workload's service; the zero value
 // on a system without Config.Coexist.
-func (s *System) TrafficStats() TrafficStats {
-	r := s.ctrl.TrafficReport()
-	return TrafficStats{
-		Requests:     r.Summary.Requests,
-		Reads:        r.Summary.Reads,
-		Writes:       r.Summary.Writes,
-		Bytes:        r.Summary.Bytes,
-		P50:          r.Summary.P50,
-		P95:          r.Summary.P95,
-		P99:          r.Summary.P99,
-		Max:          r.Summary.Max,
-		MeanLatency:  r.Summary.Mean,
-		InRunBytes:   r.InRunBytes,
-		BetweenBytes: r.BetweenBytes,
-		StallCycles:  r.StallCycles,
-	}
-}
+func (s *System) TrafficStats() TrafficStats { return s.ctrl.TrafficReport() }
 
 // TrafficPending reports whether generated-but-unserviced conventional
 // requests are queued at the current clock.

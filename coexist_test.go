@@ -136,8 +136,8 @@ func TestCoexistSession(t *testing.T) {
 	if !(st.P50 <= st.P95 && st.P95 <= st.P99 && st.P99 <= st.Max) {
 		t.Errorf("latency percentiles unordered: %+v", st)
 	}
-	if st.MeanLatency <= 0 {
-		t.Errorf("mean latency %v", st.MeanLatency)
+	if st.Mean <= 0 {
+		t.Errorf("mean latency %v", st.Mean)
 	}
 }
 

@@ -181,8 +181,8 @@ func (b *Bank) PeekRow(row int) ([]byte, error) {
 }
 
 // StoredRowIDs returns the row numbers that hold data, ascending, so
-// callers that walk the stored state (fault injection, audits) visit
-// rows in a deterministic order regardless of map iteration.
+// callers that walk the stored state visit rows in a deterministic
+// order regardless of map iteration.
 func (b *Bank) StoredRowIDs() []int {
 	ids := make([]int, 0, len(b.rows))
 	for r := range b.rows {

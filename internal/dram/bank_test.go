@@ -97,8 +97,7 @@ func TestBankLoadPeekRow(t *testing.T) {
 	b := newBank(g)
 
 	// Peeking a row that was never written reads zeros and allocates
-	// nothing: fault injection walks StoredRowIDs, so a peek must not
-	// plant a row there.
+	// nothing: a peek must not plant a row in StoredRowIDs.
 	zero, err := b.PeekRow(5)
 	if err != nil {
 		t.Fatal(err)

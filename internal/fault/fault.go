@@ -10,9 +10,9 @@
 // The package provides:
 //
 //   - fault models: retention-weak single-bit flips at a configurable
-//     BER, stuck-at cells, whole-row and whole-bank failures, and
-//     transient flips gated to COMP activity windows (the UT-Austin
-//     power-delivery concern: in-DRAM compute stresses the supply);
+//     BER, and transient flips gated to COMP activity windows (the
+//     UT-Austin power-delivery concern: in-DRAM compute stresses the
+//     supply);
 //   - protection: a host-side SEC-DED(72,64) codec (ecc.go) whose check
 //     bits live in host memory, validated by the controller's ECC scrub;
 //   - measurement: an oracle Audit comparing DRAM contents against the
@@ -33,24 +33,6 @@ import (
 	"newton/internal/layout"
 )
 
-// CellRef names one bit of one stored DRAM cell.
-type CellRef struct {
-	Channel, Bank, Row int
-	// Byte and Bit locate the cell within the row image.
-	Byte int
-	Bit  uint8
-}
-
-// RowRef names one DRAM row of one bank.
-type RowRef struct {
-	Channel, Bank, Row int
-}
-
-// BankRef names one bank of one channel.
-type BankRef struct {
-	Channel, Bank int
-}
-
 // Params configures an injector. The zero value injects nothing.
 type Params struct {
 	// Seed drives every random draw. Same seed, same faults.
@@ -62,15 +44,6 @@ type Params struct {
 	// uncapped. 1 models the common single-upset-per-word regime in
 	// which SEC-DED corrects everything.
 	MaxPerWord int
-	// StuckZero and StuckOne are cells pinned to 0 / 1: they reassert
-	// after every scrub (a scrub write cannot repair a dead cell).
-	StuckZero, StuckOne []CellRef
-	// FailedRows are whole-row failures (a broken wordline): the row
-	// reads as all-ones.
-	FailedRows []RowRef
-	// FailedBanks are whole-bank failures: every stored row of the bank
-	// reads as all-ones.
-	FailedBanks []BankRef
 	// TransientBER is the per-bit flip probability applied to each
 	// column a compute command (COMP, COMP_BK, COLRD) reads, modeling
 	// supply-noise upsets during compute activity windows. Wired
@@ -85,28 +58,15 @@ type Params struct {
 type Report struct {
 	// FlippedBits counts BER-driven retention flips.
 	FlippedBits int64
-	// StuckApplied counts stuck-at cells whose stored value changed
-	// when the stuck level reasserted.
-	StuckApplied int64
-	// RowsFailed and BanksFailed count whole-structure failures applied.
-	RowsFailed, BanksFailed int64
 	// WordsTouched counts distinct 64-bit words with at least one
 	// BER flip.
 	WordsTouched int64
-}
-
-// Total returns all fault events in the pass.
-func (r Report) Total() int64 {
-	return r.FlippedBits + r.StuckApplied + r.RowsFailed + r.BanksFailed
 }
 
 // Add accumulates another pass into r, for campaigns spanning several
 // exposure intervals.
 func (r *Report) Add(o Report) {
 	r.FlippedBits += o.FlippedBits
-	r.StuckApplied += o.StuckApplied
-	r.RowsFailed += o.RowsFailed
-	r.BanksFailed += o.BanksFailed
 	r.WordsTouched += o.WordsTouched
 }
 
@@ -122,13 +82,10 @@ func NewInjector(par Params) *Injector {
 	return &Injector{par: par, rng: rand.New(rand.NewSource(par.Seed))}
 }
 
-// Params returns the injector's configuration.
-func (in *Injector) Params() Params { return in.par }
-
-// Expose applies one exposure interval of faults to the placement's
-// stored rows: BER retention flips, then stuck-at cells, then row and
-// bank failures. Rows are visited in deterministic (channel, bank, row)
-// order, so a (Params, placement) pair always yields identical faults.
+// Expose applies one exposure interval of BER retention flips to the
+// placement's stored rows. Rows are visited in deterministic (channel,
+// bank, row) order, so a (Params, placement) pair always yields
+// identical faults.
 func (in *Injector) Expose(p *layout.Placement, channels []*dram.Channel) (Report, error) {
 	var rep Report
 	if len(channels) != p.Geometry().Channels {
@@ -142,31 +99,6 @@ func (in *Injector) Expose(p *layout.Placement, channels []*dram.Channel) (Repor
 				return rep, err
 			}
 		}
-	}
-	for _, c := range in.par.StuckZero {
-		if err := applyStuck(channels, c, false, &rep); err != nil {
-			return rep, err
-		}
-	}
-	for _, c := range in.par.StuckOne {
-		if err := applyStuck(channels, c, true, &rep); err != nil {
-			return rep, err
-		}
-	}
-	for _, r := range in.par.FailedRows {
-		if err := failRow(channels, r.Channel, r.Bank, r.Row); err != nil {
-			return rep, err
-		}
-		rep.RowsFailed++
-	}
-	for _, b := range in.par.FailedBanks {
-		bank := channels[b.Channel].Bank(b.Bank)
-		for _, row := range bank.StoredRowIDs() {
-			if err := failRow(channels, b.Channel, b.Bank, row); err != nil {
-				return rep, err
-			}
-		}
-		rep.BanksFailed++
 	}
 	return rep, nil
 }
@@ -202,44 +134,6 @@ func (in *Injector) flipRow(data []byte, rep *Report) {
 		data[i/8] ^= 1 << uint(i%8)
 		rep.FlippedBits++
 	}
-}
-
-// applyStuck pins one cell to its stuck level.
-func applyStuck(channels []*dram.Channel, c CellRef, one bool, rep *Report) error {
-	if c.Channel < 0 || c.Channel >= len(channels) {
-		return fmt.Errorf("fault: stuck cell channel %d out of range", c.Channel)
-	}
-	if c.Bit > 7 {
-		return fmt.Errorf("fault: stuck cell bit %d out of range", c.Bit)
-	}
-	return channels[c.Channel].Bank(c.Bank).MutateRow(c.Row, func(data []byte) {
-		if c.Byte < 0 || c.Byte >= len(data) {
-			return
-		}
-		mask := byte(1) << c.Bit
-		old := data[c.Byte]
-		if one {
-			data[c.Byte] |= mask
-		} else {
-			data[c.Byte] &^= mask
-		}
-		if data[c.Byte] != old {
-			rep.StuckApplied++
-		}
-	})
-}
-
-// failRow overwrites a row with the all-ones pattern of a failed
-// wordline.
-func failRow(channels []*dram.Channel, ch, bank, row int) error {
-	if ch < 0 || ch >= len(channels) {
-		return fmt.Errorf("fault: failed row channel %d out of range", ch)
-	}
-	return channels[ch].Bank(bank).MutateRow(row, func(data []byte) {
-		for i := range data {
-			data[i] = 0xFF
-		}
-	})
 }
 
 // AuditReport is the oracle's view of residual corruption: DRAM

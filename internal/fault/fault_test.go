@@ -162,75 +162,6 @@ func TestInjectorBERUncappedMatchesAudit(t *testing.T) {
 	if audit.BadBits != rep.FlippedBits {
 		t.Fatalf("audit counted %d bad bits, injector reports %d", audit.BadBits, rep.FlippedBits)
 	}
-	if rep.Total() != rep.FlippedBits {
-		t.Fatalf("pure-BER run reports non-BER faults: %+v", rep)
-	}
-}
-
-func TestStuckCellsReassert(t *testing.T) {
-	channels, p := testSystem(t, 7)
-	cell := CellRef{Channel: 0, Bank: 2, Row: p.BaseRow(), Byte: 5, Bit: 3}
-	// Force the target bit to 0 so StuckOne must change it.
-	if err := channels[0].Bank(2).MutateRow(cell.Row, func(d []byte) { d[5] &^= 1 << 3 }); err != nil {
-		t.Fatal(err)
-	}
-	par := Params{StuckOne: []CellRef{cell}}
-	rep, err := NewInjector(par).Expose(p, channels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.StuckApplied != 1 {
-		t.Fatalf("StuckApplied = %d, want 1", rep.StuckApplied)
-	}
-	// A second exposure finds the bit already stuck: no change recorded.
-	rep, err = NewInjector(par).Expose(p, channels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.StuckApplied != 0 {
-		t.Fatalf("re-exposure StuckApplied = %d, want 0", rep.StuckApplied)
-	}
-	data, _ := channels[0].Bank(2).PeekRow(cell.Row)
-	if data[5]&(1<<3) == 0 {
-		t.Fatal("stuck-one cell reads 0")
-	}
-}
-
-func TestRowAndBankFailures(t *testing.T) {
-	channels, p := testSystem(t, 7)
-	par := Params{
-		FailedRows:  []RowRef{{Channel: 0, Bank: 1, Row: p.BaseRow()}},
-		FailedBanks: []BankRef{{Channel: 1, Bank: 0}},
-	}
-	rep, err := NewInjector(par).Expose(p, channels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RowsFailed != 1 || rep.BanksFailed != 1 {
-		t.Fatalf("report %+v", rep)
-	}
-	data, _ := channels[0].Bank(1).PeekRow(p.BaseRow())
-	for _, b := range data {
-		if b != 0xFF {
-			t.Fatal("failed row is not all-ones")
-		}
-	}
-	for _, row := range channels[1].Bank(0).StoredRowIDs() {
-		data, _ := channels[1].Bank(0).PeekRow(row)
-		for _, b := range data {
-			if b != 0xFF {
-				t.Fatalf("failed bank row %d is not all-ones", row)
-			}
-		}
-	}
-	// The audit sees the damage.
-	audit, err := Audit(p, channels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if audit.BadWords == 0 {
-		t.Fatal("audit missed row/bank failures")
-	}
 }
 
 func TestTransientInjectorGatedToComp(t *testing.T) {

@@ -9,9 +9,6 @@ import "newton/internal/obs"
 // unconditionally.
 type Metrics struct {
 	flips     *obs.Counter
-	stuck     *obs.Counter
-	rowsDead  *obs.Counter
-	banksDead *obs.Counter
 	words     *obs.Counter
 	exposures *obs.Counter
 
@@ -31,12 +28,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 	m.flips = reg.Counter("newton_fault_injected_flips_total",
 		"BER-driven retention bit flips injected into stored rows")
-	m.stuck = reg.Counter("newton_fault_stuck_cells_total",
-		"stuck-at cells whose stored value changed on reassert")
-	m.rowsDead = reg.Counter("newton_fault_failed_rows_total",
-		"whole-row (wordline) failures applied")
-	m.banksDead = reg.Counter("newton_fault_failed_banks_total",
-		"whole-bank failures applied")
 	m.words = reg.Counter("newton_fault_words_touched_total",
 		"distinct 64-bit ECC words with at least one injected flip")
 	m.exposures = reg.Counter("newton_fault_exposures_total",
@@ -59,9 +50,6 @@ func (m *Metrics) PublishReport(rep Report) {
 	}
 	m.exposures.Inc()
 	m.flips.Add(rep.FlippedBits)
-	m.stuck.Add(rep.StuckApplied)
-	m.rowsDead.Add(rep.RowsFailed)
-	m.banksDead.Add(rep.BanksFailed)
 	m.words.Add(rep.WordsTouched)
 }
 

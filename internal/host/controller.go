@@ -333,12 +333,6 @@ func (c *Controller) tap(ch int, cmd dram.Command, at int64, r aim.Result) error
 	return nil
 }
 
-// colIOs returns how many column I/Os of chunk hold live matrix columns
-// (the host skips sub-chunks that are pure padding).
-func (c *Controller) colIOs(p *layout.Placement, chunk int) int {
-	return p.UsedColIOs(chunk)
-}
-
 // loadGlobalBuffer GWRITEs the chunk's live slots into the channel's
 // global buffer, serialized before the activations as the paper's
 // controller does.
@@ -508,7 +502,7 @@ func (c *Controller) computeRow(x *eventExec, slots, latch int) error {
 }
 
 // estimateTile upper-bounds a tile's duration for the refresh decision.
-func (c *Controller) estimateTile(slots int, withBufferLoad bool) int64 {
+func (c *Controller) estimateTile(slots int) int64 {
 	t := &c.cfg.Timing
 	g := &c.cfg.Geometry
 	perSlot := int64(1)
@@ -519,9 +513,6 @@ func (c *Controller) estimateTile(slots int, withBufferLoad bool) int64 {
 		perSlot *= int64(g.Banks)
 	}
 	colCmds := int64(slots)*perSlot + 1 // + READRES
-	if withBufferLoad {
-		colCmds += int64(slots)
-	}
 	rowCmds := int64(g.Clusters())
 	if !c.opts.GangedActivation {
 		rowCmds = int64(g.Banks)
@@ -566,8 +557,8 @@ func (c *Controller) runChannelInterleaved(x *eventExec, p *layout.Placement, ri
 		return nil
 	}
 	for chunk := 0; chunk < p.NumChunks(); chunk++ {
-		slots := c.colIOs(p, chunk)
-		est := c.estimateTile(slots, false)
+		slots := p.UsedColIOs(chunk)
+		est := c.estimateTile(slots)
 		if err := x.maybeRefresh(est + int64(slots)*c.cfg.Timing.CmdSlot); err != nil {
 			return err
 		}
@@ -631,16 +622,9 @@ func (c *Controller) runChannelRowMajor(x *eventExec, p *layout.Placement, ri *r
 			size = latches
 		}
 		for chunk := 0; chunk < p.NumChunks(); chunk++ {
-			slots := c.colIOs(p, chunk)
-			// The refresh bound counts the chunk's buffer load at the
-			// command slot that paces GWRITEs when L > 1 rows share it,
-			// and at the column cadence, as estimateTile does, when
-			// every tile re-fetches it. The two differ where tCCD >
-			// CmdSlot (LPDDR4, DDR4); TestRowMajorGolden holds both.
-			est := int64(size)*c.estimateTile(slots, false) + int64(slots)*c.cfg.Timing.CmdSlot
-			if latches == 1 {
-				est = c.estimateTile(slots, true)
-			}
+			slots := p.UsedColIOs(chunk)
+			// The chunk's buffer load costs one command slot per GWRITE.
+			est := int64(size)*c.estimateTile(slots) + int64(slots)*c.cfg.Timing.CmdSlot
 			if err := x.maybeRefresh(est); err != nil {
 				return err
 			}

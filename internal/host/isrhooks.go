@@ -113,8 +113,9 @@ func (c *Controller) IssueCompute(ch, slots, latch int) error {
 	return c.computeRow(c.eventFor(ch), slots, latch)
 }
 
-// TileEstimate upper-bounds a tile's duration for the refresh decision,
-// matching the native paths' estimate.
-func (c *Controller) TileEstimate(slots int, withBufferLoad bool) int64 {
-	return c.estimateTile(slots, withBufferLoad)
+// TileEstimate upper-bounds the duration of a tile that first loads
+// its slots into the global buffer, matching the native paths' refresh
+// bound: GWRITEs are paced by the command slot alone.
+func (c *Controller) TileEstimate(slots int) int64 {
+	return c.estimateTile(slots) + int64(slots)*c.cfg.Timing.CmdSlot
 }

@@ -91,10 +91,13 @@ func rowMajorDigest(t *testing.T, c rowMajorGoldenCase, opts Options) (string, i
 // DRAM family: a shape smaller than one tile per channel, ragged
 // quad-latch groups, and shapes long enough to refresh inside a run. The
 // file was recorded while Newton-no-reuse and the quad-latch point ran
-// on separate schedules, so any change to the command order, the refresh
-// placement or the outputs of the one row-major schedule shows up as a
-// changed case. Set NEWTON_WRITE_GOLDEN=1 to regenerate after an
-// intentional change to the schedule.
+// on separate schedules. Only lpddr4/noreuse/96x600 and 160x1100 were
+// re-recorded since, when the schedule took one refresh bound at every
+// L (a GWRITE costs a command slot, not tCCD) and refreshed less. Any
+// change to the command order, the refresh placement or the outputs of
+// the one row-major schedule shows up as a changed case. Set
+// NEWTON_WRITE_GOLDEN=1 to regenerate after an intentional change to the
+// schedule.
 func TestRowMajorGolden(t *testing.T) {
 	var got bytes.Buffer
 	fmt.Fprintf(&got, "# SHA-256 of the row-major schedules' session per case (see TestRowMajorGolden).\n")

@@ -1,8 +1,8 @@
 package host
 
 import (
-	"newton/internal/bf16"
 	"newton/internal/dram"
+	"newton/internal/fault"
 	"newton/internal/layout"
 )
 
@@ -19,35 +19,24 @@ import (
 // in the statistics.
 func (c *Controller) Scrub(p *layout.Placement) error {
 	geo := c.cfg.Geometry
-	lanes := geo.ColBits / 16
-	m := p.Matrix()
-	sub := make(bf16.Vector, lanes)
+	cb := geo.ColBytes()
 	for ch := range c.engines {
 		x := c.eventFor(ch)
 		ct := p.ChannelTiles(ch)
 		for lt := 0; lt < ct; lt++ {
-			tile := p.GlobalTile(ch, lt)
 			for chunk := 0; chunk < p.NumChunks(); chunk++ {
 				if err := x.maybeRefresh(int64(geo.Cols) * c.cfg.Timing.TCCD); err != nil {
 					return err
 				}
 				dramRow := p.RowFor(ch, chunk, lt)
-				slots := c.colIOs(p, chunk)
+				slots := p.UsedColIOs(chunk)
 				for b := 0; b < geo.Banks; b++ {
-					matRow, live := p.MatrixRow(tile, b)
+					img := fault.GoldenRow(p, ch, b, dramRow)
 					if _, err := x.issue(dram.Command{Kind: dram.KindACT, Bank: b, Row: dramRow}); err != nil {
 						return err
 					}
 					for col := 0; col < slots; col++ {
-						for lane := 0; lane < lanes; lane++ {
-							j := chunk*p.ChunkElems() + col*lanes + lane
-							var val bf16.Num
-							if live && j < m.Cols {
-								val = m.At(matRow, j)
-							}
-							sub[lane] = val
-						}
-						if _, err := x.issue(dram.Command{Kind: dram.KindWR, Bank: b, Col: col, Data: sub.Bytes()}); err != nil {
+						if _, err := x.issue(dram.Command{Kind: dram.KindWR, Bank: b, Col: col, Data: img[col*cb : (col+1)*cb]}); err != nil {
 							return err
 						}
 					}

@@ -179,15 +179,19 @@ func (c *Controller) ServiceArrivedTraffic() error {
 	return nil
 }
 
-// TrafficReport summarizes the attached workload's service so far:
-// latency statistics over every completed request, the serviced bytes
-// split into in-run and between-run, and the PIM stall cycles in-run
-// service cost. Zero value when no workload is attached.
+// TrafficReport summarizes the attached workload's service so far.
+// Zero value when no workload is attached.
 type TrafficReport struct {
-	Summary      mem.Summary
-	InRunBytes   int64
-	BetweenBytes int64
-	StallCycles  int64
+	// Summary counts the serviced requests and the bytes they moved (one
+	// column I/O each), with arrival-to-completion latency percentiles
+	// in cycles and their mean; its fields are promoted.
+	mem.Summary
+	// InRunBytes moved while a product was in flight (the QoS policy's
+	// grant); BetweenBytes moved in idle-gap drains.
+	InRunBytes, BetweenBytes int64
+	// StallCycles is the total clock advance charged to in-run
+	// conventional service — the PIM-side interference bill.
+	StallCycles int64
 }
 
 // TrafficReport computes the report for the attached workload.

@@ -95,7 +95,7 @@ func NewFrontend(c *host.Controller) (*Frontend, error) {
 		// Tile length is not knowable at an ACT boundary (the MAC comes
 		// later in the stream), so the refresh decision uses the
 		// conservative whole-row estimate.
-		tileEst: c.TileEstimate(geo.Cols, true),
+		tileEst: c.TileEstimate(geo.Cols),
 	}
 	backing := make([]float32, NumGPRs*lanes)
 	for i := range f.gprs {

@@ -65,19 +65,11 @@ func (p *PlacedModel) on(sys any) error {
 // Spec returns the model description.
 func (p *PlacedModel) Spec() Model { return p.pm.Spec }
 
-// ModelResult reports one end-to-end inference.
-type ModelResult struct {
-	// Output is the final activation vector.
-	Output []float32
-	// Cycles is the end-to-end duration in cycles (nanoseconds),
-	// including exposed batch-normalization latency.
-	Cycles int64
-	// LayerCycles is each layer's product duration.
-	LayerCycles []int64
-	// Refreshes counts refresh interruptions during the run, the effect
-	// behind DLRM's end-to-end speedup trailing its single-layer one.
-	Refreshes int64
-}
+// ModelResult reports one end-to-end inference: the final activation
+// vector, the end-to-end and per-layer cycles, and the refreshes during
+// the run (the effect behind DLRM's end-to-end speedup trailing its
+// single-layer one).
+type ModelResult = nn.RunResult
 
 // LoadModel generates deterministic weights for the model's layers
 // (seeded, so a System and an IdealBaseline given the same seed hold
@@ -96,11 +88,7 @@ func (s *System) RunModel(pm *PlacedModel, input []float32) (*ModelResult, error
 		return nil, err
 	}
 	exposure := s.cfg.hostOptions().NormExposure(s.dcfg.Geometry.RowBytes() / 2)
-	r, err := nn.Run(s.ctrl, pm.pm, input, exposure)
-	if err != nil {
-		return nil, err
-	}
-	return &ModelResult{Output: r.Output, Cycles: r.Cycles, LayerCycles: r.LayerCycles, Refreshes: r.Refreshes}, nil
+	return nn.Run(s.ctrl, pm.pm, input, exposure)
 }
 
 // LoadModel mirrors System.LoadModel for the ideal baseline.
@@ -119,11 +107,7 @@ func (b *IdealBaseline) RunModel(pm *PlacedModel, input []float32) (*ModelResult
 		return nil, err
 	}
 	exposure := b.cfg.hostOptions().NormExposure(b.dcfg.Geometry.RowBytes() / 2)
-	r, err := nn.Run(b.h, pm.pm, input, exposure)
-	if err != nil {
-		return nil, err
-	}
-	return &ModelResult{Output: r.Output, Cycles: r.Cycles, LayerCycles: r.LayerCycles, Refreshes: r.Refreshes}, nil
+	return nn.Run(b.h, pm.pm, input, exposure)
 }
 
 // ReferenceModelOutput runs the placed model's float32 software oracle
@@ -142,11 +126,7 @@ func (s *System) RunModelWithRoundTrip(pm *PlacedModel, input []float32, roundTr
 		return nil, err
 	}
 	exposure := s.cfg.hostOptions().NormExposure(s.dcfg.Geometry.RowBytes() / 2)
-	r, err := nn.RunWithRoundTrip(s.ctrl, pm.pm, input, exposure, roundTrip)
-	if err != nil {
-		return nil, err
-	}
-	return &ModelResult{Output: r.Output, Cycles: r.Cycles, LayerCycles: r.LayerCycles, Refreshes: r.Refreshes}, nil
+	return nn.RunWithRoundTrip(s.ctrl, pm.pm, input, exposure, roundTrip)
 }
 
 // CompiledModel is a placed model lowered to one self-contained ISR
@@ -163,20 +143,10 @@ func (c *CompiledModel) Text() string { return isr.EncodeString(c.prog) }
 // Instructions returns the program length.
 func (c *CompiledModel) Instructions() int { return len(c.prog.Instrs) }
 
-// DeviceModelResult reports one whole-model on-device inference.
-type DeviceModelResult struct {
-	// Output is the final activation vector.
-	Output []float32
-	// Cycles is the end-to-end program duration in cycles (nanoseconds).
-	Cycles int64
-	// LayerCycles is each layer's duration, from the program's MARK
-	// stamps.
-	LayerCycles []int64
-	// Refreshes counts refresh interruptions during the run.
-	Refreshes int64
-	// Instrs is the executed ISR program's length.
-	Instrs int
-}
+// DeviceModelResult reports one whole-model on-device inference: the
+// ModelResult fields, with LayerCycles taken from the program's MARK
+// stamps, plus the executed ISR program's length.
+type DeviceModelResult = nn.DeviceRunResult
 
 // CompileModel lowers a placed model plus one input vector to an ISR
 // program for on-device execution. The program is statically checked
@@ -205,12 +175,5 @@ func (s *System) RunModelOnDevice(pm *PlacedModel, input []float32) (*DeviceMode
 	if err := pm.on(s); err != nil {
 		return nil, err
 	}
-	r, err := nn.RunOnDevice(s.ctrl, pm.pm, input)
-	if err != nil {
-		return nil, err
-	}
-	return &DeviceModelResult{
-		Output: r.Output, Cycles: r.Cycles, LayerCycles: r.LayerCycles,
-		Refreshes: r.Refreshes, Instrs: r.Instrs,
-	}, nil
+	return nn.RunOnDevice(s.ctrl, pm.pm, input)
 }

@@ -29,7 +29,6 @@ import (
 	"newton/internal/dram"
 	"newton/internal/fault"
 	"newton/internal/host"
-	"newton/internal/mem"
 	"newton/internal/model"
 )
 
@@ -246,13 +245,10 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	opts := cfg.hostOptions()
-	var tcfg mem.TrafficConfig
 	if cfg.Coexist != nil {
-		var qos mem.QoS
-		if tcfg, qos, err = cfg.lowerCoexist(); err != nil {
+		if opts.QoS, err = cfg.lowerCoexist(); err != nil {
 			return nil, err
 		}
-		opts.QoS = qos
 	}
 	ctrl, err := host.NewController(dcfg, opts)
 	if err != nil {
@@ -260,7 +256,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg, dcfg: dcfg, ctrl: ctrl}
 	if cfg.Coexist != nil {
-		if err := s.attachCoexist(tcfg); err != nil {
+		if err := s.attachCoexist(); err != nil {
 			return nil, err
 		}
 	}
